@@ -1,6 +1,6 @@
-"""The three third-party stale-certificate detection pipelines.
+"""The three third-party stale-certificate rules, each written once.
 
-Each detector mirrors one methodology subsection of the paper:
+Each module mirrors one methodology subsection of the paper:
 
 * :class:`KeyCompromiseDetector` — Section 4.1: cross-reference daily CRL
   collections with the CT corpus, filter outliers, split out the
@@ -8,14 +8,15 @@ Each detector mirrors one methodology subsection of the paper:
 * :class:`RegistrantChangeDetector` — Section 4.2: intersect registry
   creation dates with certificate validity windows.
 * :class:`ManagedTlsDetector` — Section 4.3: day-over-day disappearance of
-  Cloudflare NS/CNAME delegation for domains holding Cloudflare-managed
-  certificates.
+  Cloudflare NS/CNAME delegation (:class:`DepartureTracker`) for domains
+  holding Cloudflare-managed certificates.
 
-All three (and their incremental streaming counterparts in
-:mod:`repro.stream.detectors`) satisfy the :class:`Detector` protocol:
-``detect(inputs, findings)`` plus a ``stats`` accounting attribute. The
-batch pipeline and the stream engine iterate detector registries of this
-shape rather than hard-coding the classes.
+Each rule is a function or small state machine in its module
+(``revocation_outcome``/``revocation_findings``, ``re_registration_findings``,
+``DepartureTracker``/``ManagedCertificateJoin``). The batch detectors above
+drive it over index lookups and satisfy the batch-only :class:`Detector`
+protocol the pipeline registry iterates; the incremental wrappers in
+:mod:`repro.stream.detectors` drive the same code over events.
 """
 
 from repro.core.detectors.base import Detector
@@ -27,6 +28,7 @@ from repro.core.detectors.registrant_change import (
 from repro.core.detectors.managed_tls import (
     CLOUDFLARE_MANAGED_SAN_SUFFIX,
     DepartureJoinStats,
+    DepartureTracker,
     ManagedTlsDetector,
     is_cloudflare_managed_certificate,
 )
@@ -40,6 +42,7 @@ __all__ = [
     "RegistrantJoinStats",
     "ManagedTlsDetector",
     "DepartureJoinStats",
+    "DepartureTracker",
     "CLOUDFLARE_MANAGED_SAN_SUFFIX",
     "is_cloudflare_managed_certificate",
     "KeyRotationDetector",

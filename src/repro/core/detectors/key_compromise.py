@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ct.dedup import CertificateCorpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.pki.certificate import Certificate
 from repro.revocation.crl import CertificateRevocationList, CrlEntry, merge_crl_series
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import Day
@@ -41,6 +42,56 @@ class RevocationJoinStats:
     filtered_revoked_after_expiration: int = 0
     filtered_before_cutoff: int = 0
     survivors: int = 0
+
+    @classmethod
+    def of(cls, outcomes: Iterable[str]) -> "RevocationJoinStats":
+        """Tally merged entries by their :func:`revocation_outcome`."""
+        stats = cls()
+        for outcome in outcomes:
+            stats.crl_entries_merged += 1
+            if outcome != "unmatched":
+                stats.matched_in_ct += 1
+            setattr(stats, outcome, getattr(stats, outcome) + 1)
+        return stats
+
+
+def revocation_outcome(
+    entry: CrlEntry, certificate: Optional[Certificate], cutoff: Optional[Day]
+) -> str:
+    """The :class:`RevocationJoinStats` field one merged entry lands in.
+
+    Steps 2 and 3 of the pipeline: an entry without a CT certificate is
+    ``unmatched``; the three outlier filters apply in the paper's order;
+    whatever passes them is one of the ``survivors``.
+    """
+    if certificate is None:
+        return "unmatched"
+    if entry.revocation_day < certificate.not_before:
+        return "filtered_revoked_before_valid"
+    if entry.revocation_day > certificate.not_after:
+        return "filtered_revoked_after_expiration"
+    if cutoff is not None and entry.revocation_day < cutoff:
+        return "filtered_before_cutoff"
+    return "survivors"
+
+
+def revocation_findings(entry: CrlEntry, certificate: Certificate) -> List[StaleCertificate]:
+    """Step 4: the ``REVOKED_ALL`` finding, plus ``KEY_COMPROMISE`` when
+    that is the entry's reason, stale from the revocation day (clamped to
+    the validity window) to notAfter."""
+    day = min(max(entry.revocation_day, certificate.not_before), certificate.not_after)
+    classes = [StalenessClass.REVOKED_ALL]
+    if entry.reason is RevocationReason.KEY_COMPROMISE:
+        classes.append(StalenessClass.KEY_COMPROMISE)
+    return [
+        StaleCertificate(
+            certificate=certificate,
+            staleness_class=staleness_class,
+            invalidation_day=day,
+            detail=f"reason={entry.reason.name.lower()}",
+        )
+        for staleness_class in classes
+    ]
 
 
 class KeyCompromiseDetector:
@@ -69,50 +120,18 @@ class KeyCompromiseDetector:
         quantifies the filters' effect.
         """
         out = findings if findings is not None else StaleFindings()
-        merged = merge_crl_series(crls)
-        self.stats = RevocationJoinStats(crl_entries_merged=len(merged))
         index = self._corpus.by_revocation_key()
-        for key, entry in merged.items():
+        outcomes: List[str] = []
+        for key, entry in merge_crl_series(crls).items():
             certificate = index.get(key)
-            if certificate is None:
-                self.stats.unmatched += 1
-                continue
-            self.stats.matched_in_ct += 1
-            if apply_filters and not self._passes_filters(entry, certificate):
-                continue
-            self.stats.survivors += 1
-            invalidation_day = max(entry.revocation_day, certificate.not_before)
-            invalidation_day = min(invalidation_day, certificate.not_after)
-            out.add(
-                StaleCertificate(
-                    certificate=certificate,
-                    staleness_class=StalenessClass.REVOKED_ALL,
-                    invalidation_day=invalidation_day,
-                    detail=f"reason={entry.reason.name.lower()}",
-                )
-            )
-            if entry.reason is RevocationReason.KEY_COMPROMISE:
-                out.add(
-                    StaleCertificate(
-                        certificate=certificate,
-                        staleness_class=StalenessClass.KEY_COMPROMISE,
-                        invalidation_day=invalidation_day,
-                        detail="reason=key_compromise",
-                    )
-                )
+            outcome = revocation_outcome(entry, certificate, self._cutoff)
+            if not apply_filters and certificate is not None:
+                outcome = "survivors"
+            outcomes.append(outcome)
+            if outcome == "survivors":
+                out.extend(revocation_findings(entry, certificate))
+        self.stats = RevocationJoinStats.of(outcomes)
         return out
-
-    def _passes_filters(self, entry: CrlEntry, certificate) -> bool:
-        if entry.revocation_day < certificate.not_before:
-            self.stats.filtered_revoked_before_valid += 1
-            return False
-        if entry.revocation_day > certificate.not_after:
-            self.stats.filtered_revoked_after_expiration += 1
-            return False
-        if self._cutoff is not None and entry.revocation_day < self._cutoff:
-            self.stats.filtered_before_cutoff += 1
-            return False
-        return True
 
 
 def monthly_key_compromise_by_issuer(

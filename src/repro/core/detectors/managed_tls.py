@@ -1,4 +1,4 @@
-"""Managed-TLS departure via daily DNS diffing (paper §4.3).
+"""Managed-TLS departure via day-over-day DNS comparison (paper §4.3).
 
 A Cloudflare-managed certificate is identifiable by the
 ``sni*.cloudflaressl.com`` SAN entry accompanying customer domains. A
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.ct.dedup import CertificateCorpus
-from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
 from repro.dns.records import RecordType
-from repro.dns.snapshots import SnapshotStore, diff_days
+from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.pki.certificate import Certificate
 from repro.util.dates import Day
 
@@ -39,7 +39,7 @@ def is_cloudflare_managed_certificate(certificate: Certificate) -> bool:
     The sni*.cloudflaressl.com SAN is what distinguishes Cloudflare-managed
     issuance from certificates a customer uploaded themselves (paper §4.3).
     """
-    return any(_SNI_SAN_RE.match(san) for san in certificate.san_dns_names)
+    return has_managed_marker_san(certificate.san_dns_names)
 
 
 def has_managed_marker_san(san_dns_names: Iterable[str]) -> bool:
@@ -54,6 +54,10 @@ def has_managed_marker_san(san_dns_names: Iterable[str]) -> bool:
 
 def is_cloudflare_delegation(target: str) -> bool:
     return bool(_CLOUDFLARE_DELEGATION_RE.search(target.lower().rstrip(".")))
+
+
+def _cloudflare_targets(targets: Iterable[str]) -> FrozenSet[str]:
+    return frozenset(t for t in targets if is_cloudflare_delegation(t))
 
 
 @dataclass(frozen=True)
@@ -74,75 +78,163 @@ class DepartureJoinStats:
     findings: int = 0
 
 
-def find_departures(store: SnapshotStore) -> List[Departure]:
-    """Scan consecutive snapshot pairs for Cloudflare delegation loss.
-
-    Real daily scans suffer transient lookup failures; a domain that merely
-    *vanished for one day* and reappears still Cloudflare-delegated is scan
-    loss, not a departure. The paper compares each day "with neighboring
-    days" — so a disappearance only counts when the following scan (when
-    one exists) confirms the domain is still gone or no longer delegated to
-    Cloudflare.
-    """
-    departures: List[Departure] = []
-    ordered_days = store.days()
-    day_index = {d: i for i, d in enumerate(ordered_days)}
-    for before, after in store.consecutive_pairs():
-        for diff in diff_days(before, after):
-            removed = {
-                target
-                for target in (
-                    diff.removed_of(RecordType.NS) | diff.removed_of(RecordType.CNAME)
-                )
-                if is_cloudflare_delegation(target)
-            }
-            if not removed:
-                continue
-            if diff.disappeared:
-                if _reappears_on_cloudflare(
-                    store, ordered_days, day_index, after.day, diff.apex
-                ):
-                    continue  # transient scan loss
-            else:
-                # Verify no Cloudflare delegation remains on the later day:
-                # a partial nameserver shuffle within Cloudflare is not a
-                # departure.
-                obs_after = after.get(diff.apex)
-                if obs_after is not None and any(
-                    is_cloudflare_delegation(t) for t in obs_after.delegation_targets()
-                ):
-                    continue
-            departures.append(
-                Departure(
-                    apex=diff.apex,
-                    departure_day=diff.day_after,
-                    removed_targets=frozenset(removed),
-                )
-            )
-    return departures
-
-
 #: How many later scans to consult before trusting a disappearance.
 #: Consecutive lookup failures happen; the first *observation* decides.
 DISAPPEARANCE_LOOKAHEAD_SCANS = 3
 
 
-def _reappears_on_cloudflare(
-    store: SnapshotStore,
-    ordered_days: List,
-    day_index: Dict,
-    after_day,
-    apex: str,
-) -> bool:
-    start = day_index[after_day] + 1
-    for position in range(start, min(start + DISAPPEARANCE_LOOKAHEAD_SCANS, len(ordered_days))):
-        snapshot = store.get(ordered_days[position])
-        obs = snapshot.get(apex) if snapshot is not None else None
-        if obs is None:
-            continue  # still unobserved; could be another lookup failure
-        # First actual observation decides: back on Cloudflare = scan loss.
-        return any(is_cloudflare_delegation(t) for t in obs.delegation_targets())
-    return False  # never reappeared within the lookahead: trust the loss
+class DepartureTracker:
+    """The §4.3 rule as a per-apex state machine over consecutive scans.
+
+    :meth:`observe` compares each apex of the previous scan with the new
+    one: a Cloudflare NS or CNAME target gone while none remains is a
+    departure on the new scan's day (a shuffle within Cloudflare is not).
+    The paper checks "with neighboring days" because daily scans lose
+    lookups, so an apex that vanished entirely stays *pending* until one of
+    the next :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans observes it (back
+    on Cloudflare is scan loss; anything else confirms) or the lookahead
+    runs out (confirms). :meth:`flush` confirms what the window ended on.
+
+    ``last_view`` (apex -> observation) and ``pending`` (``apex``,
+    ``departure_day``, ``removed``, ``remaining`` records) are plain data,
+    so a checkpoint can serialise and restore them.
+    """
+
+    def __init__(self) -> None:
+        self.last_view: Dict[str, DomainObservation] = {}
+        self.pending: List[dict] = []
+
+    def observe(self, snapshot: DailySnapshot) -> List[Departure]:
+        current = snapshot.observations()
+        departures = self._resolve_pending(current)
+        for apex, before in self.last_view.items():
+            after = current.get(apex)
+            if after is before:
+                continue  # interned observation: unchanged since the last scan
+            if after is None:
+                removed = _cloudflare_targets(before.delegation_targets())
+                if removed:
+                    self.pending.append(
+                        {
+                            "apex": apex,
+                            "departure_day": snapshot.day,
+                            "removed": sorted(removed),
+                            "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
+                        }
+                    )
+                continue
+            removed = _cloudflare_targets(
+                (before.get(RecordType.NS) - after.get(RecordType.NS))
+                | (before.get(RecordType.CNAME) - after.get(RecordType.CNAME))
+            )
+            if removed and not _cloudflare_targets(after.delegation_targets()):
+                departures.append(Departure(apex, snapshot.day, removed))
+        self.last_view = dict(current)
+        return departures
+
+    def flush(self) -> List[Departure]:
+        departures = [_confirmed(pending) for pending in self.pending]
+        self.pending = []
+        return departures
+
+    def _resolve_pending(
+        self, current: Mapping[str, DomainObservation]
+    ) -> List[Departure]:
+        departures: List[Departure] = []
+        unresolved: List[dict] = []
+        for pending in self.pending:
+            observation = current.get(pending["apex"])
+            if observation is not None:
+                if not _cloudflare_targets(observation.delegation_targets()):
+                    departures.append(_confirmed(pending))
+                continue  # back on Cloudflare: transient scan loss
+            pending["remaining"] -= 1
+            if pending["remaining"] <= 0:
+                departures.append(_confirmed(pending))
+            else:
+                unresolved.append(pending)
+        self.pending = unresolved
+        return departures
+
+
+def _confirmed(pending: dict) -> Departure:
+    return Departure(
+        pending["apex"], pending["departure_day"], frozenset(pending["removed"])
+    )
+
+
+def find_departures(store: SnapshotStore) -> List[Departure]:
+    """Every departure over the store's scans, in detection order."""
+    tracker = DepartureTracker()
+    departures: List[Departure] = []
+    for scan_day in store.days():
+        departures.extend(tracker.observe(store.get(scan_day)))
+    return departures + tracker.flush()
+
+
+def departure_finding(
+    certificate: Certificate, domain: str, departure_day: Day, detail: str
+) -> StaleCertificate:
+    return StaleCertificate(
+        certificate=certificate,
+        staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
+        invalidation_day=departure_day,
+        affected_domain=domain,
+        detail=detail,
+    )
+
+
+def departure_findings(
+    index: Dict[str, List[Certificate]], departure: Departure
+) -> Iterator[StaleCertificate]:
+    """The certificate join for one departure: every managed certificate
+    covering the apex or a name beneath it (managed certificates often
+    cover www, mail, ...) that is still valid on the departure day."""
+    detail = f"left={','.join(sorted(departure.removed_targets))}"
+    suffix = "." + departure.apex
+    for domain, certificates in index.items():
+        if domain != departure.apex and not domain.endswith(suffix):
+            continue
+        for certificate in certificates:
+            if certificate.is_valid_on(departure.departure_day):
+                yield departure_finding(certificate, domain, departure.departure_day, detail)
+
+
+class ManagedCertificateJoin:
+    """Cloudflare-managed certificates by customer domain, and the findings
+    their departures produced so far (one per certificate, domain and day).
+    The batch detector and the stream wrapper both accumulate into one."""
+
+    def __init__(self) -> None:
+        self.by_domain: Dict[str, List[Certificate]] = {}
+        self.findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
+        self.departures = 0
+
+    def add(self, certificate: Certificate) -> None:
+        if not is_cloudflare_managed_certificate(certificate):
+            return
+        for san in certificate.fqdns():
+            if not san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):  # the CDN's marker
+                self.by_domain.setdefault(san, []).append(certificate)
+
+    def join(self, departures: Iterable[Departure]) -> List[StaleCertificate]:
+        """Join *departures*; returns the findings not seen before."""
+        emitted: List[StaleCertificate] = []
+        for departure in departures:
+            self.departures += 1
+            for finding in departure_findings(self.by_domain, departure):
+                key = finding_key(finding)
+                if key not in self.findings:
+                    self.findings[key] = finding
+                    emitted.append(finding)
+        return emitted
+
+    @property
+    def stats(self) -> DepartureJoinStats:
+        fingerprints = {
+            c.dedup_fingerprint() for certs in self.by_domain.values() for c in certs
+        }
+        return DepartureJoinStats(len(fingerprints), self.departures, len(self.findings))
 
 
 class ManagedTlsDetector:
@@ -150,35 +242,7 @@ class ManagedTlsDetector:
 
     def __init__(self, corpus: CertificateCorpus) -> None:
         self._corpus = corpus
-        self._managed_by_domain: Optional[Dict[str, List[Certificate]]] = None
         self.stats = DepartureJoinStats()
-
-    def _managed(self) -> "Iterable[Certificate]":
-        """The managed certificates, in corpus order.
-
-        Columnar corpora serve these from their precomputed managed-row
-        index; plain corpora scan and filter. Both paths re-check the
-        marker-SAN predicate so the semantics stay in one place.
-        """
-        indexed = getattr(self._corpus, "managed_certificates", None)
-        source = indexed() if indexed is not None else self._corpus.certificates()
-        return (
-            certificate
-            for certificate in source
-            if is_cloudflare_managed_certificate(certificate)
-        )
-
-    def _index(self) -> Dict[str, List[Certificate]]:
-        """Customer domain -> Cloudflare-managed certificates covering it."""
-        if self._managed_by_domain is None:
-            index: Dict[str, List[Certificate]] = {}
-            for certificate in self._managed():
-                for san in certificate.fqdns():
-                    if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
-                        continue  # the CDN's own marker SAN
-                    index.setdefault(san, []).append(certificate)
-            self._managed_by_domain = index
-        return self._managed_by_domain
 
     def detect(
         self,
@@ -186,51 +250,13 @@ class ManagedTlsDetector:
         findings: Optional[StaleFindings] = None,
     ) -> StaleFindings:
         out = findings if findings is not None else StaleFindings()
-        index = self._index()
-        departures = find_departures(store)
-        self.stats = DepartureJoinStats(
-            managed_certificates_indexed=len(
-                {c.dedup_fingerprint() for certs in index.values() for c in certs}
-            ),
-            departures_detected=len(departures),
-        )
-        emitted: Set[Tuple[str, str, Day]] = set()
-        for departure in departures:
-            for domain, certificates in _domains_under(index, departure.apex):
-                for certificate in certificates:
-                    if not certificate.is_valid_on(departure.departure_day):
-                        continue
-                    key = (
-                        certificate.dedup_fingerprint(),
-                        domain,
-                        departure.departure_day,
-                    )
-                    if key in emitted:
-                        continue
-                    emitted.add(key)
-                    self.stats.findings += 1
-                    out.add(
-                        StaleCertificate(
-                            certificate=certificate,
-                            staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                            invalidation_day=departure.departure_day,
-                            affected_domain=domain,
-                            detail=f"left={','.join(sorted(departure.removed_targets))}",
-                        )
-                    )
+        # Columnar corpora serve the managed rows from a precomputed index;
+        # the join re-checks the marker SAN, so both sources agree.
+        indexed = getattr(self._corpus, "managed_certificates", None)
+        source = indexed() if indexed is not None else self._corpus.certificates()
+        join = ManagedCertificateJoin()
+        for certificate in source:
+            join.add(certificate)
+        out.extend(join.join(find_departures(store)))
+        self.stats = join.stats
         return out
-
-
-def _domains_under(
-    index: Dict[str, List[Certificate]], apex: str
-) -> Iterable[Tuple[str, List[Certificate]]]:
-    """Certificate-covered FQDNs at or beneath a departed apex.
-
-    The scan operates on apexes (e2LDs from zone files); managed
-    certificates may cover subdomains (www, mail, ...), all of which become
-    stale when the apex leaves the CDN.
-    """
-    suffix = "." + apex
-    for domain, certificates in index.items():
-        if domain == apex or domain.endswith(suffix):
-            yield domain, certificates

@@ -17,10 +17,10 @@ the gap against simulator ground truth).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ct.dedup import CertificateCorpus
-from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
 from repro.pki.certificate import Certificate
 from repro.psl.registered import e2ld
 from repro.util.dates import Day
@@ -44,6 +44,40 @@ class RegistrantJoinStats:
     findings: int = 0
 
 
+def in_whois_scope(domain: str, tlds: Optional[Sequence[str]]) -> bool:
+    """The TLD gate: only registries whose thin WHOIS the paper considers
+    reliable (Verisign's .com/.net by default); ``tlds=None`` disables it."""
+    return tlds is None or domain.rsplit(".", 1)[-1] in tlds
+
+
+def registration_key(domain: str) -> str:
+    """The e2LD a re-registered domain joins certificates on."""
+    registrable = e2ld(domain)
+    return registrable if registrable is not None else domain
+
+
+def re_registration_findings(
+    domain: str, previous: Day, current: Day, candidates: Iterable[Certificate]
+) -> Iterator[StaleCertificate]:
+    """Findings for one re-registration of *domain* (created *previous*,
+    re-created *current*): every candidate certificate strictly spanning
+    the new creation date with a SAN at or beneath the domain."""
+    detail = f"re_registered_after={previous}"
+    suffix = "." + domain
+    for certificate in candidates:
+        if not certificate.validity.contains(current, strict=True):
+            continue
+        if not any(san == domain or san.endswith(suffix) for san in certificate.fqdns()):
+            continue  # no SAN at or beneath the re-registered domain
+        yield StaleCertificate(
+            certificate=certificate,
+            staleness_class=StalenessClass.REGISTRANT_CHANGE,
+            invalidation_day=current,
+            affected_domain=domain,
+            detail=detail,
+        )
+
+
 def find_re_registrations(
     creation_pairs: Iterable[Tuple[str, Day]],
     tlds: Optional[Sequence[str]] = ("com", "net"),
@@ -52,14 +86,12 @@ def find_re_registrations(
 
     The same pair appears in many WHOIS crawls; only distinct creation dates
     matter, and only the second and later date per domain signal
-    re-registration. ``tlds`` restricts to registries whose thin WHOIS the
-    paper considers reliable (Verisign's .com/.net); pass None to disable.
+    re-registration. ``tlds`` is the :func:`in_whois_scope` gate.
     """
     dates_by_domain: Dict[str, set] = {}
     for domain, creation_day in creation_pairs:
-        if tlds is not None and domain.rsplit(".", 1)[-1] not in tlds:
-            continue
-        dates_by_domain.setdefault(domain, set()).add(creation_day)
+        if in_whois_scope(domain, tlds):
+            dates_by_domain.setdefault(domain, set()).add(creation_day)
     events: List[ReRegistration] = []
     for domain, dates in dates_by_domain.items():
         ordered = sorted(dates)
@@ -78,27 +110,22 @@ class RegistrantChangeDetector:
         self._certs_by_e2ld: Optional[Dict[str, List[Certificate]]] = None
         self.stats = RegistrantJoinStats()
 
-    def _index(self) -> Dict[str, List[Certificate]]:
-        """e2LD -> certificates with a SAN under that e2LD."""
-        if self._certs_by_e2ld is None:
-            index: Dict[str, List[Certificate]] = {}
-            for certificate in self._corpus.certificates():
-                for registrable in certificate.e2lds():
-                    index.setdefault(registrable, []).append(certificate)
-            self._certs_by_e2ld = index
-        return self._certs_by_e2ld
-
     def _candidates(self, lookup: str) -> Sequence[Certificate]:
-        """Certificates joining *lookup*, in corpus order.
+        """Certificates with a SAN under e2LD *lookup*, in corpus order.
 
         Columnar corpora answer this from their sorted e2LD index without
-        hydrating the rest of the corpus; plain corpora fall back to the
-        one-shot full index build.
+        hydrating the rest of the corpus; plain corpora build a full
+        e2LD index once.
         """
         indexed = getattr(self._corpus, "certificates_for_e2ld", None)
         if indexed is not None:
             return indexed(lookup)
-        return self._index().get(lookup, ())
+        if self._certs_by_e2ld is None:
+            self._certs_by_e2ld = {}
+            for certificate in self._corpus.certificates():
+                for registrable in certificate.e2lds():
+                    self._certs_by_e2ld.setdefault(registrable, []).append(certificate)
+        return self._certs_by_e2ld.get(lookup, ())
 
     def detect(
         self,
@@ -111,36 +138,15 @@ class RegistrantChangeDetector:
         self.stats = RegistrantJoinStats(re_registration_events=len(events))
         emitted = set()
         for event in events:
-            registrable = e2ld(event.domain)
-            lookup = registrable if registrable is not None else event.domain
-            candidates = self._candidates(lookup)
+            candidates = self._candidates(registration_key(event.domain))
             if candidates:
                 self.stats.events_joining_certificates += 1
-            for certificate in candidates:  # candidates by e2LD
-                if not certificate.validity.contains(event.creation_day, strict=True):
-                    continue
-                if not _covers_registration(certificate, event.domain):
-                    continue
-                key = (certificate.dedup_fingerprint(), event.domain, event.creation_day)
-                if key in emitted:
-                    continue
-                emitted.add(key)
-                self.stats.findings += 1
-                out.add(
-                    StaleCertificate(
-                        certificate=certificate,
-                        staleness_class=StalenessClass.REGISTRANT_CHANGE,
-                        invalidation_day=event.creation_day,
-                        affected_domain=event.domain,
-                        detail=f"re_registered_after={event.previous_creation_day}",
-                    )
-                )
+            for finding in re_registration_findings(
+                event.domain, event.previous_creation_day, event.creation_day, candidates
+            ):
+                key = finding_key(finding)
+                if key not in emitted:
+                    emitted.add(key)
+                    out.add(finding)
+        self.stats.findings = len(emitted)
         return out
-
-
-def _covers_registration(certificate: Certificate, domain: str) -> bool:
-    """Whether any SAN is at or beneath the re-registered domain."""
-    for san in certificate.fqdns():
-        if san == domain or san.endswith("." + domain):
-            return True
-    return False

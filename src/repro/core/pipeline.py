@@ -272,7 +272,7 @@ class MeasurementPipeline:
                     revocation_stats = detector.stats
 
         return PipelineResult(
-            findings=findings,
+            findings=StaleFindings.in_canonical_order(findings.all_findings()),
             revocation_stats=revocation_stats,
             windows=dict(self._bundle.windows),
         )

@@ -110,6 +110,31 @@ class StaleCertificate:
         )
 
 
+def canonical_order_key(finding: StaleCertificate) -> Tuple[str, str, Day, str, str]:
+    """Total order on findings, independent of detection order.
+
+    Every engine (batch, sharded, stream) hands its findings out in this
+    order, so their outputs agree element by element and serialise to the
+    same bytes under any ``PYTHONHASHSEED``.
+    """
+    return (
+        finding.staleness_class.value,
+        finding.certificate.dedup_fingerprint(),
+        finding.invalidation_day,
+        finding.affected_domain or "",
+        finding.detail or "",
+    )
+
+
+def finding_key(finding: StaleCertificate) -> Tuple[str, Optional[str], Day]:
+    """Identity of a per-domain finding: (certificate, domain, day)."""
+    return (
+        finding.certificate.dedup_fingerprint(),
+        finding.affected_domain,
+        finding.invalidation_day,
+    )
+
+
 @dataclass
 class ClassAggregate:
     """Aggregate counts for one staleness class (a Table 4 row)."""
@@ -162,6 +187,13 @@ class StaleFindings:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_class.values())
+
+    @classmethod
+    def in_canonical_order(cls, findings: Iterable[StaleCertificate]) -> "StaleFindings":
+        """A findings set holding *findings* sorted by :func:`canonical_order_key`."""
+        out = cls()
+        out.extend(sorted(findings, key=canonical_order_key))
+        return out
 
     # -- aggregates ---------------------------------------------------------
 

@@ -249,11 +249,6 @@ class LazySnapshotStore(SnapshotStore):
             snapshot._observations[apex] = observation
         return snapshot
 
-    def consecutive_pairs(self):
-        for scan_day in self.days():
-            self.get(scan_day)  # materialize into _by_day for the base walk
-        return super().consecutive_pairs()
-
 
 class ColumnarBundle:
     """Duck-typed :class:`~repro.core.pipeline.DatasetBundle` whose five

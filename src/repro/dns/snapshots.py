@@ -1,15 +1,16 @@
-"""Daily DNS snapshots and day-over-day diffing.
+"""Daily DNS snapshots.
 
 The paper's managed-TLS detector compares "each day's NS and CNAME records
 with neighboring days" (Section 4.3). A :class:`DailySnapshot` captures, for
-one day, the observed record sets per apex; :func:`diff_days` produces the
-per-domain record-set changes between two snapshots.
+one day, the observed record sets per apex; a :class:`SnapshotStore` holds
+the scan window by day. The comparison itself is
+:class:`~repro.core.detectors.managed_tls.DepartureTracker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
 from repro.dns.records import RecordType
 from repro.util.dates import Day, day_to_iso
@@ -67,6 +68,10 @@ class DailySnapshot:
     def apexes(self) -> Set[str]:
         return set(self._observations)
 
+    def observations(self) -> Mapping[str, DomainObservation]:
+        """Apex -> observation, read-only (observations may be shared)."""
+        return self._observations
+
     def record_count(self) -> int:
         return sum(
             len(values) for obs in self._observations.values() for values in obs.rdatas.values()
@@ -79,60 +84,8 @@ class DailySnapshot:
         return f"DailySnapshot({day_to_iso(self.day)}, {len(self)} apexes)"
 
 
-@dataclass(frozen=True)
-class SnapshotDiff:
-    """Record-set change for one apex between consecutive scan days."""
-
-    apex: str
-    day_before: Day
-    day_after: Day
-    removed: Dict[str, FrozenSet[str]]
-    added: Dict[str, FrozenSet[str]]
-    disappeared: bool  # apex present on day_before, absent on day_after
-
-    def removed_of(self, rtype: RecordType) -> FrozenSet[str]:
-        return self.removed.get(rtype.value, frozenset())
-
-    def added_of(self, rtype: RecordType) -> FrozenSet[str]:
-        return self.added.get(rtype.value, frozenset())
-
-
-def diff_days(before: DailySnapshot, after: DailySnapshot) -> Iterator[SnapshotDiff]:
-    """Yield per-apex diffs between two snapshots (only changed apexes).
-
-    Apexes appearing only in *after* (new registrations) are not yielded —
-    the detectors only care about departures and record changes.
-    """
-    for apex in before.apexes():
-        obs_before = before.get(apex)
-        obs_after = after.get(apex)
-        if obs_after is None:
-            yield SnapshotDiff(
-                apex=apex,
-                day_before=before.day,
-                day_after=after.day,
-                removed={k: v for k, v in obs_before.rdatas.items() if v},
-                added={},
-                disappeared=True,
-            )
-            continue
-        removed: Dict[str, FrozenSet[str]] = {}
-        added: Dict[str, FrozenSet[str]] = {}
-        for key in sorted(set(obs_before.rdatas) | set(obs_after.rdatas)):
-            old = obs_before.rdatas.get(key, frozenset())
-            new = obs_after.rdatas.get(key, frozenset())
-            gone = old - new
-            fresh = new - old
-            if gone:
-                removed[key] = frozenset(gone)
-            if fresh:
-                added[key] = frozenset(fresh)
-        if removed or added:
-            yield SnapshotDiff(apex, before.day, after.day, removed, added, False)
-
-
 class SnapshotStore:
-    """Day-indexed snapshot collection with neighbor iteration."""
+    """Day-indexed snapshot collection."""
 
     def __init__(self) -> None:
         self._by_day: Dict[Day, DailySnapshot] = {}
@@ -145,12 +98,6 @@ class SnapshotStore:
 
     def days(self) -> List[Day]:
         return sorted(self._by_day)
-
-    def consecutive_pairs(self) -> Iterator[Tuple[DailySnapshot, DailySnapshot]]:
-        """Yield (day N, day N+next-scan) snapshot pairs in day order."""
-        ordered = self.days()
-        for before_day, after_day in zip(ordered, ordered[1:]):
-            yield self._by_day[before_day], self._by_day[after_day]
 
     def __len__(self) -> int:
         return len(self._by_day)

@@ -4,9 +4,8 @@ The detection engines' headline guarantee (batch == stream == sharded,
 finding for finding, given a seed) rests on invariants no type checker
 sees: no wall-clock reads in simulated paths, all randomness through
 label-forked streams, sorted iteration wherever order reaches output,
-fork-safe module state, one shared metric namespace, and full protocol
-conformance for every registered detector. This package turns those
-invariants into CI-gated rules:
+fork-safe module state, and one shared metric namespace. This package
+turns those invariants into CI-gated rules:
 
 ``RL000``  parse/IO error (the linter never crashes on bad input)
 ``RL101``  wall-clock read in a simulation/detection path
@@ -15,8 +14,6 @@ invariants into CI-gated rules:
 ``RL201``  mutable module-level state in worker-reachable code
 ``RL301``  metric name not declared in ``repro.obs.names``
 ``RL302``  live-telemetry hygiene (declared phases, daemon threads)
-``RL401``  batch ``DETECTOR_REGISTRY`` protocol conformance
-``RL402``  stream detector registry protocol conformance
 ``RL501``  bare ``except:``  *(fixable)*
 ``RL502``  broad handler that swallows without re-raise or log
 ``RL503``  serve-path handler that swallows errors outside the error model

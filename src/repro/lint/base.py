@@ -3,8 +3,8 @@
 Rules come in two shapes. A :class:`Rule` inspects one parsed file at a
 time via ``check(ctx)``. A :class:`ProjectRule` runs once per lint
 invocation via ``check_project(index)`` and may correlate facts across
-files (the detector-protocol rules resolve registry entries in one module
-against class definitions in another).
+files (the metric rules read the names declared in ``repro/obs/names.py``;
+the flow rules link every file into one program graph).
 
 Every rule declares a stable ``code`` (``RL...``), a human ``name``, a
 ``rationale`` (which engine invariant it protects — surfaced by
@@ -459,7 +459,6 @@ def all_rules() -> List[Rule]:
     import repro.lint.rules_flow  # noqa: F401
     import repro.lint.rules_forksafety  # noqa: F401
     import repro.lint.rules_obs  # noqa: F401
-    import repro.lint.rules_protocol  # noqa: F401
     import repro.lint.rules_serve  # noqa: F401
 
     return [rule_class() for rule_class in RULE_CLASSES]

@@ -103,8 +103,8 @@ class _LazyFileMap:
     """Mapping of path → :class:`FileContext`, parsed from disk on access.
 
     The parallel engine's parent process hands this to the project index
-    so cross-file rules that genuinely need a parse (the protocol rules
-    open two anchor files) get one, while everything fact-driven touches
+    so cross-file rules that genuinely need a parse (the metric rules
+    open ``repro/obs/names.py``) get one, while everything fact-driven touches
     no AST at all. Files that fail to read or parse on access simply
     disappear from ``get`` — their findings were already reported by the
     worker that first saw them.

@@ -24,9 +24,9 @@ from repro.parallel.executor import (
     WorkerConfig,
     run_shard,
 )
+from repro.core.stale import canonical_order_key
 from repro.parallel.pipeline import (
     ParallelMeasurementPipeline,
-    canonical_order_key,
     merge_shard_metrics,
     merge_shard_traces,
 )

@@ -7,10 +7,10 @@ the sharding (:mod:`repro.parallel.sharding`) keeps every join inside a
 shard, and the merge below is deterministic:
 
 * outcomes arrive in shard-index order (both executors preserve it);
-* merged findings are sorted by a canonical key, so the result is
-  byte-stable across shard counts and worker counts (the batch pipeline
-  groups findings by detector instead — *set* equality is the invariant
-  shared by both engines);
+* merged findings are sorted by
+  :func:`~repro.core.stale.canonical_order_key`, as the batch pipeline and
+  the stream engine sort theirs, so the result is byte-stable across shard
+  counts and worker counts and equal, element by element, to theirs;
 * per-shard :class:`RevocationJoinStats` are summed (the revocation axis
   partitions CRL entries exactly), and the merged stats is ``None``
   precisely when the original bundle has no CRLs — matching batch;
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.pipeline import (
     DETECTOR_REGISTRY,
@@ -38,7 +38,7 @@ from repro.core.pipeline import (
     PipelineResult,
     merge_revocation_stats,
 )
-from repro.core.stale import StaleCertificate, StaleFindings
+from repro.core.stale import StaleFindings
 from repro.obs import MetricsRegistry, TraceCollector, get_collector, get_registry, span
 from repro.parallel.executor import (
     ProcessPoolShardExecutor,
@@ -84,17 +84,6 @@ def merge_shard_traces(
             collector.extend(outcome.trace, lane=outcome.index + 1)
             merged += len(outcome.trace.get("events", []))
     return merged
-
-
-def canonical_order_key(finding: StaleCertificate) -> Tuple[str, str, Day, str, str]:
-    """Total order on findings, independent of detection order."""
-    return (
-        finding.staleness_class.value,
-        finding.certificate.dedup_fingerprint(),
-        finding.invalidation_day,
-        finding.affected_domain or "",
-        finding.detail or "",
-    )
 
 
 class ParallelMeasurementPipeline:
@@ -156,12 +145,9 @@ class ParallelMeasurementPipeline:
 
         merge_started = perf_counter()
         with span("shard_merge"):
-            merged: List[StaleCertificate] = []
-            for outcome in outcomes:  # shard-index order
-                merged.extend(outcome.findings)
-            merged.sort(key=canonical_order_key)
-            findings = StaleFindings()
-            findings.extend(merged)
+            findings = StaleFindings.in_canonical_order(
+                finding for outcome in outcomes for finding in outcome.findings
+            )
             revocation_stats = None
             if "key_compromise" in config.enabled:
                 revocation_stats = merge_revocation_stats(

@@ -32,9 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.lifetime import LifetimePolicySimulator
 from repro.core.pipeline import PipelineResult
-from repro.core.stale import StaleCertificate, StalenessClass
+from repro.core.stale import StaleCertificate, StalenessClass, canonical_order_key
 from repro.obs import get_registry, names, phase_progress, span
-from repro.parallel.pipeline import canonical_order_key
 from repro.psl.registered import e2ld
 from repro.util.dates import Day, day_to_iso, year_of
 

@@ -1,53 +1,46 @@
-"""Incremental wrappers for the three staleness detectors.
+"""Incremental wrappers over the three staleness rules.
 
-Each wrapper maintains exactly the state its batch counterpart derives per
-run — a seen-certificate index, the merged revocation view, per-domain
-registry creation dates, the last NS/CNAME view per apex — and emits
-:class:`~repro.core.stale.StaleCertificate` findings *as events arrive*.
+The rules live once, in :mod:`repro.core.detectors`; the batch detectors
+drive them over index lookups, and each wrapper here drives them over
+events, keeping only its per-key stream state and checkpoint serialisation.
 
-Correctness contract (enforced by the equivalence tests): fed a bundle's
-events in nondecreasing day order, with CT entries dispatched before other
-events of the same day, every wrapper converges to the identical findings
-set its batch detector produces on the completed bundle. Revisions are
-possible mid-stream (a CRL republication reporting an earlier revocation
-day replaces a previously emitted finding), so the converged view is read
-from :meth:`findings`, not by accumulating the emission feed.
-
-All wrappers serialize their non-derivable state for checkpointing.
-Certificates are referenced by dedup fingerprint; the engine re-ingests the
-CT prefix on resume to rebuild the (derivable) indexes.
-
-Each wrapper also presents the uniform registry shape the engine iterates
-(see :class:`~repro.core.detectors.base.Detector`): a ``name`` matching its
-batch counterpart's registry key, the ``event_type`` it consumes,
-``consume(event)`` dispatch, ``finalize()``, a ``stats`` property, a
-batch-shaped ``detect(events, findings)`` entry point, and
-``restore_state(state, resolve_certificate=None)`` plus an
-``after_resume()`` hook with one signature across all three.
+Fed a bundle's events in nondecreasing day order, CT entries first within
+a day, every wrapper converges to the findings and join statistics of its
+batch detector (the equivalence and parity tests enforce this). A CRL
+republication with an earlier day revises an emitted finding, so the
+converged view is :meth:`findings`, not the emission feed. Checkpoints
+reference certificates by dedup fingerprint; the engine re-ingests the CT
+prefix on resume. The engine iterates ``name`` (the batch registry key),
+``event_type``, ``consume``, ``finalize``, ``stats``, ``checkpoint_state``,
+``restore_state(state, resolve_certificate=None)`` and ``after_resume``.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.detectors.key_compromise import RevocationJoinStats
+from repro.core.detectors.key_compromise import (
+    RevocationJoinStats,
+    revocation_findings,
+    revocation_outcome,
+)
 from repro.core.detectors.managed_tls import (
-    DISAPPEARANCE_LOOKAHEAD_SCANS,
     DepartureJoinStats,
-    _domains_under,
-    is_cloudflare_delegation,
-    is_cloudflare_managed_certificate,
-    CLOUDFLARE_MANAGED_SAN_SUFFIX,
+    DepartureTracker,
+    ManagedCertificateJoin,
+    departure_finding,
 )
 from repro.core.detectors.registrant_change import (
     RegistrantJoinStats,
-    _covers_registration,
+    in_whois_scope,
+    re_registration_findings,
+    registration_key,
 )
-from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.core.stale import StaleCertificate, finding_key
 from repro.dns.records import RecordType
+from repro.dns.snapshots import DomainObservation
 from repro.pki.certificate import Certificate
-from repro.psl.registered import e2ld
 from repro.revocation.crl import CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.stream.events import (
@@ -78,9 +71,7 @@ class IncrementalKeyCompromiseDetector:
         self._cutoff = revocation_cutoff_day
         self._certs_by_key: Dict[RevocationKey, Certificate] = {}
         self._best: Dict[RevocationKey, CrlEntry] = {}
-        self._findings: Dict[
-            RevocationKey, Tuple[StaleCertificate, Optional[StaleCertificate]]
-        ] = {}
+        self._findings: Dict[RevocationKey, List[StaleCertificate]] = {}
 
     # -- event handling -----------------------------------------------------
 
@@ -103,62 +94,20 @@ class IncrementalKeyCompromiseDetector:
                 emitted.extend(self._evaluate(key))
         return emitted
 
-    def consume(self, event: CrlDeltaPublished) -> List[StaleCertificate]:
-        """Uniform source-event entry point (registry dispatch)."""
-        return self.handle_crl_delta(event)
+    consume = handle_crl_delta
 
     def finalize(self) -> List[StaleCertificate]:
         """Nothing buffered: revocations join (or pend) on arrival."""
         return []
 
-    def detect(
-        self,
-        events: Iterable[CrlDeltaPublished],
-        findings: Optional[StaleFindings] = None,
-    ) -> StaleFindings:
-        """Batch-shaped entry (Detector protocol): consume *events*, then
-        report the converged findings. Certificates must have been
-        registered beforehand via :meth:`register_certificate`."""
-        out = findings if findings is not None else StaleFindings()
-        for event in events:
-            self.consume(event)
-        self.finalize()
-        out.extend(self.findings())
-        return out
-
     def _evaluate(self, key: RevocationKey) -> List[StaleCertificate]:
         certificate = self._certs_by_key[key]
         entry = self._best[key]
-        if not self._passes_filters(entry, certificate):
+        if revocation_outcome(entry, certificate, self._cutoff) != "survivors":
             self._findings.pop(key, None)
             return []
-        invalidation_day = max(entry.revocation_day, certificate.not_before)
-        invalidation_day = min(invalidation_day, certificate.not_after)
-        revoked_all = StaleCertificate(
-            certificate=certificate,
-            staleness_class=StalenessClass.REVOKED_ALL,
-            invalidation_day=invalidation_day,
-            detail=f"reason={entry.reason.name.lower()}",
-        )
-        key_compromise = None
-        if entry.reason is RevocationReason.KEY_COMPROMISE:
-            key_compromise = StaleCertificate(
-                certificate=certificate,
-                staleness_class=StalenessClass.KEY_COMPROMISE,
-                invalidation_day=invalidation_day,
-                detail="reason=key_compromise",
-            )
-        self._findings[key] = (revoked_all, key_compromise)
-        return [f for f in (revoked_all, key_compromise) if f is not None]
-
-    def _passes_filters(self, entry: CrlEntry, certificate: Certificate) -> bool:
-        if entry.revocation_day < certificate.not_before:
-            return False
-        if entry.revocation_day > certificate.not_after:
-            return False
-        if self._cutoff is not None and entry.revocation_day < self._cutoff:
-            return False
-        return True
+        self._findings[key] = revocation_findings(entry, certificate)
+        return list(self._findings[key])
 
     # -- views --------------------------------------------------------------
 
@@ -171,32 +120,15 @@ class IncrementalKeyCompromiseDetector:
         }
 
     def findings(self) -> List[StaleCertificate]:
-        out: List[StaleCertificate] = []
-        for revoked_all, key_compromise in self._findings.values():
-            out.append(revoked_all)
-            if key_compromise is not None:
-                out.append(key_compromise)
-        return out
+        return [finding for pair in self._findings.values() for finding in pair]
 
     @property
     def stats(self) -> RevocationJoinStats:
         """Join accounting identical to the batch detector's."""
-        stats = RevocationJoinStats(crl_entries_merged=len(self._best))
-        for key, entry in self._best.items():
-            certificate = self._certs_by_key.get(key)
-            if certificate is None:
-                stats.unmatched += 1
-                continue
-            stats.matched_in_ct += 1
-            if entry.revocation_day < certificate.not_before:
-                stats.filtered_revoked_before_valid += 1
-            elif entry.revocation_day > certificate.not_after:
-                stats.filtered_revoked_after_expiration += 1
-            elif self._cutoff is not None and entry.revocation_day < self._cutoff:
-                stats.filtered_before_cutoff += 1
-            else:
-                stats.survivors += 1
-        return stats
+        return RevocationJoinStats.of(
+            revocation_outcome(entry, self._certs_by_key.get(key), self._cutoff)
+            for key, entry in self._best.items()
+        )
 
     # -- checkpointing ------------------------------------------------------
 
@@ -231,12 +163,10 @@ class IncrementalRegistrantChangeDetector:
     """Streaming registry-creation-date diffing (paper §4.2).
 
     State: sorted distinct creation dates per domain (eligible TLDs only)
-    and the certificate index by e2LD. A creation date later than any seen
-    for its domain is a re-registration and joins immediately; an
-    out-of-order arrival (possible when feeding the API directly rather
-    than through the day-ordered replay driver) triggers a per-domain
-    rebuild so the converged pair structure stays identical to the batch
-    :func:`~repro.core.detectors.registrant_change.find_re_registrations`.
+    and the certificate index by e2LD. Each new creation date rebuilds its
+    domain's (previous, current) pairs, so an out-of-order arrival (when
+    the API is fed directly rather than by the day-ordered replay) still
+    converges to the batch pairs.
     """
 
     name = "registrant_change"
@@ -246,7 +176,7 @@ class IncrementalRegistrantChangeDetector:
         self._tlds = tuple(tlds) if tlds is not None else None
         self._dates_by_domain: Dict[str, List[Day]] = {}
         self._certs_by_e2ld: Dict[str, List[Certificate]] = {}
-        self._findings: Dict[Tuple[str, str, Day], StaleCertificate] = {}
+        self._findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
 
     # -- event handling -----------------------------------------------------
 
@@ -257,7 +187,7 @@ class IncrementalRegistrantChangeDetector:
 
     def handle_whois(self, event: WhoisCreationObserved) -> List[StaleCertificate]:
         domain, creation_day = event.domain, event.creation_day
-        if self._tlds is not None and domain.rsplit(".", 1)[-1] not in self._tlds:
+        if not in_whois_scope(domain, self._tlds):
             return []
         dates = self._dates_by_domain.setdefault(domain, [])
         position = bisect.bisect_left(dates, creation_day)
@@ -266,73 +196,32 @@ class IncrementalRegistrantChangeDetector:
         dates.insert(position, creation_day)
         return self._rebuild_domain(domain)
 
-    def consume(self, event: WhoisCreationObserved) -> List[StaleCertificate]:
-        """Uniform source-event entry point (registry dispatch)."""
-        return self.handle_whois(event)
+    consume = handle_whois
 
     def finalize(self) -> List[StaleCertificate]:
         """Nothing buffered: creation dates join on arrival."""
         return []
 
-    def detect(
-        self,
-        events: Iterable[WhoisCreationObserved],
-        findings: Optional[StaleFindings] = None,
-    ) -> StaleFindings:
-        """Batch-shaped entry (Detector protocol): consume *events*, then
-        report the converged findings. Certificates must have been
-        registered beforehand via :meth:`register_certificate`."""
-        out = findings if findings is not None else StaleFindings()
-        for event in events:
-            self.consume(event)
-        self.finalize()
-        out.extend(self.findings())
-        return out
-
     def _rebuild_domain(self, domain: str) -> List[StaleCertificate]:
-        """(Re)derive findings for one domain from its date list.
-
-        In-order arrival touches only the newest pair; the rebuild is still
-        cheap because domains see a handful of creation dates, and it makes
-        out-of-order corrections (revised ``re_registered_after`` details)
-        exact.
-        """
+        """(Re)derive one domain's findings from its date list; cheap, as
+        domains see a handful of dates, and exact for out-of-order revisions
+        of ``re_registered_after``."""
         dates = self._dates_by_domain[domain]
-        registrable = e2ld(domain)
-        lookup = registrable if registrable is not None else domain
-        candidates = self._certs_by_e2ld.get(lookup, ())
+        candidates = self._certs_by_e2ld.get(registration_key(domain), ())
         emitted: List[StaleCertificate] = []
         for previous, current in zip(dates, dates[1:]):
-            detail = f"re_registered_after={previous}"
-            for certificate in candidates:
-                if not certificate.validity.contains(current, strict=True):
-                    continue
-                if not _covers_registration(certificate, domain):
-                    continue
-                key = (certificate.dedup_fingerprint(), domain, current)
+            for finding in re_registration_findings(domain, previous, current, candidates):
+                key = finding_key(finding)
                 existing = self._findings.get(key)
-                if existing is not None and existing.detail == detail:
-                    continue
-                finding = StaleCertificate(
-                    certificate=certificate,
-                    staleness_class=StalenessClass.REGISTRANT_CHANGE,
-                    invalidation_day=current,
-                    affected_domain=domain,
-                    detail=detail,
-                )
-                self._findings[key] = finding
-                emitted.append(finding)
+                if existing is None or existing.detail != finding.detail:
+                    self._findings[key] = finding
+                    emitted.append(finding)
         return emitted
 
     # -- views --------------------------------------------------------------
 
     def findings(self) -> List[StaleCertificate]:
         return list(self._findings.values())
-
-    def re_registration_count(self) -> int:
-        return sum(
-            max(0, len(dates) - 1) for dates in self._dates_by_domain.values()
-        )
 
     @property
     def stats(self) -> RegistrantJoinStats:
@@ -342,12 +231,8 @@ class IncrementalRegistrantChangeDetector:
         stats = RegistrantJoinStats(findings=len(self._findings))
         for domain, dates in self._dates_by_domain.items():
             pairs = max(0, len(dates) - 1)
-            if not pairs:
-                continue
             stats.re_registration_events += pairs
-            registrable = e2ld(domain)
-            lookup = registrable if registrable is not None else domain
-            if self._certs_by_e2ld.get(lookup):
+            if pairs and self._certs_by_e2ld.get(registration_key(domain)):
                 stats.events_joining_certificates += pairs
         return stats
 
@@ -370,217 +255,78 @@ class IncrementalRegistrantChangeDetector:
         }
 
     def rebuild_findings(self) -> None:
-        """Call after the engine re-ingested the CT prefix on resume."""
+        """Rederive findings from the restored dates, after the engine
+        re-ingested the CT prefix on resume."""
         self._findings.clear()
         for domain in self._dates_by_domain:
             self._rebuild_domain(domain)
 
-    def after_resume(self) -> None:
-        """Post-CT-reingest hook: rederive findings from restored dates."""
-        self.rebuild_findings()
+    after_resume = rebuild_findings
 
 
 class IncrementalManagedTlsDetector:
     """Streaming managed-TLS departure detection (paper §4.3).
 
-    State: the Cloudflare-managed certificate index by customer domain, the
-    last NS/CNAME view per apex, and pending disappearances waiting for the
-    batch detector's transient-scan-loss lookahead (up to
-    :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` later snapshots; the first actual
-    observation decides, and an exhausted lookahead confirms the loss).
-    Unresolved pendings are flushed as departures by :meth:`finalize`,
-    matching the batch behaviour at the end of the scan window.
+    State: the :class:`~repro.core.detectors.managed_tls.DepartureTracker`
+    and :class:`~repro.core.detectors.managed_tls.ManagedCertificateJoin`
+    the batch detector also drives. Departures join the certificates seen
+    so far as the tracker confirms them; :meth:`finalize` flushes the
+    disappearances the scan window ended on.
     """
 
     name = "managed_tls"
     event_type = EventType.DNS_SNAPSHOT_TAKEN
 
     def __init__(self) -> None:
-        self._managed_by_domain: Dict[str, List[Certificate]] = {}
-        self._last_view: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        self._have_snapshot = False
-        self._pending: List[dict] = []
-        self._departures_detected = 0
-        self._findings: Dict[Tuple[str, str, Day], StaleCertificate] = {}
+        self._tracker = DepartureTracker()
+        self._join = ManagedCertificateJoin()
 
     # -- event handling -----------------------------------------------------
 
     def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
-        if not is_cloudflare_managed_certificate(certificate):
-            return []
-        for san in certificate.fqdns():
-            if san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):
-                continue  # the CDN's own marker SAN
-            self._managed_by_domain.setdefault(san, []).append(certificate)
+        self._join.add(certificate)
         return []
 
     def handle_snapshot(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
-        snapshot = event.snapshot
-        current: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        for apex in snapshot.apexes():
-            observation = snapshot.get(apex)
-            current[apex] = (
-                observation.get(RecordType.NS),
-                observation.get(RecordType.CNAME),
-            )
-        emitted: List[StaleCertificate] = []
-        if self._have_snapshot:
-            # Pendings predate this snapshot: resolve them against it first.
-            emitted.extend(self._resolve_pendings(current))
-            for apex, (ns_old, cname_old) in self._last_view.items():
-                if apex not in current:
-                    removed = {
-                        target
-                        for target in (ns_old | cname_old)
-                        if is_cloudflare_delegation(target)
-                    }
-                    if removed:
-                        self._pending.append(
-                            {
-                                "apex": apex,
-                                "departure_day": snapshot.day,
-                                "removed": sorted(removed),
-                                "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
-                            }
-                        )
-                    continue
-                ns_new, cname_new = current[apex]
-                removed = {
-                    target
-                    for target in ((ns_old - ns_new) | (cname_old - cname_new))
-                    if is_cloudflare_delegation(target)
-                }
-                if not removed:
-                    continue
-                if any(is_cloudflare_delegation(t) for t in (ns_new | cname_new)):
-                    continue  # partial nameserver shuffle within Cloudflare
-                emitted.extend(self._emit_departure(apex, snapshot.day, sorted(removed)))
-        self._last_view = current
-        self._have_snapshot = True
-        return emitted
+        return self._join.join(self._tracker.observe(event.snapshot))
 
-    def consume(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:
-        """Uniform source-event entry point (registry dispatch)."""
-        return self.handle_snapshot(event)
-
-    def detect(
-        self,
-        events: Iterable[DnsSnapshotTaken],
-        findings: Optional[StaleFindings] = None,
-    ) -> StaleFindings:
-        """Batch-shaped entry (Detector protocol): consume *events*, flush
-        pendings, then report the converged findings. Certificates must
-        have been registered beforehand via :meth:`register_certificate`."""
-        out = findings if findings is not None else StaleFindings()
-        for event in events:
-            self.consume(event)
-        self.finalize()
-        out.extend(self.findings())
-        return out
-
-    def _resolve_pendings(
-        self, current: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]]
-    ) -> List[StaleCertificate]:
-        emitted: List[StaleCertificate] = []
-        unresolved: List[dict] = []
-        for pending in self._pending:
-            apex = pending["apex"]
-            if apex in current:
-                ns, cname = current[apex]
-                if any(is_cloudflare_delegation(t) for t in (ns | cname)):
-                    continue  # back on Cloudflare: transient scan loss
-                emitted.extend(
-                    self._emit_departure(
-                        apex, pending["departure_day"], pending["removed"]
-                    )
-                )
-                continue
-            pending["remaining"] -= 1
-            if pending["remaining"] <= 0:
-                emitted.extend(
-                    self._emit_departure(
-                        apex, pending["departure_day"], pending["removed"]
-                    )
-                )
-            else:
-                unresolved.append(pending)
-        self._pending = unresolved
-        return emitted
-
-    def _emit_departure(
-        self, apex: str, departure_day: Day, removed: Sequence[str]
-    ) -> List[StaleCertificate]:
-        self._departures_detected += 1
-        detail = f"left={','.join(removed)}"
-        emitted: List[StaleCertificate] = []
-        for domain, certificates in _domains_under(self._managed_by_domain, apex):
-            for certificate in certificates:
-                if not certificate.is_valid_on(departure_day):
-                    continue
-                key = (certificate.dedup_fingerprint(), domain, departure_day)
-                if key in self._findings:
-                    continue
-                finding = StaleCertificate(
-                    certificate=certificate,
-                    staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                    invalidation_day=departure_day,
-                    affected_domain=domain,
-                    detail=detail,
-                )
-                self._findings[key] = finding
-                emitted.append(finding)
-        return emitted
+    consume = handle_snapshot
 
     def finalize(self) -> List[StaleCertificate]:
         """Flush pendings the scan window ended before resolving."""
-        emitted: List[StaleCertificate] = []
-        for pending in self._pending:
-            emitted.extend(
-                self._emit_departure(
-                    pending["apex"], pending["departure_day"], pending["removed"]
-                )
-            )
-        self._pending = []
-        return emitted
+        return self._join.join(self._tracker.flush())
 
     # -- views --------------------------------------------------------------
 
     def findings(self) -> List[StaleCertificate]:
-        return list(self._findings.values())
+        return list(self._join.findings.values())
 
     def pending_departures(self) -> int:
-        return len(self._pending)
+        return len(self._tracker.pending)
 
     @property
     def stats(self) -> DepartureJoinStats:
-        """Join accounting in the batch detector's shape. The departure
-        count is the number this stream has *emitted* so far (the batch
-        detector counts a completed window's departures in one shot)."""
-        return DepartureJoinStats(
-            managed_certificates_indexed=len(
-                {
-                    certificate.dedup_fingerprint()
-                    for certificates in self._managed_by_domain.values()
-                    for certificate in certificates
-                }
-            ),
-            departures_detected=self._departures_detected,
-            findings=len(self._findings),
-        )
+        """Join accounting in the batch detector's shape; the departure
+        count covers what this run emitted (it restarts on resume)."""
+        return self._join.stats
 
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint_state(self) -> dict:
+        tracker = self._tracker
         return {
-            "have_snapshot": self._have_snapshot,
+            "have_snapshot": bool(tracker.last_view or tracker.pending),
             "last_view": {
-                apex: {"ns": sorted(ns), "cname": sorted(cname)}
-                for apex, (ns, cname) in self._last_view.items()
+                apex: {
+                    "ns": sorted(observation.get(RecordType.NS)),
+                    "cname": sorted(observation.get(RecordType.CNAME)),
+                }
+                for apex, observation in tracker.last_view.items()
             },
-            "pending": [dict(pending) for pending in self._pending],
+            "pending": [dict(pending) for pending in tracker.pending],
             "findings": [
                 [fingerprint, domain, finding.invalidation_day, finding.detail]
-                for (fingerprint, domain, _), finding in self._findings.items()
+                for (fingerprint, domain, _), finding in self._join.findings.items()
             ],
         }
 
@@ -591,24 +337,25 @@ class IncrementalManagedTlsDetector:
         part of the non-derivable state."""
         if resolve_certificate is None:
             raise ValueError("managed-TLS restore requires resolve_certificate")
-        self._managed_by_domain.clear()
-        self._have_snapshot = state.get("have_snapshot", False)
-        self._last_view = {
-            apex: (frozenset(view.get("ns", ())), frozenset(view.get("cname", ())))
+        self._tracker = DepartureTracker()
+        self._tracker.last_view = {
+            apex: DomainObservation(
+                apex,
+                {
+                    RecordType.NS.value: frozenset(view.get("ns", ())),
+                    RecordType.CNAME.value: frozenset(view.get("cname", ())),
+                },
+            )
             for apex, view in state.get("last_view", {}).items()
         }
-        self._pending = [dict(pending) for pending in state.get("pending", [])]
-        self._departures_detected = 0  # counter restarts; stats are since-resume
-        self._findings = {}
-        for fingerprint, domain, departure_day, detail in state.get("findings", []):
-            certificate = resolve_certificate(fingerprint)
-            self._findings[(fingerprint, domain, departure_day)] = StaleCertificate(
-                certificate=certificate,
-                staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                invalidation_day=departure_day,
-                affected_domain=domain,
-                detail=detail,
+        self._tracker.pending = [dict(pending) for pending in state.get("pending", [])]
+        self._join = ManagedCertificateJoin()
+        self._join.findings = {
+            (fingerprint, domain, departure_day): departure_finding(
+                resolve_certificate(fingerprint), domain, departure_day, detail
             )
+            for fingerprint, domain, departure_day, detail in state.get("findings", [])
+        }
 
     def after_resume(self) -> None:
         """Post-CT-reingest hook; findings were restored, nothing to do."""

@@ -22,7 +22,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.detectors.key_compromise import RevocationJoinStats
 from repro.core.pipeline import DatasetBundle, MeasurementPipeline, PipelineResult
-from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
+from repro.core.stale import (
+    StaleCertificate,
+    StalenessClass,
+    StaleFindings,
+    canonical_order_key,
+)
 from repro.revocation.crl import CrlEntry
 from repro.stream.bus import EventBus
 from repro.stream.checkpoint import CheckpointMismatchError, CheckpointStore
@@ -206,8 +211,9 @@ class StreamEngine:
         self._rc = IncrementalRegistrantChangeDetector(whois_tlds)
         self._mt = IncrementalManagedTlsDetector()
         #: Registry the engine iterates everywhere (dispatch, finalize,
-        #: checkpoint, restore, materialize). Order fixes the emission and
-        #: materialization order, matching the batch registry's.
+        #: checkpoint, restore, materialize). Order fixes the emission
+        #: order, matching the batch registry's; materialized findings are
+        #: in canonical order.
         self._detectors = (self._kc, self._rc, self._mt)
 
         self._cursor: Optional[Day] = None
@@ -326,10 +332,9 @@ class StreamEngine:
         )
 
     def _materialize(self) -> StaleFindings:
-        findings = StaleFindings()
-        for detector in self._detectors:
-            findings.extend(detector.findings())
-        return findings
+        return StaleFindings.in_canonical_order(
+            finding for detector in self._detectors for finding in detector.findings()
+        )
 
     # -- checkpointing -------------------------------------------------------
 
@@ -411,16 +416,7 @@ def canonical_findings(
     findings: StaleFindings,
 ) -> List[Tuple[str, str, Day, str, str]]:
     """Order-free canonical form of a findings set for comparison."""
-    return sorted(
-        (
-            finding.staleness_class.value,
-            finding.certificate.dedup_fingerprint(),
-            finding.invalidation_day,
-            finding.affected_domain or "",
-            finding.detail,
-        )
-        for finding in findings.all_findings()
-    )
+    return sorted(map(canonical_order_key, findings.all_findings()))
 
 
 def verify_equivalence(

@@ -1,8 +1,11 @@
 """Tests for the managed-TLS departure (DNS diff x CT) pipeline (§4.3)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.detectors.managed_tls import (
+    DISAPPEARANCE_LOOKAHEAD_SCANS,
+    DepartureTracker,
     ManagedTlsDetector,
     find_departures,
     is_cloudflare_delegation,
@@ -11,7 +14,7 @@ from repro.core.detectors.managed_tls import (
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
 from repro.dns.records import RecordType
-from repro.dns.snapshots import DailySnapshot, SnapshotStore
+from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.util.dates import day
 from tests.conftest import make_cert
 
@@ -117,6 +120,90 @@ class TestFindDepartures:
     def test_arrival_is_not_departure(self):
         store = store_with({D1: {"cust.com": ("ns1.old.net",)}, D2: {"cust.com": CF_NS}})
         assert find_departures(store) == []
+
+
+_APEXES = ("a.com", "b.com", "c.net")
+_TARGETS = (
+    "ns1.x.net", "ada.ns.cloudflare.com", "bob.ns.cloudflare.com", "e.cdn.cloudflare.com",
+)
+_view = st.tuples(
+    st.frozensets(st.sampled_from(_TARGETS), max_size=2),
+    st.frozensets(st.sampled_from(_TARGETS), max_size=2),
+)
+_scans = st.lists(
+    st.dictionaries(st.sampled_from(_APEXES), _view, max_size=3), min_size=2, max_size=7
+)
+
+
+def _observation(apex, view):
+    ns, cname = view
+    return DomainObservation(apex, {RecordType.NS.value: ns, RecordType.CNAME.value: cname})
+
+
+def _oracle(scans):
+    """The §4.3 rule stated pairwise: compare each scan with the next; a
+    vanished apex departs unless the first of the next few scans that
+    observes it finds it back on Cloudflare."""
+    def on_cf(targets):
+        return any(is_cloudflare_delegation(t) for t in targets)
+
+    found = set()
+    for i in range(len(scans) - 1):
+        before, after = scans[i], scans[i + 1]
+        for apex, (ns, cname) in before.items():
+            if apex not in after:
+                removed = {t for t in ns | cname if is_cloudflare_delegation(t)}
+                lookahead = scans[i + 2 : i + 2 + DISAPPEARANCE_LOOKAHEAD_SCANS]
+                later = [scan[apex] for scan in lookahead if apex in scan]
+                if removed and not (later and on_cf(later[0][0] | later[0][1])):
+                    found.add((apex, i + 1, frozenset(removed)))
+                continue
+            ns2, cname2 = after[apex]
+            removed = {t for t in (ns - ns2) | (cname - cname2) if is_cloudflare_delegation(t)}
+            if removed and not on_cf(ns2 | cname2):
+                found.add((apex, i + 1, frozenset(removed)))
+    return found
+
+
+class TestDepartureTracker:
+    @settings(max_examples=200, deadline=None)
+    @given(_scans)
+    def test_matches_pairwise_rule(self, scans):
+        store = SnapshotStore()
+        for offset, scan in enumerate(scans):
+            observations = {apex: _observation(apex, view) for apex, view in scan.items()}
+            store.put(DailySnapshot.from_observations(D1 + offset, observations))
+        got = [(d.apex, d.departure_day - D1, d.removed_targets) for d in find_departures(store)]
+        assert len(got) == len(set(got))
+        assert set(got) == _oracle(scans)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_scans)
+    def test_interned_observations_decide_like_copies(self, scans):
+        """Shared objects skip the comparison; equal copies take it."""
+        interned = {}
+        shared, copied = DepartureTracker(), DepartureTracker()
+        for offset, scan in enumerate(scans):
+            day_ = D1 + offset
+            shared_obs = {
+                apex: interned.setdefault((apex, view), _observation(apex, view))
+                for apex, view in scan.items()
+            }
+            fresh_obs = {apex: _observation(apex, view) for apex, view in scan.items()}
+            assert shared.observe(DailySnapshot.from_observations(day_, shared_obs)) == (
+                copied.observe(DailySnapshot.from_observations(day_, fresh_obs))
+            )
+        assert shared.flush() == copied.flush()
+
+    def test_pending_survives_gap_then_flush(self):
+        tracker = DepartureTracker()
+        present = _observation("cust.com", (frozenset(CF_NS), frozenset()))
+        tracker.observe(DailySnapshot.from_observations(D1, {"cust.com": present}))
+        assert tracker.observe(DailySnapshot(D2)) == []
+        assert [p["apex"] for p in tracker.pending] == ["cust.com"]
+        departures = tracker.flush()
+        assert [(d.apex, d.departure_day) for d in departures] == [("cust.com", D2)]
+        assert tracker.pending == []
 
 
 class TestDetector:

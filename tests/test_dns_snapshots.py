@@ -1,14 +1,9 @@
-"""Tests for daily snapshots and day-over-day diffing."""
+"""Tests for daily snapshots and the per-day snapshot store."""
 
 import pytest
 
 from repro.dns.records import RecordType
-from repro.dns.snapshots import (
-    DailySnapshot,
-    DomainObservation,
-    SnapshotStore,
-    diff_days,
-)
+from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.util.dates import day
 
 
@@ -50,41 +45,11 @@ class TestDailySnapshot:
         s2 = DailySnapshot.from_observations(D2, mapping)
         assert s1.get("a.com") is s2.get("a.com")
 
-
-class TestDiffDays:
-    def test_no_change_yields_nothing(self):
-        before = snap(D1, {"a.com": {RecordType.NS: ["ns1.x.net"]}})
-        after = snap(D2, {"a.com": {RecordType.NS: ["ns1.x.net"]}})
-        assert list(diff_days(before, after)) == []
-
-    def test_removed_and_added(self):
-        before = snap(D1, {"a.com": {RecordType.NS: ["old.ns.net"]}})
-        after = snap(D2, {"a.com": {RecordType.NS: ["new.ns.net"]}})
-        diffs = list(diff_days(before, after))
-        assert len(diffs) == 1
-        diff = diffs[0]
-        assert diff.removed_of(RecordType.NS) == frozenset({"old.ns.net"})
-        assert diff.added_of(RecordType.NS) == frozenset({"new.ns.net"})
-        assert not diff.disappeared
-
-    def test_disappearance(self):
-        before = snap(D1, {"a.com": {RecordType.NS: ["ns1.x.net"]}})
-        after = snap(D2, {})
-        diffs = list(diff_days(before, after))
-        assert diffs[0].disappeared
-        assert diffs[0].removed_of(RecordType.NS) == frozenset({"ns1.x.net"})
-
-    def test_new_apex_not_reported(self):
-        before = snap(D1, {})
-        after = snap(D2, {"new.com": {RecordType.NS: ["ns1.x.net"]}})
-        assert list(diff_days(before, after)) == []
-
-    def test_partial_rrset_change(self):
-        before = snap(D1, {"a.com": {RecordType.NS: ["n1", "n2"]}})
-        after = snap(D2, {"a.com": {RecordType.NS: ["n2", "n3"]}})
-        diff = next(diff_days(before, after))
-        assert diff.removed_of(RecordType.NS) == frozenset({"n1"})
-        assert diff.added_of(RecordType.NS) == frozenset({"n3"})
+    def test_observations_maps_apex_to_shared_object(self):
+        obs = DomainObservation("a.com")
+        snapshot = DailySnapshot.from_observations(D1, {"a.com": obs})
+        assert dict(snapshot.observations()) == {"a.com": obs}
+        assert snapshot.observations()["a.com"] is obs
 
 
 class TestSnapshotStore:
@@ -93,14 +58,6 @@ class TestSnapshotStore:
         store.put(DailySnapshot(D2))
         store.put(DailySnapshot(D1))
         assert store.days() == [D1, D2]
-
-    def test_consecutive_pairs(self):
-        store = SnapshotStore()
-        d3 = day(2022, 8, 5)  # gap: scans can miss days
-        for d in (D1, D2, d3):
-            store.put(DailySnapshot(d))
-        pairs = [(a.day, b.day) for a, b in store.consecutive_pairs()]
-        assert pairs == [(D1, D2), (D2, d3)]
 
     def test_get_missing_day(self):
         assert SnapshotStore().get(D1) is None

@@ -1,5 +1,5 @@
 """Fixture-corpus tests: every rule fires on its bad snippet, stays quiet
-on its good one, and the project rules resolve the real registries."""
+on its good one."""
 
 from __future__ import annotations
 
@@ -10,17 +10,11 @@ import pytest
 
 from repro.lint import FileContext, ImportMap, LintRunner, ProjectIndex
 from repro.lint.base import ClassInfo, all_rules
-from repro.lint.rules_protocol import (
-    BatchDetectorProtocolRule,
-    StreamDetectorProtocolRule,
-)
 
 FIXTURE_DIR = Path(__file__).parent / "lint_fixtures"
 
 #: Synthetic lint paths placing each fixture inside its rule's scope.
 SYNTHETIC_PATHS = {
-    "RL401": "fixtures/repro/core/pipeline.py",
-    "RL402": "fixtures/repro/stream/engine.py",
     "RL503": "src/repro/serve/app.py",
 }
 DEFAULT_PATH = "src/repro/core/fixture_under_test.py"
@@ -162,58 +156,6 @@ class TestRuleDetails:
         for path in ("src/repro/core/pipeline.py", "src/repro/serve/server.py"):
             findings = LintRunner().run_source(source, path)
             assert not [f for f in findings if f.code == "RL503"]
-
-
-class TestProtocolRulesOnRealTree:
-    """The registry anchors must resolve against the actual repository —
-    a rename that silently un-anchors the rules should fail here."""
-
-    @pytest.fixture(scope="class")
-    def real_index(self):
-        contexts = {}
-        root = Path(__file__).parent.parent / "src" / "repro"
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root.parent.parent).as_posix()
-            contexts[rel] = FileContext.parse(rel, path.read_text())
-        return ProjectIndex(contexts)
-
-    def test_batch_registry_resolves_all_three_detectors(self, real_index):
-        rule = BatchDetectorProtocolRule()
-        ctx = real_index.find_file(rule.anchor_suffix)
-        classes = {name for name, _ in rule.registry_classes(ctx)}
-        assert classes == {
-            "KeyCompromiseDetector",
-            "RegistrantChangeDetector",
-            "ManagedTlsDetector",
-        }
-        assert list(rule.check_project(real_index)) == []
-
-    def test_stream_registry_resolves_all_three_wrappers(self, real_index):
-        rule = StreamDetectorProtocolRule()
-        ctx = real_index.find_file(rule.anchor_suffix)
-        classes = {name for name, _ in rule.registry_classes(ctx)}
-        assert classes == {
-            "IncrementalKeyCompromiseDetector",
-            "IncrementalRegistrantChangeDetector",
-            "IncrementalManagedTlsDetector",
-        }
-        assert list(rule.check_project(real_index)) == []
-
-    def test_removing_a_member_is_detected(self, real_index):
-        """Deleting restore_state from a stream wrapper fails the lint."""
-        rule = StreamDetectorProtocolRule()
-        detectors_path = next(
-            path for path in real_index.files
-            if path.endswith("repro/stream/detectors.py")
-        )
-        source = real_index.files[detectors_path].source.replace(
-            "def restore_state", "def renamed_restore_state"
-        )
-        contexts = dict(real_index.files)
-        contexts[detectors_path] = FileContext.parse(detectors_path, source)
-        findings = list(rule.check_project(ProjectIndex(contexts)))
-        assert len(findings) == 3
-        assert all("restore_state" in f.message for f in findings)
 
 
 class TestClassInfo:

@@ -106,14 +106,8 @@ class TestDetectorProtocol:
             lambda: KeyCompromiseDetector(CertificateCorpus()),
             lambda: RegistrantChangeDetector(CertificateCorpus()),
             lambda: ManagedTlsDetector(CertificateCorpus()),
-            lambda: IncrementalKeyCompromiseDetector(),
-            lambda: IncrementalRegistrantChangeDetector(),
-            lambda: IncrementalManagedTlsDetector(),
         ],
-        ids=[
-            "batch-kc", "batch-rc", "batch-mt",
-            "stream-kc", "stream-rc", "stream-mt",
-        ],
+        ids=["batch-kc", "batch-rc", "batch-mt"],
     )
     def test_all_detectors_satisfy_protocol(self, build):
         assert isinstance(build(), Detector)

@@ -19,7 +19,7 @@ from repro.core.lifetime import LifetimePolicySimulator
 from repro.core.pipeline import PipelineResult
 from repro.core.stale import StaleCertificate, StaleFindings, StalenessClass
 from repro.data import save_legacy_bundle, write_dataset
-from repro.parallel.pipeline import canonical_order_key
+from repro.core.stale import canonical_order_key
 from repro.psl.registered import e2ld
 from repro.serve import FindingsIndex
 from repro.util.dates import day, day_to_iso
