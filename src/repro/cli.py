@@ -5,8 +5,7 @@ Drives the full reproduction from a shell::
     python -m repro simulate  --scale 0.1
     python -m repro detect    --scale 0.1 --format json
     python -m repro detect    --scale 0.1 --workers 4 --bundle /tmp/bundle
-    python -m repro save      --scale 0.1 --dir /tmp/bundle [--layout legacy]
-    python -m repro bundle convert /tmp/legacy /tmp/columnar --check
+    python -m repro save      --scale 0.1 --dir /tmp/bundle
     python -m repro lifetime  --scale 0.1 --caps 45,90,215
     python -m repro report    --scale 0.1 --experiment fig6
     python -m repro advise shinyforge1.com --acquired 2020-06-01 --scale 0.1
@@ -65,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument(
         "--bundle", default=None, metavar="DIR",
-        help="dataset bundle directory: loaded when it exists, otherwise the "
-        "simulated world is saved there (repeat runs skip re-simulation)",
+        help="dataset bundle directory: loaded when it exists and is "
+        "non-empty, otherwise the simulated world is saved there (repeat "
+        "runs skip re-simulation)",
     )
     data.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -168,41 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     save.add_argument("--dir", required=True, help="output directory")
     save.add_argument(
-        "--layout", choices=("columnar", "legacy"), default="columnar",
-        help="bundle layout: columnar memory-mapped segments (default) or "
-        "the legacy JSONL dict format",
-    )
-    save.add_argument(
         "--gen-shards", type=int, default=None, metavar="K",
         help="stream-generate the world in K deterministic shards instead "
         "of simulating it in memory (peak RSS stays O(shard); output is "
-        "identical for every K; requires --layout columnar)",
+        "identical for every K)",
     )
     save.add_argument(
         "--gen-dns-rows", type=int, default=None, metavar="N",
         help="DNS observation row budget for --gen-shards (the scan-day "
         "stride is widened to stay under it; default 4,000,000)",
-    )
-
-    bundle_cmd = sub.add_parser(
-        "bundle", help="bundle maintenance (layout conversion)"
-    )
-    bundle_sub = bundle_cmd.add_subparsers(dest="bundle_command", required=True)
-    bundle_convert = bundle_sub.add_parser(
-        "convert",
-        help="rewrite a bundle directory into another layout "
-        "(auto-detects the source layout)",
-    )
-    bundle_convert.add_argument("src", help="source bundle directory")
-    bundle_convert.add_argument("dst", help="destination directory")
-    bundle_convert.add_argument(
-        "--to", choices=("columnar", "legacy"), default="columnar",
-        help="target layout (default columnar)",
-    )
-    bundle_convert.add_argument(
-        "--check", action="store_true",
-        help="after converting, re-open both directories and verify they "
-        "are object-for-object equivalent (exit 1 on mismatch)",
     )
 
     lifetime = sub.add_parser(
@@ -239,9 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--bundle", default=None, metavar="DIR",
-        help="dataset bundle directory (columnar or legacy, auto-detected): "
-        "replayed when it exists, otherwise the simulated world is saved "
-        "there first",
+        help="dataset bundle directory: replayed when it exists and is "
+        "non-empty, otherwise the simulated world is saved there first",
     )
     watch.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -441,23 +415,25 @@ def _world(args):
 def _bundle_and_cutoff(args):
     """The one dataset loader every pipeline-running subcommand shares.
 
-    With ``--bundle DIR``: open the bundle if one is saved there — the
-    layout (columnar segments vs. legacy JSONL) is auto-detected from the
-    directory contents — otherwise simulate the world and save its bundle
-    there in the columnar layout (so the next invocation skips
-    re-simulation). Without it: simulate, as before.
+    With ``--bundle DIR``: when DIR exists and is non-empty, open the
+    bundle saved there (any failure is a :class:`BundleCliError`, so a
+    directory whose manifest was lost is reported, never overwritten);
+    when DIR is missing or empty, simulate the world and save its bundle
+    there (so the next invocation skips re-simulation). Without it:
+    simulate, as before.
     """
-    from repro.data import detect_layout, open_bundle, write_dataset
+    from repro.data import open_bundle, write_dataset
     from repro.obs import phase_progress
 
     progress = phase_progress("load_bundle")
     progress.set_total(1)
     bundle_dir = getattr(args, "bundle", None)
-    if bundle_dir and detect_layout(bundle_dir) is not None:
+    if bundle_dir and os.path.exists(bundle_dir) and (
+        not os.path.isdir(bundle_dir) or os.listdir(bundle_dir)
+    ):
         from repro.ecosystem.timeline import DEFAULT_TIMELINE
 
-        layout = detect_layout(bundle_dir)
-        print(f"loading bundle ({layout}) from {bundle_dir} ...", file=sys.stderr)
+        print(f"loading bundle from {bundle_dir} ...", file=sys.stderr)
         try:
             bundle = open_bundle(bundle_dir)
         except (OSError, ValueError) as error:
@@ -468,7 +444,7 @@ def _bundle_and_cutoff(args):
     bundle = world.to_bundle()
     if bundle_dir:
         write_dataset(bundle, bundle_dir)
-        print(f"saved bundle (columnar) to {bundle_dir}", file=sys.stderr)
+        print(f"saved bundle to {bundle_dir}", file=sys.stderr)
     progress.add(1)
     return bundle, world.config.timeline.revocation_cutoff
 
@@ -552,22 +528,15 @@ def cmd_detect(args) -> int:
 
 
 def cmd_save(args) -> int:
-    from repro.data import save_legacy_bundle, write_dataset
+    from repro.data import write_dataset
 
     if getattr(args, "gen_shards", None):
         return _save_streamed(args)
-    world = _world(args)
-    bundle = world.to_bundle()
-    if args.layout == "legacy":
-        counts = save_legacy_bundle(bundle, args.dir)
-        columns = ["File", "Records"]
-    else:
-        counts = write_dataset(bundle, args.dir)
-        columns = ["Table", "Rows"]
-    rows = sorted(counts.items())
+    counts = write_dataset(_world(args).to_bundle(), args.dir)
     print(
         render_table(
-            columns, rows, title=f"Bundle saved to {args.dir} ({args.layout})"
+            ["Table", "Rows"], sorted(counts.items()),
+            title=f"Bundle saved to {args.dir}",
         )
     )
     return 0
@@ -577,14 +546,6 @@ def _save_streamed(args) -> int:
     """``save --gen-shards K``: stream-generate straight into segments."""
     from repro.ecosystem.streamgen import save_streamed
 
-    if args.layout != "columnar":
-        print(
-            "error: --gen-shards streams rows into columnar segments; "
-            "--layout legacy would require materialising the world "
-            "(use 'repro bundle convert' afterwards instead)",
-            file=sys.stderr,
-        )
-        return 2
     if args.gen_shards < 1:
         print("error: --gen-shards must be >= 1", file=sys.stderr)
         return 2
@@ -603,35 +564,9 @@ def _save_streamed(args) -> int:
         render_table(
             ["Table", "Rows"],
             sorted(counts.items()),
-            title=f"Bundle saved to {args.dir} (columnar, streamed)",
+            title=f"Bundle saved to {args.dir} (streamed)",
         )
     )
-    return 0
-
-
-def cmd_bundle(args) -> int:
-    """Bundle maintenance: currently ``bundle convert SRC DST``."""
-    from repro.data import check_equivalent, convert
-
-    try:
-        counts = convert(args.src, args.dst, layout=args.to)
-        print(
-            render_table(
-                ["Table", "Records"],
-                sorted(counts.items()),
-                title=f"Converted {args.src} -> {args.dst} ({args.to})",
-            )
-        )
-        if args.check:
-            problems = check_equivalent(args.src, args.dst)
-            if problems:
-                for problem in problems:
-                    print(f"MISMATCH: {problem}", file=sys.stderr)
-                return 1
-            print("round-trip check: bundles are equivalent")
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -1186,8 +1121,6 @@ def _write_run_artifacts(
     metrics textfile is rendered, so the timeline's final snapshot
     contains exactly the samples ``metrics.prom`` will.
     """
-    import os
-
     from repro.obs import names, set_heartbeat
     from repro.obs.runmeta import (
         RUN_MANIFEST_NAME,
@@ -1252,7 +1185,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "simulate": cmd_simulate,
         "detect": cmd_detect,
         "save": cmd_save,
-        "bundle": cmd_bundle,
         "lifetime": cmd_lifetime,
         "report": cmd_report,
         "advise": cmd_advise,
@@ -1265,7 +1197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint": cmd_lint,
     }
     import logging
-    import os
     from contextlib import ExitStack
     from time import perf_counter
 

@@ -3,35 +3,33 @@
 One API for every engine that consumes a saved
 :class:`~repro.core.pipeline.DatasetBundle`:
 
-* :func:`open_bundle` — open a bundle directory in whichever layout it
-  uses (columnar segments or the legacy JSONL dict format);
+* :func:`open_bundle` — open a saved bundle directory as a lazy bundle
+  (``Dataset.open(dir).to_bundle()``);
 * :class:`Dataset` — typed table handles (``certs`` / ``revocations`` /
   ``whois`` / ``dns``) with ``scan()``, ``lookup()``,
   ``interval_query()`` over memory-mapped columnar segments;
-* :func:`write_dataset` — persist a bundle as columnar segments;
-* :class:`StreamingDatasetWriter` — the bounded-memory counterpart:
-  append schema-shaped rows as they are generated (the streaming world
-  generator's sink), with :class:`AppendSegmentWriter` /
-  :class:`ExternalSorter` as the spill-to-disk building blocks;
-* :func:`convert` / :func:`check_equivalent` — migrate between layouts
-  with a round-trip equality check;
-* :func:`save_legacy_bundle` / :func:`load_legacy_bundle` — the legacy
-  layout, kept for compatibility (direct use outside this package is
-  flagged by lint rule RL601).
+* :func:`write_dataset` — persist a live bundle as columnar segments;
+* :class:`StreamingDatasetWriter` — the one bundle writer behind
+  ``write_dataset`` and the streaming world generator: append
+  schema-shaped rows in bounded memory, with
+  :class:`AppendSegmentWriter` / :class:`ExternalSorter` as the
+  spill-to-disk building blocks;
+* :func:`write_rows_dataset` — the materialised reference encoder the
+  byte-identity suites compare the writer against;
+* :func:`check_equivalent` — object-for-object comparison of two saved
+  bundles.
 """
 
 from repro.data.append import AppendSegmentWriter, ExternalSorter
-from repro.data.convert import check_equivalent, convert
 from repro.data.streamwrite import StreamingDatasetWriter, write_rows_dataset
 from repro.data.dataset import (
     DATASET_MANIFEST,
     DEFAULT_ROWS_PER_SEGMENT,
     Dataset,
-    detect_layout,
+    check_equivalent,
     open_bundle,
     write_dataset,
 )
-from repro.data.legacy import load_legacy_bundle, save_legacy_bundle
 from repro.data.segment import Segment, SegmentFormatError, SegmentWriter
 
 __all__ = [
@@ -45,11 +43,7 @@ __all__ = [
     "SegmentWriter",
     "StreamingDatasetWriter",
     "check_equivalent",
-    "convert",
-    "detect_layout",
-    "load_legacy_bundle",
     "open_bundle",
-    "save_legacy_bundle",
     "write_dataset",
     "write_rows_dataset",
 ]

@@ -6,17 +6,17 @@ until an engine touches it. The corpus stand-in answers the detectors'
 three hot joins straight from the segment indexes:
 
 * ``by_revocation_key().get((akid, serial))`` → binary search on the
-  sorted ``revkey`` index, hydrating only the matched row (the legacy
-  path builds a dict over every certificate first);
+  sorted ``revkey`` index, hydrating only the matched row (an in-memory
+  corpus builds a dict over every certificate first);
 * ``certificates_for_e2ld(domain)`` → the sorted ``e2ld`` index, rows
   ascending = corpus order, so finding order is byte-identical;
 * ``managed_certificates()`` → the precomputed ``managed`` row list.
 
-Equality with the legacy loader is positional: columnar segments are
-written from the same save-order transformations the JSONL files use
-(corpus iteration order, first-wins revocation dedup, day-then-apex DNS
-rows), so every reconstructed object — synthetic CRLs included — comes
-back in the same order with the same values.
+Equality with the in-memory bundle that was saved is positional:
+``write_dataset`` stores corpus iteration order, first-wins deduplicated
+revocations and day-then-apex DNS rows, so every reconstructed object —
+synthetic CRLs included — comes back in a fixed order with the same
+values, and detection over it finds exactly what the in-memory run does.
 """
 
 from __future__ import annotations
@@ -278,10 +278,9 @@ class ColumnarBundle:
 
     @property
     def crls(self) -> List[CertificateRevocationList]:
-        """Synthetic per-(issuer, akid) CRLs, reconstructed exactly as the
-        legacy JSONL loader does: groups sorted by key, entries in stored
-        (first-wins deduplicated) order, series stamped with the last
-        revocation day seen."""
+        """Synthetic per-(issuer, akid) CRLs: groups sorted by key,
+        entries in stored (first-wins deduplicated) order, series stamped
+        with the last revocation day seen."""
         if self._crls is None:
             table = self._dataset.revocations
             by_issuer: Dict[Tuple[str, str], List[CrlEntry]] = {}

@@ -1,9 +1,8 @@
 """The unified ``Dataset`` access API over columnar bundle segments.
 
-``Dataset.open(path)`` maps a saved columnar bundle; ``Dataset.from_bundle``
-builds the same structure in memory from a live
-:class:`~repro.core.pipeline.DatasetBundle`; ``write_dataset`` persists
-one to disk. All three expose the same typed table handles:
+``write_dataset`` persists a live
+:class:`~repro.core.pipeline.DatasetBundle` to disk; ``Dataset.open(path)``
+maps the saved bundle and exposes typed table handles:
 
 =====================  ===================================================
 handle                 purpose
@@ -18,8 +17,8 @@ handle                 purpose
 
 Every table supports ``scan(columns, day_range=...)`` (zone-map pruned),
 ``lookup(index, key)`` (sorted secondary index, binary search) and
-``interval_query(lo, hi)`` (sorted interval index). Row ids are global,
-stable, and identical between the on-disk and in-memory forms.
+``interval_query(lo, hi)`` (sorted interval index). Row ids are global
+and stable.
 
 On-disk layout::
 
@@ -35,19 +34,18 @@ On-disk layout::
       idx-<table>-interval.seg  # sorted (start, end, row)
 
 A missing directory or file raises ``OSError``; a malformed manifest or
-segment raises ``ValueError`` — exactly the error contract of the legacy
-JSONL loader, so the CLI's exit-2 mapping covers both layouts.
+segment raises ``ValueError``, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.stale import StalenessClass
 from repro.data import schema
-from repro.data.segment import MAGIC, Segment, SegmentFormatError, SegmentWriter
+from repro.data.segment import Segment, SegmentFormatError
 from repro.obs import get_registry, names
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
@@ -433,13 +431,11 @@ class Dataset:
         self,
         tables: Dict[str, Table],
         windows: Dict[StalenessClass, Tuple[Day, Day]],
-        directory: Optional[str] = None,
+        directory: str,
     ) -> None:
         self._tables = tables
         self.windows = windows
         self.directory = directory
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def open(cls, directory: str) -> "Dataset":
@@ -487,29 +483,6 @@ class Dataset:
             raise
         return dataset
 
-    @classmethod
-    def from_bundle(
-        cls, bundle, rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT
-    ) -> "Dataset":
-        """Build the columnar form in memory (no files touched)."""
-        manifest, writers = _build_segments(bundle, rows_per_segment)
-        segments = {
-            filename: Segment.from_bytes(writer.to_bytes(), source=filename)
-            for filename, writer in writers
-        }
-
-        def loader(filename: str) -> Segment:
-            return segments[filename]
-
-        tables: Dict[str, Table] = {}
-        for name in schema.TABLE_NAMES:
-            spec = manifest["tables"][name]
-            tables[name] = _TABLE_CLASSES[name](
-                name, spec["segments"], loader, indexes=spec.get("indexes", {})
-            )
-        windows = dict(bundle.windows)
-        return cls(tables, windows, directory=None)
-
     # -- access --------------------------------------------------------------
 
     def table(self, name: str) -> Table:
@@ -554,239 +527,38 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _chunk(count: int, rows_per_segment: int) -> List[Tuple[int, int]]:
-    if count == 0:
-        return [(0, 0)]
-    return [
-        (start, min(start + rows_per_segment, count))
-        for start in range(0, count, rows_per_segment)
-    ]
-
-
-def _table_writers(
-    name: str,
-    values: Dict[str, List[Any]],
-    rows_per_segment: int,
-) -> List[Tuple[str, SegmentWriter]]:
-    column_spec = schema.COLUMNS[name]
-    count = len(values[column_spec[0][0]])
-    writers: List[Tuple[str, SegmentWriter]] = []
-    for ordinal, (start, end) in enumerate(_chunk(count, rows_per_segment)):
-        writer = SegmentWriter(name)
-        for column_name, kind in column_spec:
-            adder = {
-                "i64": writer.add_i64,
-                "str": writer.add_str,
-                "json": writer.add_json,
-            }[kind]
-            adder(column_name, values[column_name][start:end])
-        writers.append((f"{name}-{ordinal:03d}.seg", writer))
-    return writers
-
-
-def _index_writer(
-    table: str,
-    index_name: str,
-    key_columns: Sequence[Tuple[str, str]],
-    entries: List[Tuple],
-) -> Tuple[str, SegmentWriter]:
-    """One sorted index segment: key columns plus the global ``row``."""
-    entries = sorted(entries)
-    writer = SegmentWriter(
-        f"idx-{table}-{index_name}",
-        meta={"key_columns": [name for name, _ in key_columns]},
-    )
-    for position, (name, kind) in enumerate(key_columns):
-        adder = writer.add_i64 if kind == "i64" else writer.add_str
-        adder(name, [entry[position] for entry in entries])
-    writer.add_i64("row", [entry[len(key_columns)] for entry in entries])
-    return f"idx-{table}-{index_name}.seg", writer
-
-
-def _deduplicated_revocation_rows(crls) -> List[Tuple[str, str, int, int, str]]:
-    """(issuer, akid, serial, day, reason) rows, first record per
-    (akid, serial) kept — byte-identical to the legacy JSONL dedup."""
+def _deduplicated_revocation_rows(crls) -> Iterator[Tuple[str, str, int, int, str]]:
+    """(issuer, akid, serial, day, reason) rows in CRL order, first record
+    per (akid, serial) kept."""
     seen: set = set()
-    rows: List[Tuple[str, str, int, int, str]] = []
     for crl in crls:
         for entry in crl.entries:
             key = (crl.authority_key_id, entry.serial)
             if key in seen:
                 continue
             seen.add(key)
-            rows.append(
-                (
-                    crl.issuer_name,
-                    crl.authority_key_id,
-                    entry.serial,
-                    entry.revocation_day,
-                    entry.reason.name,
-                )
+            yield (
+                crl.issuer_name,
+                crl.authority_key_id,
+                entry.serial,
+                entry.revocation_day,
+                entry.reason.name,
             )
-    return rows
 
 
-def _dns_rows(store) -> Tuple[List[int], List[str], List[Dict[str, List[str]]]]:
-    days: List[int] = []
-    apexes: List[str] = []
-    records: List[Dict[str, List[str]]] = []
+def _dns_rows(store) -> Iterator[Tuple[Day, str, Dict[str, List[str]]]]:
+    """(day, apex, records) rows in (day, sorted apex) order."""
     if store is None:
-        return days, apexes, records
+        return
     for scan_day in store.days():
         snapshot = store.get(scan_day)
         for apex in sorted(snapshot.apexes()):
             observation = snapshot.get(apex)
-            days.append(scan_day)
-            apexes.append(apex)
-            records.append(
-                {key: sorted(value) for key, value in observation.rdatas.items()}
+            yield (
+                scan_day,
+                apex,
+                {key: sorted(value) for key, value in observation.rdatas.items()},
             )
-    return days, apexes, records
-
-
-def _build_segments(
-    bundle, rows_per_segment: int
-) -> Tuple[Dict[str, Any], List[Tuple[str, SegmentWriter]]]:
-    """The full segment plan for *bundle*: (manifest, [(file, writer)])."""
-    from repro.core.detectors.managed_tls import is_cloudflare_managed_certificate
-
-    writers: List[Tuple[str, SegmentWriter]] = []
-    tables: Dict[str, Any] = {}
-
-    # -- certificates, in corpus iteration order -----------------------------
-    certificates = list(bundle.corpus.certificates())
-    cert_values = schema.certificate_column_values(certificates)
-    cert_writers = _table_writers(
-        schema.CERTS_TABLE, cert_values, rows_per_segment
-    )
-    writers.extend(cert_writers)
-
-    revkey_entries = [
-        (certificate.authority_key_id, certificate.serial, row)
-        for row, certificate in enumerate(certificates)
-    ]
-    e2ld_entries = [
-        (registrable, row)
-        for row, registrable_list in enumerate(cert_values["e2lds"])
-        for registrable in registrable_list
-    ]
-    managed_entries = [
-        (row,)
-        for row, certificate in enumerate(certificates)
-        if is_cloudflare_managed_certificate(certificate)
-    ]
-    cert_indexes = {
-        "revkey": _index_writer(
-            schema.CERTS_TABLE,
-            "revkey",
-            (("authority_key_id", "str"), ("serial", "i64")),
-            revkey_entries,
-        ),
-        "e2ld": _index_writer(
-            schema.CERTS_TABLE, "e2ld", (("e2ld", "str"),), e2ld_entries
-        ),
-        "managed": _index_writer(
-            schema.CERTS_TABLE, "managed", (), managed_entries
-        ),
-        "interval": _index_writer(
-            schema.CERTS_TABLE,
-            "interval",
-            (("start", "i64"), ("end", "i64")),
-            [
-                (certificate.not_before, certificate.not_after, row)
-                for row, certificate in enumerate(certificates)
-            ],
-        ),
-    }
-
-    # -- revocations ---------------------------------------------------------
-    revocation_rows = _deduplicated_revocation_rows(bundle.crls)
-    revocation_writers = _table_writers(
-        schema.REVOCATIONS_TABLE,
-        schema.revocation_column_values(revocation_rows),
-        rows_per_segment,
-    )
-    writers.extend(revocation_writers)
-    revocation_indexes = {
-        "interval": _index_writer(
-            schema.REVOCATIONS_TABLE,
-            "interval",
-            (("start", "i64"), ("end", "i64")),
-            [(row[3], row[3], position) for position, row in enumerate(revocation_rows)],
-        )
-    }
-
-    # -- whois ---------------------------------------------------------------
-    whois_writers = _table_writers(
-        schema.WHOIS_TABLE,
-        {
-            "domain": [domain for domain, _ in bundle.whois_creation_pairs],
-            "creation_day": [day for _, day in bundle.whois_creation_pairs],
-        },
-        rows_per_segment,
-    )
-    writers.extend(whois_writers)
-    whois_indexes = {
-        "interval": _index_writer(
-            schema.WHOIS_TABLE,
-            "interval",
-            (("start", "i64"), ("end", "i64")),
-            [
-                (day, day, position)
-                for position, (_, day) in enumerate(bundle.whois_creation_pairs)
-            ],
-        )
-    }
-
-    # -- dns -----------------------------------------------------------------
-    dns_days, dns_apexes, dns_records = _dns_rows(bundle.dns_snapshots)
-    dns_writers = _table_writers(
-        schema.DNS_TABLE,
-        {"day": dns_days, "apex": dns_apexes, "records": dns_records},
-        rows_per_segment,
-    )
-    writers.extend(dns_writers)
-    dns_indexes = {
-        "interval": _index_writer(
-            schema.DNS_TABLE,
-            "interval",
-            (("start", "i64"), ("end", "i64")),
-            [(day, day, position) for position, day in enumerate(dns_days)],
-        )
-    }
-
-    for name, table_writers, indexes in (
-        (schema.CERTS_TABLE, cert_writers, cert_indexes),
-        (schema.REVOCATIONS_TABLE, revocation_writers, revocation_indexes),
-        (schema.WHOIS_TABLE, whois_writers, whois_indexes),
-        (schema.DNS_TABLE, dns_writers, dns_indexes),
-    ):
-        writers.extend(indexes.values())
-        tables[name] = {
-            "rows": sum(writer.rows for _, writer in table_writers),
-            "segments": [
-                {
-                    "file": filename,
-                    "rows": writer.rows,
-                    "zonemap": writer._zonemap,
-                }
-                for filename, writer in table_writers
-            ],
-            "indexes": {
-                index_name: filename
-                for index_name, (filename, _) in indexes.items()
-            },
-        }
-
-    manifest = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "windows": {
-            cls.value: list(window) for cls, window in bundle.windows.items()
-        },
-        "tables": tables,
-    }
-    return manifest, writers
 
 
 def write_dataset(
@@ -794,69 +566,109 @@ def write_dataset(
     directory: str,
     rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
 ) -> Dict[str, int]:
-    """Persist *bundle* as a columnar dataset; returns per-table rows."""
-    manifest, writers = _build_segments(bundle, rows_per_segment)
-    os.makedirs(directory, exist_ok=True)
-    for filename, writer in writers:
-        writer.write(os.path.join(directory, filename))
-    manifest_path = os.path.join(directory, DATASET_MANIFEST)
-    tmp_path = manifest_path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-    os.replace(tmp_path, manifest_path)
-    return {name: spec["rows"] for name, spec in manifest["tables"].items()}
+    """Persist *bundle* as a columnar dataset; returns per-table rows.
 
-
-# ---------------------------------------------------------------------------
-# layout detection
-# ---------------------------------------------------------------------------
-
-LEGACY_MANIFEST = "manifest.json"
-
-
-def detect_layout(directory: str) -> Optional[str]:
-    """``"columnar"``, ``"legacy"``, or ``None`` for *directory*.
-
-    Columnar wins on either the ``dataset.json`` manifest or any
-    ``*.seg`` file carrying the segment header magic; legacy is the
-    JSONL layout's ``manifest.json``.
+    Projects the bundle into schema-shaped rows and streams them through
+    :class:`~repro.data.streamwrite.StreamingDatasetWriter`, the one
+    production writer (the streaming world generator feeds it too).
     """
-    if os.path.isfile(os.path.join(directory, DATASET_MANIFEST)):
-        return "columnar"
+    from repro.data.streamwrite import StreamingDatasetWriter
+
+    writer = StreamingDatasetWriter(
+        directory, bundle.windows, rows_per_segment=rows_per_segment
+    )
     try:
-        entries = sorted(os.listdir(directory))
-    except OSError:
-        return None
-    for filename in entries:
-        if filename.endswith(".seg"):
-            try:
-                with open(os.path.join(directory, filename), "rb") as handle:
-                    if handle.read(len(MAGIC)) == MAGIC:
-                        return "columnar"
-            except OSError:
-                continue
-    if os.path.isfile(os.path.join(directory, LEGACY_MANIFEST)):
-        return "legacy"
-    return None
+        writer.extend(
+            schema.CERTS_TABLE,
+            map(schema.certificate_row, bundle.corpus.certificates()),
+        )
+        writer.extend(
+            schema.REVOCATIONS_TABLE, _deduplicated_revocation_rows(bundle.crls)
+        )
+        writer.extend(schema.WHOIS_TABLE, bundle.whois_creation_pairs)
+        writer.extend(schema.DNS_TABLE, _dns_rows(bundle.dns_snapshots))
+        return writer.finish()
+    except BaseException:
+        writer.close()
+        raise
+
+
+# ---------------------------------------------------------------------------
+# opening and comparing bundles
+# ---------------------------------------------------------------------------
 
 
 def open_bundle(directory: str):
-    """Open whichever bundle layout lives at *directory*.
+    """``Dataset.open(directory).to_bundle()``: the bundle saved at
+    *directory* as a lazy :class:`~repro.data.bundle.ColumnarBundle`.
 
-    Columnar directories come back as a lazy
-    :class:`~repro.data.bundle.ColumnarBundle`; legacy directories load
-    eagerly through the JSONL reader. Missing directories raise
-    ``OSError``, corrupt ones ``ValueError`` — one error contract for
-    both layouts.
+    A missing directory or manifest raises ``OSError``; a corrupt one
+    raises ``ValueError``.
     """
-    layout = detect_layout(directory)
-    if layout == "columnar":
-        return Dataset.open(directory).to_bundle()
-    if layout == "legacy":
-        from repro.data.legacy import load_legacy_bundle
+    return Dataset.open(directory).to_bundle()
 
-        return load_legacy_bundle(directory)
-    raise FileNotFoundError(
-        f"{directory}: no bundle found (neither {DATASET_MANIFEST} nor "
-        f"{LEGACY_MANIFEST} is present)"
-    )
+
+def check_equivalent(left_dir: str, right_dir: str) -> List[str]:
+    """Compare two bundle directories object-for-object.
+
+    Returns a list of human-readable mismatch descriptions — empty means
+    the bundles are equivalent in everything the engines consume.
+    """
+    left = open_bundle(left_dir)
+    right = open_bundle(right_dir)
+    problems: List[str] = []
+
+    left_certs = list(left.corpus.certificates())
+    right_certs = list(right.corpus.certificates())
+    if len(left_certs) != len(right_certs):
+        problems.append(
+            f"corpus size differs: {len(left_certs)} vs {len(right_certs)}"
+        )
+    for position, (ours, theirs) in enumerate(zip(left_certs, right_certs)):
+        if ours != theirs:
+            problems.append(f"certificate {position} differs")
+            break
+
+    left_crls = left.crls
+    right_crls = right.crls
+    if len(left_crls) != len(right_crls):
+        problems.append(f"CRL count differs: {len(left_crls)} vs {len(right_crls)}")
+    for ours, theirs in zip(left_crls, right_crls):
+        if (
+            ours.issuer_name != theirs.issuer_name
+            or ours.authority_key_id != theirs.authority_key_id
+            or ours.this_update != theirs.this_update
+            or ours.next_update != theirs.next_update
+            or ours.entries != theirs.entries
+        ):
+            problems.append(
+                f"CRL ({ours.issuer_name!r}, {ours.authority_key_id!r}) differs"
+            )
+            break
+
+    if left.whois_creation_pairs != right.whois_creation_pairs:
+        problems.append("WHOIS creation pairs differ")
+
+    problems.extend(_compare_snapshots(left.dns_snapshots, right.dns_snapshots))
+
+    if left.windows != right.windows:
+        problems.append("observation windows differ")
+    return problems
+
+
+def _compare_snapshots(left_store, right_store) -> List[str]:
+    if left_store is None and right_store is None:
+        return []
+    if (left_store is None) != (right_store is None):
+        return ["one bundle has DNS snapshots, the other does not"]
+    if left_store.days() != right_store.days():
+        return ["DNS snapshot days differ"]
+    for scan_day in left_store.days():
+        left_snapshot = left_store.get(scan_day)
+        right_snapshot = right_store.get(scan_day)
+        if left_snapshot.apexes() != right_snapshot.apexes():
+            return [f"DNS apex set differs on day {scan_day}"]
+        for apex in sorted(left_snapshot.apexes()):
+            if left_snapshot.get(apex).rdatas != right_snapshot.get(apex).rdatas:
+                return [f"DNS records differ for {apex!r} on day {scan_day}"]
+    return []

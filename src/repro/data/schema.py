@@ -3,15 +3,14 @@
 One schema per dataset of paper Table 3 — certificates, revocation
 entries, WHOIS creation pairs, DNS snapshot observations. Each schema
 declares its column kinds (``i64`` / ``str`` / ``json``), the interval
-columns its day-range queries sweep, and the row↔object codecs the
-:class:`~repro.data.dataset.Dataset` tables use for hydration.
-
-Hydration goes through the same constructors
-(:class:`~repro.pki.certificate.Certificate`,
-:class:`~repro.revocation.crl.CrlEntry`, ...) the legacy JSONL loader
-uses, so a certificate read from a segment is value-identical — same
-dedup fingerprint, same normalization — to one read from
-``corpus.jsonl.gz``.
+columns its day-range queries sweep, and the row↔object codecs:
+:func:`certificate_row` projects a certificate into a row for the
+writer, and the ``*_at`` functions hydrate objects back for the
+:class:`~repro.data.dataset.Dataset` tables. Hydration goes through the
+ordinary constructors (:class:`~repro.pki.certificate.Certificate`,
+:class:`~repro.revocation.crl.CrlEntry`, ...), so a certificate read
+from a segment is value-identical — same dedup fingerprint, same
+normalization — to the one that was written.
 
 The certificates table carries one *derived* column, ``e2lds`` (the
 sorted registered-domain list per certificate), so the shard
@@ -21,7 +20,7 @@ partitioner and the e2LD secondary index never have to hydrate a
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Mapping, Sequence, Tuple
 
 from repro.pki.certificate import Certificate, ExtendedKeyUsage, KeyUsage
 from repro.pki.keys import KeyAlgorithm, KeyPair
@@ -90,34 +89,30 @@ COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
 # ---------------------------------------------------------------------------
 
 
-def certificate_column_values(
-    certificates: Sequence[Certificate],
-) -> Dict[str, List[Any]]:
-    """Struct-of-arrays projection of *certificates*, in COLUMNS order."""
-    values: Dict[str, List[Any]] = {name: [] for name, _ in COLUMNS[CERTS_TABLE]}
-    for certificate in certificates:
-        values["subject_cn"].append(certificate.subject_cn)
-        values["san_dns_names"].append(list(certificate.san_dns_names))
-        values["key_id"].append(certificate.subject_key.key_id)
-        values["key_algorithm"].append(certificate.subject_key.algorithm.value)
-        values["key_owner_id"].append(certificate.subject_key.owner_id)
-        values["is_ca"].append(int(certificate.is_ca))
-        values["key_usage"].append(certificate.key_usage.value)
-        values["extended_key_usage"].append(
-            [e.value for e in certificate.extended_key_usage]
-        )
-        values["issuer_name"].append(certificate.issuer_name)
-        values["authority_key_id"].append(certificate.authority_key_id)
-        values["crl_url"].append(certificate.crl_url)
-        values["ocsp_url"].append(certificate.ocsp_url)
-        values["certificate_policy"].append(certificate.certificate_policy)
-        values["serial"].append(certificate.serial)
-        values["is_precertificate"].append(int(certificate.is_precertificate))
-        values["scts"].append(list(certificate.scts))
-        values["not_before"].append(certificate.not_before)
-        values["not_after"].append(certificate.not_after)
-        values["e2lds"].append(sorted(certificate.e2lds()))
-    return values
+def certificate_row(certificate: Certificate) -> Tuple[Any, ...]:
+    """One certificate as a table row, in ``COLUMNS[CERTS_TABLE]`` order."""
+    key = certificate.subject_key
+    return (
+        certificate.subject_cn,
+        list(certificate.san_dns_names),
+        key.key_id,
+        key.algorithm.value,
+        key.owner_id,
+        int(certificate.is_ca),
+        certificate.key_usage.value,
+        [usage.value for usage in certificate.extended_key_usage],
+        certificate.issuer_name,
+        certificate.authority_key_id,
+        certificate.crl_url,
+        certificate.ocsp_url,
+        certificate.certificate_policy,
+        certificate.serial,
+        int(certificate.is_precertificate),
+        list(certificate.scts),
+        certificate.not_before,
+        certificate.not_after,
+        sorted(certificate.e2lds()),
+    )
 
 
 def certificate_at(columns: Mapping[str, Sequence], row: int) -> Certificate:
@@ -152,19 +147,6 @@ def certificate_at(columns: Mapping[str, Sequence], row: int) -> Certificate:
 # ---------------------------------------------------------------------------
 # revocations
 # ---------------------------------------------------------------------------
-
-
-def revocation_column_values(
-    rows: Sequence[Tuple[str, str, int, int, str]],
-) -> Dict[str, List[Any]]:
-    """Columns from (issuer, akid, serial, day, reason-name) tuples."""
-    return {
-        "issuer_name": [row[0] for row in rows],
-        "authority_key_id": [row[1] for row in rows],
-        "serial": [row[2] for row in rows],
-        "revocation_day": [row[3] for row in rows],
-        "reason": [row[4] for row in rows],
-    }
 
 
 def revocation_entry_at(columns: Mapping[str, Sequence], row: int) -> CrlEntry:

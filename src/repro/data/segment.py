@@ -48,6 +48,9 @@ _PREAMBLE = struct.Struct("<4sHHQ")  # magic, version, flags, header length
 _ALIGN = 8
 _I64 = struct.Struct("<q")  # only for the byteorder probe below
 
+#: Extents per column kind: i64 data; str/json offsets then data.
+_EXTENT_COUNT = {"i64": 1, "str": 2, "json": 2}
+
 #: Values an i64 column can hold (serials are validated at write time).
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -344,16 +347,56 @@ class Segment:
             raise SegmentFormatError(
                 f"{self._source}: segment header missing field: {error}"
             ) from error
+        if not all(
+            type(value) is int and value >= 0 for value in (self.rows, payload_bytes)
+        ):
+            raise SegmentFormatError(
+                f"{self._source}: bad segment size fields "
+                f"(rows {self.rows!r}, payload_bytes {payload_bytes!r})"
+            )
         payload_start = _align(header_end)
         if len(data) < payload_start + payload_bytes:
             raise SegmentFormatError(
                 f"{self._source}: truncated segment payload "
                 f"({len(data) - payload_start} < {payload_bytes} bytes)"
             )
+        for spec in specs.values():
+            self._check_spec(spec, payload_bytes)
         payload = data[payload_start : payload_start + payload_bytes]
         self._derived.append(payload)
         self._payload = payload
         self._specs = specs
+
+    def _check_spec(self, spec: Dict[str, Any], payload_bytes: int) -> None:
+        """Reject a column spec whose extents cannot back ``rows`` cells,
+        so a lying header fails here instead of on first read."""
+        kind = spec.get("kind")
+        extents = spec.get("extents")
+        if kind not in _EXTENT_COUNT or not isinstance(extents, list) or len(
+            extents
+        ) != _EXTENT_COUNT[kind]:
+            raise SegmentFormatError(
+                f"{self._source}: bad spec for column {spec['name']!r}: "
+                f"kind {kind!r}, extents {extents!r}"
+            )
+        for extent in extents:
+            if not (
+                isinstance(extent, list)
+                and len(extent) == 2
+                and all(type(value) is int and value >= 0 for value in extent)
+                and extent[0] + extent[1] <= payload_bytes
+            ):
+                raise SegmentFormatError(
+                    f"{self._source}: column {spec['name']!r} extent "
+                    f"{extent!r} lies outside the {payload_bytes}-byte payload"
+                )
+        # i64 data holds one cell per row; str/json offsets one more.
+        expected = (self.rows + (kind != "i64")) * 8
+        if extents[0][1] != expected:
+            raise SegmentFormatError(
+                f"{self._source}: column {spec['name']!r} has "
+                f"{extents[0][1]} bytes where {self.rows} rows need {expected}"
+            )
 
     # -- access --------------------------------------------------------------
 
@@ -392,16 +435,12 @@ class Segment:
         if kind == "i64":
             (offset, length), = extents
             return IntColumn(self._i64_view(offset, length))
-        if kind in ("str", "json"):
-            (off_offset, off_length), (data_offset, data_length) = extents
-            offsets = self._i64_view(off_offset, off_length)
-            data = self._payload[data_offset : data_offset + data_length]
-            self._derived.append(data)
-            column_class = StrColumn if kind == "str" else JsonColumn
-            return column_class(offsets, data)
-        raise SegmentFormatError(
-            f"{self._source}: unknown column kind {kind!r} for {spec['name']!r}"
-        )
+        (off_offset, off_length), (data_offset, data_length) = extents
+        offsets = self._i64_view(off_offset, off_length)
+        data = self._payload[data_offset : data_offset + data_length]
+        self._derived.append(data)
+        column_class = StrColumn if kind == "str" else JsonColumn
+        return column_class(offsets, data)
 
     def __len__(self) -> int:
         return self.rows

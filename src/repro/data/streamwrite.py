@@ -1,20 +1,20 @@
 """Streaming dataset assembly: rows in, a columnar bundle out.
 
-The batch path (:func:`repro.data.dataset.write_dataset`) materialises
-every table before writing. :class:`StreamingDatasetWriter` is the
-O(segment)-memory counterpart: callers append raw schema-shaped rows
-(tuples in ``schema.COLUMNS`` order) in each table's canonical order;
-table segments roll over every ``rows_per_segment`` rows through
+:class:`StreamingDatasetWriter` is the one production bundle writer —
+both :func:`repro.data.dataset.write_dataset` and the streaming world
+generator feed it. Callers append raw schema-shaped rows (tuples in
+``schema.COLUMNS`` order) in each table's canonical order; table
+segments roll over every ``rows_per_segment`` rows through
 :class:`~repro.data.append.AppendSegmentWriter`, and secondary-index
 entries are extracted row-by-row into :class:`ExternalSorter` spills,
 so nothing table-sized is ever resident.
 
-:func:`write_rows_dataset` is the *reference* path for the same row
-streams: it materialises everything and writes through the original
-``SegmentWriter`` / ``_index_writer`` machinery from
-:mod:`repro.data.dataset`. The two paths share no encoder code beyond
-the schema, which is what makes the byte-identity equivalence suite in
-``tests/test_streamgen_equivalence.py`` meaningful.
+:func:`write_rows_dataset` is the *reference* encoder for the same row
+streams: it materialises everything and writes whole columns through
+``SegmentWriter`` (``_table_writers`` / ``_index_writer``). The two
+paths share no encoder code beyond the schema and
+:func:`iter_index_entries`, which is what makes the byte-identity
+equivalence suite in ``tests/test_streamgen_equivalence.py`` meaningful.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from repro.data.dataset import (
     DEFAULT_ROWS_PER_SEGMENT,
     FORMAT_NAME,
     FORMAT_VERSION,
-    _index_writer,
-    _table_writers,
 )
+from repro.data.segment import SegmentWriter
 
-#: Key columns per (table, index); mirrors ``dataset._build_segments``.
+#: Key columns per (table, index).
 INDEX_KEY_COLUMNS: Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]] = {
     schema.CERTS_TABLE: {
         "revkey": (("authority_key_id", "str"), ("serial", "i64")),
@@ -66,11 +65,9 @@ _E2LDS_IDX = _CERT_COL["e2lds"]
 def iter_index_entries(
     table: str, row_id: int, row: Sequence[Any]
 ) -> Iterable[Tuple[str, Tuple]]:
-    """``(index name, entry tuple)`` pairs for one schema-shaped row.
-
-    Entry shapes match ``dataset._build_segments`` exactly, so sorting
-    them yields byte-identical index segments.
-    """
+    """``(index name, entry tuple)`` pairs for one schema-shaped row:
+    the one definition of every secondary index's entries (and of the
+    CDN-managed predicate the ``managed`` index applies)."""
     if table == schema.CERTS_TABLE:
         yield "revkey", (row[_AKID_IDX], row[_SERIAL_IDX], row_id)
         for registrable in row[_E2LDS_IDX]:
@@ -149,7 +146,7 @@ class _RollingTable:
 
 
 class StreamingDatasetWriter:
-    """Bounded-memory ``write_dataset``: feed rows, then :meth:`finish`.
+    """Bounded-memory bundle writer: feed rows, then :meth:`finish`.
 
     Rows must arrive in each table's canonical order (certificates in
     corpus order, revocations deduplicated, WHOIS pairs in span order,
@@ -226,16 +223,70 @@ class StreamingDatasetWriter:
             sorter.close()
 
 
+# ---------------------------------------------------------------------------
+# reference encoder
+# ---------------------------------------------------------------------------
+
+
+def _chunk(count: int, rows_per_segment: int) -> List[Tuple[int, int]]:
+    if count == 0:
+        return [(0, 0)]
+    return [
+        (start, min(start + rows_per_segment, count))
+        for start in range(0, count, rows_per_segment)
+    ]
+
+
+def _table_writers(
+    name: str,
+    values: Dict[str, List[Any]],
+    rows_per_segment: int,
+) -> List[Tuple[str, SegmentWriter]]:
+    column_spec = schema.COLUMNS[name]
+    count = len(values[column_spec[0][0]])
+    writers: List[Tuple[str, SegmentWriter]] = []
+    for ordinal, (start, end) in enumerate(_chunk(count, rows_per_segment)):
+        writer = SegmentWriter(name)
+        for column_name, kind in column_spec:
+            adder = {
+                "i64": writer.add_i64,
+                "str": writer.add_str,
+                "json": writer.add_json,
+            }[kind]
+            adder(column_name, values[column_name][start:end])
+        writers.append((f"{name}-{ordinal:03d}.seg", writer))
+    return writers
+
+
+def _index_writer(
+    table: str,
+    index_name: str,
+    key_columns: Sequence[Tuple[str, str]],
+    entries: List[Tuple],
+) -> Tuple[str, SegmentWriter]:
+    """One sorted index segment: key columns plus the global ``row``."""
+    entries = sorted(entries)
+    writer = SegmentWriter(
+        f"idx-{table}-{index_name}",
+        meta={"key_columns": [name for name, _ in key_columns]},
+    )
+    for position, (name, kind) in enumerate(key_columns):
+        adder = writer.add_i64 if kind == "i64" else writer.add_str
+        adder(name, [entry[position] for entry in entries])
+    writer.add_i64("row", [entry[len(key_columns)] for entry in entries])
+    return f"idx-{table}-{index_name}.seg", writer
+
+
 def write_rows_dataset(
     rows_by_table: Dict[str, List[Tuple]],
     windows,
     directory: str,
     rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
 ) -> Dict[str, int]:
-    """Materialised reference path over the same schema-shaped rows.
+    """Materialised reference encoder over the same schema-shaped rows.
 
-    Collects whole columns and writes through the batch machinery
-    (``SegmentWriter`` via ``_table_writers`` / ``_index_writer``). The
+    Collects whole columns and writes them through ``SegmentWriter``
+    (via ``_table_writers`` / ``_index_writer``). The
     equivalence suite proves this and :class:`StreamingDatasetWriter`
     produce byte-identical directories.
     """

@@ -17,7 +17,6 @@ turns those invariants into CI-gated rules:
 ``RL501``  bare ``except:``  *(fixable)*
 ``RL502``  broad handler that swallows without re-raise or log
 ``RL503``  serve-path handler that swallows errors outside the error model
-``RL601``  segment/bundle access outside the Dataset API
 ``RL701``  nondeterminism source flows into a run artifact (hop chain)
 ``RL702``  RNG fork label collision / undeclared / stale declaration
 ``RL703``  public symbol reachable from no engine, CLI, test, or benchmark

@@ -67,64 +67,11 @@ class FileContext:
         )
 
 
-@dataclass
-class ClassInfo:
-    """A class definition and every member name it provides.
-
-    Members cover method definitions, class-level assignments, and
-    ``self.<attr> = ...`` targets inside any method — the batch detectors
-    expose ``stats`` as a plain instance attribute, which is just as much
-    a protocol member as a ``@property``.
-    """
-
-    name: str
-    path: str
-    lineno: int
-    col: int
-    members: Set[str] = field(default_factory=set)
-
-    @classmethod
-    def from_node(cls, path: str, node: ast.ClassDef) -> "ClassInfo":
-        members: Set[str] = set()
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                members.add(stmt.name)
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                        targets = (
-                            sub.targets
-                            if isinstance(sub, ast.Assign)
-                            else [sub.target]
-                        )
-                        for target in targets:
-                            if (
-                                isinstance(target, ast.Attribute)
-                                and isinstance(target.value, ast.Name)
-                                and target.value.id == "self"
-                            ):
-                                members.add(target.attr)
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        members.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                members.add(stmt.target.id)
-        return cls(
-            name=node.name,
-            path=path,
-            lineno=node.lineno,
-            col=node.col_offset,
-            members=members,
-        )
-
-
 class ProjectIndex:
     """Cross-file facts shared by project rules.
 
-    Built lazily from the parsed file set: class definitions by name,
-    the metric-name constants declared in ``repro/obs/names.py``, and —
+    Built lazily from the parsed file set: the metric-name constants
+    declared in ``repro/obs/names.py`` and —
     for the flow rules — per-file :class:`repro.lint.flow.facts.ModuleFacts`
     linked into a whole-program graph. The index is pure AST — nothing is
     imported or executed.
@@ -145,7 +92,6 @@ class ProjectIndex:
         self.files = files
         self._facts: Dict[str, object] = dict(facts) if facts else {}
         self._facts_failed: Set[str] = set()
-        self._classes: Optional[Dict[str, ClassInfo]] = None
         self._metric_constants: Optional[Set[str]] = None
         self._progress_phases: Optional[Set[str]] = None
         self._rng_labels: Optional[Tuple] = None
@@ -225,27 +171,6 @@ class ProjectIndex:
 
             return parse_suppressions(ctx.lines)
         return {}
-
-    @property
-    def classes(self) -> Dict[str, ClassInfo]:
-        if self._classes is None:
-            self._classes = {}
-            for path in sorted(self.files):
-                facts = self.facts_for(path)
-                if facts is not None:
-                    for info in facts.class_infos:
-                        # First definition wins; class names are unique in
-                        # practice and determinism matters more than picking
-                        # "the right" duplicate.
-                        self._classes.setdefault(info.name, info)
-                    continue
-                ctx = self.files[path]
-                for node in ast.walk(ctx.tree):
-                    if isinstance(node, ast.ClassDef):
-                        self._classes.setdefault(
-                            node.name, ClassInfo.from_node(path, node)
-                        )
-        return self._classes
 
     def find_file(self, suffix: str) -> Optional[FileContext]:
         for path in sorted(self.files):
@@ -453,8 +378,7 @@ def register(rule_class: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, in code order."""
-    import repro.lint.rules_data  # noqa: F401  (registration side effect)
-    import repro.lint.rules_determinism  # noqa: F401
+    import repro.lint.rules_determinism  # noqa: F401  (registration side effect)
     import repro.lint.rules_except  # noqa: F401
     import repro.lint.rules_flow  # noqa: F401
     import repro.lint.rules_forksafety  # noqa: F401

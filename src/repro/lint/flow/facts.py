@@ -24,7 +24,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.base import ClassInfo, is_set_producing
+from repro.lint.base import is_set_producing
 from repro.lint.suppress import parse_suppressions
 
 # --------------------------------------------------------------------------
@@ -248,7 +248,6 @@ class ModuleFacts:
     functions: Tuple[FunctionIR, ...] = ()
     fork_sites: Tuple[ForkSite, ...] = ()
     obs_uses: Tuple[ObsUse, ...] = ()
-    class_infos: Tuple[ClassInfo, ...] = ()
     suppressions: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
     all_names: Tuple[str, ...] = ()
 
@@ -316,13 +315,6 @@ class _Extractor:
         self._collect_top_defs()
         self._collect_self_attr_types()
         defs, module_refs, functions = self._collect_defs_and_functions()
-        # Walk order (not just top level) so nested classes keep parity
-        # with the AST-walking index the context-based rules used.
-        class_infos = tuple(
-            ClassInfo.from_node(self.path, node)
-            for node in ast.walk(self.tree)
-            if isinstance(node, ast.ClassDef)
-        )
         self._collect_obs_uses()
         suppressions = tuple(
             (line, tuple(sorted(codes)))
@@ -340,7 +332,6 @@ class _Extractor:
             fork_sites=tuple(sorted(self.fork_sites,
                                     key=lambda s: (s.line, s.col))),
             obs_uses=tuple(self.obs_uses),
-            class_infos=class_infos,
             suppressions=suppressions,
             all_names=self._collect_all_names(),
         )

@@ -114,9 +114,8 @@ class FindingsIndex:
         """Build an index from a bundle saved by ``repro save``/``--bundle``.
 
         Reuses :func:`repro.data.open_bundle` — there is deliberately no
-        second deserializer, and both the columnar and the legacy layout
-        are accepted — so a missing or corrupt bundle raises the same
-        ``OSError``/``ValueError`` the CLI already maps to exit code 2.
+        second deserializer — so a missing or corrupt bundle raises the
+        same ``OSError``/``ValueError`` the CLI already maps to exit code 2.
         """
         from repro.core.pipeline import MeasurementPipeline
         from repro.data import open_bundle

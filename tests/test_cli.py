@@ -213,6 +213,51 @@ class TestCommands:
         assert "simulating world" not in second.err
         assert second.out == first.out
 
+    def test_detect_bundle_in_empty_dir_saves(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "bundle"
+        bundle_dir.mkdir()
+        assert main(ARGS + ["detect", "--bundle", str(bundle_dir)]) == 0
+        assert "saved bundle" in capsys.readouterr().err
+        assert (bundle_dir / "dataset.json").is_file()
+
+    def test_detect_bundle_without_manifest_is_not_overwritten(
+        self, tmp_path, capsys
+    ):
+        bundle_dir = tmp_path / "bundle"
+        assert main(ARGS + ["save", "--dir", str(bundle_dir)]) == 0
+        (bundle_dir / "dataset.json").unlink()
+        before = sorted(path.name for path in bundle_dir.iterdir())
+        capsys.readouterr()
+        assert main(ARGS + ["detect", "--bundle", str(bundle_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot open bundle" in err
+        assert "simulating world" not in err
+        assert sorted(path.name for path in bundle_dir.iterdir()) == before
+
+    def test_detect_bundle_with_lying_segment_header_exits_2(
+        self, tmp_path, capsys
+    ):
+        from tests.test_data_segment import with_header
+
+        bundle_dir = tmp_path / "bundle"
+        assert main(ARGS + ["save", "--dir", str(bundle_dir)]) == 0
+        # certs-000.seg claims one row more than its columns hold; the
+        # manifest agrees, so only the column specs can catch the lie.
+        segment = bundle_dir / "certs-000.seg"
+
+        def add_row(header):
+            header["rows"] += 1
+
+        segment.write_bytes(with_header(segment.read_bytes(), add_row))
+        manifest_path = bundle_dir / "dataset.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["tables"]["certs"]["segments"][0]["rows"] += 1
+        manifest["tables"]["certs"]["rows"] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(ARGS + ["detect", "--bundle", str(bundle_dir)]) == 2
+        assert "cannot open bundle" in capsys.readouterr().err
+
     def test_lifetime_accepts_workers(self, capsys):
         assert main(ARGS + ["lifetime", "--caps", "90", "--workers", "2"]) == 0
         assert "OVERALL" in capsys.readouterr().out
@@ -307,14 +352,12 @@ class TestServe:
         assert "simulating world" not in captured.err
 
     def test_corrupt_bundle_exits_2(self, tmp_path, capsys):
-        import gzip
         import os
 
         bundle_dir = str(tmp_path / "bundle")
-        assert main(ARGS + ["save", "--layout", "legacy",
-                            "--dir", bundle_dir]) == 0
+        assert main(ARGS + ["save", "--dir", bundle_dir]) == 0
         capsys.readouterr()
-        with gzip.open(os.path.join(bundle_dir, "corpus.jsonl.gz"), "wt") as f:
+        with open(os.path.join(bundle_dir, "dataset.json"), "w") as f:
             f.write("not json\n")
         assert main(ARGS + ["serve", "--bundle", bundle_dir, "--warm-check"]) == 2
         assert "cannot build serving index" in capsys.readouterr().err

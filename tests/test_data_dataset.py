@@ -1,4 +1,4 @@
-"""Dataset access API: scans, zone-map pruning, indexes, layout detection.
+"""Dataset access API: scans, zone-map pruning, indexes, fail-fast opening.
 
 Pruning correctness is proven against brute force: whatever a
 zone-map-pruned ``scan`` yields must equal filtering every row. The
@@ -17,9 +17,7 @@ from repro.data import (
     DATASET_MANIFEST,
     Dataset,
     SegmentFormatError,
-    detect_layout,
     open_bundle,
-    save_legacy_bundle,
     write_dataset,
 )
 
@@ -144,28 +142,6 @@ class TestIndexes:
             dataset.certs.lookup("no-such-index", ("x",))
 
 
-class TestLayoutDetection:
-    def test_columnar_layout(self, dataset_dir):
-        assert detect_layout(dataset_dir) == "columnar"
-
-    def test_legacy_layout(self, bundle, tmp_path):
-        save_legacy_bundle(bundle, str(tmp_path))
-        assert detect_layout(str(tmp_path)) == "legacy"
-
-    def test_unknown_layout(self, tmp_path):
-        assert detect_layout(str(tmp_path)) is None
-
-    def test_open_bundle_reads_both_layouts(self, bundle, dataset_dir, tmp_path):
-        save_legacy_bundle(bundle, str(tmp_path))
-        legacy = open_bundle(str(tmp_path))
-        columnar = open_bundle(dataset_dir)
-        assert len(columnar.corpus) == len(legacy.corpus) == len(bundle.corpus)
-
-    def test_open_bundle_on_empty_dir_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            open_bundle(str(tmp_path))
-
-
 class TestOpenFailsFast:
     """Corruption surfaces at Dataset.open, not mid-detection."""
 
@@ -174,6 +150,10 @@ class TestOpenFailsFast:
 
         shutil.copytree(source, destination)
         return str(destination)
+
+    def test_open_bundle_on_empty_dir_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            open_bundle(str(tmp_path))
 
     def test_corrupt_manifest(self, dataset_dir, tmp_path):
         broken = self._copy(dataset_dir, tmp_path / "broken")

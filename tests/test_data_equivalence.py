@@ -1,21 +1,20 @@
-"""Columnar vs legacy bundle equivalence across every consumer.
+"""Columnar == materialised, across every consumer.
 
 The acceptance bar for the columnar data plane: the batch pipeline, the
 sharded parallel pipeline (real process pool), the streaming replay,
-and the serving index must produce *identical* findings whether the
-bundle on disk is columnar segments or legacy JSONL — and none of the
-internal paths may touch the deprecated shim (zero DeprecationWarning).
+and the serving index must produce *identical* findings whether they
+read a saved columnar bundle or run the batch pipeline on the in-memory
+bundle it was saved from.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import MeasurementPipeline, ParallelMeasurementPipeline
-from repro.data import check_equivalent, convert, open_bundle, save_legacy_bundle, write_dataset
+from repro.data import open_bundle, write_dataset
 from repro.serve import FindingsIndex
 from repro.stream import StreamEngine, canonical_findings
 
@@ -26,13 +25,6 @@ def cutoff(small_world):
 
 
 @pytest.fixture(scope="module")
-def legacy_dir(small_world, tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("eq-legacy"))
-    save_legacy_bundle(small_world.to_bundle(), directory)
-    return directory
-
-
-@pytest.fixture(scope="module")
 def columnar_dir(small_world, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("eq-columnar"))
     write_dataset(small_world.to_bundle(), directory)
@@ -40,64 +32,51 @@ def columnar_dir(small_world, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def legacy_findings(legacy_dir, cutoff):
-    bundle = open_bundle(legacy_dir)
-    result = MeasurementPipeline(bundle, revocation_cutoff_day=cutoff).run()
-    return canonical_findings(result.findings)
+def materialised_findings(pipeline_result):
+    """The reference: the batch pipeline on the in-memory bundle."""
+    return canonical_findings(pipeline_result.findings)
 
 
 class TestConsumerEquivalence:
-    def test_batch_findings_identical(self, columnar_dir, cutoff, legacy_findings):
+    def test_batch_findings_identical(
+        self, columnar_dir, cutoff, materialised_findings
+    ):
         bundle = open_bundle(columnar_dir)
         result = MeasurementPipeline(bundle, revocation_cutoff_day=cutoff).run()
-        assert canonical_findings(result.findings) == legacy_findings
+        assert canonical_findings(result.findings) == materialised_findings
 
     def test_parallel_process_pool_identical(
-        self, columnar_dir, cutoff, legacy_findings
+        self, columnar_dir, cutoff, materialised_findings
     ):
         bundle = open_bundle(columnar_dir)
         result = ParallelMeasurementPipeline(
             bundle, workers=4, revocation_cutoff_day=cutoff
         ).run()
-        assert canonical_findings(result.findings) == legacy_findings
+        assert canonical_findings(result.findings) == materialised_findings
         assert result.shard_stats.executor == "process"
 
-    def test_stream_replay_identical(self, columnar_dir, cutoff, legacy_findings):
+    def test_stream_replay_identical(
+        self, columnar_dir, cutoff, materialised_findings
+    ):
         bundle = open_bundle(columnar_dir)
         result = StreamEngine(bundle, revocation_cutoff_day=cutoff).replay()
         assert result.complete
-        assert canonical_findings(result.findings) == legacy_findings
+        assert canonical_findings(result.findings) == materialised_findings
 
-    def test_serve_index_identical(self, columnar_dir, legacy_dir, cutoff):
+    def test_serve_index_identical(self, columnar_dir, cutoff, pipeline_result):
         columnar = FindingsIndex.from_bundle(
             columnar_dir, revocation_cutoff_day=cutoff
         )
-        legacy = FindingsIndex.from_bundle(
-            legacy_dir, revocation_cutoff_day=cutoff
-        )
-        assert len(columnar) == len(legacy)
-        assert columnar.domains() == legacy.domains()
-        assert columnar.aggregates("class") == legacy.aggregates("class")
-        assert columnar.aggregates("issuer") == legacy.aggregates("issuer")
-
-
-class TestConvert:
-    def test_round_trip_is_equivalent(self, legacy_dir, tmp_path):
-        columnar = str(tmp_path / "columnar")
-        back = str(tmp_path / "legacy-again")
-        convert(legacy_dir, columnar, layout="columnar")
-        convert(columnar, back, layout="legacy")
-        assert check_equivalent(legacy_dir, columnar) == []
-        assert check_equivalent(columnar, back) == []
-
-    def test_unknown_layout_rejected(self, legacy_dir, tmp_path):
-        with pytest.raises(ValueError):
-            convert(legacy_dir, str(tmp_path / "out"), layout="parquet")
+        materialised = FindingsIndex(pipeline_result)
+        assert len(columnar) == len(materialised)
+        assert columnar.domains() == materialised.domains()
+        assert columnar.aggregates("class") == materialised.aggregates("class")
+        assert columnar.aggregates("issuer") == materialised.aggregates("issuer")
 
 
 class TestForkSafety:
     def test_mmap_survives_process_pool_fork_and_closes(
-        self, columnar_dir, cutoff, legacy_findings
+        self, columnar_dir, cutoff, materialised_findings
     ):
         """A forked worker inherits the parent's mapped segments; runs
         must still merge correctly and the parent must close cleanly."""
@@ -107,27 +86,12 @@ class TestForkSafety:
         result = ParallelMeasurementPipeline(
             bundle, workers=2, revocation_cutoff_day=cutoff
         ).run()
-        assert canonical_findings(result.findings) == legacy_findings
+        assert canonical_findings(result.findings) == materialised_findings
         bundle.close()
         # Reopen and run again: closing released the maps, nothing leaked.
         reopened = open_bundle(columnar_dir)
         again = MeasurementPipeline(
             reopened, revocation_cutoff_day=cutoff
         ).run()
-        assert canonical_findings(again.findings) == legacy_findings
+        assert canonical_findings(again.findings) == materialised_findings
         reopened.close()
-
-
-class TestNoDeprecationWarnings:
-    def test_internal_paths_never_touch_the_shim(
-        self, small_world, columnar_dir, cutoff, tmp_path
-    ):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            destination = str(tmp_path / "fresh")
-            write_dataset(small_world.to_bundle(), destination)
-            bundle = open_bundle(destination)
-            MeasurementPipeline(bundle, revocation_cutoff_day=cutoff).run()
-            FindingsIndex.from_bundle(
-                columnar_dir, revocation_cutoff_day=cutoff
-            )

@@ -10,10 +10,13 @@ to the existing typed errors, never to a crash mid-scan.
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.data.append import AppendSegmentWriter
 from repro.data.segment import (
     MAGIC,
     VERSION,
@@ -34,6 +37,23 @@ def sample_writer() -> SegmentWriter:
     writer.add_str("issuer", ["CA-1", "", "CA-2", "ünïcode", "CA-1"])
     writer.add_json("tags", [[], ["a"], {"k": 1}, None, ["b", "c"]])
     return writer
+
+
+def with_header(payload: bytes, edit) -> bytes:
+    """*payload* with its header JSON rewritten by ``edit(header)``; the
+    column blobs are kept byte for byte."""
+    _magic, _version, _flags, length = _PREAMBLE.unpack_from(payload, 0)
+    header_end = _PREAMBLE.size + length
+    header = json.loads(payload[_PREAMBLE.size : header_end])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = _PREAMBLE.pack(MAGIC, VERSION, 0, len(encoded)) + encoded
+    blobs = payload[header_end + (-header_end % 8) :]
+    return body + b"\x00" * (-len(body) % 8) + blobs
+
+
+def column_spec(header, name):
+    return next(spec for spec in header["columns"] if spec["name"] == name)
 
 
 class TestRoundTrip:
@@ -153,8 +173,77 @@ class TestCorruption:
         with pytest.raises(SegmentFormatError):
             Segment.open(str(path))
 
+    def test_untouched_header_rewrite_still_opens(self):
+        payload = sample_writer().to_bytes()
+        assert with_header(payload, lambda header: None) == payload
+
+    def test_i64_extent_not_a_whole_number_of_cells(self):
+        def edit(header):
+            spec = column_spec(header, "serial")
+            spec["extents"][0][1] = 7
+
+        with pytest.raises(SegmentFormatError):
+            Segment.from_bytes(with_header(sample_writer().to_bytes(), edit))
+
+    def test_rows_larger_than_the_columns(self):
+        def edit(header):
+            header["rows"] += 1
+
+        with pytest.raises(SegmentFormatError):
+            Segment.from_bytes(with_header(sample_writer().to_bytes(), edit))
+
+    def test_column_spec_without_kind(self):
+        def edit(header):
+            del column_spec(header, "issuer")["kind"]
+
+        with pytest.raises(SegmentFormatError):
+            Segment.from_bytes(with_header(sample_writer().to_bytes(), edit))
+
+    def test_extent_outside_the_payload(self):
+        def edit(header):
+            spec = column_spec(header, "tags")
+            spec["extents"][1][0] = header["payload_bytes"]
+
+        with pytest.raises(SegmentFormatError):
+            Segment.from_bytes(with_header(sample_writer().to_bytes(), edit))
+
     def test_format_error_is_valueerror(self):
         assert issubclass(SegmentFormatError, ValueError)
+
+
+_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=I64_MIN, max_value=I64_MAX),
+        st.text(max_size=8),
+        st.one_of(
+            st.none(),
+            st.integers(min_value=-1000, max_value=1000),
+            st.lists(st.text(max_size=4), max_size=3),
+        ),
+    ),
+    max_size=6,
+)
+
+
+class TestTruncation:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_every_truncation_is_a_format_error(self, tmp_path_factory, rows, data):
+        """Any strict prefix of a segment raises SegmentFormatError and
+        nothing else, whatever the rows."""
+        path = str(tmp_path_factory.mktemp("trunc") / "t.seg")
+        writer = AppendSegmentWriter(
+            "t", (("num", "i64"), ("label", "str"), ("payload", "json"))
+        )
+        for row in rows:
+            writer.append_row(row)
+        writer.write(path)
+        with open(path, "rb") as handle:
+            payload = handle.read()
+        assert Segment.from_bytes(payload).rows == len(rows)
+        cut = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        with pytest.raises(SegmentFormatError):
+            Segment.from_bytes(payload[:cut])
 
 
 class TestLifecycle:

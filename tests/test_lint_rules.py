@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import FileContext, ImportMap, LintRunner, ProjectIndex
-from repro.lint.base import ClassInfo, all_rules
+from repro.lint.base import all_rules
 
 FIXTURE_DIR = Path(__file__).parent / "lint_fixtures"
 
@@ -156,22 +156,6 @@ class TestRuleDetails:
         for path in ("src/repro/core/pipeline.py", "src/repro/serve/server.py"):
             findings = LintRunner().run_source(source, path)
             assert not [f for f in findings if f.code == "RL503"]
-
-
-class TestClassInfo:
-    def test_members_include_instance_attributes(self):
-        import ast
-
-        tree = ast.parse(
-            "class D:\n"
-            "    name = 'd'\n"
-            "    def __init__(self):\n"
-            "        self.stats = None\n"
-            "    def detect(self, inputs):\n"
-            "        pass\n"
-        )
-        info = ClassInfo.from_node("x.py", tree.body[0])
-        assert {"name", "stats", "detect", "__init__"} <= info.members
 
 
 class TestImportMap:

@@ -9,7 +9,6 @@ batch pipeline's numbers on the seed world — aggregates vs
 
 from __future__ import annotations
 
-import gzip
 import os
 
 import pytest
@@ -18,7 +17,7 @@ from repro.analysis.figures import build_fig8
 from repro.core.lifetime import LifetimePolicySimulator
 from repro.core.pipeline import PipelineResult
 from repro.core.stale import StaleCertificate, StaleFindings, StalenessClass
-from repro.data import save_legacy_bundle, write_dataset
+from repro.data import write_dataset
 from repro.core.stale import canonical_order_key
 from repro.psl.registered import e2ld
 from repro.serve import FindingsIndex
@@ -36,13 +35,6 @@ def index(pipeline_result):
 def bundle_dir(small_world, tmp_path_factory):
     directory = tmp_path_factory.mktemp("serve-bundle")
     write_dataset(small_world.to_bundle(), str(directory))
-    return str(directory)
-
-
-@pytest.fixture(scope="module")
-def legacy_bundle_dir(small_world, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("serve-bundle-legacy")
-    save_legacy_bundle(small_world.to_bundle(), str(directory))
     return str(directory)
 
 
@@ -274,33 +266,9 @@ class TestFromBundle:
         assert rebuilt.aggregates("class") == index.aggregates("class")
         assert rebuilt.aggregates("issuer") == index.aggregates("issuer")
 
-    def test_from_legacy_bundle_equals_in_memory_index(
-        self, legacy_bundle_dir, small_world, index
-    ):
-        rebuilt = FindingsIndex.from_bundle(
-            legacy_bundle_dir,
-            revocation_cutoff_day=small_world.config.timeline.revocation_cutoff,
-        )
-        assert len(rebuilt) == len(index)
-        assert rebuilt.domains() == index.domains()
-        assert rebuilt.aggregates("class") == index.aggregates("class")
-
     def test_missing_bundle_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             FindingsIndex.from_bundle(str(tmp_path / "nowhere"))
-
-    def test_corrupt_legacy_bundle_raises_valueerror(
-        self, legacy_bundle_dir, tmp_path
-    ):
-        # Same typed errors the CLI maps to exit 2 — no new taxonomy.
-        import shutil
-
-        broken = tmp_path / "broken"
-        shutil.copytree(legacy_bundle_dir, broken)
-        with gzip.open(os.path.join(broken, "corpus.jsonl.gz"), "wt") as handle:
-            handle.write("this is not json\n")
-        with pytest.raises(ValueError):
-            FindingsIndex.from_bundle(str(broken))
 
     def test_corrupt_columnar_bundle_raises_valueerror(
         self, bundle_dir, tmp_path

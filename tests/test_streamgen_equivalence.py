@@ -25,8 +25,13 @@ import sys
 import pytest
 
 from repro.core.pipeline import MeasurementPipeline
-from repro.data import check_equivalent
-from repro.data.dataset import Dataset, open_bundle
+from repro.data import check_equivalent, schema, write_dataset, write_rows_dataset
+from repro.data.dataset import (
+    Dataset,
+    _deduplicated_revocation_rows,
+    _dns_rows,
+    open_bundle,
+)
 from repro.ecosystem.streamgen import (
     GenContext,
     save_materialized,
@@ -77,6 +82,27 @@ class TestByteIdentity:
         directory = str(tmp_path / "streamed-mp")
         save_streamed(SEED_CONFIG, directory, shards=3, use_processes=True)
         _assert_directories_byte_identical(reference, directory)
+
+    def test_write_dataset_matches_reference_encoder(self, tmp_path, small_world):
+        """``write_dataset`` (streamed) == ``write_rows_dataset``
+        (materialised) over the same schema rows of a simulated world."""
+        bundle = small_world.to_bundle()
+        streamed = str(tmp_path / "write-dataset")
+        write_dataset(bundle, streamed)
+        rows = {
+            schema.CERTS_TABLE: [
+                schema.certificate_row(certificate)
+                for certificate in bundle.corpus.certificates()
+            ],
+            schema.REVOCATIONS_TABLE: list(
+                _deduplicated_revocation_rows(bundle.crls)
+            ),
+            schema.WHOIS_TABLE: list(bundle.whois_creation_pairs),
+            schema.DNS_TABLE: list(_dns_rows(bundle.dns_snapshots)),
+        }
+        reference = str(tmp_path / "reference")
+        write_rows_dataset(rows, bundle.windows, reference)
+        _assert_directories_byte_identical(reference, streamed)
 
     def test_check_equivalent_passes(self, tmp_path, reference_bundle):
         reference, _ = reference_bundle
@@ -170,12 +196,3 @@ class TestCliStreamedSave:
             metrics_text = handle.read()
         assert "repro_gen_shards 2" in metrics_text
         assert 'repro_gen_rows_total{table="certs"}' in metrics_text
-
-    def test_save_gen_shards_rejects_legacy_layout(self, tmp_path):
-        proc = self._run(
-            tmp_path,
-            "--scale", "0.01", "--gen-shards", "2",
-            "--dir", str(tmp_path / "nope"), "--layout", "legacy",
-        )
-        assert proc.returncode == 2
-        assert "columnar" in proc.stderr
