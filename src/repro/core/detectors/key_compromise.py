@@ -55,14 +55,14 @@ class RevocationJoinStats:
         return stats
 
 
-def revocation_outcome(
-    entry: CrlEntry, certificate: Optional[Certificate], cutoff: Optional[Day]
-) -> str:
+def revocation_outcome(entry: CrlEntry, certificate, cutoff: Optional[Day]) -> str:
     """The :class:`RevocationJoinStats` field one merged entry lands in.
 
     Steps 2 and 3 of the pipeline: an entry without a CT certificate is
     ``unmatched``; the three outlier filters apply in the paper's order;
-    whatever passes them is one of the ``survivors``.
+    whatever passes them is one of the ``survivors``. Only the
+    certificate's ``not_before``/``not_after`` are read, so a columnar
+    match can pass its validity columns before the certificate is built.
     """
     if certificate is None:
         return "unmatched"
@@ -121,15 +121,19 @@ class KeyCompromiseDetector:
         """
         out = findings if findings is not None else StaleFindings()
         index = self._corpus.by_revocation_key()
+        # Columnar indexes match on the validity columns and build only the
+        # certificates that survive; a dict index matches certificates.
+        match = getattr(index, "match", index.get)
+        hydrate = getattr(index, "certificate", lambda certificate: certificate)
         outcomes: List[str] = []
         for key, entry in merge_crl_series(crls).items():
-            certificate = index.get(key)
-            outcome = revocation_outcome(entry, certificate, self._cutoff)
-            if not apply_filters and certificate is not None:
+            matched = match(key)
+            outcome = revocation_outcome(entry, matched, self._cutoff)
+            if not apply_filters and matched is not None:
                 outcome = "survivors"
             outcomes.append(outcome)
             if outcome == "survivors":
-                out.extend(revocation_findings(entry, certificate))
+                out.extend(revocation_findings(entry, hydrate(matched)))
         self.stats = RevocationJoinStats.of(outcomes)
         return out
 

@@ -110,22 +110,25 @@ class RegistrantChangeDetector:
         self._certs_by_e2ld: Optional[Dict[str, List[Certificate]]] = None
         self.stats = RegistrantJoinStats()
 
-    def _candidates(self, lookup: str) -> Sequence[Certificate]:
-        """Certificates with a SAN under e2LD *lookup*, in corpus order.
+    def _candidates(self, lookup: str, day: Day) -> Tuple[int, Sequence[Certificate]]:
+        """How many certificates have a SAN under e2LD *lookup*, and the
+        candidates among them for a re-registration on *day*, corpus order.
 
-        Columnar corpora answer this from their sorted e2LD index without
-        hydrating the rest of the corpus; plain corpora build a full
-        e2LD index once.
+        Columnar corpora answer this from their sorted e2LD index and drop
+        rows whose validity columns cannot span *day* before hydrating
+        anything; plain corpora build a full e2LD index once and leave the
+        validity check to :func:`re_registration_findings`.
         """
-        indexed = getattr(self._corpus, "certificates_for_e2ld", None)
+        indexed = getattr(self._corpus, "e2ld_candidates", None)
         if indexed is not None:
-            return indexed(lookup)
+            return indexed(lookup, day)
         if self._certs_by_e2ld is None:
             self._certs_by_e2ld = {}
             for certificate in self._corpus.certificates():
                 for registrable in certificate.e2lds():
                     self._certs_by_e2ld.setdefault(registrable, []).append(certificate)
-        return self._certs_by_e2ld.get(lookup, ())
+        certificates = self._certs_by_e2ld.get(lookup, ())
+        return len(certificates), certificates
 
     def detect(
         self,
@@ -138,8 +141,10 @@ class RegistrantChangeDetector:
         self.stats = RegistrantJoinStats(re_registration_events=len(events))
         emitted = set()
         for event in events:
-            candidates = self._candidates(registration_key(event.domain))
-            if candidates:
+            joined, candidates = self._candidates(
+                registration_key(event.domain), event.creation_day
+            )
+            if joined:
                 self.stats.events_joining_certificates += 1
             for finding in re_registration_findings(
                 event.domain, event.previous_creation_day, event.creation_day, candidates

@@ -5,11 +5,15 @@
 until an engine touches it. The corpus stand-in answers the detectors'
 three hot joins straight from the segment indexes:
 
-* ``by_revocation_key().get((akid, serial))`` → binary search on the
-  sorted ``revkey`` index, hydrating only the matched row (an in-memory
-  corpus builds a dict over every certificate first);
-* ``certificates_for_e2ld(domain)`` → the sorted ``e2ld`` index, rows
-  ascending = corpus order, so finding order is byte-identical;
+* ``by_revocation_key().match((akid, serial))`` → binary search on the
+  sorted ``revkey`` index, reading only the matched row's validity
+  columns; ``certificate(match)`` hydrates the matches that survive the
+  filters (an in-memory corpus builds a dict over every certificate
+  first);
+* ``e2ld_candidates(domain, day)`` → the sorted ``e2ld`` index, rows
+  ascending = corpus order, so finding order is byte-identical; rows
+  whose ``not_before``/``not_after`` columns cannot span *day* are
+  dropped before any certificate is built;
 * ``managed_certificates()`` → the precomputed ``managed`` row list.
 
 Equality with the in-memory bundle that was saved is positional:
@@ -22,12 +26,21 @@ values, and detection over it finds exactly what the in-memory run does.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.util.dates import Day
+
+
+class ValidityRow(NamedTuple):
+    """A certs row's validity columns: all the §4.1 filters read."""
+
+    row: int
+    not_before: Day
+    not_after: Day
 
 
 class RevocationKeyView:
@@ -37,78 +50,85 @@ class RevocationKeyView:
     ``get`` returns the *last* matching row — a real corpus builds this
     index as a dict comprehension where later certificates overwrite
     earlier ones, and byte-identical findings require the same winner.
+    ``match`` answers the same join from the validity columns alone, and
+    ``certificate`` then builds only the matches that survive the filters.
     """
 
     def __init__(self, certs) -> None:
         self._certs = certs
 
-    def get(self, key: Tuple[str, int], default=None):
+    def match(self, key: Tuple[str, int]) -> Optional[ValidityRow]:
         rows = self._certs.rows_for_revocation_key(key)
         if not rows:
-            return default
-        return self._certs.certificate(rows[-1])
+            return None
+        row, column = rows[-1], self._certs.column
+        return ValidityRow(row, column("not_before")[row], column("not_after")[row])
 
-    def __getitem__(self, key: Tuple[str, int]):
-        certificate = self.get(key)
-        if certificate is None:
-            raise KeyError(key)
-        return certificate
+    def certificate(self, match: ValidityRow) -> Certificate:
+        return self._certs.certificate(match.row)
 
-    def __contains__(self, key: Tuple[str, int]) -> bool:
-        return bool(self._certs.rows_for_revocation_key(key))
+    def get(self, key: Tuple[str, int], default=None):
+        match = self.match(key)
+        return default if match is None else self.certificate(match)
 
 
 class ColumnarCorpus:
-    """Duck-typed :class:`~repro.ct.dedup.CertificateCorpus` over segments.
+    """Duck-typed :class:`~repro.ct.dedup.CertificateCorpus` over segments:
+    the whole certs table, or one shard's *rows* of it.
 
     Iteration order is corpus insertion order (rows were written from
     ``corpus.certificates()``), and every query hydrates only the rows it
-    returns. The extra ``certificates_for_e2ld`` / ``managed_certificates``
+    returns. The extra ``e2ld_candidates`` / ``managed_certificates``
     methods are the detector fast paths; callers feature-test them with
     ``getattr`` and fall back to full-scan indexing on plain corpora.
+
+    A shard corpus answers the joins from the *global* indexes — sound
+    because shard routing is join-closed: every certificate sharing an
+    authority key id (revocation axis) or an e2LD component (domain axis)
+    with the shard's rows lives in the shard, so a global lookup from a
+    shard-local key returns shard-local rows.
     """
 
-    def __init__(self, certs) -> None:
+    def __init__(self, certs, rows: Optional[List[int]] = None) -> None:
         self._certs = certs
+        self._rows = rows
+        self._rowset: Optional[Set[int]] = None if rows is None else set(rows)
 
     def certificates(self) -> Iterator[Certificate]:
-        return (self._certs.certificate(row) for row in range(len(self._certs)))
+        if self._rows is None:
+            return self._certs.certificates()
+        return (self._certs.certificate(row) for row in self._rows)
 
     def __len__(self) -> int:
-        return len(self._certs)
+        return len(self._certs if self._rows is None else self._rows)
 
     def by_revocation_key(self) -> RevocationKeyView:
         return RevocationKeyView(self._certs)
 
-    def certificates_for_e2ld(self, registrable: str) -> List[Certificate]:
-        """Certificates with *registrable* among their e2LDs, corpus order."""
-        return [
+    def e2ld_candidates(
+        self, registrable: str, day: Day
+    ) -> Tuple[int, List[Certificate]]:
+        """How many certificates have *registrable* among their e2LDs, and
+        those of them whose validity strictly spans *day*, corpus order.
+
+        Validity is checked on the ``not_before``/``not_after`` columns,
+        so only rows that can become findings are hydrated.
+        """
+        rows = self._certs.rows_for_e2ld(registrable)
+        not_before = self._certs.column("not_before")
+        not_after = self._certs.column("not_after")
+        return len(rows), [
             self._certs.certificate(row)
-            for row in self._certs.rows_for_e2ld(registrable)
+            for row in rows
+            if not_before[row] < day < not_after[row]
         ]
 
     def managed_certificates(self) -> List[Certificate]:
         """CDN-managed certificates (marker-SAN predicate), corpus order."""
         return [
-            self._certs.certificate(row) for row in self._certs.managed_rows()
-        ]
-
-    def covering_domain(self, fqdn: str) -> List[Certificate]:
-        return [
-            certificate
-            for certificate in self.certificates()
-            if certificate.covers_name(fqdn)
-        ]
-
-    def with_san_suffix(self, suffix: str) -> List[Certificate]:
-        needle = "." + suffix.lower().strip(".")
-        return [
-            certificate
-            for certificate in self.certificates()
-            if any(
-                san == needle[1:] or san.endswith(needle)
-                for san in certificate.san_dns_names
-            )
+            self._certs.certificate(row)
+            for row in self._certs.managed_rows()
+            if self._rowset is None or row in self._rowset
         ]
 
     # -- columnar-only hooks -------------------------------------------------
@@ -151,44 +171,8 @@ class LazyCertificateRows(Sequence):
     def __reduce__(self):
         return (list, (list(self),))
 
-    def as_shard_corpus(self) -> "ColumnarShardCorpus":
-        return ColumnarShardCorpus(self._certs, self._rows)
-
-
-class ColumnarShardCorpus:
-    """Per-shard corpus stand-in that answers joins from the *global*
-    indexes — sound because shard routing is join-closed: every
-    certificate sharing an authority key id (revocation axis) or an e2LD
-    component (domain axis) with this shard's rows lives in this shard,
-    so a global lookup from a shard-local key returns shard-local rows.
-    """
-
-    def __init__(self, certs, rows: List[int]) -> None:
-        self._certs = certs
-        self._rows = rows
-        self._rowset: Set[int] = set(rows)
-
-    def certificates(self) -> Iterator[Certificate]:
-        return (self._certs.certificate(row) for row in self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def by_revocation_key(self) -> RevocationKeyView:
-        return RevocationKeyView(self._certs)
-
-    def certificates_for_e2ld(self, registrable: str) -> List[Certificate]:
-        return [
-            self._certs.certificate(row)
-            for row in self._certs.rows_for_e2ld(registrable)
-        ]
-
-    def managed_certificates(self) -> List[Certificate]:
-        return [
-            self._certs.certificate(row)
-            for row in self._certs.managed_rows()
-            if row in self._rowset
-        ]
+    def as_shard_corpus(self) -> ColumnarCorpus:
+        return ColumnarCorpus(self._certs, self._rows)
 
 
 class LazySnapshotStore(SnapshotStore):
@@ -206,14 +190,11 @@ class LazySnapshotStore(SnapshotStore):
         self._dns = dns
         self._intern: Dict[Tuple[str, bytes], DomainObservation] = {}
         self._ranges: Dict[Day, Tuple[int, int]] = {}
-        days = dns.column("day")
-        for row in range(dns.rows):
-            scan_day = days[row]
-            if scan_day not in self._ranges:
-                self._ranges[scan_day] = (row, row + 1)
-            else:
-                first, _ = self._ranges[scan_day]
-                self._ranges[scan_day] = (first, row + 1)
+        row = 0
+        for scan_day, run in groupby(dns.column("day")):
+            end = row + len(list(run))
+            self._ranges[scan_day] = (self._ranges.get(scan_day, (row,))[0], end)
+            row = end
 
     def days(self) -> List[Day]:
         return sorted(set(self._ranges) | set(self._by_day))
@@ -230,12 +211,10 @@ class LazySnapshotStore(SnapshotStore):
 
     def _materialize(self, scan_day: Day) -> DailySnapshot:
         first, last = self._ranges[scan_day]
-        apexes = self._dns.column("apex")
-        records = self._dns.column("records")
+        apexes = self._dns.column("apex").read(first, last)
+        raws = self._dns.column("records").read_bytes(first, last)
         snapshot = DailySnapshot(scan_day)
-        for row in range(first, last):
-            apex = apexes[row]
-            raw = records.cell_bytes(row)
+        for apex, raw in zip(apexes, raws):
             observation = self._intern.get((apex, raw))
             if observation is None:
                 observation = DomainObservation(
@@ -282,11 +261,9 @@ class ColumnarBundle:
         entries in stored (first-wins deduplicated) order, series stamped
         with the last revocation day seen."""
         if self._crls is None:
-            table = self._dataset.revocations
             by_issuer: Dict[Tuple[str, str], List[CrlEntry]] = {}
             last_day: Optional[Day] = None
-            for row, issuer_name, akid in table.issuer_rows():
-                entry = table.entry(row)
+            for issuer_name, akid, entry in self._dataset.revocations.entries():
                 by_issuer.setdefault((issuer_name, akid), []).append(entry)
                 if last_day is None or entry.revocation_day > last_day:
                     last_day = entry.revocation_day

@@ -18,7 +18,8 @@ handle                 purpose
 Every table supports ``scan(columns, day_range=...)`` (zone-map pruned),
 ``lookup(index, key)`` (sorted secondary index, binary search) and
 ``interval_query(lo, hi)`` (sorted interval index). Row ids are global
-and stable.
+and stable; ``column(name)`` reads one cell (``table.locate(row)``) or
+one ``read(lo, hi)`` range, walking only the segments it overlaps.
 
 On-disk layout::
 
@@ -41,11 +42,12 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.stale import StalenessClass
 from repro.data import schema
-from repro.data.segment import Segment, SegmentFormatError
+from repro.data.segment import Segment, SegmentFormatError, check_span
 from repro.obs import get_registry, names
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
@@ -114,6 +116,15 @@ class Table:
             ).inc(table=self.name)
         return segment
 
+    def locate(self, row: int) -> Tuple[Segment, int]:
+        """The segment holding global *row*, and the row's index inside it."""
+        if row < 0:
+            row += self.rows
+        if not 0 <= row < self.rows:
+            raise IndexError(row)
+        index = bisect_right(self._bases, row) - 1
+        return self._segment(self._refs[index]), row - self._bases[index]
+
     def ensure_open(self) -> None:
         """Map and header-validate every segment (tables and indexes).
 
@@ -145,9 +156,6 @@ class Table:
             column = ChainedColumn(self, name)
             self._columns[name] = column
         return column
-
-    def columns(self, column_names: Sequence[str]) -> Dict[str, "ChainedColumn"]:
-        return {name: self.column(name) for name in column_names}
 
     def zone_range(self, column: str) -> Optional[Tuple[Any, Any]]:
         """Aggregated (min, max) of *column* across all segment zone maps."""
@@ -192,17 +200,11 @@ class Table:
             self.scan_stats["segments_scanned"] += 1
             segment = self._segment(ref)
             columns = [segment.column(name) for name in column_names]
-            if day_range is None:
-                for local in range(ref["rows"]):
+            if day_range is not None:
+                starts, ends = segment.column(start_col), segment.column(end_col)
+            for local in range(ref["rows"]):
+                if day_range is None or (starts[local] <= hi and ends[local] >= lo):
                     yield base + local, tuple(column[local] for column in columns)
-            else:
-                starts = segment.column(start_col)
-                ends = segment.column(end_col)
-                for local in range(ref["rows"]):
-                    if starts[local] <= hi and ends[local] >= lo:
-                        yield base + local, tuple(
-                            column[local] for column in columns
-                        )
 
     def _prunable(self, ref: Dict[str, Any], lo: Day, hi: Day) -> bool:
         start_col, end_col = schema.INTERVAL_COLUMNS[self.name]
@@ -232,7 +234,9 @@ class Table:
         """Global row ids matching *key* in a sorted secondary index.
 
         ``key`` is a scalar for single-column indexes and a tuple for
-        compound ones; returned row ids ascend (corpus order).
+        compound ones; returned row ids ascend (corpus order). Entries
+        sort by the whole key, so each key part narrows the matching
+        range by binary search within the range of the parts before it.
         """
         segment = self._index_segment(index_name)
         key_columns = [
@@ -245,14 +249,10 @@ class Table:
                 f"index {index_name!r} key has {len(key_columns)} parts, "
                 f"got {len(key)}"
             )
-
-        def key_at(position: int) -> Tuple[Any, ...]:
-            return tuple(column[position] for column in key_columns)
-
-        lo = _lower_bound(segment.rows, key_at, key)
-        hi = _upper_bound(segment.rows, key_at, key, lo)
-        row_column = segment.column("row")
-        return [row_column[position] for position in range(lo, hi)]
+        lo, hi = 0, segment.rows
+        for column, part in zip(key_columns, key):
+            lo, hi = bisect_left(column, part, lo, hi), bisect_right(column, part, lo, hi)
+        return segment.column("row").read(lo, hi)
 
     def interval_query(self, lo: Day, hi: Day) -> List[int]:
         """Row ids whose declared interval overlaps ``[lo, hi]``, ascending.
@@ -262,38 +262,13 @@ class Table:
         ``end >= lo``.
         """
         segment = self._index_segment("interval")
-        starts = segment.column("start")
-        ends = segment.column("end")
-        rows = segment.column("row")
-        cutoff = _lower_bound(segment.rows, lambda i: (starts[i],), (hi + 1,))
-        return sorted(
-            rows[position] for position in range(cutoff) if ends[position] >= lo
-        )
+        cutoff = bisect_left(segment.column("start"), hi + 1)
+        ends = segment.column("end").read(0, cutoff)
+        rows = segment.column("row").read(0, cutoff)
+        return sorted(row for row, end in zip(rows, ends) if end >= lo)
 
     def has_index(self, index_name: str) -> bool:
         return index_name in self._indexes
-
-
-def _lower_bound(length: int, key_at, target) -> int:
-    low, high = 0, length
-    while low < high:
-        mid = (low + high) // 2
-        if key_at(mid) < target:
-            low = mid + 1
-        else:
-            high = mid
-    return low
-
-
-def _upper_bound(length: int, key_at, target, low: int = 0) -> int:
-    high = length
-    while low < high:
-        mid = (low + high) // 2
-        if key_at(mid) <= target:
-            low = mid + 1
-        else:
-            high = mid
-    return low
 
 
 class ChainedColumn(Sequence):
@@ -306,43 +281,44 @@ class ChainedColumn(Sequence):
     def __len__(self) -> int:
         return self._table.rows
 
-    def _locate(self, row: int) -> Tuple[Segment, int]:
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError(row)
-        bases = self._table._bases
-        low, high = 0, len(bases) - 1
-        while low < high:  # rightmost base <= row
-            mid = (low + high + 1) // 2
-            if bases[mid] <= row:
-                low = mid
-            else:
-                high = mid - 1
-        ref = self._table._refs[low]
-        return self._table._segment(ref), row - bases[low]
-
-    def __getitem__(self, row):
-        if isinstance(row, slice):
-            return [self[i] for i in range(*row.indices(len(self)))]
-        segment, local = self._locate(row)
+    def __getitem__(self, row: int):
+        segment, local = self._table.locate(row)
         return segment.column(self._name)[local]
 
     def __iter__(self):
-        for ref, base in zip(self._table._refs, self._table._bases):
-            column = self._table._segment(ref).column(self._name)
-            for local in range(ref["rows"]):
-                yield column[local]
+        for ref in self._table._refs:
+            yield from self._table._segment(ref).column(self._name)
 
-    def cell_bytes(self, row: int) -> bytes:
-        """Raw encoded cell (str/json columns only) for value interning."""
-        segment, local = self._locate(row)
-        return segment.column(self._name).cell_bytes(local)
+    def read(self, lo: int, hi: int) -> List[Any]:
+        """Rows ``lo..hi-1``: one range read per segment they overlap."""
+        return self._span(lo, hi, "read")
+
+    def read_bytes(self, lo: int, hi: int) -> List[bytes]:
+        """Like :meth:`read`, as raw encoded cells (str/json columns)."""
+        return self._span(lo, hi, "read_bytes")
+
+    def _span(self, lo: int, hi: int, method: str) -> List[Any]:
+        table = self._table
+        check_span(lo, hi, table.rows)
+        values: List[Any] = []
+        first = bisect_right(table._bases, lo) - 1
+        for ref, base in zip(table._refs[first:], table._bases[first:]):
+            if base >= hi:
+                break
+            read = getattr(table._segment(ref).column(self._name), method)
+            values.extend(read(max(lo - base, 0), min(hi - base, ref["rows"])))
+        return values
 
 
 # ---------------------------------------------------------------------------
 # typed table handles
 # ---------------------------------------------------------------------------
+
+
+_CERT_COLUMNS = tuple(name for name, _ in schema.COLUMNS[schema.CERTS_TABLE])
+
+#: Rows per range read when :meth:`CertsTable.certificates` walks the table.
+_HYDRATE_CHUNK = 4096
 
 
 class CertsTable(Table):
@@ -355,16 +331,22 @@ class CertsTable(Table):
     def certificate(self, row: int) -> Certificate:
         certificate = self._hydrated.get(row)
         if certificate is None:
-            certificate = schema.certificate_at(
-                self.columns([name for name, _ in schema.COLUMNS[schema.CERTS_TABLE]]),
-                row,
-            )
-            self._hydrated[row] = certificate
+            segment, local = self.locate(row)
+            columns = {name: segment.column(name) for name in _CERT_COLUMNS}
+            certificate = self._hydrated[row] = schema.certificate_at(columns, local)
         return certificate
 
     def certificates(self) -> Iterator[Certificate]:
-        for row in range(self.rows):
-            yield self.certificate(row)
+        """Every certificate in row order, hydrated from range reads."""
+        for lo in range(0, self.rows, _HYDRATE_CHUNK):
+            hi = min(lo + _HYDRATE_CHUNK, self.rows)
+            chunk = {name: self.column(name).read(lo, hi) for name in _CERT_COLUMNS}
+            for row in range(lo, hi):
+                certificate = self._hydrated.get(row)
+                if certificate is None:
+                    certificate = schema.certificate_at(chunk, row - lo)
+                    self._hydrated[row] = certificate
+                yield certificate
 
     def rows_for_revocation_key(self, key: Tuple[str, int]) -> List[int]:
         return self.lookup("revkey", key)
@@ -375,47 +357,33 @@ class CertsTable(Table):
     def managed_rows(self) -> List[int]:
         """Rows of CDN-managed certificates, ascending (corpus order)."""
         segment = self._index_segment("managed")
-        return list(segment.column("row"))
+        return segment.column("row").read(0, segment.rows)
 
 
 class RevocationsTable(Table):
     """Deduplicated CRL entries with their issuing (issuer, akid)."""
 
-    def entry(self, row: int) -> CrlEntry:
-        return schema.revocation_entry_at(
-            self.columns(("serial", "revocation_day", "reason")), row
-        )
-
-    def issuer_rows(self) -> Iterator[Tuple[int, str, str]]:
-        """Yield ``(row, issuer_name, authority_key_id)`` in row order."""
-        issuers = self.column("issuer_name")
-        akids = self.column("authority_key_id")
-        for row in range(self.rows):
-            yield row, issuers[row], akids[row]
+    def entries(self) -> Iterator[Tuple[str, str, CrlEntry]]:
+        """Yield ``(issuer_name, authority_key_id, entry)`` in row order."""
+        columns = {
+            name: self.column(name).read(0, self.rows)
+            for name, _ in schema.COLUMNS[schema.REVOCATIONS_TABLE]
+        }
+        issuers, akids = columns["issuer_name"], columns["authority_key_id"]
+        for row, issuer_name, akid in zip(range(self.rows), issuers, akids):
+            yield issuer_name, akid, schema.revocation_entry_at(columns, row)
 
 
 class WhoisTable(Table):
     def pairs(self) -> List[Tuple[str, Day]]:
-        domains = self.column("domain")
-        days = self.column("creation_day")
-        return [(domains[row], days[row]) for row in range(self.rows)]
-
-
-class DnsTable(Table):
-    def observation(self, row: int) -> Tuple[Day, str, Dict[str, List[str]]]:
-        columns = self.columns(("day", "apex", "records"))
-        return (
-            columns["day"][row],
-            columns["apex"][row],
-            columns["records"][row],
-        )
+        return list(zip(self.column("domain"), self.column("creation_day")))
 
 
 _TABLE_CLASSES: Dict[str, type] = {
     schema.CERTS_TABLE: CertsTable,
     schema.REVOCATIONS_TABLE: RevocationsTable,
     schema.WHOIS_TABLE: WhoisTable,
-    schema.DNS_TABLE: DnsTable,
+    schema.DNS_TABLE: Table,
 }
 
 
@@ -501,8 +469,8 @@ class Dataset:
         return self._tables[schema.WHOIS_TABLE]  # type: ignore[return-value]
 
     @property
-    def dns(self) -> DnsTable:
-        return self._tables[schema.DNS_TABLE]  # type: ignore[return-value]
+    def dns(self) -> Table:
+        return self._tables[schema.DNS_TABLE]
 
     def to_bundle(self):
         """A lazy :class:`~repro.core.pipeline.DatasetBundle` stand-in."""

@@ -18,8 +18,10 @@ columns in a single file::
 Readers ``mmap`` the file and hand out lazy column views: an ``i64``
 column is a ``memoryview.cast("q")`` over the mapped bytes (zero copy —
 forked shard workers share the parent's page cache), and string/JSON
-columns decode individual values on access via the offsets array.
-Nothing is materialized until a cell is touched.
+columns decode values on access via the offsets array. Every column
+reads one cell (``column[i]``) or one ``lo:hi`` range (``read``), which
+copies the range's bytes once. Nothing is materialized until a cell is
+touched.
 
 The preamble integers are always little-endian; the *payload* integer
 byte order is whatever ``array('q')`` wrote and is recorded in the
@@ -39,6 +41,7 @@ import os
 import struct
 import sys
 from array import array
+from operator import gt
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 MAGIC = b"RSEG"
@@ -46,7 +49,6 @@ VERSION = 1
 
 _PREAMBLE = struct.Struct("<4sHHQ")  # magic, version, flags, header length
 _ALIGN = 8
-_I64 = struct.Struct("<q")  # only for the byteorder probe below
 
 #: Extents per column kind: i64 data; str/json offsets then data.
 _EXTENT_COUNT = {"i64": 1, "str": 2, "json": 2}
@@ -199,6 +201,12 @@ class SegmentWriter:
 # ---------------------------------------------------------------------------
 
 
+def check_span(lo: int, hi: int, length: int) -> None:
+    """Reject a ``lo:hi`` row range that runs backwards or leaves ``0:length``."""
+    if not 0 <= lo <= hi <= length:
+        raise IndexError(f"rows {lo}:{hi} outside 0:{length}")
+
+
 class IntColumn(Sequence):
     """An int64 column — zero-copy ``memoryview.cast('q')`` when the file
     byte order matches the host, an eager byteswapped copy otherwise."""
@@ -209,18 +217,23 @@ class IntColumn(Sequence):
     def __len__(self) -> int:
         return len(self._data)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int) -> int:
         return self._data[index]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._data)
 
-    def to_list(self) -> List[int]:
-        return list(self._data)
+    def read(self, lo: int, hi: int) -> List[int]:
+        """Cells ``lo..hi-1`` as one list."""
+        check_span(lo, hi, len(self))
+        return self._data[lo:hi].tolist()
 
 
 class StrColumn(Sequence):
-    """A string column: values decode lazily from the shared data blob."""
+    """A string column: cells slice out of the shared data blob on access.
+    A read whose offsets (a cell's own and its neighbours') run backwards
+    or leave the blob raises :class:`SegmentFormatError` instead of
+    decoding bytes that belong to another cell or to none."""
 
     def __init__(self, offsets, data: memoryview) -> None:
         self._offsets = offsets
@@ -229,35 +242,62 @@ class StrColumn(Sequence):
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
-    def _cell_bytes(self, index: int) -> bytes:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return bytes(self._data[self._offsets[index] : self._offsets[index + 1]])
+    def _bad_offsets(self, lo: int, hi: int) -> SegmentFormatError:
+        return SegmentFormatError(
+            f"cells {lo}:{hi}: offsets out of order or outside the "
+            f"{len(self._data)}-byte data blob"
+        )
 
     def cell_bytes(self, index: int) -> bytes:
-        """The raw encoded cell — lets callers intern repeated values
-        (hash the bytes, decode once) instead of re-decoding per row."""
-        return self._cell_bytes(index)
+        """The raw encoded cell; :meth:`read_bytes` is the range form, which
+        lets callers intern repeated values (hash the bytes, decode once)."""
+        offsets = self._offsets
+        rows = len(offsets) - 1
+        if index < 0:
+            index += rows
+        if not 0 <= index < rows:
+            raise IndexError(index)
+        start, end = offsets[index], offsets[index + 1]
+        # The neighbours' offsets too, so that one moved offset fails both
+        # cells that share it, not only the one it turned backwards.
+        before, after = offsets[max(index - 1, 0)], offsets[min(index + 2, rows)]
+        if not 0 <= before <= start <= end <= after <= len(self._data):
+            raise self._bad_offsets(index, index + 1)
+        return bytes(self._data[start:end])
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return self._cell_bytes(index).decode("utf-8")
+    def read_bytes(self, lo: int, hi: int) -> List[bytes]:
+        """Raw cells ``lo..hi-1``, sliced from one copy of their bytes;
+        the offsets are checked one cell past either end, as a cell's are."""
+        check_span(lo, hi, len(self))
+        before = max(lo - 1, 0)
+        window = self._offsets[before : min(hi + 2, len(self) + 1)].tolist()
+        inside = 0 <= window[0] and window[-1] <= len(self._data)
+        if not inside or any(map(gt, window, window[1:])):
+            raise self._bad_offsets(lo, hi)
+        offsets = window[lo - before : hi - before + 1]
+        base, ends = offsets[0], offsets[1:]
+        blob = bytes(self._data[base : offsets[-1]])
+        return [blob[start - base : stop - base] for start, stop in zip(offsets, ends)]
+
+    def __getitem__(self, index: int) -> str:
+        return self.cell_bytes(index).decode("utf-8")
+
+    def read(self, lo: int, hi: int) -> List[str]:
+        """Cells ``lo..hi-1`` as one list."""
+        return [cell.decode("utf-8") for cell in self.read_bytes(lo, hi)]
 
     def __iter__(self) -> Iterator[str]:
-        for index in range(len(self)):
-            yield self[index]
+        return iter(self.read(0, len(self)))
 
 
 class JsonColumn(StrColumn):
     """Like :class:`StrColumn`, but each value parses as JSON on access."""
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return json.loads(self._cell_bytes(index).decode("utf-8"))
+    def __getitem__(self, index: int) -> Any:
+        return json.loads(self.cell_bytes(index).decode("utf-8"))
+
+    def read(self, lo: int, hi: int) -> List[Any]:
+        return [json.loads(cell.decode("utf-8")) for cell in self.read_bytes(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +400,18 @@ class Segment:
                 f"{self._source}: truncated segment payload "
                 f"({len(data) - payload_start} < {payload_bytes} bytes)"
             )
-        for spec in specs.values():
-            self._check_spec(spec, payload_bytes)
         payload = data[payload_start : payload_start + payload_bytes]
         self._derived.append(payload)
+        for spec in specs.values():
+            self._check_spec(spec, payload)
         self._payload = payload
         self._specs = specs
 
-    def _check_spec(self, spec: Dict[str, Any], payload_bytes: int) -> None:
+    def _check_spec(self, spec: Dict[str, Any], payload: memoryview) -> None:
         """Reject a column spec whose extents cannot back ``rows`` cells,
-        so a lying header fails here instead of on first read."""
+        or whose str/json offsets do not span exactly their data blob, so
+        a lying header fails here instead of on first read."""
+        payload_bytes = len(payload)
         kind = spec.get("kind")
         extents = spec.get("extents")
         if kind not in _EXTENT_COUNT or not isinstance(extents, list) or len(
@@ -397,6 +439,16 @@ class Segment:
                 f"{self._source}: column {spec['name']!r} has "
                 f"{extents[0][1]} bytes where {self.rows} rows need {expected}"
             )
+        if kind != "i64":
+            (offsets_at, _), (_, data_bytes) = extents
+            cell = struct.Struct("<q" if self.byteorder == "little" else ">q")
+            first = cell.unpack_from(payload, offsets_at)[0]
+            last = cell.unpack_from(payload, offsets_at + 8 * self.rows)[0]
+            if (first, last) != (0, data_bytes):
+                raise SegmentFormatError(
+                    f"{self._source}: column {spec['name']!r} offsets span "
+                    f"{first}..{last}, not its {data_bytes}-byte data blob"
+                )
 
     # -- access --------------------------------------------------------------
 

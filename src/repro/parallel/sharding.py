@@ -327,8 +327,7 @@ def _partition_columnar(
     # -- domain axis: union-find over registered-domain join keys ------------
     components = _UnionFind()
     row_e2lds: List[List[str]] = []
-    for row in range(len(corpus)):
-        keys = e2lds_column[row]  # sorted at write time: keys[0] is the min
+    for keys in e2lds_column:  # sorted at write time: keys[0] is the min
         row_e2lds.append(keys)
         for key in keys:
             components.add(key)

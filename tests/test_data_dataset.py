@@ -142,6 +142,133 @@ class TestIndexes:
             dataset.certs.lookup("no-such-index", ("x",))
 
 
+class TestRangeReads:
+    """``ChainedColumn.read`` walks only the segments a range overlaps;
+    whatever it returns must equal reading the same rows one by one."""
+
+    COLUMNS = ("not_before", "issuer_name", "san_dns_names")
+
+    def _ranges(self, rows):
+        seg = ROWS_PER_SEGMENT
+        return [
+            (0, 0),
+            (seg, seg),
+            (rows, rows),
+            (0, 1),
+            (seg - 1, seg + 1),
+            (rows - 1, rows),
+            (3, 3 * seg + 5),
+            (seg, 4 * seg),
+            (0, rows),
+        ]
+
+    def test_range_reads_equal_cell_reads(self, dataset):
+        certs = dataset.certs
+        assert len(certs) > 4 * ROWS_PER_SEGMENT
+        for name in self.COLUMNS:
+            column = certs.column(name)
+            for lo, hi in self._ranges(len(certs)):
+                assert column.read(lo, hi) == [column[row] for row in range(lo, hi)]
+
+    def test_raw_range_reads_decode_to_the_values(self, dataset):
+        certs = dataset.certs
+        column = certs.column("san_dns_names")
+        for lo, hi in self._ranges(len(certs)):
+            raw = column.read_bytes(lo, hi)
+            assert [json.loads(cell) for cell in raw] == column.read(lo, hi)
+
+    def test_iteration_equals_cell_reads(self, dataset):
+        column = dataset.dns.column("day")
+        assert list(column) == [column[row] for row in range(len(column))]
+
+    def test_locate_finds_the_owning_segment(self, dataset):
+        certs = dataset.certs
+        column = certs.column("serial")
+        for row in (0, ROWS_PER_SEGMENT - 1, ROWS_PER_SEGMENT, len(certs) - 1):
+            segment, local = certs.locate(row)
+            assert 0 <= local < segment.rows
+            assert segment.column("serial")[local] == column[row]
+
+    def test_out_of_range_bounds_raise_indexerror(self, dataset):
+        certs = dataset.certs
+        rows = len(certs)
+        column = certs.column("issuer_name")
+        for lo, hi in ((-1, 3), (5, 4), (0, rows + 1), (rows + 1, rows + 1)):
+            with pytest.raises(IndexError):
+                column.read(lo, hi)
+            with pytest.raises(IndexError):
+                column.read_bytes(lo, hi)
+        for row in (rows, -rows - 1):
+            with pytest.raises(IndexError):
+                column[row]
+            with pytest.raises(IndexError):
+                certs.locate(row)
+
+    def test_certificates_walk_equals_row_hydration(self, dataset_dir):
+        with Dataset.open(dataset_dir) as walked, Dataset.open(dataset_dir) as single:
+            assert list(walked.certs.certificates()) == [
+                single.certs.certificate(row) for row in range(len(single.certs))
+            ]
+
+
+class TestColumnsBeforeObjects:
+    """The registrant join checks the validity columns first and builds a
+    certificate only for rows that can become findings."""
+
+    def _events(self, bundle):
+        from repro.core.detectors.registrant_change import find_re_registrations
+
+        return find_re_registrations(bundle.whois_creation_pairs)
+
+    def test_registrant_join_hydrates_only_spanning_rows(self, dataset_dir, bundle):
+        from repro.core.detectors.registrant_change import (
+            RegistrantChangeDetector,
+            registration_key,
+        )
+
+        events = self._events(bundle)
+        assert events
+        with open_bundle(dataset_dir) as columnar:
+            certs = columnar.dataset.certs
+            not_before = certs.column("not_before")
+            not_after = certs.column("not_after")
+            spanning, candidates = set(), set()
+            for event in events:
+                for row in certs.rows_for_e2ld(registration_key(event.domain)):
+                    candidates.add(row)
+                    if not_before[row] < event.creation_day < not_after[row]:
+                        spanning.add(row)
+            assert candidates - spanning, "no candidate for the filter to drop"
+
+            detector = RegistrantChangeDetector(columnar.corpus)
+            found = detector.detect(columnar.whois_creation_pairs)
+            assert set(certs._hydrated) <= spanning
+
+        reference = RegistrantChangeDetector(bundle.corpus)
+        expected = reference.detect(bundle.whois_creation_pairs)
+        assert detector.stats == reference.stats
+        assert len(found) > 0
+        assert [
+            (f.certificate.dedup_fingerprint(), f.invalidation_day, f.affected_domain)
+            for f in found.all_findings()
+        ] == [
+            (f.certificate.dedup_fingerprint(), f.invalidation_day, f.affected_domain)
+            for f in expected.all_findings()
+        ]
+
+    def test_shard_corpus_answers_like_the_full_corpus(self, dataset_dir, bundle):
+        from repro.core.detectors.registrant_change import registration_key
+
+        with open_bundle(dataset_dir) as columnar:
+            corpus = columnar.corpus
+            shard = corpus.certificate_rows(range(len(corpus))).as_shard_corpus()
+            for event in self._events(bundle)[:25]:
+                key = registration_key(event.domain)
+                assert shard.e2ld_candidates(key, event.creation_day) == (
+                    corpus.e2ld_candidates(key, event.creation_day)
+                )
+
+
 class TestOpenFailsFast:
     """Corruption surfaces at Dataset.open, not mid-detection."""
 
