@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.core.detectors.managed_tls import is_cloudflare_managed_certificate
-from repro.ct.dedup import CertificateCorpus
+from repro.ct.dedup import Corpus
 from repro.pki.certificate import Certificate
 from repro.psl.registered import DomainName, e2ld
 from repro.util.dates import Day, day_to_iso
@@ -119,7 +119,7 @@ class AdvisoryReport:
 class StaleCertificateAdvisor:
     """Answers 'who else can impersonate this domain?' from a CT corpus."""
 
-    def __init__(self, corpus: CertificateCorpus) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self._corpus = corpus
 
     def check_acquisition(self, domain: str, acquisition_day: Day) -> AdvisoryReport:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ct.dedup import CertificateCorpus
+from repro.ct.dedup import Corpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
 from repro.pki.certificate import Certificate
 from repro.revocation.crl import CertificateRevocationList, CrlEntry, merge_crl_series
@@ -99,7 +99,7 @@ class KeyCompromiseDetector:
 
     def __init__(
         self,
-        corpus: CertificateCorpus,
+        corpus: Corpus,
         revocation_cutoff_day: Optional[Day] = None,
     ) -> None:
         """``revocation_cutoff_day``: drop revocations before this day
@@ -120,20 +120,18 @@ class KeyCompromiseDetector:
         quantifies the filters' effect.
         """
         out = findings if findings is not None else StaleFindings()
-        index = self._corpus.by_revocation_key()
-        # Columnar indexes match on the validity columns and build only the
-        # certificates that survive; a dict index matches certificates.
-        match = getattr(index, "match", index.get)
-        hydrate = getattr(index, "certificate", lambda certificate: certificate)
         outcomes: List[str] = []
         for key, entry in merge_crl_series(crls).items():
-            matched = match(key)
+            # The match carries the validity the filters read; only the
+            # survivors' certificates are built.
+            matched = self._corpus.revocation_match(key)
             outcome = revocation_outcome(entry, matched, self._cutoff)
             if not apply_filters and matched is not None:
                 outcome = "survivors"
             outcomes.append(outcome)
             if outcome == "survivors":
-                out.extend(revocation_findings(entry, hydrate(matched)))
+                certificate = self._corpus.certificate(matched.row)
+                out.extend(revocation_findings(entry, certificate))
         self.stats = RevocationJoinStats.of(outcomes)
         return out
 

@@ -16,17 +16,13 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.ct.dedup import CertificateCorpus
+from repro.ct.dedup import CLOUDFLARE_MANAGED_SAN_SUFFIX, Corpus, has_managed_marker_san
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
 from repro.dns.records import RecordType
 from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.pki.certificate import Certificate
 from repro.util.dates import Day
 
-#: SAN suffix marking Cloudflare-managed certificates.
-CLOUDFLARE_MANAGED_SAN_SUFFIX = "cloudflaressl.com"
-#: Managed-certificate SAN shape: sni<digits>.cloudflaressl.com.
-_SNI_SAN_RE = re.compile(r"^sni\d+\.cloudflaressl\.com$")
 #: Delegation names that indicate Cloudflare is serving the domain.
 _CLOUDFLARE_DELEGATION_RE = re.compile(
     r"\.(ns|cdn)\.cloudflare\.com$"
@@ -40,16 +36,6 @@ def is_cloudflare_managed_certificate(certificate: Certificate) -> bool:
     issuance from certificates a customer uploaded themselves (paper §4.3).
     """
     return has_managed_marker_san(certificate.san_dns_names)
-
-
-def has_managed_marker_san(san_dns_names: Iterable[str]) -> bool:
-    """Row-level form of :func:`is_cloudflare_managed_certificate`.
-
-    The columnar data plane classifies certificates straight from the
-    ``san_dns_names`` cell while building the ``managed`` secondary
-    index, without hydrating a :class:`Certificate`.
-    """
-    return any(_SNI_SAN_RE.match(san) for san in san_dns_names)
 
 
 def is_cloudflare_delegation(target: str) -> bool:
@@ -240,7 +226,7 @@ class ManagedCertificateJoin:
 class ManagedTlsDetector:
     """Joins DNS-observed departures against Cloudflare-managed certs."""
 
-    def __init__(self, corpus: CertificateCorpus) -> None:
+    def __init__(self, corpus: Corpus) -> None:
         self._corpus = corpus
         self.stats = DepartureJoinStats()
 
@@ -250,12 +236,8 @@ class ManagedTlsDetector:
         findings: Optional[StaleFindings] = None,
     ) -> StaleFindings:
         out = findings if findings is not None else StaleFindings()
-        # Columnar corpora serve the managed rows from a precomputed index;
-        # the join re-checks the marker SAN, so both sources agree.
-        indexed = getattr(self._corpus, "managed_certificates", None)
-        source = indexed() if indexed is not None else self._corpus.certificates()
         join = ManagedCertificateJoin()
-        for certificate in source:
+        for certificate in self._corpus.managed_certificates():
             join.add(certificate)
         out.extend(join.join(find_departures(store)))
         self.stats = join.stats

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.ct.dedup import CertificateCorpus
+from repro.ct.dedup import Corpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
 from repro.pki.certificate import Certificate
 from repro.psl.registered import e2ld
@@ -104,31 +104,10 @@ def find_re_registrations(
 class RegistrantChangeDetector:
     """Joins re-registration events against certificate validity windows."""
 
-    def __init__(self, corpus: CertificateCorpus, tlds: Optional[Sequence[str]] = ("com", "net")) -> None:
+    def __init__(self, corpus: Corpus, tlds: Optional[Sequence[str]] = ("com", "net")) -> None:
         self._corpus = corpus
         self._tlds = tlds
-        self._certs_by_e2ld: Optional[Dict[str, List[Certificate]]] = None
         self.stats = RegistrantJoinStats()
-
-    def _candidates(self, lookup: str, day: Day) -> Tuple[int, Sequence[Certificate]]:
-        """How many certificates have a SAN under e2LD *lookup*, and the
-        candidates among them for a re-registration on *day*, corpus order.
-
-        Columnar corpora answer this from their sorted e2LD index and drop
-        rows whose validity columns cannot span *day* before hydrating
-        anything; plain corpora build a full e2LD index once and leave the
-        validity check to :func:`re_registration_findings`.
-        """
-        indexed = getattr(self._corpus, "e2ld_candidates", None)
-        if indexed is not None:
-            return indexed(lookup, day)
-        if self._certs_by_e2ld is None:
-            self._certs_by_e2ld = {}
-            for certificate in self._corpus.certificates():
-                for registrable in certificate.e2lds():
-                    self._certs_by_e2ld.setdefault(registrable, []).append(certificate)
-        certificates = self._certs_by_e2ld.get(lookup, ())
-        return len(certificates), certificates
 
     def detect(
         self,
@@ -141,7 +120,7 @@ class RegistrantChangeDetector:
         self.stats = RegistrantJoinStats(re_registration_events=len(events))
         emitted = set()
         for event in events:
-            joined, candidates = self._candidates(
+            joined, candidates = self._corpus.e2ld_candidates(
                 registration_key(event.domain), event.creation_day
             )
             if joined:

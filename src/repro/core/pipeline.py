@@ -25,7 +25,7 @@ from repro.obs import get_registry, names, phase_progress, span
 from repro.core.detectors.managed_tls import ManagedTlsDetector
 from repro.core.detectors.registrant_change import RegistrantChangeDetector
 from repro.core.stale import ClassAggregate, StaleCertificate, StalenessClass, StaleFindings
-from repro.ct.dedup import CertificateCorpus
+from repro.ct.dedup import Corpus
 from repro.dns.snapshots import SnapshotStore
 from repro.revocation.crl import CertificateRevocationList
 from repro.util.dates import Day
@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel -> core)
 class DatasetBundle:
     """The four datasets of paper Table 3."""
 
-    corpus: CertificateCorpus
+    corpus: Corpus
     crls: List[CertificateRevocationList] = field(default_factory=list)
     whois_creation_pairs: List[Tuple[str, Day]] = field(default_factory=list)
     dns_snapshots: Optional[SnapshotStore] = None

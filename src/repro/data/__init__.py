@@ -3,8 +3,9 @@
 One API for every engine that consumes a saved
 :class:`~repro.core.pipeline.DatasetBundle`:
 
-* :func:`open_bundle` — open a saved bundle directory as a lazy bundle
-  (``Dataset.open(dir).to_bundle()``);
+* :func:`open_bundle` — open a saved bundle directory as a
+  :class:`~repro.core.pipeline.DatasetBundle` whose corpus is the
+  columnar certs table (``Dataset.open(dir).to_bundle()``);
 * :class:`Dataset` — typed table handles (``certs`` / ``revocations`` /
   ``whois`` / ``dns``) with ``scan()``, ``lookup()``,
   ``interval_query()`` over memory-mapped columnar segments;

@@ -7,9 +7,9 @@ maps the saved bundle and exposes typed table handles:
 =====================  ===================================================
 handle                 purpose
 =====================  ===================================================
-``dataset.certs``      certificate corpus; ``certificate(row)`` hydration,
-                       ``lookup("revkey", (akid, serial))``,
-                       ``lookup("e2ld", domain)``, ``managed_rows()``
+``dataset.certs``      certificate corpus: the columnar
+                       :class:`~repro.ct.dedup.Corpus` store, its joins
+                       served by the ``revkey``/``e2ld``/``managed`` indexes
 ``dataset.revocations``  deduplicated CRL entries with issuer/akid
 ``dataset.whois``      (domain, creation day) pairs
 ``dataset.dns``        per-(day, apex) record observations
@@ -43,10 +43,14 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left, bisect_right
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.pipeline import DatasetBundle
 from repro.core.stale import StalenessClass
+from repro.ct.dedup import ValidityRow
 from repro.data import schema
+from repro.data.bundle import LazySnapshotStore, synthetic_crls
 from repro.data.segment import Segment, SegmentFormatError, check_span
 from repro.obs import get_registry, names
 from repro.pki.certificate import Certificate
@@ -95,6 +99,11 @@ class Table:
 
     def __len__(self) -> int:
         return self.rows
+
+    def __reduce__(self):
+        # Pickles as its manifest entry and segment loader: the copy maps
+        # the same files on first use (the spawn-start shard workers).
+        return (type(self), (self.name, self._refs, self._loader, self._indexes))
 
     # -- segments ------------------------------------------------------------
 
@@ -322,7 +331,9 @@ _HYDRATE_CHUNK = 4096
 
 
 class CertsTable(Table):
-    """Certificate table: hydration cache plus the join indexes."""
+    """The columnar :class:`~repro.ct.dedup.Corpus` store: joins answer
+    from the sorted indexes and the validity columns, and a certificate is
+    built (and cached) only for a row a query returns."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -348,16 +359,39 @@ class CertsTable(Table):
                     self._hydrated[row] = certificate
                 yield certificate
 
-    def rows_for_revocation_key(self, key: Tuple[str, int]) -> List[int]:
-        return self.lookup("revkey", key)
+    def revocation_match(self, key: Tuple[str, int]) -> Optional[ValidityRow]:
+        rows = self.lookup("revkey", key)
+        if not rows:
+            return None
+        row = rows[-1]
+        return ValidityRow(
+            row, self.column("not_before")[row], self.column("not_after")[row]
+        )
 
-    def rows_for_e2ld(self, registrable: str) -> List[int]:
-        return self.lookup("e2ld", registrable)
+    def e2ld_candidates(self, e2ld: str, day: Day) -> Tuple[int, List[Certificate]]:
+        """Rows whose validity columns cannot span *day* are dropped before
+        any certificate is built."""
+        rows = self.lookup("e2ld", e2ld)
+        not_before = self.column("not_before")
+        not_after = self.column("not_after")
+        return len(rows), [
+            self.certificate(row)
+            for row in rows
+            if not_before[row] < day < not_after[row]
+        ]
 
     def managed_rows(self) -> List[int]:
         """Rows of CDN-managed certificates, ascending (corpus order)."""
         segment = self._index_segment("managed")
         return segment.column("row").read(0, segment.rows)
+
+    def managed_certificates(self) -> List[Certificate]:
+        return [self.certificate(row) for row in self.managed_rows()]
+
+    def routing_keys(self) -> Iterator[Tuple[str, List[str]]]:
+        """Read from the ``authority_key_id`` and derived ``e2lds`` columns
+        (sorted at write time), so routing builds no certificate."""
+        return zip(self.column("authority_key_id"), self.column("e2lds"))
 
 
 class RevocationsTable(Table):
@@ -392,6 +426,10 @@ _TABLE_CLASSES: Dict[str, type] = {
 # ---------------------------------------------------------------------------
 
 
+def _open_segment(directory: str, filename: str) -> Segment:
+    return Segment.open(os.path.join(directory, filename))
+
+
 class Dataset:
     """A columnar bundle: four typed tables plus observation windows."""
 
@@ -423,9 +461,7 @@ class Dataset:
                 f"(this reader understands {FORMAT_VERSION})",
             )
 
-        def loader(filename: str) -> Segment:
-            return Segment.open(os.path.join(directory, filename))
-
+        loader = partial(_open_segment, directory)
         tables: Dict[str, Table] = {}
         try:
             for name in schema.TABLE_NAMES:
@@ -472,11 +508,18 @@ class Dataset:
     def dns(self) -> Table:
         return self._tables[schema.DNS_TABLE]
 
-    def to_bundle(self):
-        """A lazy :class:`~repro.core.pipeline.DatasetBundle` stand-in."""
-        from repro.data.bundle import ColumnarBundle
-
-        return ColumnarBundle(self)
+    def to_bundle(self) -> DatasetBundle:
+        """The bundle the engines run on: the certs table is its corpus,
+        CRLs are rebuilt per (issuer, akid) and DNS snapshots build one
+        day at a time. It shares this dataset's mappings, so the dataset
+        must stay open while the bundle is used."""
+        return DatasetBundle(
+            corpus=self.certs,
+            crls=synthetic_crls(self.revocations),
+            whois_creation_pairs=self.whois.pairs(),
+            dns_snapshots=LazySnapshotStore(self.dns) if self.dns.rows else None,
+            windows=dict(self.windows),
+        )
 
     def close(self) -> None:
         """Release every mapped segment (memoryviews first, then mmaps)."""
@@ -566,9 +609,11 @@ def write_dataset(
 # ---------------------------------------------------------------------------
 
 
-def open_bundle(directory: str):
+def open_bundle(directory: str) -> DatasetBundle:
     """``Dataset.open(directory).to_bundle()``: the bundle saved at
-    *directory* as a lazy :class:`~repro.data.bundle.ColumnarBundle`.
+    *directory*. Its mappings are released when the bundle is garbage;
+    callers that must release them earlier hold the :class:`Dataset`
+    (``with Dataset.open(directory) as dataset:``).
 
     A missing directory or manifest raises ``OSError``; a corrupt one
     raises ``ValueError``.
@@ -582,8 +627,11 @@ def check_equivalent(left_dir: str, right_dir: str) -> List[str]:
     Returns a list of human-readable mismatch descriptions — empty means
     the bundles are equivalent in everything the engines consume.
     """
-    left = open_bundle(left_dir)
-    right = open_bundle(right_dir)
+    with Dataset.open(left_dir) as left_dataset, Dataset.open(right_dir) as right_dataset:
+        return _bundle_problems(left_dataset.to_bundle(), right_dataset.to_bundle())
+
+
+def _bundle_problems(left: DatasetBundle, right: DatasetBundle) -> List[str]:
     problems: List[str] = []
 
     left_certs = list(left.corpus.certificates())

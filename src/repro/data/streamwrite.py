@@ -23,7 +23,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.detectors.managed_tls import has_managed_marker_san
+from repro.ct.dedup import has_managed_marker_san
 from repro.data import schema
 from repro.data.append import AppendSegmentWriter, ExternalSorter
 from repro.data.dataset import (

@@ -32,7 +32,6 @@ from repro.parallel.pipeline import (
 )
 from repro.parallel.sharding import (
     BundleShard,
-    ShardCorpus,
     ShardPlan,
     domain_key,
     partition_bundle,
@@ -48,7 +47,6 @@ __all__ = [
     "partition_bundle",
     "ShardPlan",
     "BundleShard",
-    "ShardCorpus",
     "domain_key",
     "stable_hash",
     "SerialExecutor",

@@ -12,11 +12,15 @@ Two executors implement the same ``run(plan, config)`` contract:
 * :class:`SerialExecutor` — runs shards in-process, in index order. Used
   for ``workers=1``, in tests, and as the deterministic reference.
 * :class:`ProcessPoolShardExecutor` — fans shards out over a
-  ``concurrent.futures.ProcessPoolExecutor``. On ``fork`` platforms the
-  shard plan is published in a module global *before* the pool is created,
-  so children inherit it through copy-on-write memory and tasks are
-  submitted as bare shard indexes (no input pickling). On ``spawn``
-  platforms it falls back to pickling ``(shard, config)`` payloads.
+  ``concurrent.futures.ProcessPoolExecutor`` built on the default
+  multiprocessing context. When that context forks, the shard plan is
+  published in a module global *before* the pool is created, so children
+  inherit it through copy-on-write memory and tasks are submitted as bare
+  shard indexes (no input pickling). Under ``spawn`` or ``forkserver``
+  (the macOS default, and Linux's from Python 3.14) it pickles
+  ``(shard, config)`` payloads instead; a shard's corpus slices over a
+  columnar bundle pickle as segment files plus row ids, and the worker
+  maps the files itself.
 
 Shards are submitted as futures and collected ``as_completed`` — the
 ``detect_shards`` progress gauge advances the moment each shard lands, so
@@ -181,7 +185,10 @@ class ProcessPoolShardExecutor:
 
     def run(self, plan: ShardPlan, config: WorkerConfig) -> List[ShardOutcome]:
         global _FORK_PLAN, _FORK_CONFIG
-        use_fork = multiprocessing.get_start_method(allow_none=True) in (None, "fork")
+        # One context decides both the task shape and the pool, so bare
+        # indexes only ever reach workers that forked after _FORK_PLAN.
+        context = multiprocessing.get_context()
+        use_fork = context.get_start_method() == "fork"
         workers = min(self._workers, len(plan.shards))
         progress = phase_progress("detect_shards")
         progress.set_total(len(plan.shards))
@@ -192,7 +199,7 @@ class ProcessPoolShardExecutor:
             # advances per landing shard; outcomes are slotted by index
             # to keep the downstream merge order-independent.
             slots: List[Optional[ShardOutcome]] = [None] * len(plan.shards)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 if use_fork:
                     futures = {
                         pool.submit(_run_shard_by_index, index): index

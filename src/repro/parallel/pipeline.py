@@ -200,8 +200,8 @@ class ParallelMeasurementPipeline:
             stats.shards.append(
                 ShardRecord(
                     index=shard.index,
-                    revocation_certificates=len(shard.revocation_certificates),
-                    domain_certificates=len(shard.domain_certificates),
+                    revocation_certificates=len(shard.revocation_corpus),
+                    domain_certificates=len(shard.domain_corpus),
                     crls=len(shard.crls),
                     whois_pairs=len(shard.whois_creation_pairs),
                     snapshot_observations=shard.snapshot_observations(),

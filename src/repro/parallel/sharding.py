@@ -21,6 +21,13 @@ because the three joins use two different keys:
   .com/.net zone files); a SAN beneath an apex then shares the apex's
   domain key and can never land in a different shard.
 
+Routing reads only :meth:`~repro.ct.dedup.Corpus.routing_keys` — the
+authority key id and the sorted e2LD list per row — so over the columnar
+store no certificate is built to plan the shards. Each shard's two
+corpora are :class:`~repro.ct.dedup.CorpusSlice` row lists over the
+bundle's one store; the detectors' joins still use the store's indexes,
+which join-closed routing makes exact.
+
 Shard assignment hashes the *minimum member key* of a component with
 :func:`stable_hash` (BLAKE2b — Python's builtin ``hash`` is salted per
 process and would break cross-process determinism). The Cloudflare marker
@@ -41,8 +48,8 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.pipeline import DatasetBundle
+from repro.ct.dedup import CorpusSlice
 from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
-from repro.pki.certificate import Certificate
 from repro.psl.registered import e2ld
 from repro.revocation.crl import CertificateRevocationList
 from repro.util.dates import Day
@@ -94,48 +101,16 @@ class _UnionFind:
         return iter(self._parent)
 
 
-class ShardCorpus:
-    """Duck-typed stand-in for :class:`~repro.ct.dedup.CertificateCorpus`.
-
-    The detectors only call ``certificates()``, ``by_revocation_key()``
-    and ``len()``; rebuilding a real corpus per shard (re-running dedup and
-    the anomaly filter) would be wasted work — the parent already did it.
-    """
-
-    def __init__(self, certificates: List[Certificate]) -> None:
-        self._certificates = certificates
-
-    def certificates(self) -> Iterator[Certificate]:
-        return iter(self._certificates)
-
-    def __len__(self) -> int:
-        return len(self._certificates)
-
-    def by_revocation_key(self) -> Dict[Tuple[str, int], Certificate]:
-        return {cert.revocation_key(): cert for cert in self._certificates}
-
-
-def _shard_corpus(certificates):
-    """The corpus stand-in for a shard's certificate list.
-
-    Columnar row lists carry their own index-backed corpus; plain lists
-    (and row lists that crossed a spawn-pickle boundary, which degrade to
-    plain lists) get the materialized :class:`ShardCorpus`.
-    """
-    as_shard_corpus = getattr(certificates, "as_shard_corpus", None)
-    if as_shard_corpus is not None:
-        return as_shard_corpus()
-    return ShardCorpus(certificates)
-
-
 @dataclass
 class BundleShard:
     """One independent slice of a dataset bundle (both axes)."""
 
     index: int
-    revocation_certificates: List[Certificate] = field(default_factory=list)
+    #: The certificates routed by authority key id (key compromise).
+    revocation_corpus: CorpusSlice
+    #: The certificates routed by e2LD component (the two domain joins).
+    domain_corpus: CorpusSlice
     crls: List[CertificateRevocationList] = field(default_factory=list)
-    domain_certificates: List[Certificate] = field(default_factory=list)
     whois_creation_pairs: List[Tuple[str, Day]] = field(default_factory=list)
     dns_snapshots: Optional[SnapshotStore] = None
 
@@ -146,12 +121,9 @@ class BundleShard:
         sets, so the view picks the corpus matching the detector's join.
         """
         if detector_key == "key_compromise":
-            return DatasetBundle(
-                corpus=_shard_corpus(self.revocation_certificates),  # type: ignore[arg-type]
-                crls=self.crls,
-            )
+            return DatasetBundle(corpus=self.revocation_corpus, crls=self.crls)
         return DatasetBundle(
-            corpus=_shard_corpus(self.domain_certificates),  # type: ignore[arg-type]
+            corpus=self.domain_corpus,
             whois_creation_pairs=self.whois_creation_pairs,
             dns_snapshots=self.dns_snapshots,
         )
@@ -178,59 +150,58 @@ class ShardPlan:
     revocation_assignment: Dict[str, int] = field(default_factory=dict)
     #: domain key -> shard index (domain axis; component-consistent).
     domain_assignment: Dict[str, int] = field(default_factory=dict)
-    #: dedup fingerprint -> shard index, per axis.
-    certificate_revocation_shard: Dict[str, int] = field(default_factory=dict)
-    certificate_domain_shard: Dict[str, int] = field(default_factory=dict)
 
 
 def partition_bundle(bundle: DatasetBundle, num_shards: int) -> ShardPlan:
-    """Split *bundle* into ``num_shards`` join-closed shards."""
+    """Split *bundle* (whose corpus is a store, not a slice) into
+    ``num_shards`` join-closed shards."""
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    plan = ShardPlan(
-        num_shards=num_shards,
-        shards=[BundleShard(index=i) for i in range(num_shards)],
-    )
-    plan_columns = getattr(bundle.corpus, "shard_plan_columns", None)
-    if plan_columns is not None:
-        return _partition_columnar(bundle, plan, *plan_columns())
-    certificates = list(bundle.corpus.certificates())
+    plan = ShardPlan(num_shards=num_shards, shards=[])
+    corpus = bundle.corpus
+    revocation_rows: List[List[int]] = [[] for _ in range(num_shards)]
+    domain_rows: List[List[int]] = [[] for _ in range(num_shards)]
 
-    # -- revocation axis: exact routing by authority key id ------------------
-    for certificate in certificates:
-        shard_index = plan.revocation_assignment.setdefault(
-            certificate.authority_key_id,
-            stable_hash(certificate.authority_key_id) % num_shards,
-        )
-        plan.certificate_revocation_shard[certificate.dedup_fingerprint()] = shard_index
-        plan.shards[shard_index].revocation_certificates.append(certificate)
-    for crl in bundle.crls:
-        shard_index = plan.revocation_assignment.setdefault(
-            crl.authority_key_id, stable_hash(crl.authority_key_id) % num_shards
-        )
-        plan.shards[shard_index].crls.append(crl)
-
-    # -- domain axis: union-find over registered-domain join keys ------------
+    # One pass over the routing keys: revocation rows go by authority key
+    # id; domain components form by union-find over registered domains.
     components = _UnionFind()
-    for certificate in certificates:
-        keys = sorted(certificate.e2lds())
-        for key in keys:
+    row_e2lds: List[List[str]] = []
+    for row, (akid, keys) in enumerate(corpus.routing_keys()):
+        shard_index = plan.revocation_assignment.setdefault(
+            akid, stable_hash(akid) % num_shards
+        )
+        revocation_rows[shard_index].append(row)
+        row_e2lds.append(keys)
+        for key in keys:  # sorted: keys[0] is the minimum
             components.add(key)
         for other in keys[1:]:
             components.union(keys[0], other)
     snapshot_days = _add_domain_side_keys(components, bundle)
     _assign_components(plan, components)
 
-    for certificate in certificates:
-        registrables = certificate.e2lds()
-        if registrables:
-            shard_index = plan.domain_assignment[min(registrables)]
+    for row, keys in enumerate(row_e2lds):
+        if keys:
+            shard_index = plan.domain_assignment[keys[0]]
         else:
-            # No registrable SAN: the domain joins can never reach it, so
-            # any stable assignment is correct.
-            shard_index = stable_hash("cert:" + certificate.dedup_fingerprint()) % num_shards
-        plan.certificate_domain_shard[certificate.dedup_fingerprint()] = shard_index
-        plan.shards[shard_index].domain_certificates.append(certificate)
+            # No registrable SAN: the domain joins can never reach it, so any
+            # stable assignment is correct (such rows are rare).
+            fingerprint = corpus.certificate(row).dedup_fingerprint()
+            shard_index = stable_hash("cert:" + fingerprint) % num_shards
+        domain_rows[shard_index].append(row)
+
+    plan.shards = [
+        BundleShard(
+            index=index,
+            revocation_corpus=CorpusSlice(corpus, revocation_rows[index]),
+            domain_corpus=CorpusSlice(corpus, domain_rows[index]),
+        )
+        for index in range(num_shards)
+    ]
+    for crl in bundle.crls:
+        shard_index = plan.revocation_assignment.setdefault(
+            crl.authority_key_id, stable_hash(crl.authority_key_id) % num_shards
+        )
+        plan.shards[shard_index].crls.append(crl)
     _route_whois_and_dns(plan, bundle, snapshot_days)
     return plan
 
@@ -292,65 +263,3 @@ def _route_whois_and_dns(
                     )
                 )
             shard.dns_snapshots = store
-
-
-def _partition_columnar(
-    bundle: DatasetBundle, plan: ShardPlan, akid_column, e2lds_column
-) -> ShardPlan:
-    """Index-only partition of a columnar bundle.
-
-    Routing reads two columns — authority key id and the precomputed
-    sorted e2LD list — so no certificate is hydrated; shards receive lazy
-    row lists that hydrate inside the workers. The assignment is
-    *identical* to the materialized path (same keys, same hashes), but
-    the per-axis fingerprint maps stay empty: filling them is exactly the
-    full-corpus hydration this path exists to avoid, and only the
-    partition-invariant tests consume them.
-    """
-    corpus = bundle.corpus
-    num_shards = plan.num_shards
-    revocation_rows: List[List[int]] = [[] for _ in range(num_shards)]
-    domain_rows: List[List[int]] = [[] for _ in range(num_shards)]
-
-    # -- revocation axis: exact routing by authority key id ------------------
-    for row, akid in enumerate(akid_column):
-        shard_index = plan.revocation_assignment.setdefault(
-            akid, stable_hash(akid) % num_shards
-        )
-        revocation_rows[shard_index].append(row)
-    for crl in bundle.crls:
-        shard_index = plan.revocation_assignment.setdefault(
-            crl.authority_key_id, stable_hash(crl.authority_key_id) % num_shards
-        )
-        plan.shards[shard_index].crls.append(crl)
-
-    # -- domain axis: union-find over registered-domain join keys ------------
-    components = _UnionFind()
-    row_e2lds: List[List[str]] = []
-    for keys in e2lds_column:  # sorted at write time: keys[0] is the min
-        row_e2lds.append(keys)
-        for key in keys:
-            components.add(key)
-        for other in keys[1:]:
-            components.union(keys[0], other)
-    snapshot_days = _add_domain_side_keys(components, bundle)
-    _assign_components(plan, components)
-
-    for row, keys in enumerate(row_e2lds):
-        if keys:
-            shard_index = plan.domain_assignment[keys[0]]
-        else:
-            # No registrable SAN: the domain joins can never reach it; route
-            # by fingerprint exactly as the materialized path does (this is
-            # the one per-row hydration, and such rows are rare).
-            certificate = corpus.certificate_rows([row])[0]
-            shard_index = (
-                stable_hash("cert:" + certificate.dedup_fingerprint()) % num_shards
-            )
-        domain_rows[shard_index].append(row)
-    _route_whois_and_dns(plan, bundle, snapshot_days)
-
-    for shard, revocation, domain in zip(plan.shards, revocation_rows, domain_rows):
-        shard.revocation_certificates = corpus.certificate_rows(revocation)
-        shard.domain_certificates = corpus.certificate_rows(domain)
-    return plan

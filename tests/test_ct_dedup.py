@@ -65,25 +65,11 @@ class TestAnomalousFqdnFilter:
 
 
 class TestQueries:
-    def test_by_revocation_key(self):
+    def test_revocation_match(self):
         corpus = CertificateCorpus()
         cert = make_cert(authority_key_id="akid-q", serial=777)
         corpus.ingest([cert])
-        assert corpus.by_revocation_key()[("akid-q", 777)] is cert
-
-    def test_covering_domain(self):
-        corpus = CertificateCorpus()
-        corpus.ingest([make_cert(sans=("*.foo.com",), serial=70_001)])
-        corpus.ingest([make_cert(sans=("bar.com",), serial=70_002)])
-        assert len(corpus.covering_domain("www.foo.com")) == 1
-        assert len(corpus.covering_domain("bar.com")) == 1
-        assert corpus.covering_domain("baz.org") == []
-
-    def test_with_san_suffix(self):
-        corpus = CertificateCorpus()
-        corpus.ingest(
-            [make_cert(sans=("sni1234.cloudflaressl.com", "cust.com"), serial=70_010)]
-        )
-        corpus.ingest([make_cert(sans=("plain.com",), serial=70_011)])
-        hits = corpus.with_san_suffix("cloudflaressl.com")
-        assert len(hits) == 1
+        match = corpus.revocation_match(("akid-q", 777))
+        assert corpus.certificate(match.row) is cert
+        assert (match.not_before, match.not_after) == (cert.not_before, cert.not_after)
+        assert corpus.revocation_match(("akid-q", 778)) is None

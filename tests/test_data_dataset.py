@@ -114,11 +114,11 @@ class TestIndexes:
                 row for row in range(len(certs))
                 if (akids[row], serials[row]) == key
             ]
-            assert certs.rows_for_revocation_key(key) == expected
+            assert certs.lookup("revkey", key) == expected
 
     def test_lookup_misses_return_empty(self, dataset):
-        assert dataset.certs.rows_for_revocation_key(("no-such-akid", -1)) == []
-        assert dataset.certs.rows_for_e2ld("zzz-not-a-domain.example") == []
+        assert dataset.certs.lookup("revkey", ("no-such-akid", -1)) == []
+        assert dataset.certs.lookup("e2ld", "zzz-not-a-domain.example") == []
 
     def test_interval_query_matches_brute_force(self, dataset):
         certs = dataset.certs
@@ -228,13 +228,14 @@ class TestColumnsBeforeObjects:
 
         events = self._events(bundle)
         assert events
-        with open_bundle(dataset_dir) as columnar:
-            certs = columnar.dataset.certs
+        with Dataset.open(dataset_dir) as dataset:
+            columnar = dataset.to_bundle()
+            certs = dataset.certs
             not_before = certs.column("not_before")
             not_after = certs.column("not_after")
             spanning, candidates = set(), set()
             for event in events:
-                for row in certs.rows_for_e2ld(registration_key(event.domain)):
+                for row in certs.lookup("e2ld", registration_key(event.domain)):
                     candidates.add(row)
                     if not_before[row] < event.creation_day < not_after[row]:
                         spanning.add(row)
@@ -257,16 +258,50 @@ class TestColumnsBeforeObjects:
         ]
 
     def test_shard_corpus_answers_like_the_full_corpus(self, dataset_dir, bundle):
+        """Both stores, and a full-row slice of each, answer every join
+        alike (compared by fingerprint)."""
         from repro.core.detectors.registrant_change import registration_key
+        from repro.ct.dedup import CorpusSlice
+        from repro.revocation.crl import merge_crl_series
 
-        with open_bundle(dataset_dir) as columnar:
-            corpus = columnar.corpus
-            shard = corpus.certificate_rows(range(len(corpus))).as_shard_corpus()
-            for event in self._events(bundle)[:25]:
-                key = registration_key(event.domain)
-                assert shard.e2ld_candidates(key, event.creation_day) == (
-                    corpus.e2ld_candidates(key, event.creation_day)
+        def fingerprints(certificates):
+            return [certificate.dedup_fingerprint() for certificate in certificates]
+
+        def answers(corpus):
+            matches = []
+            for key in merge_crl_series(bundle.crls):
+                match = corpus.revocation_match(key)
+                matches.append(
+                    None if match is None else (
+                        corpus.certificate(match.row).dedup_fingerprint(),
+                        match.not_before,
+                        match.not_after,
+                    )
                 )
+            candidates = []
+            for event in self._events(bundle):
+                count, found = corpus.e2ld_candidates(
+                    registration_key(event.domain), event.creation_day
+                )
+                candidates.append((count, fingerprints(found)))
+            return {
+                "revocation_match": matches,
+                "e2ld_candidates": candidates,
+                "managed": fingerprints(corpus.managed_certificates()),
+                "routing_keys": list(corpus.routing_keys()),
+                "certificates": fingerprints(corpus.certificates()),
+            }
+
+        with Dataset.open(dataset_dir) as dataset:
+            stores = [bundle.corpus, dataset.certs]
+            corpora = stores + [CorpusSlice(store, range(len(store))) for store in stores]
+            reference = answers(bundle.corpus)
+            assert any(reference["revocation_match"])
+            assert any(count for count, _ in reference["e2ld_candidates"])
+            assert reference["managed"]
+            for corpus in corpora:
+                assert len(corpus) == len(bundle.corpus)
+                assert answers(corpus) == reference, type(corpus).__name__
 
 
 class TestOpenFailsFast:

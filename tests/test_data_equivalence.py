@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import MeasurementPipeline, ParallelMeasurementPipeline
-from repro.data import open_bundle, write_dataset
+from repro.data import Dataset, open_bundle, write_dataset
 from repro.serve import FindingsIndex
 from repro.stream import StreamEngine, canonical_findings
 
@@ -80,18 +80,17 @@ class TestForkSafety:
     ):
         """A forked worker inherits the parent's mapped segments; runs
         must still merge correctly and the parent must close cleanly."""
-        bundle = open_bundle(columnar_dir)
-        with ProcessPoolExecutor(max_workers=2):
-            pass  # prove fork itself is safe with segments already mapped
-        result = ParallelMeasurementPipeline(
-            bundle, workers=2, revocation_cutoff_day=cutoff
-        ).run()
-        assert canonical_findings(result.findings) == materialised_findings
-        bundle.close()
+        with Dataset.open(columnar_dir) as dataset:
+            bundle = dataset.to_bundle()
+            with ProcessPoolExecutor(max_workers=2):
+                pass  # prove fork itself is safe with segments already mapped
+            result = ParallelMeasurementPipeline(
+                bundle, workers=2, revocation_cutoff_day=cutoff
+            ).run()
+            assert canonical_findings(result.findings) == materialised_findings
         # Reopen and run again: closing released the maps, nothing leaked.
-        reopened = open_bundle(columnar_dir)
-        again = MeasurementPipeline(
-            reopened, revocation_cutoff_day=cutoff
-        ).run()
-        assert canonical_findings(again.findings) == materialised_findings
-        reopened.close()
+        with Dataset.open(columnar_dir) as reopened:
+            again = MeasurementPipeline(
+                reopened.to_bundle(), revocation_cutoff_day=cutoff
+            ).run()
+            assert canonical_findings(again.findings) == materialised_findings

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro import MeasurementPipeline, ParallelMeasurementPipeline
 from repro.core.pipeline import DatasetBundle
+from repro.data import Dataset, write_dataset
 from repro.dns.snapshots import SnapshotStore
 from repro.parallel import (
     ProcessPoolShardExecutor,
     SerialExecutor,
+    WorkerConfig,
     domain_key,
     partition_bundle,
+    run_shard,
 )
 from repro.stream.engine import canonical_findings
 
@@ -19,6 +25,20 @@ from repro.stream.engine import canonical_findings
 @pytest.fixture(scope="module")
 def bundle(small_world):
     return small_world.to_bundle()
+
+
+@pytest.fixture(scope="module")
+def columnar_bundle(small_world, tmp_path_factory):
+    """The same world saved with ``write_dataset`` and reopened: the
+    bundle every ``--bundle`` run partitions."""
+    directory = str(tmp_path_factory.mktemp("columnar"))
+    write_dataset(small_world.to_bundle(), directory)
+    with Dataset.open(directory) as dataset:
+        yield dataset.to_bundle()
+
+
+def _fingerprints(corpus):
+    return [certificate.dedup_fingerprint() for certificate in corpus.certificates()]
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +66,9 @@ class TestPartitionInvariants:
             certificate.dedup_fingerprint()
             for certificate in bundle.corpus.certificates()
         }
-        for axis in ("revocation_certificates", "domain_certificates"):
+        for axis in ("revocation_corpus", "domain_corpus"):
             per_shard = [
-                {c.dedup_fingerprint() for c in getattr(shard, axis)}
+                {c.dedup_fingerprint() for c in getattr(shard, axis).certificates()}
                 for shard in plan.shards
             ]
             assert sum(len(s) for s in per_shard) == len(all_fingerprints), axis
@@ -60,7 +80,7 @@ class TestPartitionInvariants:
 
     def test_revocation_keys_never_straddle_shards(self, plan):
         for shard in plan.shards:
-            for certificate in shard.revocation_certificates:
+            for certificate in shard.revocation_corpus.certificates():
                 assert (
                     plan.revocation_assignment[certificate.authority_key_id]
                     == shard.index
@@ -70,7 +90,7 @@ class TestPartitionInvariants:
 
     def test_domain_keys_never_straddle_shards(self, plan):
         for shard in plan.shards:
-            for certificate in shard.domain_certificates:
+            for certificate in shard.domain_corpus.certificates():
                 for registrable in certificate.e2lds():
                     # Every join key of a certificate lives where the
                     # certificate lives: the RC/MT lookups cannot miss.
@@ -107,8 +127,8 @@ class TestPartitionInvariants:
     def test_single_shard_partition_is_the_whole_bundle(self, bundle):
         plan = partition_bundle(bundle, 1)
         shard = plan.shards[0]
-        assert len(shard.revocation_certificates) == len(bundle.corpus)
-        assert len(shard.domain_certificates) == len(bundle.corpus)
+        assert len(shard.revocation_corpus) == len(bundle.corpus)
+        assert len(shard.domain_corpus) == len(bundle.corpus)
         assert len(shard.crls) == len(bundle.crls)
         assert len(shard.whois_creation_pairs) == len(bundle.whois_creation_pairs)
 
@@ -117,9 +137,80 @@ class TestPartitionInvariants:
         assert again.domain_assignment == plan.domain_assignment
         assert again.revocation_assignment == plan.revocation_assignment
         for shard, shard_again in zip(plan.shards, again.shards):
-            assert [c.dedup_fingerprint() for c in shard.domain_certificates] == [
-                c.dedup_fingerprint() for c in shard_again.domain_certificates
+            assert _fingerprints(shard.domain_corpus) == _fingerprints(
+                shard_again.domain_corpus
+            )
+
+
+class TestColumnarPartitionInvariants(TestPartitionInvariants):
+    """Every invariant above, on the reopened columnar bundle."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, columnar_bundle):
+        return columnar_bundle
+
+    @pytest.fixture(scope="class")
+    def plan(self, columnar_bundle):
+        return partition_bundle(columnar_bundle, 4)
+
+    def test_columnar_plan_equals_in_memory_plan(self, plan, small_world):
+        in_memory = partition_bundle(small_world.to_bundle(), 4)
+        assert plan.revocation_assignment == in_memory.revocation_assignment
+        assert plan.domain_assignment == in_memory.domain_assignment
+        for shard, expected in zip(plan.shards, in_memory.shards):
+            for axis in ("revocation_corpus", "domain_corpus"):
+                assert _fingerprints(getattr(shard, axis)) == _fingerprints(
+                    getattr(expected, axis)
+                ), axis
+
+
+class TestShardPayloads:
+    """The spawn executor path: shards travel by pickle."""
+
+    def test_pickled_columnar_shards_run_like_the_originals(
+        self, columnar_bundle, cutoff
+    ):
+        plan = partition_bundle(columnar_bundle, 3)
+        config = WorkerConfig(
+            revocation_cutoff_day=cutoff,
+            enabled=("key_compromise", "registrant_change", "managed_tls"),
+        )
+        for shard in plan.shards:
+            copy = pickle.loads(pickle.dumps(shard))
+            original, travelled = run_shard(shard, config), run_shard(copy, config)
+            assert [f.to_record() for f in travelled.findings] == [
+                f.to_record() for f in original.findings
             ]
+            assert travelled.revocation_stats == original.revocation_stats
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_default_non_fork_context_runs_workers(
+        self, method, columnar_bundle, cutoff, monkeypatch
+    ):
+        """A pool on a non-fork default context gets pickled payloads even
+        when no start method was set explicitly."""
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing,
+            "get_context",
+            lambda name=None: get_context(method if name is None else name),
+        )
+        monkeypatch.setattr(
+            multiprocessing,
+            "get_start_method",
+            lambda allow_none=False: None if allow_none else method,
+        )
+        single = MeasurementPipeline.run_bundle(
+            columnar_bundle, revocation_cutoff_day=cutoff, workers=1
+        )
+        sharded = MeasurementPipeline.run_bundle(
+            columnar_bundle, revocation_cutoff_day=cutoff, workers=2
+        )
+        assert sharded.shard_stats.executor == "process"
+        assert [f.to_record() for f in sharded.findings.all_findings()] == [
+            f.to_record() for f in single.findings.all_findings()
+        ]
+        assert sharded.revocation_stats == single.revocation_stats
 
 
 class TestEquivalence:
