@@ -5,16 +5,18 @@ so writing a table costs O(table) resident memory. The streaming world
 generator (:mod:`repro.ecosystem.streamgen`) emits worlds far larger
 than RAM, so this module provides the append-shaped counterparts:
 
-* :class:`AppendSegmentWriter` — accepts rows one at a time, encodes
-  each cell immediately into per-blob buffers that spill to anonymous
-  temporary files past a threshold, and emits a segment file that is
-  **byte-identical** to what ``SegmentWriter`` would have produced for
-  the same rows (same preamble, header JSON, alignment padding, blob
-  order, and zone maps). The equivalence tests in
-  ``tests/test_data_append.py`` compare raw bytes.
-* :class:`ExternalSorter` — sorts an unbounded stream of tuples with
-  bounded memory (sorted runs spilled to temp files, heap-merged on
-  read), producing exactly the order ``sorted()`` would. Secondary
+* :class:`AppendSegmentWriter` — accepts batches of rows, encodes
+  each batch one column at a time into per-blob buffers that spill to
+  anonymous temporary files past a threshold, and emits a segment file
+  that is **byte-identical** to what ``SegmentWriter`` would have
+  produced for the same rows, however they were batched (same
+  preamble, header JSON, alignment padding, blob order, and zone
+  maps). The equivalence tests in ``tests/test_data_append.py``
+  compare raw bytes.
+* :class:`ExternalSorter` — sorts an unbounded stream of tuples, added
+  in batches, with bounded memory (sorted runs spilled to temp files,
+  heap-merged on read), producing exactly the order ``sorted()``
+  would. Secondary
   indexes and the generator's day-ordered DNS rows are built with it.
 
 Peak memory is O(spill threshold x open blobs), not O(rows).
@@ -30,15 +32,25 @@ import shutil
 import sys
 import tempfile
 from array import array
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.data.segment import I64_MAX, I64_MIN, MAGIC, VERSION, _align, _PREAMBLE
+from repro.data.segment import (
+    _EXTENT_COUNT,
+    _PREAMBLE,
+    I64_MAX,
+    I64_MIN,
+    MAGIC,
+    VERSION,
+    _align,
+)
 
 #: Per-blob bytes held in memory before spilling to a temporary file.
 DEFAULT_SPILL_BYTES = 8 * 1024 * 1024
 
-#: Encoded i64 values buffered per column before packing into the blob.
-_PACK_BATCH = 2048
+#: The one JSON cell encoder, byte-identical to ``SegmentWriter.add_json``.
+#: Its output is ASCII (``ensure_ascii``), so one char is one byte.
+_JSON_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class _SpillBuffer:
@@ -62,16 +74,14 @@ class _SpillBuffer:
             self._chunks.append(data)
             if self.size > self._spill_bytes:
                 self._file = tempfile.TemporaryFile()
-                for chunk in self._chunks:
-                    self._file.write(chunk)
+                self._file.writelines(self._chunks)
                 self._chunks = []
         else:
             self._file.write(data)
 
     def copy_into(self, handle) -> None:
         if self._file is None:
-            for chunk in self._chunks:
-                handle.write(chunk)
+            handle.writelines(self._chunks)
         else:
             self._file.flush()
             self._file.seek(0)
@@ -84,118 +94,72 @@ class _SpillBuffer:
         self._chunks = []
 
 
-class _I64Column:
-    """One i64 column: a single ``array('q')`` blob plus min/max."""
+class _Column:
+    """One column's blobs plus its running zone map.
 
-    kind = "i64"
+    ``i64`` is one ``array('q')`` blob; ``str``/``json`` are an i64
+    offsets blob plus the concatenated cells. :meth:`encode` validates
+    and encodes a batch without touching any state; :meth:`commit`
+    then appends it, so a rejected batch leaves the column as it was.
+    """
 
-    def __init__(self, name: str, spill_bytes: int) -> None:
-        self.name = name
-        self._pending: List[int] = []
-        self._blob = _SpillBuffer(spill_bytes)
-        self._min: Optional[int] = None
-        self._max: Optional[int] = None
-
-    def append(self, value: Any) -> None:
-        if not (I64_MIN <= value <= I64_MAX):
-            raise ValueError(
-                f"column {self.name!r}: value {value} does not fit in int64"
-            )
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        self._pending.append(value)
-        if len(self._pending) >= _PACK_BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._pending:
-            self._blob.write(array("q", self._pending).tobytes())
-            self._pending = []
-
-    def zonemap(self) -> Optional[Dict[str, Any]]:
-        if self._min is None:
-            return None
-        return {"min": self._min, "max": self._max}
-
-    def blobs(self) -> List[_SpillBuffer]:
-        self._flush()
-        return [self._blob]
-
-    def close(self) -> None:
-        self._blob.close()
-
-
-class _OffsetsColumn:
-    """A str/json column: i64 offsets blob plus concatenated payload."""
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        encode: Callable[[Any], bytes],
-        track_zonemap: bool,
-        spill_bytes: int,
-    ) -> None:
+    def __init__(self, name: str, kind: str, spill_bytes: int) -> None:
+        if kind not in _EXTENT_COUNT:
+            raise ValueError(f"unknown column kind {kind!r}")
         self.name = name
         self.kind = kind
-        self._encode = encode
-        self._track_zonemap = track_zonemap
-        self._offsets_pending: List[int] = [0]
+        self.blobs = [_SpillBuffer(spill_bytes) for _ in range(_EXTENT_COUNT[kind])]
+        if kind != "i64":
+            self.blobs[0].write(array("q", [0]).tobytes())
         self._position = 0
-        self._offsets_blob = _SpillBuffer(spill_bytes)
-        self._data_blob = _SpillBuffer(spill_bytes)
-        self._min: Optional[str] = None
-        self._max: Optional[str] = None
+        self._zone: Optional[Tuple[Any, Any]] = None
 
-    def append(self, value: Any) -> None:
-        if self._track_zonemap:
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
-        encoded = self._encode(value)
-        self._position += len(encoded)
-        self._data_blob.write(encoded)
-        self._offsets_pending.append(self._position)
-        if len(self._offsets_pending) >= _PACK_BATCH:
-            self._flush()
+    def encode(self, values: Sequence[Any]) -> Tuple[List[bytes], Any, int]:
+        """``(blob parts, (min, max) or None, end offset)`` of one batch."""
+        zone = None if self.kind == "json" else (min(values), max(values))
+        if self.kind == "i64":
+            low, high = zone
+            if low < I64_MIN or high > I64_MAX:
+                raise ValueError(
+                    f"column {self.name!r}: value "
+                    f"{low if low < I64_MIN else high} does not fit in int64"
+                )
+            return [array("q", values).tobytes()], zone, self._position
+        if self.kind == "str":
+            cells = list(map(str.encode, values))
+            data = b"".join(cells)
+        else:
+            cells = list(map(_JSON_ENCODE, values))
+            data = "".join(cells).encode("ascii")
+        offsets = array("q", accumulate(map(len, cells), initial=self._position))
+        return [offsets[1:].tobytes(), data], zone, offsets[-1]
 
-    def _flush(self) -> None:
-        if self._offsets_pending:
-            self._offsets_blob.write(array("q", self._offsets_pending).tobytes())
-            self._offsets_pending = []
+    def commit(self, encoded: Tuple[List[bytes], Any, int]) -> None:
+        parts, zone, self._position = encoded
+        for blob, part in zip(self.blobs, parts):
+            blob.write(part)
+        if self._zone is not None:
+            zone = (min(self._zone[0], zone[0]), max(self._zone[1], zone[1]))
+        self._zone = zone
 
     def zonemap(self) -> Optional[Dict[str, Any]]:
-        if not self._track_zonemap or self._min is None:
+        if self._zone is None:
             return None
-        return {"min": self._min, "max": self._max}
-
-    def blobs(self) -> List[_SpillBuffer]:
-        self._flush()
-        return [self._offsets_blob, self._data_blob]
+        return {"min": self._zone[0], "max": self._zone[1]}
 
     def close(self) -> None:
-        self._offsets_blob.close()
-        self._data_blob.close()
-
-
-def _encode_str(value: str) -> bytes:
-    return value.encode("utf-8")
-
-
-def _encode_json(value: Any) -> bytes:
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        for blob in self.blobs:
+            blob.close()
 
 
 class AppendSegmentWriter:
-    """Row-at-a-time segment writer with bounded resident memory.
+    """Batch-at-a-time segment writer with bounded resident memory.
 
     The column layout is declared up front (``(name, kind)`` pairs in
     written order, kinds ``i64`` / ``str`` / ``json``); each
-    :meth:`append_row` call encodes one value per column. :meth:`write`
-    emits a file byte-identical to ``SegmentWriter`` fed the same data.
+    :meth:`append_rows` call encodes a batch of rows one column at a
+    time. :meth:`write` emits a file byte-identical to ``SegmentWriter``
+    fed the same data, however the rows were split into batches.
     """
 
     def __init__(
@@ -208,38 +172,41 @@ class AppendSegmentWriter:
         self._table = table
         self._meta = dict(meta or {})
         self._rows = 0
-        self._columns: List[Any] = []
+        self._columns: List[_Column] = []
         seen = set()
         for name, kind in columns:
             if name in seen:
                 raise ValueError(f"duplicate column {name!r} in table {table!r}")
             seen.add(name)
-            if kind == "i64":
-                self._columns.append(_I64Column(name, spill_bytes))
-            elif kind == "str":
-                self._columns.append(
-                    _OffsetsColumn(name, "str", _encode_str, True, spill_bytes)
-                )
-            elif kind == "json":
-                self._columns.append(
-                    _OffsetsColumn(name, "json", _encode_json, False, spill_bytes)
-                )
-            else:
-                raise ValueError(f"unknown column kind {kind!r}")
+            self._columns.append(_Column(name, kind, spill_bytes))
 
     @property
     def rows(self) -> int:
         return self._rows
 
-    def append_row(self, row: Sequence[Any]) -> None:
-        if len(row) != len(self._columns):
+    def append_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Append a batch of rows, all or nothing: every column of the
+        batch is validated and encoded before any blob, row count or
+        zone map changes, so a rejected batch leaves the writer intact."""
+        if not rows:
+            return
+        width = len(self._columns)
+        wrong = set(map(len, rows)) - {width}
+        if wrong:
             raise ValueError(
-                f"table {self._table!r}: row has {len(row)} cells, "
-                f"schema has {len(self._columns)} columns"
+                f"table {self._table!r}: row has {min(wrong)} cells, "
+                f"schema has {width} columns"
             )
-        for column, value in zip(self._columns, row):
-            column.append(value)
-        self._rows += 1
+        encoded = [
+            column.encode(values)
+            for column, values in zip(self._columns, zip(*rows))
+        ]
+        for column, batch in zip(self._columns, encoded):
+            column.commit(batch)
+        self._rows += len(rows)
+
+    def append_row(self, row: Sequence[Any]) -> None:
+        self.append_rows((row,))
 
     def zonemap(self) -> Dict[str, Dict[str, Any]]:
         """Per-column min/max, matching ``SegmentWriter._zonemap``."""
@@ -258,7 +225,7 @@ class AppendSegmentWriter:
         for column in self._columns:
             spec: Dict[str, Any] = {"name": column.name, "kind": column.kind}
             extents = []
-            for blob in column.blobs():
+            for blob in column.blobs:
                 aligned = _align(position)
                 blob_plan.append((aligned - position, blob))
                 position = aligned
@@ -332,14 +299,18 @@ class ExternalSorter:
         return self._count
 
     def add(self, item: Tuple) -> None:
-        self._pending.append(item)
-        self._count += 1
-        if len(self._pending) >= self._run_size:
-            self._spill()
+        self.extend((item,))
 
-    def extend(self, items) -> None:
-        for item in items:
-            self.add(item)
+    def extend(self, items: Sequence[Tuple]) -> None:
+        """Add a batch at once; runs still spill at exactly ``run_size``."""
+        self._count += len(items)
+        start = 0
+        while start < len(items):
+            room = self._run_size - len(self._pending)
+            self._pending.extend(items[start : start + room])
+            start += room
+            if len(self._pending) >= self._run_size:
+                self._spill()
 
     def _spill(self) -> None:
         self._pending.sort()

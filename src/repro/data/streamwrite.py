@@ -3,17 +3,20 @@
 :class:`StreamingDatasetWriter` is the one production bundle writer —
 both :func:`repro.data.dataset.write_dataset` and the streaming world
 generator feed it. Callers append raw schema-shaped rows (tuples in
-``schema.COLUMNS`` order) in each table's canonical order; table
-segments roll over every ``rows_per_segment`` rows through
-:class:`~repro.data.append.AppendSegmentWriter`, and secondary-index
-entries are extracted row-by-row into :class:`ExternalSorter` spills,
-so nothing table-sized is ever resident.
+``schema.COLUMNS`` order) in each table's canonical order. Rows are
+taken in :data:`BATCH_ROWS` slices: each slice is encoded column by
+column through :class:`~repro.data.append.AppendSegmentWriter` (split
+where a ``rows_per_segment`` segment fills up), and its secondary-index
+entries are extracted in one :func:`index_entries` call into
+:class:`ExternalSorter` spills, so nothing table-sized is ever
+resident. Index segments are written from the sorted entries in the
+same slices.
 
 :func:`write_rows_dataset` is the *reference* encoder for the same row
 streams: it materialises everything and writes whole columns through
 ``SegmentWriter`` (``_table_writers`` / ``_index_writer``). The two
 paths share no encoder code beyond the schema and
-:func:`iter_index_entries`, which is what makes the byte-identity
+:func:`index_entries`, which is what makes the byte-identity
 equivalence suite in ``tests/test_streamgen_equivalence.py`` meaningful.
 """
 
@@ -21,7 +24,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ct.dedup import has_managed_marker_san
 from repro.data import schema
@@ -62,27 +66,43 @@ _NOT_AFTER_IDX = _CERT_COL["not_after"]
 _E2LDS_IDX = _CERT_COL["e2lds"]
 
 
-def iter_index_entries(
-    table: str, row_id: int, row: Sequence[Any]
-) -> Iterable[Tuple[str, Tuple]]:
-    """``(index name, entry tuple)`` pairs for one schema-shaped row:
-    the one definition of every secondary index's entries (and of the
-    CDN-managed predicate the ``managed`` index applies)."""
+#: The day column of each single-day table's ``interval`` index.
+_DAY_COLUMN = {schema.REVOCATIONS_TABLE: 3, schema.WHOIS_TABLE: 1, schema.DNS_TABLE: 0}
+
+#: Rows encoded per batch, for table segments and index segments alike.
+BATCH_ROWS = 4096
+
+
+def batched(items: Iterable[Any], size: int = BATCH_ROWS) -> Iterator[List[Any]]:
+    """*items* in lists of *size* (the last may be shorter), drawn
+    lazily: a whole-table generator is never materialised."""
+    iterator = iter(items)
+    return iter(lambda: list(islice(iterator, size)), [])
+
+
+def index_entries(
+    table: str, first_row_id: int, rows: Sequence[Sequence[Any]]
+) -> Dict[str, List[Tuple]]:
+    """Index name -> entry tuples for a batch of schema-shaped rows
+    numbered from *first_row_id*: the one definition of every secondary
+    index's entries (and of the CDN-managed predicate the ``managed``
+    index applies)."""
+    numbered = list(zip(range(first_row_id, first_row_id + len(rows)), rows))
     if table == schema.CERTS_TABLE:
-        yield "revkey", (row[_AKID_IDX], row[_SERIAL_IDX], row_id)
-        for registrable in row[_E2LDS_IDX]:
-            yield "e2ld", (registrable, row_id)
-        if has_managed_marker_san(row[_SAN_IDX]):
-            yield "managed", (row_id,)
-        yield "interval", (row[_NOT_BEFORE_IDX], row[_NOT_AFTER_IDX], row_id)
-    elif table == schema.REVOCATIONS_TABLE:
-        yield "interval", (row[3], row[3], row_id)
-    elif table == schema.WHOIS_TABLE:
-        yield "interval", (row[1], row[1], row_id)
-    elif table == schema.DNS_TABLE:
-        yield "interval", (row[0], row[0], row_id)
-    else:
+        return {
+            "revkey": [(row[_AKID_IDX], row[_SERIAL_IDX], i) for i, row in numbered],
+            "e2ld": [(e2ld, i) for i, row in numbered for e2ld in row[_E2LDS_IDX]],
+            "managed": [
+                (i,) for i, row in numbered if has_managed_marker_san(row[_SAN_IDX])
+            ],
+            "interval": [
+                (row[_NOT_BEFORE_IDX], row[_NOT_AFTER_IDX], i) for i, row in numbered
+            ],
+        }
+    if table not in _DAY_COLUMN:
         raise ValueError(f"unknown table {table!r}")
+    day = _DAY_COLUMN[table]
+    return {"interval": [(row[day], row[day], i) for i, row in numbered]}
 
 
 def _windows_spec(windows) -> Dict[str, List[int]]:
@@ -115,12 +135,16 @@ class _RollingTable:
             )
         return self._writer
 
-    def append(self, row: Sequence[Any]) -> None:
-        writer = self._open_writer()
-        writer.append_row(row)
-        self.count += 1
-        if writer.rows >= self._rows_per_segment:
-            self._seal()
+    def extend(self, rows: List[Sequence[Any]]) -> None:
+        """Append a batch, split where a segment fills up."""
+        while rows:
+            writer = self._open_writer()
+            room = self._rows_per_segment - writer.rows
+            writer.append_rows(rows[:room])
+            self.count += min(room, len(rows))
+            if writer.rows >= self._rows_per_segment:
+                self._seal()
+            rows = rows[room:]
 
     def _seal(self) -> None:
         writer = self._writer
@@ -174,15 +198,17 @@ class StreamingDatasetWriter:
         }
 
     def append(self, table: str, row: Sequence[Any]) -> None:
-        rolling = self._tables[table]
-        row_id = rolling.count
-        rolling.append(row)
-        for index_name, entry in iter_index_entries(table, row_id, row):
-            self._sorters[(table, index_name)].add(entry)
+        self.extend(table, (row,))
 
     def extend(self, table: str, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.append(table, row)
+        """Append *rows* (any iterable, drawn lazily) in
+        :data:`BATCH_ROWS` slices."""
+        rolling = self._tables[table]
+        for batch in batched(rows):
+            entries = index_entries(table, rolling.count, batch)
+            rolling.extend(batch)
+            for index_name, index_batch in entries.items():
+                self._sorters[(table, index_name)].extend(index_batch)
 
     def finish(self) -> Dict[str, int]:
         """Seal segments, write sorted indexes + manifest; return rows."""
@@ -197,8 +223,8 @@ class StreamingDatasetWriter:
                     tuple(key_columns) + (("row", "i64"),),
                     meta={"key_columns": [col for col, _ in key_columns]},
                 )
-                for entry in self._sorters[(name, index_name)].sorted_iter():
-                    writer.append_row(entry)
+                for chunk in batched(self._sorters[(name, index_name)].sorted_iter()):
+                    writer.append_rows(chunk)
                 writer.write(os.path.join(self._directory, filename))
                 index_files[index_name] = filename
             tables_spec[name] = {
@@ -299,12 +325,7 @@ def write_rows_dataset(
             for position, (column, _) in enumerate(schema.COLUMNS[name])
         }
         table_writers = _table_writers(name, values, rows_per_segment)
-        entries: Dict[str, List[Tuple]] = {
-            index: [] for index in INDEX_KEY_COLUMNS[name]
-        }
-        for row_id, row in enumerate(rows):
-            for index_name, entry in iter_index_entries(name, row_id, row):
-                entries[index_name].append(entry)
+        entries = index_entries(name, 0, rows)
         indexes = {
             index_name: _index_writer(name, index_name, key_columns, entries[index_name])
             for index_name, key_columns in INDEX_KEY_COLUMNS[name].items()

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.stale import StalenessClass
 from repro.data import schema
 from repro.data.append import ExternalSorter
-from repro.data.streamwrite import StreamingDatasetWriter, write_rows_dataset
+from repro.data.streamwrite import StreamingDatasetWriter, batched, write_rows_dataset
 from repro.ecosystem.cas import (
     CLOUDFLARE_CA_ISSUER,
     COMODO_CRUISELINER_ISSUER,
@@ -734,8 +734,7 @@ def shard_rows(
             row for _, row in emitter.revocations
         )
         batches[schema.WHOIS_TABLE].extend(emitter.whois)
-        for row in emitter.dns:
-            dns_sorter.add(row)
+        dns_sorter.extend(emitter.dns)
         pending_domains += 1
         if on_progress is not None and pending_domains >= PROGRESS_EVERY_DOMAINS:
             on_progress(pending_domains, dns_sorter.spilled_bytes - reported_spill)
@@ -752,17 +751,6 @@ def shard_rows(
     for table in (schema.CERTS_TABLE, schema.REVOCATIONS_TABLE, schema.WHOIS_TABLE):
         if batches[table]:
             yield table, batches[table]
-
-
-def _batched(rows: Iterator[Tuple], batch_rows: int) -> Iterator[List[Tuple]]:
-    batch: List[Tuple] = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= batch_rows:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
 
 
 def stream_rows(
@@ -795,7 +783,7 @@ def stream_rows(
         sorters.append(sorter)
         shards_p.add(1)
     merged = heapq.merge(*[sorter.sorted_iter() for sorter in sorters])
-    for batch in _batched(merged, batch_rows):
+    for batch in batched(merged, batch_rows):
         yield schema.DNS_TABLE, batch
 
 

@@ -75,9 +75,10 @@ SINK_FUNCTIONS: Dict[str, str] = {
 }
 
 #: (class-name suffix, method) → sink kind, matched against resolved
-#: method callees like ``repro.data.append.AppendSegmentWriter.append_row``.
+#: method callees like ``repro.data.append.AppendSegmentWriter.append_rows``.
 SINK_METHODS: Dict[Tuple[str, str], str] = {
     ("AppendSegmentWriter", "append_row"): "segment-append",
+    ("AppendSegmentWriter", "append_rows"): "segment-append",
     ("CheckpointStore", "save"): "checkpoint",
     ("JsonlStore", "write"): "artifact-jsonl",
 }

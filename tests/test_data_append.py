@@ -9,9 +9,11 @@ compare raw file bytes, including the spill paths.
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.append import AppendSegmentWriter, ExternalSorter
-from repro.data.segment import Segment, SegmentWriter
+from repro.data.segment import I64_MAX, I64_MIN, Segment, SegmentWriter
 
 ROWS = [
     (3, "alpha", {"NS": ["ns1.example", "ns2.example"]}),
@@ -31,15 +33,19 @@ def _batch_bytes(rows, meta=None):
     return writer.to_bytes(), writer._zonemap
 
 
-def _append_bytes(tmp_path, rows, meta=None, spill_bytes=8 << 20):
-    writer = AppendSegmentWriter("t", COLUMNS, meta=meta, spill_bytes=spill_bytes)
-    for row in rows:
-        writer.append_row(row)
+def _written(tmp_path, writer):
     zonemap = writer.zonemap()
     path = os.path.join(str(tmp_path), "appended.seg")
     writer.write(path)
     with open(path, "rb") as handle:
         return handle.read(), zonemap
+
+
+def _append_bytes(tmp_path, rows, meta=None, spill_bytes=8 << 20):
+    writer = AppendSegmentWriter("t", COLUMNS, meta=meta, spill_bytes=spill_bytes)
+    for row in rows:
+        writer.append_row(row)
+    return _written(tmp_path, writer)
 
 
 def test_append_writer_bytes_match_batch_writer(tmp_path):
@@ -83,6 +89,77 @@ def test_append_writer_rejects_bad_rows():
     with pytest.raises(ValueError):
         writer.append_row((2**64, "x", None))
     writer.close()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [(5, "x", {1, 2})],  # the json column rejects a set
+        [(-100, "zz", None), (2**64, "x", None)],  # i64 overflow on row 2
+        [(-100, "zz", None), (8, 9, None)],  # the str column rejects an int
+        [(-100, "zz", None), (1, "only-two")],  # a short row
+    ],
+)
+@pytest.mark.parametrize("single", [True, False])
+def test_rejected_rows_leave_the_writer_intact(tmp_path, bad, single):
+    """A rejected row or batch changes no blob, row count or zone map:
+    the valid rows around it give exactly ``SegmentWriter``'s bytes."""
+    writer = AppendSegmentWriter("t", COLUMNS)
+    writer.append_rows(ROWS[:2])
+    with pytest.raises((TypeError, ValueError)):
+        if single:
+            writer.append_row(bad[-1])
+        else:
+            writer.append_rows(bad)
+    assert writer.rows == 2
+    writer.append_rows(ROWS[2:])
+    expected, expected_zonemap = _batch_bytes(ROWS)
+    actual, zonemap = _written(tmp_path, writer)
+    assert actual == expected
+    assert zonemap == expected_zonemap
+    assert Segment.from_bytes(actual).rows == len(ROWS)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+_ROW = st.tuples(
+    st.integers(min_value=I64_MIN, max_value=I64_MAX), st.text(max_size=8), _JSON
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(_ROW, max_size=40),
+    data=st.data(),
+    spill_bytes=st.sampled_from([64, 8 << 20]),
+)
+def test_any_batch_split_gives_the_same_bytes(
+    tmp_path_factory, rows, data, spill_bytes
+):
+    """However the rows are cut into batches (empty batches and single
+    rows included, spilled or not), ``append_rows`` writes the bytes and
+    zone map of ``SegmentWriter`` over all the rows."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=8)))
+    bounds = [0, *cuts, len(rows)]
+    writer = AppendSegmentWriter("t", COLUMNS, spill_bytes=spill_bytes)
+    for start, end in zip(bounds, bounds[1:]):
+        writer.append_rows(rows[start:end])
+    actual, zonemap = _written(tmp_path_factory.mktemp("split"), writer)
+    expected, expected_zonemap = _batch_bytes(rows)
+    assert actual == expected
+    assert zonemap == expected_zonemap
+
+
+def test_external_sorter_extend_spills_runs_of_run_size():
+    sorter = ExternalSorter(run_size=100)
+    for start in range(0, 1000, 70):
+        sorter.extend([(-i,) for i in range(start, min(start + 70, 1000))])
+    assert len(sorter._runs) == 10 and sorter._pending == []
+    assert list(sorter.sorted_iter()) == sorted((-i,) for i in range(1000))
 
 
 def test_external_sorter_equals_sorted_across_spills():

@@ -121,6 +121,17 @@ class TestCrossModuleTaint:
         ]
         assert findings == []
 
+    def test_batch_segment_append_is_a_sink(self):
+        """The production writer encodes through ``append_rows``; a
+        listing-ordered batch reaching it is an RL701 flow."""
+        (finding,) = [
+            f for f in lint_tree(FLOW_DIR / "case_segment_append_batch")
+            if f.code == "RL701"
+        ]
+        assert (finding.path, finding.line) == ("src/repro/core/emit.py", 10)
+        assert "fs_order" in finding.message
+        assert "segment-append" in finding.message
+
     def test_suppressible_at_the_source_line(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         copy_tree(FLOW_DIR / "case_taint_cross_module", tmp_path)

@@ -17,15 +17,23 @@ The generator's contract has three legs:
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from repro.core.pipeline import MeasurementPipeline
-from repro.data import check_equivalent, schema, write_dataset, write_rows_dataset
+from repro.data import (
+    StreamingDatasetWriter,
+    check_equivalent,
+    schema,
+    write_dataset,
+    write_rows_dataset,
+)
 from repro.data.dataset import (
     Dataset,
     _deduplicated_revocation_rows,
@@ -38,6 +46,7 @@ from repro.ecosystem.streamgen import (
     save_streamed,
     shard_ranges,
     stream_rows,
+    world_windows,
 )
 from repro.ecosystem.timeline import DEFAULT_TIMELINE
 from repro.ecosystem.workload import WorldConfig
@@ -104,6 +113,36 @@ class TestByteIdentity:
         write_rows_dataset(rows, bundle.windows, reference)
         _assert_directories_byte_identical(reference, streamed)
 
+    def test_any_append_extend_mix_matches_reference_encoder(self, tmp_path):
+        """How rows are cut into ``append``/``extend`` calls, and how
+        tables interleave, never changes the bytes. 64-row segments make
+        batches split at segment ends; chunks go in as generators, the
+        way ``write_dataset`` passes whole tables."""
+        rows_by_table = {name: [] for name in schema.TABLE_NAMES}
+        for table, rows in stream_rows(GenContext(SEED_CONFIG)):
+            rows_by_table[table].extend(rows)
+        windows = world_windows(SEED_CONFIG)
+        reference = str(tmp_path / "reference")
+        write_rows_dataset(rows_by_table, windows, reference, rows_per_segment=64)
+
+        mixed = str(tmp_path / "mixed")
+        writer = StreamingDatasetWriter(mixed, windows, rows_per_segment=64)
+        rng = random.Random(20231024)
+        positions = dict.fromkeys(schema.TABLE_NAMES, 0)
+        while positions:
+            table = rng.choice(sorted(positions))
+            rows, start = rows_by_table[table], positions[table]
+            size = rng.choice((0, 1, 1, 5, 63, 64, 65, 4095, 4096, 4097, 9000))
+            if size == 1:
+                writer.append(table, rows[start])
+            else:
+                writer.extend(table, iter(rows[start : start + size]))
+            positions[table] = start + size
+            if positions[table] >= len(rows):
+                del positions[table]
+        writer.finish()
+        _assert_directories_byte_identical(reference, mixed)
+
     def test_check_equivalent_passes(self, tmp_path, reference_bundle):
         reference, _ = reference_bundle
         directory = str(tmp_path / "streamed-eq")
@@ -117,6 +156,35 @@ class TestByteIdentity:
         assert dataset.table("dns").rows == counts["dns"]
         bundle = dataset.to_bundle()
         assert len(bundle.corpus) == counts["certs"]
+
+
+def _bundle_digest(directory: str) -> str:
+    """sha256 over each file's relative path plus the sha256 of its
+    bytes, in sorted walk order."""
+    digest = hashlib.sha256()
+    for base, dirs, files in os.walk(directory):
+        dirs.sort()
+        for name in sorted(files):
+            path = os.path.join(base, name)
+            digest.update(os.path.relpath(path, directory).encode("utf-8"))
+            with open(path, "rb") as handle:
+                digest.update(hashlib.sha256(handle.read()).digest())
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    """The equivalence tests compare two encoders of the same commit, so
+    a drift both share (schema, JSON settings, header layout) passes
+    them. This digest pins the bundle bytes across commits; a deliberate
+    format change must update it."""
+
+    DIGEST = "19012cd748bec97319f0f2bc2600639b9f755cf88820a126c20e48d9136ea611"
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_seed7_bundle_digest_is_pinned(self, tmp_path, shards):
+        directory = str(tmp_path / f"seed7-k{shards}")
+        save_streamed(WorldConfig(seed=7).scaled(0.02), directory, shards)
+        assert _bundle_digest(directory) == self.DIGEST
 
 
 class TestShardInvariance:
