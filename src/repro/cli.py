@@ -55,9 +55,11 @@ see ``docs/API.md``); ``--warm-check`` self-queries every endpoint
 in-process — no socket — and exits, which is how CI smokes the service.
 
 ``lint`` runs the project's own AST static analysis (:mod:`repro.lint`)
-over the given paths (default ``src tests``) and exits non-zero on new
-findings — see ``docs/LINTS.md`` for the rule catalogue, inline
-suppressions, the baseline, and ``--fix``.
+over the given paths (default ``src tests``) in one serial pass and
+exits non-zero on new findings — see ``docs/LINTS.md`` for the rule
+catalogue, inline suppressions, the baseline, and ``--fix``. Whether the
+pipeline's artifacts are byte-stable is not a lint question: it is
+checked by running the pipeline twice (``tests/test_determinism.py``).
 """
 
 from __future__ import annotations
@@ -379,21 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print every rule code with its rationale and exit",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parse/analyze files across N worker processes "
-        "(default: os.cpu_count(); finding order is identical for any N)",
-    )
-    lint.add_argument(
-        "--explain", default=None, metavar="PATH:LINE",
-        help="print every recorded nondeterminism flow whose source, sink, "
-        "or any hop touches PATH:LINE, then exit",
-    )
-    lint.add_argument(
-        "--dump-graph", default=None, metavar="FILE",
-        help="also write the import/call graph and RNG-label namespace "
-        "as JSON to FILE",
     )
     return parser
 

@@ -17,17 +17,16 @@ turns those invariants into CI-gated rules:
 ``RL501``  bare ``except:``  *(fixable)*
 ``RL502``  broad handler that swallows without re-raise or log
 ``RL503``  serve-path handler that swallows errors outside the error model
-``RL701``  nondeterminism source flows into a run artifact (hop chain)
 ``RL702``  RNG fork label collision / undeclared / stale declaration
 ``RL703``  public symbol reachable from no engine, CLI, test, or benchmark
 
-RL7xx are the whole-program tier (:mod:`repro.lint.flow`): per-file facts
-are linked into import/call graphs and a taint dataflow, so RL701
-findings carry the full source→sink path and can be suppressed at either
-end of it. Run ``python -m repro lint [PATHS...]`` (``--jobs N``
-parallelizes with identical output; ``--explain PATH:LINE`` prints the
-flows through a location; ``--dump-graph FILE`` writes the program
-graph); see ``docs/LINTS.md`` for the full catalogue, suppression syntax
+RL7xx read per-file facts linked across the scanned set
+(:mod:`repro.lint.flow`). Whether a nondeterministic value actually
+reaches a run artifact is not decided statically: ``tests/test_determinism.py``
+runs the pipeline twice under different hash seeds, shard counts and
+directory orders and compares every artifact byte for byte. Run
+``python -m repro lint [PATHS...]`` (one serial pass); see
+``docs/LINTS.md`` for the full catalogue, suppression syntax
 (``# repro-lint: disable=RLxxx``), and baseline semantics.
 """
 
@@ -43,7 +42,7 @@ from repro.lint.base import (
 )
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import LintReport, LintRunner, collect_files
-from repro.lint.findings import Finding, Fix, Hop
+from repro.lint.findings import Finding, Fix
 from repro.lint.fixes import apply_fixes, fix_files
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import run_cli
@@ -55,7 +54,6 @@ __all__ = [
     "FileContext",
     "Finding",
     "Fix",
-    "Hop",
     "ImportMap",
     "LintReport",
     "LintRunner",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.findings import Finding, Fix
@@ -40,6 +41,16 @@ class FileContext:
             tree=ast.parse(source, filename=path),
             lines=source.splitlines(),
         )
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once and
+        shared by every rule."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def imports(self) -> "ImportMap":
+        return ImportMap(self.tree)
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -71,26 +82,17 @@ class ProjectIndex:
     """Cross-file facts shared by project rules.
 
     Built lazily from the parsed file set: the metric-name constants
-    declared in ``repro/obs/names.py`` and —
-    for the flow rules — per-file :class:`repro.lint.flow.facts.ModuleFacts`
-    linked into a whole-program graph. The index is pure AST — nothing is
-    imported or executed.
-
-    ``files`` may be a plain ``{path: FileContext}`` dict or any mapping
-    that parses lazily (the parallel engine hands in a disk-backed map so
-    the parent process only parses the files a rule actually opens);
-    ``facts`` may pre-seed extracted module facts from worker processes.
+    declared in ``repro/obs/names.py`` and — for the flow rules —
+    per-file :class:`repro.lint.flow.facts.ModuleFacts` linked into a
+    whole-program graph. The index is pure AST — nothing is imported or
+    executed.
     """
 
     METRIC_NAMES_SUFFIX = "repro/obs/names.py"
 
-    def __init__(
-        self,
-        files: Dict[str, FileContext],
-        facts: Optional[Dict[str, object]] = None,
-    ) -> None:
+    def __init__(self, files: Dict[str, FileContext]) -> None:
         self.files = files
-        self._facts: Dict[str, object] = dict(facts) if facts else {}
+        self._facts: Dict[str, object] = {}
         self._facts_failed: Set[str] = set()
         self._metric_constants: Optional[Set[str]] = None
         self._progress_phases: Optional[Set[str]] = None
@@ -113,9 +115,8 @@ class ProjectIndex:
             return None
         from repro.lint.flow.facts import extract_module_facts
 
-        ctx = self.files[path]
         try:
-            facts = extract_module_facts(path, tree=ctx.tree, lines=ctx.lines)
+            facts = extract_module_facts(path, context=self.files[path])
         except Exception:  # repro-lint: disable=RL502  # failure is recorded; facts are optional acceleration
             self._facts_failed.add(path)
             return None
@@ -147,30 +148,17 @@ class ProjectIndex:
 
     def line_text(self, path: str, lineno: int) -> str:
         """Stripped source line for baseline keys on cross-file findings."""
-        ctx = self.files.get(path) if hasattr(self.files, "get") else None
-        lines: Optional[List[str]] = getattr(ctx, "lines", None)
-        if lines is None:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    lines = handle.read().splitlines()
-            except OSError:
-                return ""
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].strip()
-        return ""
+        ctx = self.files.get(path)
+        return ctx.line_text(lineno) if ctx is not None else ""
 
     def suppressions_for(self, path: str) -> Dict[int, frozenset]:
-        """Inline suppression map for *path* (from facts when available)."""
-        facts = self._facts.get(path)
-        if facts is not None:
-            return {line: frozenset(codes)
-                    for line, codes in facts.suppressions}
-        ctx = self.files.get(path) if hasattr(self.files, "get") else None
-        if ctx is not None:
-            from repro.lint.suppress import parse_suppressions
+        """Inline suppression map for *path* (empty when it did not parse)."""
+        ctx = self.files.get(path)
+        if ctx is None:
+            return {}
+        from repro.lint.suppress import parse_suppressions
 
-            return parse_suppressions(ctx.lines)
-        return {}
+        return parse_suppressions(ctx.lines)
 
     def find_file(self, suffix: str) -> Optional[FileContext]:
         for path in sorted(self.files):
@@ -386,34 +374,6 @@ def all_rules() -> List[Rule]:
     import repro.lint.rules_serve  # noqa: F401
 
     return [rule_class() for rule_class in RULE_CLASSES]
-
-
-def is_set_producing(node: ast.AST) -> bool:
-    """True for expressions that statically evaluate to a set.
-
-    Deliberately conservative — direct set displays, comprehensions,
-    ``set()``/``frozenset()`` calls, set-method calls on those, and set
-    algebra over them. Variables of set type are not inferred; consumers
-    (RL103 and the flow tier's ``set_iter`` taint source) trade recall
-    for a near-zero false-positive rate.
-    """
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
-            return True
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "union",
-            "intersection",
-            "difference",
-            "symmetric_difference",
-        ):
-            return is_set_producing(node.func.value)
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-    ):
-        return is_set_producing(node.left) or is_set_producing(node.right)
-    return False
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -14,28 +14,6 @@ from typing import Any, Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
-class Hop:
-    """One step of a cross-file dataflow path attached to a finding.
-
-    RL701 findings carry the complete source→sink chain as a tuple of
-    hops: the nondeterminism source, every propagation step (assignment,
-    call, return), and the artifact sink. ``note`` says what happened at
-    this location (``"source: os.listdir order"``, ``"passed to
-    write_rows()"``, ``"sink: write_dataset"``).
-    """
-
-    path: str
-    line: int
-    note: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: {self.note}"
-
-    def to_record(self) -> Dict[str, Any]:
-        return {"path": self.path, "line": self.line, "note": self.note}
-
-
-@dataclass(frozen=True)
 class Fix:
     """A mechanical edit that resolves a finding.
 
@@ -64,9 +42,6 @@ class Finding:
     #: drift as files are edited; the offending text usually does not).
     line_text: str = ""
     fix: Optional[Fix] = field(default=None, compare=False)
-    #: Source→sink dataflow path (RL701); empty for location findings.
-    #: The finding itself sits at the sink; ``hops[0]`` is the source.
-    hops: Tuple[Hop, ...] = ()
 
     @property
     def fixable(self) -> bool:
@@ -80,7 +55,7 @@ class Finding:
         return (self.path, self.code, self.line_text)
 
     def to_record(self) -> Dict[str, Any]:
-        record = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -89,16 +64,6 @@ class Finding:
             "message": self.message,
             "fixable": self.fixable,
         }
-        # Key present only for path findings, so the schema of location
-        # findings (and every existing consumer) is unchanged.
-        if self.hops:
-            record["hops"] = [hop.to_record() for hop in self.hops]
-        return record
 
     def render(self) -> str:
-        head = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-        if not self.hops:
-            return head
-        steps = "\n".join(f"    {i}. {hop.render()}"
-                          for i, hop in enumerate(self.hops, start=1))
-        return f"{head}\n{steps}"
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"

@@ -1,26 +1,21 @@
-"""``repro.lint.flow`` — whole-program determinism dataflow analysis.
+"""``repro.lint.flow`` — the cross-file facts behind RL301/RL302/RL702/RL703.
 
-The per-file rules (RL1xx…RL6xx) check one statement at a time; this
-package is the linter's second tier: it extracts a compact, picklable
-fact base per module (:mod:`facts`), links the facts into an import
-graph, alias-resolved symbol table, and approximate call graph
-(:mod:`graphs`), and runs a taint dataflow over function IRs
-(:mod:`taint`) so that a nondeterministic value *produced* in one module
-and *written* in another is still caught — with the full source→sink hop
-chain attached to the finding.
+The per-file rules check one statement at a time; the cross-file rules
+need a view of the whole scanned set. This package extracts a compact
+fact base per module (:mod:`facts`) and links the facts into an import
+graph and alias-resolved symbol table (:mod:`graphs`), from which the
+RNG fork-label registry (RL702) and the dead-export reachability
+(RL703) are read.
 
-Fact extraction is deliberately AST-free on the output side: a
-:class:`~repro.lint.flow.facts.ModuleFacts` is a value object that
-crosses process boundaries, which is what lets ``repro lint --jobs N``
-parse and analyze files in worker processes and assemble the
-whole-program view in the parent.
+Determinism of the run artifacts is not checked here: a nondeterministic
+value reaching a bundle, findings file or metric label is caught by
+running the pipeline twice and comparing bytes
+(``tests/test_determinism.py``).
 
 Public API::
 
-    facts    = extract_module_facts(path, source)      # per file, any process
+    facts    = extract_module_facts(path, source)      # per file
     program  = ProgramGraph.build({path: facts, ...})  # import graph + symbols
-    calls    = build_call_graph(program)               # static + dynamic edges
-    report   = analyze_taint(program)                  # TaintReport with flows
     labels   = collect_rng_labels(program)             # fork-site registry
 """
 
@@ -30,26 +25,16 @@ from repro.lint.flow.facts import (
     module_name_for_path,
 )
 from repro.lint.flow.graphs import (
-    CallEdge,
     ProgramGraph,
-    build_call_graph,
     build_import_graph,
     collect_rng_labels,
-    graph_to_json,
 )
-from repro.lint.flow.taint import TaintFlow, TaintReport, analyze_taint
 
 __all__ = [
-    "CallEdge",
     "ModuleFacts",
     "ProgramGraph",
-    "TaintFlow",
-    "TaintReport",
-    "analyze_taint",
-    "build_call_graph",
     "build_import_graph",
     "collect_rng_labels",
     "extract_module_facts",
-    "graph_to_json",
     "module_name_for_path",
 ]

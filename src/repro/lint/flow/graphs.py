@@ -1,11 +1,10 @@
-"""Whole-program linking: import graph, symbol table, call graph.
+"""Whole-program linking: import graph, symbol table, RNG fork sites.
 
 :class:`ProgramGraph` joins per-file :class:`~repro.lint.flow.facts.ModuleFacts`
 into one queryable view. Resolution is *approximate by design*: names are
-chased through import aliases and package re-exports, attribute calls are
-typed only when the receiver's constructor or annotation named a class,
-and everything else stays a **dynamic** edge — recorded so consumers can
-see where static reasoning stopped, never silently guessed at.
+chased through import aliases and package re-exports, and a name that
+leads outside the analyzed program resolves to ``None`` rather than to a
+guess.
 """
 
 from __future__ import annotations
@@ -13,35 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.flow.facts import (
-    CallIR,
-    DefInfo,
-    ExprIR,
-    ForkSite,
-    FunctionIR,
-    ModuleFacts,
-    OpAssign,
-    OpExpr,
-    OpReturn,
-)
+from repro.lint.flow.facts import DefInfo, ForkSite, ModuleFacts
 
 _RESOLVE_DEPTH = 12
-
-
-@dataclass(frozen=True)
-class CallEdge:
-    """One edge of the approximate call graph.
-
-    ``callee`` is the canonical qualname when resolution succeeded;
-    ``dynamic`` edges keep whatever partial spelling the extractor had
-    (``.method`` suffix for attribute calls on untyped receivers).
-    """
-
-    caller: str
-    callee: str
-    path: str
-    line: int
-    dynamic: bool = False
 
 
 @dataclass
@@ -52,8 +25,6 @@ class ProgramGraph:
     modules: Dict[str, ModuleFacts] = field(default_factory=dict)
     #: Canonical dotted symbol → (path, definition).
     symbols: Dict[str, Tuple[str, DefInfo]] = field(default_factory=dict)
-    #: Canonical qualname → (path, function IR).
-    functions: Dict[str, Tuple[str, FunctionIR]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, files: Dict[str, ModuleFacts]) -> "ProgramGraph":
@@ -65,19 +36,15 @@ class ProgramGraph:
             facts = files[path]
             for definfo in facts.defs:
                 graph.symbols[f"{facts.module}.{definfo.name}"] = (path, definfo)
-            for func in facts.functions:
-                graph.functions[func.qualname] = (path, func)
         return graph
 
     # -- resolution ----------------------------------------------------------
 
     def resolve(self, dotted: Optional[str]) -> Optional[str]:
-        """Canonical symbol/function name for *dotted*, chasing re-exports.
+        """Canonical symbol name for *dotted*, chasing re-exports.
 
         ``repro.data.write_dataset`` (a package re-export) resolves to
-        ``repro.data.dataset.write_dataset``; a class resolves to itself
-        (callers map constructor calls to ``__init__`` separately).
-        Returns ``None`` when the name leads outside the analyzed program
+        ``repro.data.dataset.write_dataset``. Returns ``None`` when the name leads outside the analyzed program
         or through an alias chain we cannot follow.
         """
         seen: Set[str] = set()
@@ -86,7 +53,7 @@ class ProgramGraph:
             if current is None or current in seen:
                 return None
             seen.add(current)
-            if current in self.functions or current in self.symbols:
+            if current in self.symbols:
                 return current
             chased = self._chase_alias(current)
             if chased == current:
@@ -98,16 +65,9 @@ class ProgramGraph:
         module, rest = self._split_module(dotted)
         if module is None or not rest:
             return None
-        facts = self.modules[module]
-        imports = facts.import_map()
-        head = rest[0]
-        if head in imports:
-            return ".".join([imports[head]] + rest[1:])
-        # ``repro.x.Cls.method`` where ``repro.x.Cls`` is a known class.
-        if len(rest) >= 2:
-            prefix = f"{module}.{'.'.join(rest[:-1])}"
-            if prefix in self.symbols:
-                return None
+        imports = self.modules[module].import_map()
+        if rest[0] in imports:
+            return ".".join([imports[rest[0]]] + rest[1:])
         return None
 
     def _split_module(self, dotted: str) -> Tuple[Optional[str], List[str]]:
@@ -118,20 +78,6 @@ class ProgramGraph:
             if prefix in self.modules:
                 return prefix, parts[cut:]
         return None, parts
-
-    def resolve_callable(self, dotted: Optional[str]) -> Optional[str]:
-        """Like :meth:`resolve`, but maps class names to ``__init__``."""
-        canonical = self.resolve(dotted)
-        if canonical is None:
-            return None
-        if canonical in self.functions:
-            return canonical
-        entry = self.symbols.get(canonical)
-        if entry is not None and entry[1].kind == "class":
-            init = f"{canonical}.__init__"
-            if init in self.functions:
-                return init
-        return canonical
 
 
 def build_import_graph(
@@ -167,46 +113,6 @@ def _owning_module(program: ProgramGraph, dotted: str) -> Optional[str]:
     return None
 
 
-def build_call_graph(program: ProgramGraph) -> Tuple[CallEdge, ...]:
-    """Every call site in every function, resolved or marked dynamic."""
-    edges: List[CallEdge] = []
-    for qualname in sorted(program.functions):
-        path, func = program.functions[qualname]
-        for call in iter_calls(func):
-            resolved = program.resolve_callable(call.callee)
-            if resolved is not None:
-                edges.append(CallEdge(qualname, resolved, path, call.line))
-            else:
-                spelling = call.callee or (
-                    f".{call.method}" if call.method else "<dynamic>"
-                )
-                edges.append(CallEdge(qualname, spelling, path, call.line,
-                                      dynamic=True))
-    edges.sort(key=lambda e: (e.path, e.line, e.caller, e.callee))
-    return tuple(edges)
-
-
-def iter_calls(func: FunctionIR):
-    """All :class:`CallIR` sites in a function IR, nested ones included."""
-    for op in func.ops:
-        exprs: List[ExprIR] = []
-        if isinstance(op, (OpAssign, OpExpr)):
-            exprs.append(op.value)
-        elif isinstance(op, OpReturn) and op.value is not None:
-            exprs.append(op.value)
-        while exprs:
-            expr = exprs.pop()
-            for atom in expr.atoms:
-                tag = atom[0]
-                if tag == "call":
-                    call: CallIR = atom[1]
-                    yield call
-                    exprs.extend(call.args)
-                    exprs.extend(ir for _name, ir in call.kwargs)
-                elif tag == "sub":
-                    exprs.append(atom[1])
-
-
 @dataclass(frozen=True)
 class RngLabelSite:
     """One RNG fork site, program-wide view."""
@@ -240,55 +146,3 @@ def collect_rng_labels(
             sites.append(RngLabelSite(path=path, module=facts.module, site=site))
     sites.sort(key=lambda s: (s.path, s.site.line, s.site.col))
     return tuple(sites)
-
-
-def graph_to_json(program: ProgramGraph) -> Dict:
-    """JSON-serializable dump of the whole-program view.
-
-    This is what ``repro lint --dump-graph graph.json`` writes and what
-    CI uploads as a build artifact: import edges, call edges (dynamic
-    ones marked), exported symbols, and the RNG label namespace.
-    """
-    imports = build_import_graph(program)
-    calls = build_call_graph(program)
-    return {
-        "modules": {
-            module: {
-                "path": program.modules[module].path,
-                "imports": list(imports.get(module, ())),
-            }
-            for module in sorted(program.modules)
-        },
-        "symbols": {
-            name: {"path": path, "line": info.line, "kind": info.kind,
-                   "public": info.public}
-            for name, (path, info) in sorted(program.symbols.items())
-        },
-        "calls": [
-            {
-                "caller": edge.caller,
-                "callee": edge.callee,
-                "path": edge.path,
-                "line": edge.line,
-                "dynamic": edge.dynamic,
-            }
-            for edge in calls
-        ],
-        "rng_labels": [
-            {
-                "path": site.path,
-                "line": site.site.line,
-                "kind": site.site.kind,
-                "labels": list(site.site.labels),
-                "variadic": site.site.variadic,
-            }
-            for site in collect_rng_labels(program)
-        ],
-        "counts": {
-            "modules": len(program.modules),
-            "symbols": len(program.symbols),
-            "functions": len(program.functions),
-            "call_edges": len(calls),
-            "dynamic_call_edges": sum(1 for e in calls if e.dynamic),
-        },
-    }

@@ -7,8 +7,9 @@ the code runs; the process-global ``random`` module entangles every
 subsystem's draws through shared hidden state (the repo's
 :mod:`repro.util.rng` label-forked streams exist precisely to prevent
 that); and bare ``set`` iteration order is salted per process, so any
-merge or ordering path that walks a set unsorted can reorder findings
-between two identical runs.
+merge or ordering path that walks a set unsorted, or copies it into a
+list, tuple or joined string, can reorder findings between two identical
+runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from repro.lint.base import FileContext, ImportMap, Rule, is_set_producing, register
+from repro.lint.base import FileContext, Rule, register
 from repro.lint.findings import Finding, Fix
 
 SIMULATION_SCOPE = ("src/repro/",)
@@ -50,8 +51,8 @@ class WallClockRule(Rule):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = imports.resolve_call(node)
@@ -83,8 +84,8 @@ class GlobalRandomRule(Rule):
     ALLOWED = {"random.Random"}
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ctx.imports
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 bad = sorted(
                     alias.name
@@ -116,34 +117,76 @@ class GlobalRandomRule(Rule):
                     )
 
 
-# Shared with the flow tier's ``set_iter`` taint source; the single
-# definition lives in :mod:`repro.lint.base`.
-_is_set_producing = is_set_producing
+def _is_set_producing(node: ast.AST) -> bool:
+    """True for expressions that statically evaluate to a set.
+
+    Deliberately conservative — direct set displays, comprehensions,
+    ``set()``/``frozenset()`` calls, set-method calls on those, and set
+    algebra over them. Variables of set type are not inferred; RL103 trades
+    recall for a near-zero false-positive rate.
+    """
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) and node.func.id in ("set", "frozenset"):
+            return True
+        if isinstance(node.func, ast.Attribute) and node.func.attr in (
+            "union",
+            "intersection",
+            "difference",
+            "symmetric_difference",
+        ):
+            return _is_set_producing(node.func.value)
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return _is_set_producing(node.left) or _is_set_producing(node.right)
+    return False
+
+
+#: Builtins that copy their argument's iteration order into a sequence.
+_SEQUENCE_BUILDERS = ("list", "tuple")
+
+
+def _converted_iterable(node: ast.AST):
+    """The argument of ``list(x)``/``tuple(x)``/``sep.join(x)``, else None."""
+    if not (isinstance(node, ast.Call) and len(node.args) == 1
+            and not node.keywords):
+        return None
+    func = node.func
+    if isinstance(func, ast.Name) and func.id in _SEQUENCE_BUILDERS:
+        return node.args[0]
+    if isinstance(func, ast.Attribute) and func.attr == "join":
+        return node.args[0]
+    return None
 
 
 @register
 class UnsortedSetIterationRule(Rule):
-    """RL103: iterating a bare set without ``sorted(...)``."""
+    """RL103: iterating or sequencing a bare set without ``sorted(...)``."""
 
     code = "RL103"
     name = "unsorted-set-iteration"
     rationale = (
         "Set iteration order is hash-salted per process; a merge or "
-        "ordering path that walks a set unsorted can emit findings in a "
+        "ordering path that walks a set unsorted — or turns it into a "
+        "list, tuple or joined string — can emit findings or rows in a "
         "different order on every run and between shard workers, breaking "
-        "the batch == stream == parallel equivalence. Wrap the iterable "
+        "the batch == stream == parallel equivalence. Wrap the set "
         "in sorted(...)."
     )
     scope = SIMULATION_SCOPE
     fixable = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            iters = []
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
+                iters = [node.iter]
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
+                iters = [gen.iter for gen in node.generators]
+            else:
+                converted = _converted_iterable(node)
+                iters = [converted] if converted is not None else []
             for iter_expr in iters:
                 if _is_set_producing(iter_expr):
                     fix = None
@@ -159,7 +202,7 @@ class UnsortedSetIterationRule(Rule):
                     yield ctx.finding(
                         self,
                         iter_expr,
-                        "iteration over a bare set has hash-salted, "
-                        "per-process order; wrap the iterable in sorted(...)",
+                        "iterating a bare set follows its hash-salted, "
+                        "per-process order; wrap the set in sorted(...)",
                         fix=fix,
                     )

@@ -61,7 +61,7 @@ class BareExceptRule(Rule):
     fixable = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield ctx.finding(
                     self,
@@ -90,7 +90,7 @@ class SwallowedExceptionRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.ExceptHandler)
                 and node.type is not None

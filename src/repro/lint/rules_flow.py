@@ -1,20 +1,14 @@
-"""Cross-file flow rules: RL701 taint paths, RL702 RNG labels, RL703 dead exports.
+"""Cross-file rules: RL702 RNG labels, RL703 dead exports.
 
-These are the linter's whole-program tier, built on
-:mod:`repro.lint.flow`. They exist because the per-file rules cannot see
-a nondeterministic value *produced* in one module and *written* in
-another, a label collision between RNG forks declared in different
-files, or a public symbol nothing in the program ever touches.
-
-RL701 findings carry the complete source→sink hop chain (rendered by
-both reporters and queryable with ``repro lint --explain PATH:LINE``)
-and may be suppressed at either end of the path — the source line or the
-sink line — so the justification comment can sit wherever it reads best.
+These are built on :mod:`repro.lint.flow`. They exist because the
+per-file rules cannot see a label collision between RNG forks declared
+in different files, or a public symbol nothing in the program ever
+touches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.lint.base import ProjectIndex, ProjectRule, register
 from repro.lint.findings import Finding
@@ -27,49 +21,6 @@ _ROOT_MODULES = ("repro.cli", "repro.__main__")
 #: Directories scanned from disk for extra references (entry points that
 #: live outside the default ``src tests`` lint set).
 _EXTRA_REF_DIRS = ("benchmarks", "examples")
-
-
-@register
-class NondetFlowRule(ProjectRule):
-    """RL701: no nondeterminism source may flow into a run artifact."""
-
-    code = "RL701"
-    name = "nondet-flows-to-artifact"
-    rationale = (
-        "The headline invariant — batch == stream == sharded, byte for "
-        "byte, given a seed — dies the moment a wall-clock read, global "
-        "random draw, os.listdir order, or unsorted set iteration reaches "
-        "a dataset segment, findings file, checkpoint, serve response, or "
-        "metric label. The per-file rules see the source; this one proves "
-        "the path to the sink, across functions and modules, and attaches "
-        "it to the finding."
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        program = index.program()
-        if program is None:
-            return
-        from repro.lint.flow.taint import analyze_taint
-
-        report = analyze_taint(program)
-        for flow in report.flows:
-            message = (
-                f"{flow.kind}-nondeterminism from {flow.source_kind} "
-                f"({flow.source_detail} at "
-                f"{flow.source_path}:{flow.source_line}) reaches "
-                f"{flow.sink} sink {flow.callee}() through a "
-                f"{len(flow.hops)}-hop path"
-            )
-            yield Finding(
-                path=flow.path,
-                line=flow.line,
-                col=flow.col,
-                code=self.code,
-                rule=self.name,
-                message=message,
-                line_text=index.line_text(flow.path, flow.line),
-                hops=flow.hops,
-            )
 
 
 @register

@@ -15,8 +15,7 @@ process — the one failure mode a heartbeat must never add).
 
 Both rules consume the per-file call-site facts extracted by
 :mod:`repro.lint.flow.facts` (``ObsUse`` records) instead of re-walking
-ASTs, so the parallel engine's parent process never re-parses files the
-workers already analyzed.
+ASTs.
 """
 
 from __future__ import annotations

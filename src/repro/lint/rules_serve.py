@@ -51,7 +51,7 @@ class ServeErrorModelRule(Rule):
     exclude = ("src/repro/serve/server.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ExceptHandler) and not _handler_answers(node):
                 yield ctx.finding(
                     self,

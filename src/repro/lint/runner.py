@@ -7,10 +7,9 @@ findings or stale baseline, 2 usage/IO errors.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.lint.base import all_rules
 from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
@@ -19,50 +18,6 @@ from repro.lint.fixes import fix_files
 from repro.lint.reporters import render_json, render_text
 
 DEFAULT_PATHS = ("src", "tests")
-
-
-def _parse_location(spec: str) -> Optional[Tuple[str, int]]:
-    """``PATH:LINE`` → (path, line), or None when malformed."""
-    path, sep, line_text = spec.rpartition(":")
-    if not sep or not path:
-        return None
-    try:
-        line = int(line_text)
-    except ValueError:
-        return None
-    return (path.replace(os.sep, "/"), line)
-
-
-def _explain(runner: LintRunner, paths: List[str], spec: str) -> int:
-    """Print every flow touching ``PATH:LINE`` (the ``--explain`` mode)."""
-    location = _parse_location(spec)
-    if location is None:
-        print(f"error: --explain wants PATH:LINE, got {spec!r}",
-              file=sys.stderr)
-        return 2
-    from repro.lint.flow.taint import analyze_taint
-
-    runner.run(paths)
-    index = runner.last_index
-    program = index.program() if index is not None else None
-    if program is None:
-        print("no files analyzed", file=sys.stderr)
-        return 2
-    target_path, target_line = location
-    flows = analyze_taint(program).flows_at(target_path, target_line)
-    if not flows:
-        print(f"no recorded nondeterminism flow touches "
-              f"{target_path}:{target_line}")
-        return 0
-    for flow in flows:
-        print(
-            f"{flow.path}:{flow.line}:{flow.col}: {flow.kind}-"
-            f"nondeterminism from {flow.source_kind} reaches "
-            f"{flow.sink} sink {flow.callee}()"
-        )
-        for step, hop in enumerate(flow.hops, start=1):
-            print(f"    {step}. {hop.render()}")
-    return 0
 
 
 def run_cli(args) -> int:
@@ -91,15 +46,7 @@ def run_cli(args) -> int:
         print(f"error: baseline not found: {baseline_path}", file=sys.stderr)
         return 2
 
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    runner = LintRunner(baseline=baseline, jobs=jobs)
-
-    explain = getattr(args, "explain", None)
-    if explain is not None:
-        return _explain(runner, paths, explain)
-
+    runner = LintRunner(baseline=baseline)
     report = runner.run(paths)
 
     if getattr(args, "fix", False):
@@ -113,26 +60,6 @@ def run_cli(args) -> int:
             )
             # Re-lint so the report describes the post-fix tree.
             report = runner.run(paths)
-
-    dump_graph = getattr(args, "dump_graph", None)
-    if dump_graph:
-        from repro.lint.flow.graphs import graph_to_json
-
-        index = runner.last_index
-        program = index.program() if index is not None else None
-        if program is None:
-            print("error: no files analyzed; nothing to dump",
-                  file=sys.stderr)
-            return 2
-        try:
-            with open(dump_graph, "w", encoding="utf-8") as handle:
-                json.dump(graph_to_json(program), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-        except OSError as error:
-            print(f"error: cannot write graph: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote program graph to {dump_graph}", file=sys.stderr)
 
     if getattr(args, "update_baseline", False):
         Baseline.from_findings(report.findings).save(baseline_path)

@@ -28,6 +28,7 @@ clock go?*
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -190,45 +191,53 @@ def critical_path(spans: Sequence[SpanRecord]) -> List[PathSegment]:
     span's start to the current frontier, then the frontier moves to that
     start. Segment durations therefore sum exactly to the trace extent,
     which (with a root span covering the run) is the run's wall time.
+
+    One sort of the spans by end plus a backward sweep: spans join a heap
+    keyed ``(start_us, depth)`` as the frontier passes their end and leave
+    it once the frontier passes their start, so the heap top is always
+    the latest-started active span. O(spans log spans).
     """
     if not spans:
         return []
     start = min(record.start_us for record in spans)
     frontier = max(record.end_us for record in spans)
+    # Latest end first; the input position breaks key ties, first wins.
+    by_end = sorted(range(len(spans)), key=lambda i: -spans[i].end_us)
+    heap: List[Tuple[float, int, int]] = []
+    pending = 0  # by_end[pending:] ended left of the frontier
     segments: List[PathSegment] = []
-    # Each iteration moves the frontier strictly left, by at least one
-    # span start or end, so the loop is bounded by the span count.
-    for _ in range(2 * len(spans) + 1):
-        if frontier <= start + _EPSILON_US:
-            break
-        active = [
-            record
-            for record in spans
-            if record.start_us < frontier - _EPSILON_US
-            and record.end_us >= frontier - _EPSILON_US
-        ]
-        if not active:
+    while frontier > start + _EPSILON_US:
+        edge = frontier - _EPSILON_US
+        while pending < len(by_end) and spans[by_end[pending]].end_us >= edge:
+            index = by_end[pending]
+            heapq.heappush(
+                heap, (-spans[index].start_us, -spans[index].depth, index)
+            )
+            pending += 1
+        while heap and -heap[0][0] >= edge:
+            heapq.heappop(heap)  # started at or right of the frontier
+        if not heap:
             # Idle gap: jump to the latest end left of the frontier.
-            ends = [
-                record.end_us
-                for record in spans
-                if record.end_us < frontier - _EPSILON_US
-            ]
-            gap_start = max(ends) if ends else start
+            gap_start = (
+                spans[by_end[pending]].end_us if pending < len(by_end) else start
+            )
             segments.append(PathSegment(start_us=gap_start, end_us=frontier))
             frontier = gap_start
             continue
-        chosen = max(active, key=lambda record: (record.start_us, record.depth))
+        chosen = spans[heap[0][2]]
         # The chosen span owns the timeline only back to the point where a
         # later-started span (necessarily ended by now, in any lane) was
         # still running — attribution hands over there on the next step.
-        later_ends = [
-            record.end_us
-            for record in spans
-            if record.end_us < frontier - _EPSILON_US
-            and record.start_us > chosen.start_us + _EPSILON_US
-        ]
-        segment_start = max([chosen.start_us, start] + later_ends)
+        # Every span scanned here ends right of the new frontier, so the
+        # next step pushes it: the scans add up to one pass overall.
+        segment_start = max(chosen.start_us, start)
+        for position in range(pending, len(by_end)):
+            record = spans[by_end[position]]
+            if record.end_us <= segment_start:
+                break
+            if record.start_us > chosen.start_us + _EPSILON_US:
+                segment_start = record.end_us
+                break
         segments.append(
             PathSegment(start_us=segment_start, end_us=frontier, span=chosen)
         )

@@ -17,3 +17,15 @@ def frozen_walk(entries):
     for entry in frozenset(entries):
         rows.append(entry)
     return rows
+
+
+def owners_list(e2lds, owner):
+    return list(set(e2lds) | {owner})
+
+
+def label_tuple(name, cdn):
+    return tuple({name, cdn})
+
+
+def joined_names(a, b):
+    return ",".join(set(a) | set(b))

@@ -14,3 +14,19 @@ def list_walk(items):
 
 def membership_only(haystack, needle):
     return needle in set(haystack)
+
+
+def owners_list(e2lds, owner):
+    return list(sorted(set(e2lds) | {owner}))
+
+
+def label_tuple(name, cdn):
+    return tuple(sorted({name, cdn}))
+
+
+def joined_names(a, b):
+    return ",".join(sorted(set(a) | set(b)))
+
+
+def list_copy(items):
+    return list(items)

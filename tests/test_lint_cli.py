@@ -38,6 +38,15 @@ class TestParser:
         assert args.paths == ["src", "tests"]
         assert args.format == "json" and args.fix
 
+    @pytest.mark.parametrize("flag", [
+        ["--jobs", "2"], ["--explain", "src/x.py:1"], ["--dump-graph", "g.json"],
+    ])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["lint", "src"] + flag)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestAcceptance:
     """The ISSUE's acceptance gates, as executable checks."""

@@ -111,6 +111,22 @@ class TestRuleDetails:
         rl103 = [f for f in findings if f.code == "RL103"]
         assert rl103 and all(f.fixable for f in rl103)
 
+    def test_set_to_sequence_conversions_are_flagged(self):
+        source = (
+            "def f(a, b, owner):\n"
+            "    x = list(set(a) | {owner})\n"
+            "    y = tuple({a, b})\n"
+            "    z = ''.join(frozenset(a))\n"
+            "    w = list(a | {owner})\n"
+            "    return list(a), tuple(sorted({a, b})), x, y, z, w\n"
+        )
+        findings = [
+            f for f in LintRunner().run_source(source, DEFAULT_PATH)
+            if f.code == "RL103"
+        ]
+        assert [f.line for f in findings] == [2, 3, 4, 5]
+        assert all(f.fixable for f in findings)
+
     def test_metric_name_findings_name_each_failure_mode(self):
         findings = lint_fixture(FIXTURE_DIR / "rl301_bad_metric_names.py", "RL301")
         messages = " / ".join(f.message for f in findings if f.code == "RL301")

@@ -1,8 +1,13 @@
 """Unit tests for trace profiling: pairing, aggregation, critical path."""
 
+import random
+import time
+
 import pytest
 
 from repro.obs.profile import (
+    _EPSILON_US,
+    PathSegment,
     aggregate_names,
     critical_path,
     pair_events,
@@ -166,6 +171,89 @@ class TestCriticalPath:
         ])
         segments = critical_path(spans)
         assert [s.name for s in segments] == ["inner"]
+
+
+def rescanning_critical_path(spans):
+    """The original O(spans^2) definition: rescan every span per step."""
+    if not spans:
+        return []
+    start = min(record.start_us for record in spans)
+    frontier = max(record.end_us for record in spans)
+    segments = []
+    while frontier > start + _EPSILON_US:
+        active = [
+            record for record in spans
+            if record.start_us < frontier - _EPSILON_US
+            and record.end_us >= frontier - _EPSILON_US
+        ]
+        if not active:
+            ends = [r.end_us for r in spans if r.end_us < frontier - _EPSILON_US]
+            gap_start = max(ends) if ends else start
+            segments.append(PathSegment(start_us=gap_start, end_us=frontier))
+            frontier = gap_start
+            continue
+        chosen = max(active, key=lambda record: (record.start_us, record.depth))
+        later_ends = [
+            record.end_us for record in spans
+            if record.end_us < frontier - _EPSILON_US
+            and record.start_us > chosen.start_us + _EPSILON_US
+        ]
+        segment_start = max([chosen.start_us, start] + later_ends)
+        segments.append(
+            PathSegment(start_us=segment_start, end_us=frontier, span=chosen)
+        )
+        frontier = segment_start
+    segments.reverse()
+    return segments
+
+
+def random_trace(rng, lanes, spans_per_lane, step=10):
+    """Nested spans on several lanes, on a coarse grid so starts and ends
+    often coincide (within and across lanes)."""
+    events = []
+    for pid in range(lanes):
+        ts = rng.randrange(0, 5) * step
+        stack = []
+        for index in range(spans_per_lane):
+            while stack and rng.random() < 0.5:
+                ts += rng.randrange(0, 3) * step
+                events.append(end(stack.pop(), ts, pid=pid))
+            ts += rng.randrange(0, 3) * step
+            name = f"s{pid}-{index}"
+            events.append(begin(name, ts, pid=pid))
+            stack.append(name)
+        while stack:
+            ts += rng.randrange(0, 3) * step
+            events.append(end(stack.pop(), ts, pid=pid))
+    return pair_events(events)
+
+
+def path_key(segments):
+    return [
+        (s.start_us, s.end_us, None if s.span is None else id(s.span))
+        for s in segments
+    ]
+
+
+class TestCriticalPathSweep:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_the_rescanning_definition(self, seed):
+        rng = random.Random(seed)
+        spans = random_trace(rng, lanes=rng.randrange(1, 5),
+                             spans_per_lane=rng.randrange(1, 40))
+        assert path_key(critical_path(spans)) == path_key(
+            rescanning_critical_path(spans)
+        )
+
+    def test_forty_thousand_spans_profile_in_seconds(self):
+        spans = random_trace(random.Random(7), lanes=4, spans_per_lane=10_000)
+        assert len(spans) >= 40_000
+        started = time.perf_counter()
+        segments = critical_path(spans)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 5.0
+        extent = max(s.end_us for s in spans) - min(s.start_us for s in spans)
+        assert sum(s.duration_us for s in segments) == pytest.approx(extent)
 
 
 class TestProfileReport:
