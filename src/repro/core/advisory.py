@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.detectors.managed_tls import is_cloudflare_managed_certificate
-from repro.ct.dedup import Corpus
+from repro.ct.dedup import CertRow, Corpus
 from repro.pki.certificate import Certificate
 from repro.psl.registered import DomainName, e2ld
 from repro.util.dates import Day, day_to_iso
@@ -117,27 +117,53 @@ class AdvisoryReport:
 
 
 class StaleCertificateAdvisor:
-    """Answers 'who else can impersonate this domain?' from a CT corpus."""
+    """Answers 'who else can impersonate this domain?' from a CT corpus.
+
+    The corpus's key rows are read once, on the first query, and indexed
+    by every domain their stored e2LDs equal or lie beneath. A query then
+    builds only the certificates of rows under the queried registrable
+    domain whose validity fits it, so a live monitor can ask once per
+    finding without rescanning the corpus.
+    """
 
     def __init__(self, corpus: Corpus) -> None:
         self._corpus = corpus
+        self._rows: Optional[List[CertRow]] = None
+        self._rows_under: Dict[str, List[CertRow]] = {}
+
+    def _candidates(self, registrable: Optional[str]) -> Sequence[CertRow]:
+        """Rows with an e2LD equal to or ending in ``.`` + *registrable*,
+        corpus order; every row when *registrable* is ``None``."""
+        if self._rows is None:
+            self._rows = list(self._corpus.key_rows())
+            for row in self._rows:
+                suffixes = set()
+                for name in row.e2lds:
+                    labels = name.split(".")
+                    suffixes.update(".".join(labels[i:]) for i in range(len(labels)))
+                for suffix in suffixes:
+                    self._rows_under.setdefault(suffix, []).append(row)
+        if registrable is None:
+            return self._rows
+        return self._rows_under.get(registrable, ())
 
     def check_acquisition(self, domain: str, acquisition_day: Day) -> AdvisoryReport:
         """Report every certificate issued before *acquisition_day* that is
         still valid on it and covers *domain* or any name beneath it."""
         target = DomainName(domain).name
-        registrable = e2ld(target) or target
+        registrable = e2ld(target)
+        scope = registrable or target
         report = AdvisoryReport(domain=target, acquisition_day=acquisition_day)
-        for certificate in self._corpus.certificates():
-            if certificate.not_before >= acquisition_day:
-                continue  # issued under (presumably) the new owner's watch
-            if certificate.not_after < acquisition_day:
-                continue  # expired: no live exposure
+        for row in self._candidates(registrable):
+            # Issued before the new owner's watch and not yet expired.
+            if not row.not_before < acquisition_day <= row.not_after:
+                continue
+            certificate = self._corpus.certificate(row.row)
             matched = tuple(
                 sorted(
                     name
                     for name in certificate.fqdns()
-                    if name == registrable or name.endswith("." + registrable)
+                    if name == scope or name.endswith("." + scope)
                 )
             )
             if not matched:
@@ -160,13 +186,13 @@ class StaleCertificateAdvisor:
         domain after *since_day* that the owner should recognize (a basic
         CT-monitor alerting workflow)."""
         target = DomainName(domain).name
+        issued = (
+            self._corpus.certificate(row.row)
+            for row in self._candidates(e2ld(target))
+            if row.not_before >= since_day
+        )
         return sorted(
-            (
-                certificate
-                for certificate in self._corpus.certificates()
-                if certificate.not_before >= since_day
-                and certificate.covers_name(target)
-            ),
+            (certificate for certificate in issued if certificate.covers_name(target)),
             key=lambda c: c.not_before,
         )
 

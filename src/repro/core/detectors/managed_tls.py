@@ -80,6 +80,8 @@ class DepartureTracker:
     the next :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans observes it (back
     on Cloudflare is scan loss; anything else confirms) or the lookahead
     runs out (confirms). :meth:`flush` confirms what the window ended on.
+    Both return departures in (departure day, apex) order, whatever order
+    the snapshot store holds its apexes in.
 
     ``last_view`` (apex -> observation) and ``pending`` (``apex``,
     ``departure_day``, ``removed``, ``remaining`` records) are plain data,
@@ -116,12 +118,12 @@ class DepartureTracker:
             if removed and not _cloudflare_targets(after.delegation_targets()):
                 departures.append(Departure(apex, snapshot.day, removed))
         self.last_view = dict(current)
-        return departures
+        return sorted(departures, key=_departure_order)
 
     def flush(self) -> List[Departure]:
         departures = [_confirmed(pending) for pending in self.pending]
         self.pending = []
-        return departures
+        return sorted(departures, key=_departure_order)
 
     def _resolve_pending(
         self, current: Mapping[str, DomainObservation]
@@ -141,6 +143,10 @@ class DepartureTracker:
                 unresolved.append(pending)
         self.pending = unresolved
         return departures
+
+
+def _departure_order(departure: Departure) -> Tuple[Day, str]:
+    return departure.departure_day, departure.apex
 
 
 def _confirmed(pending: dict) -> Departure:
@@ -237,8 +243,8 @@ class ManagedTlsDetector:
     ) -> StaleFindings:
         out = findings if findings is not None else StaleFindings()
         join = ManagedCertificateJoin()
-        for certificate in self._corpus.managed_certificates():
-            join.add(certificate)
+        for row in self._corpus.managed_rows():
+            join.add(self._corpus.certificate(row))
         out.extend(join.join(find_departures(store)))
         self.stats = join.stats
         return out

@@ -11,7 +11,9 @@ Implements two corpus rules from paper Section 4:
 It also declares :class:`Corpus`, the one interface every engine reads a
 certificate corpus through: the §4 joins (CRL × CT on (AKID, serial), WHOIS
 re-creation × validity on the e2LD, managed certificates for DNS
-departures) and the shard routing keys. Two stores implement it — the
+departures) and the key columns per row (:class:`CertRow`) that the shard
+planner, the stream replay and the advisor read without building a
+certificate. Two stores implement it — the
 in-memory :class:`CertificateCorpus` and the columnar
 :class:`~repro.data.dataset.CertsTable` — and :class:`CorpusSlice` is one
 shard's view of either.
@@ -65,6 +67,19 @@ class ValidityRow(NamedTuple):
     not_after: Day
 
 
+class CertRow(NamedTuple):
+    """A corpus row's key columns: its validity (a :class:`ValidityRow`
+    prefix, so :func:`~repro.core.detectors.key_compromise.revocation_outcome`
+    reads either), its CRL join key and its sorted registered domains."""
+
+    row: int
+    not_before: Day
+    not_after: Day
+    authority_key_id: str
+    serial: int
+    e2lds: List[str]
+
+
 class Corpus(Protocol):
     """What the detectors, the shard planner, the stream engine, the
     advisor and ``write_dataset`` read from a certificate corpus.
@@ -89,12 +104,13 @@ class Corpus(Protocol):
         """How many certificates have *e2ld* among their e2LDs, and those
         of them whose validity strictly spans *day*, corpus order."""
 
-    def managed_certificates(self) -> List[Certificate]:
-        """CDN-managed certificates (:func:`has_managed_marker_san`),
-        corpus order."""
+    def managed_rows(self) -> List[int]:
+        """Rows of CDN-managed certificates (:func:`has_managed_marker_san`),
+        ascending."""
 
-    def routing_keys(self) -> Iterator[Tuple[str, List[str]]]:
-        """``(authority_key_id, sorted e2LDs)`` per row, corpus order."""
+    def key_rows(self) -> Iterator[CertRow]:
+        """One :class:`CertRow` per row, corpus order; builds no
+        certificate."""
 
 
 @dataclass
@@ -216,20 +232,25 @@ class CertificateCorpus:
             if has_managed_marker_san(certificate.san_dns_names)
         ]
 
-    def managed_certificates(self) -> List[Certificate]:
-        return [self.certificate(row) for row in self.managed_rows()]
-
-    def routing_keys(self) -> Iterator[Tuple[str, List[str]]]:
-        for certificate in self._by_fingerprint.values():
-            yield certificate.authority_key_id, sorted(certificate.e2lds())
+    def key_rows(self) -> Iterator[CertRow]:
+        for row, certificate in enumerate(self._row_list()):
+            yield CertRow(
+                row,
+                certificate.not_before,
+                certificate.not_after,
+                certificate.authority_key_id,
+                certificate.serial,
+                sorted(certificate.e2lds()),
+            )
 
 
 class CorpusSlice:
     """One shard's corpus: *rows* of a store, in the store's row order.
 
-    ``certificates()``, ``len`` and ``managed_certificates()`` cover only
-    the slice's rows. The joins go straight to the store's indexes. That
-    is sound because shard routing is join-closed: every certificate that
+    ``certificates()``, ``len``, ``managed_rows()`` and ``key_rows()``
+    cover only the slice's rows. The joins go straight to the store's
+    indexes. That is sound because shard routing is join-closed: every
+    certificate that
     shares an authority key id (revocation axis) or an e2LD component
     (domain axis) with the slice's rows is in the slice, so a lookup from
     a shard-local key returns shard-local rows.
@@ -258,14 +279,10 @@ class CorpusSlice:
     def e2ld_candidates(self, e2ld: str, day: Day) -> Tuple[int, List[Certificate]]:
         return self._store.e2ld_candidates(e2ld, day)
 
-    def managed_certificates(self) -> List[Certificate]:
+    def managed_rows(self) -> List[int]:
         rows = set(self._rows)
-        return [
-            self._store.certificate(row)
-            for row in self._store.managed_rows()
-            if row in rows
-        ]
+        return [row for row in self._store.managed_rows() if row in rows]
 
-    def routing_keys(self) -> Iterator[Tuple[str, List[str]]]:
-        keys = list(self._store.routing_keys())
-        return (keys[row] for row in self._rows)
+    def key_rows(self) -> Iterator[CertRow]:
+        rows = set(self._rows)
+        return (key for key in self._store.key_rows() if key.row in rows)

@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.core.pipeline import DatasetBundle
 from repro.core.stale import StalenessClass
-from repro.ct.dedup import ValidityRow
+from repro.ct.dedup import CertRow, ValidityRow
 from repro.data import schema
 from repro.data.bundle import LazySnapshotStore, synthetic_crls
 from repro.data.segment import Segment, SegmentFormatError, check_span
@@ -326,7 +326,10 @@ class ChainedColumn(Sequence):
 
 _CERT_COLUMNS = tuple(name for name, _ in schema.COLUMNS[schema.CERTS_TABLE])
 
-#: Rows per range read when :meth:`CertsTable.certificates` walks the table.
+#: The columns behind :class:`~repro.ct.dedup.CertRow`, after its row id.
+_KEY_COLUMNS = CertRow._fields[1:]
+
+#: Rows per range read when :class:`CertsTable` walks the table.
 _HYDRATE_CHUNK = 4096
 
 
@@ -385,13 +388,16 @@ class CertsTable(Table):
         segment = self._index_segment("managed")
         return segment.column("row").read(0, segment.rows)
 
-    def managed_certificates(self) -> List[Certificate]:
-        return [self.certificate(row) for row in self.managed_rows()]
-
-    def routing_keys(self) -> Iterator[Tuple[str, List[str]]]:
-        """Read from the ``authority_key_id`` and derived ``e2lds`` columns
-        (sorted at write time), so routing builds no certificate."""
-        return zip(self.column("authority_key_id"), self.column("e2lds"))
+    def key_rows(self) -> Iterator[CertRow]:
+        """Range reads of the validity, CRL-key and derived ``e2lds``
+        (sorted at write time) columns; builds no certificate."""
+        for lo in range(0, self.rows, _HYDRATE_CHUNK):
+            hi = min(lo + _HYDRATE_CHUNK, self.rows)
+            yield from map(
+                CertRow,
+                range(lo, hi),
+                *(self.column(name).read(lo, hi) for name in _KEY_COLUMNS),
+            )
 
 
 class RevocationsTable(Table):

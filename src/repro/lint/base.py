@@ -4,7 +4,7 @@ Rules come in two shapes. A :class:`Rule` inspects one parsed file at a
 time via ``check(ctx)``. A :class:`ProjectRule` runs once per lint
 invocation via ``check_project(index)`` and may correlate facts across
 files (the metric rules read the names declared in ``repro/obs/names.py``;
-the flow rules link every file into one program graph).
+the flow rules read module facts extracted from every file).
 
 Every rule declares a stable ``code`` (``RL...``), a human ``name``, a
 ``rationale`` (which engine invariant it protects — surfaced by
@@ -83,9 +83,8 @@ class ProjectIndex:
 
     Built lazily from the parsed file set: the metric-name constants
     declared in ``repro/obs/names.py`` and — for the flow rules —
-    per-file :class:`repro.lint.flow.facts.ModuleFacts` linked into a
-    whole-program graph. The index is pure AST — nothing is imported or
-    executed.
+    per-file :class:`repro.lint.flow.facts.ModuleFacts`. The index is
+    pure AST — nothing is imported or executed.
     """
 
     METRIC_NAMES_SUFFIX = "repro/obs/names.py"
@@ -98,8 +97,6 @@ class ProjectIndex:
         self._progress_phases: Optional[Set[str]] = None
         self._rng_labels: Optional[Tuple] = None
         self._rng_labels_loaded = False
-        self._program: Optional[object] = None
-        self._program_built = False
 
     # -- extracted module facts (flow tier) ---------------------------------
 
@@ -131,20 +128,6 @@ class ProjectIndex:
             if facts is not None:
                 out[path] = facts
         return out
-
-    def program(self):
-        """The linked :class:`~repro.lint.flow.graphs.ProgramGraph`.
-
-        Built once per lint run from :meth:`all_facts`; ``None`` when the
-        scanned set is empty.
-        """
-        if not self._program_built:
-            self._program_built = True
-            from repro.lint.flow.graphs import ProgramGraph
-
-            facts = self.all_facts()
-            self._program = ProgramGraph.build(facts) if facts else None
-        return self._program
 
     def line_text(self, path: str, lineno: int) -> str:
         """Stripped source line for baseline keys on cross-file findings."""

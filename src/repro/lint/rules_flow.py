@@ -40,13 +40,13 @@ class RngLabelRegistryRule(ProjectRule):
     )
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        program = index.program()
-        if program is None:
-            return
         from repro.lint.flow.graphs import collect_rng_labels
 
+        facts = index.all_facts()
+        if not facts:
+            return
         sites = [
-            site for site in collect_rng_labels(program)
+            site for site in collect_rng_labels(facts)
             if site.site.kind == "root" and not site.site.variadic
         ]
 

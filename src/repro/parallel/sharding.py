@@ -21,7 +21,7 @@ because the three joins use two different keys:
   .com/.net zone files); a SAN beneath an apex then shares the apex's
   domain key and can never land in a different shard.
 
-Routing reads only :meth:`~repro.ct.dedup.Corpus.routing_keys` — the
+Routing reads only :meth:`~repro.ct.dedup.Corpus.key_rows` — the
 authority key id and the sorted e2LD list per row — so over the columnar
 store no certificate is built to plan the shards. Each shard's two
 corpora are :class:`~repro.ct.dedup.CorpusSlice` row lists over the
@@ -162,11 +162,11 @@ def partition_bundle(bundle: DatasetBundle, num_shards: int) -> ShardPlan:
     revocation_rows: List[List[int]] = [[] for _ in range(num_shards)]
     domain_rows: List[List[int]] = [[] for _ in range(num_shards)]
 
-    # One pass over the routing keys: revocation rows go by authority key
-    # id; domain components form by union-find over registered domains.
+    # One pass over the key rows: revocation rows go by authority key id;
+    # domain components form by union-find over registered domains.
     components = _UnionFind()
     row_e2lds: List[List[str]] = []
-    for row, (akid, keys) in enumerate(corpus.routing_keys()):
+    for row, _, _, akid, _, keys in corpus.key_rows():
         shard_index = plan.revocation_assignment.setdefault(
             akid, stable_hash(akid) % num_shards
         )

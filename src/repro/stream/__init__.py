@@ -11,9 +11,10 @@ into an always-on monitor. It is organized as:
 * :mod:`repro.stream.bus` — a synchronous publish/subscribe event bus with
   queue-depth and latency accounting;
 * :mod:`repro.stream.detectors` — incremental wrappers for the three
-  staleness detectors, maintaining internal state (seen-cert indexes,
-  pending revocations, last NS/CNAME view per domain) and emitting findings
-  as events arrive instead of at end-of-batch;
+  staleness detectors, maintaining internal state (seen corpus rows,
+  pending revocations, last NS/CNAME view per domain), building a
+  certificate only when a join needs it, and emitting findings as events
+  arrive instead of at end-of-batch;
 * :mod:`repro.stream.checkpoint` — serialized detector state so a killed
   replay resumes mid-stream and converges to the same findings;
 * :mod:`repro.stream.metrics` — :class:`StreamStats` counters surfaced by

@@ -4,6 +4,14 @@ The rules live once, in :mod:`repro.core.detectors`; the batch detectors
 drive them over index lookups, and each wrapper here drives them over
 events, keeping only its per-key stream state and checkpoint serialisation.
 
+A wrapper is built over the bundle's corpus and learns of each CT entry
+through :meth:`register`, which takes the entry's
+:class:`~repro.ct.dedup.CertRow`. Per-key state holds rows; a wrapper
+builds a certificate (``corpus.certificate(row)``) only where its join
+emits one or must test its SANs — a key-compromise survivor, a
+registrant-change row strictly spanning a re-creation day, a CDN-managed
+row — which is the set the batch detectors build.
+
 Fed a bundle's events in nondecreasing day order, CT entries first within
 a day, every wrapper converges to the findings and join statistics of its
 batch detector (the equivalence and parity tests enforce this). A CRL
@@ -11,8 +19,9 @@ republication with an earlier day revises an emitted finding, so the
 converged view is :meth:`findings`, not the emission feed. Checkpoints
 reference certificates by dedup fingerprint; the engine re-ingests the CT
 prefix on resume. The engine iterates ``name`` (the batch registry key),
-``event_type``, ``consume``, ``finalize``, ``stats``, ``checkpoint_state``,
-``restore_state(state, resolve_certificate=None)`` and ``after_resume``.
+``event_type``, ``register``, ``consume``, ``finalize``, ``stats``,
+``checkpoint_state``, ``restore_state(state, resolve_certificate=None)``
+and ``after_resume``.
 """
 
 from __future__ import annotations
@@ -38,9 +47,9 @@ from repro.core.detectors.registrant_change import (
     registration_key,
 )
 from repro.core.stale import StaleCertificate, finding_key
+from repro.ct.dedup import CertRow, Corpus
 from repro.dns.records import RecordType
 from repro.dns.snapshots import DomainObservation
-from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.stream.events import (
@@ -57,27 +66,31 @@ RevocationKey = Tuple[str, int]
 class IncrementalKeyCompromiseDetector:
     """Streaming revocation cross-referencing (paper §4.1).
 
-    State: the seen-certificate index keyed by (authority key id, serial),
-    the earliest-known revocation entry per key (the incremental equivalent
-    of :func:`~repro.revocation.crl.merge_crl_series`), and the current
+    State: the seen-row index keyed by (authority key id, serial), the
+    earliest-known revocation entry per key (the incremental equivalent of
+    :func:`~repro.revocation.crl.merge_crl_series`), and the current
     findings per key. Entries whose certificate has not appeared in CT yet
-    stay pending and join retroactively when it does.
+    stay pending and join retroactively when it does. The §4.1 filters read
+    the row's validity; only a survivor's certificate is built.
     """
 
     name = "key_compromise"
     event_type = EventType.CRL_DELTA_PUBLISHED
 
-    def __init__(self, revocation_cutoff_day: Optional[Day] = None) -> None:
+    def __init__(
+        self, corpus: Corpus, revocation_cutoff_day: Optional[Day] = None
+    ) -> None:
+        self._corpus = corpus
         self._cutoff = revocation_cutoff_day
-        self._certs_by_key: Dict[RevocationKey, Certificate] = {}
+        self._rows_by_key: Dict[RevocationKey, CertRow] = {}
         self._best: Dict[RevocationKey, CrlEntry] = {}
         self._findings: Dict[RevocationKey, List[StaleCertificate]] = {}
 
     # -- event handling -----------------------------------------------------
 
-    def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
-        key = certificate.revocation_key()
-        self._certs_by_key[key] = certificate
+    def register(self, row: CertRow) -> List[StaleCertificate]:
+        key = (row.authority_key_id, row.serial)
+        self._rows_by_key[key] = row
         if key in self._best:
             return self._evaluate(key)
         return []
@@ -90,7 +103,7 @@ class IncrementalKeyCompromiseDetector:
             if existing is not None and entry.revocation_day >= existing.revocation_day:
                 continue  # duplicate republication; earliest day wins
             self._best[key] = entry
-            if key in self._certs_by_key:
+            if key in self._rows_by_key:
                 emitted.extend(self._evaluate(key))
         return emitted
 
@@ -101,11 +114,12 @@ class IncrementalKeyCompromiseDetector:
         return []
 
     def _evaluate(self, key: RevocationKey) -> List[StaleCertificate]:
-        certificate = self._certs_by_key[key]
+        row = self._rows_by_key[key]
         entry = self._best[key]
-        if revocation_outcome(entry, certificate, self._cutoff) != "survivors":
+        if revocation_outcome(entry, row, self._cutoff) != "survivors":
             self._findings.pop(key, None)
             return []
+        certificate = self._corpus.certificate(row.row)
         self._findings[key] = revocation_findings(entry, certificate)
         return list(self._findings[key])
 
@@ -116,7 +130,7 @@ class IncrementalKeyCompromiseDetector:
         return {
             key: entry
             for key, entry in self._best.items()
-            if key not in self._certs_by_key
+            if key not in self._rows_by_key
         }
 
     def findings(self) -> List[StaleCertificate]:
@@ -126,7 +140,7 @@ class IncrementalKeyCompromiseDetector:
     def stats(self) -> RevocationJoinStats:
         """Join accounting identical to the batch detector's."""
         return RevocationJoinStats.of(
-            revocation_outcome(entry, self._certs_by_key.get(key), self._cutoff)
+            revocation_outcome(entry, self._rows_by_key.get(key), self._cutoff)
             for key, entry in self._best.items()
         )
 
@@ -142,9 +156,9 @@ class IncrementalKeyCompromiseDetector:
 
     def restore_state(self, state: dict, resolve_certificate=None) -> None:
         """Restore the merged revocation view; the engine re-ingests the CT
-        prefix afterwards, which rebuilds the cert index and findings.
+        prefix afterwards, which rebuilds the row index and findings.
         ``resolve_certificate`` is unused (uniform registry signature)."""
-        self._certs_by_key.clear()
+        self._rows_by_key.clear()
         self._findings.clear()
         self._best = {
             (akid, serial): CrlEntry(
@@ -163,26 +177,31 @@ class IncrementalRegistrantChangeDetector:
     """Streaming registry-creation-date diffing (paper §4.2).
 
     State: sorted distinct creation dates per domain (eligible TLDs only)
-    and the certificate index by e2LD. Each new creation date rebuilds its
-    domain's (previous, current) pairs, so an out-of-order arrival (when
-    the API is fed directly rather than by the day-ordered replay) still
-    converges to the batch pairs.
+    and the row index by the rows' stored ``e2lds``. Each new creation date
+    rebuilds its domain's (previous, current) pairs, so an out-of-order
+    arrival (when the API is fed directly rather than by the day-ordered
+    replay) still converges to the batch pairs. A pair builds only the
+    rows whose validity strictly spans its creation day, the rows
+    :meth:`~repro.ct.dedup.Corpus.e2ld_candidates` returns in batch.
     """
 
     name = "registrant_change"
     event_type = EventType.WHOIS_CREATION_OBSERVED
 
-    def __init__(self, tlds: Optional[Sequence[str]] = ("com", "net")) -> None:
+    def __init__(
+        self, corpus: Corpus, tlds: Optional[Sequence[str]] = ("com", "net")
+    ) -> None:
+        self._corpus = corpus
         self._tlds = tuple(tlds) if tlds is not None else None
         self._dates_by_domain: Dict[str, List[Day]] = {}
-        self._certs_by_e2ld: Dict[str, List[Certificate]] = {}
+        self._rows_by_e2ld: Dict[str, List[CertRow]] = {}
         self._findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
 
     # -- event handling -----------------------------------------------------
 
-    def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
-        for registrable in certificate.e2lds():
-            self._certs_by_e2ld.setdefault(registrable, []).append(certificate)
+    def register(self, row: CertRow) -> List[StaleCertificate]:
+        for registrable in row.e2lds:
+            self._rows_by_e2ld.setdefault(registrable, []).append(row)
         return []
 
     def handle_whois(self, event: WhoisCreationObserved) -> List[StaleCertificate]:
@@ -207,9 +226,14 @@ class IncrementalRegistrantChangeDetector:
         domains see a handful of dates, and exact for out-of-order revisions
         of ``re_registered_after``."""
         dates = self._dates_by_domain[domain]
-        candidates = self._certs_by_e2ld.get(registration_key(domain), ())
+        rows = self._rows_by_e2ld.get(registration_key(domain), ())
         emitted: List[StaleCertificate] = []
         for previous, current in zip(dates, dates[1:]):
+            candidates = [
+                self._corpus.certificate(row.row)
+                for row in rows
+                if row.not_before < current < row.not_after
+            ]
             for finding in re_registration_findings(domain, previous, current, candidates):
                 key = finding_key(finding)
                 existing = self._findings.get(key)
@@ -232,7 +256,7 @@ class IncrementalRegistrantChangeDetector:
         for domain, dates in self._dates_by_domain.items():
             pairs = max(0, len(dates) - 1)
             stats.re_registration_events += pairs
-            if pairs and self._certs_by_e2ld.get(registration_key(domain)):
+            if pairs and self._rows_by_e2ld.get(registration_key(domain)):
                 stats.events_joining_certificates += pairs
         return stats
 
@@ -247,7 +271,7 @@ class IncrementalRegistrantChangeDetector:
 
     def restore_state(self, state: dict, resolve_certificate=None) -> None:
         """``resolve_certificate`` is unused (uniform registry signature)."""
-        self._certs_by_e2ld.clear()
+        self._rows_by_e2ld.clear()
         self._findings.clear()
         self._dates_by_domain = {
             domain: sorted(dates)
@@ -269,22 +293,26 @@ class IncrementalManagedTlsDetector:
 
     State: the :class:`~repro.core.detectors.managed_tls.DepartureTracker`
     and :class:`~repro.core.detectors.managed_tls.ManagedCertificateJoin`
-    the batch detector also drives. Departures join the certificates seen
-    so far as the tracker confirms them; :meth:`finalize` flushes the
-    disappearances the scan window ended on.
+    the batch detector also drives. A registered row joins only when it is
+    one of the corpus's ``managed_rows()``. Departures join the
+    certificates seen so far as the tracker confirms them; :meth:`finalize`
+    flushes the disappearances the scan window ended on.
     """
 
     name = "managed_tls"
     event_type = EventType.DNS_SNAPSHOT_TAKEN
 
-    def __init__(self) -> None:
+    def __init__(self, corpus: Corpus) -> None:
+        self._corpus = corpus
+        self._managed = frozenset(corpus.managed_rows())
         self._tracker = DepartureTracker()
         self._join = ManagedCertificateJoin()
 
     # -- event handling -----------------------------------------------------
 
-    def register_certificate(self, certificate: Certificate) -> List[StaleCertificate]:
-        self._join.add(certificate)
+    def register(self, row: CertRow) -> List[StaleCertificate]:
+        if row.row in self._managed:
+            self._join.add(self._corpus.certificate(row.row))
         return []
 
     def handle_snapshot(self, event: DnsSnapshotTaken) -> List[StaleCertificate]:

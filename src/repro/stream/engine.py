@@ -16,9 +16,11 @@ same bundle.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.detectors.key_compromise import RevocationJoinStats
 from repro.core.pipeline import DatasetBundle, MeasurementPipeline, PipelineResult
@@ -28,6 +30,7 @@ from repro.core.stale import (
     StaleFindings,
     canonical_order_key,
 )
+from repro.ct.dedup import CertRow, Corpus
 from repro.revocation.crl import CrlEntry
 from repro.stream.bus import EventBus
 from repro.stream.checkpoint import CheckpointMismatchError, CheckpointStore
@@ -72,8 +75,17 @@ def bundle_fingerprint(bundle: DatasetBundle) -> str:
     return digest.hexdigest()[:16]
 
 
+def _ct_order(corpus: Corpus) -> List[CertRow]:
+    """The corpus's key rows in CT visibility order: (notBefore, row)."""
+    return sorted(corpus.key_rows(), key=attrgetter("not_before"))
+
+
 def build_event_stream(bundle: DatasetBundle) -> List[Event]:
     """Derive the sorted event list a live deployment would have observed.
+
+    Each of the four sources is generated in day order and the sources are
+    merged by :meth:`Event.sort_key`; sort keys are unique, so the merge
+    equals a full sort.
 
     CRL publications are *compacted*: each ``CrlDeltaPublished`` carries
     only the entries that are new for their (authority key id, serial) — or
@@ -82,19 +94,23 @@ def build_event_stream(bundle: DatasetBundle) -> List[Event]:
     :func:`~repro.revocation.crl.merge_crl_series`. Daily republications of
     an unchanged CRL therefore produce no event at all.
     """
-    events: List[Event] = []
-
-    certificates = sorted(
-        bundle.corpus.certificates(),
-        key=lambda c: (c.not_before, c.dedup_fingerprint()),
-    )
-    for sequence, certificate in enumerate(certificates):
-        events.append(
-            CtEntryLogged(
-                day=certificate.not_before, sequence=sequence, certificate=certificate
-            )
+    return list(
+        heapq.merge(
+            _ct_events(bundle),
+            _crl_events(bundle),
+            _whois_events(bundle),
+            _dns_events(bundle),
+            key=Event.sort_key,
         )
+    )
 
+
+def _ct_events(bundle: DatasetBundle) -> Iterator[Event]:
+    for sequence, row in enumerate(_ct_order(bundle.corpus)):
+        yield CtEntryLogged(day=row.not_before, sequence=sequence, row=row)
+
+
+def _crl_events(bundle: DatasetBundle) -> Iterator[Event]:
     best_published: Dict[Tuple[str, int], Day] = {}
     sequence = 0
     for crl in sorted(
@@ -110,45 +126,34 @@ def build_event_stream(bundle: DatasetBundle) -> List[Event]:
             delta.append(entry)
         if not delta:
             continue
-        events.append(
-            CrlDeltaPublished(
-                day=crl.this_update,
-                sequence=sequence,
-                issuer_name=crl.issuer_name,
-                authority_key_id=crl.authority_key_id,
-                entries=tuple(delta),
-            )
+        yield CrlDeltaPublished(
+            day=crl.this_update,
+            sequence=sequence,
+            issuer_name=crl.issuer_name,
+            authority_key_id=crl.authority_key_id,
+            entries=tuple(delta),
         )
         sequence += 1
 
-    seen_pairs: Set[Tuple[str, Day]] = set()
-    sequence = 0
-    for domain, creation_day in sorted(bundle.whois_creation_pairs):
-        if (domain, creation_day) in seen_pairs:
-            continue  # the same pair surfaces in many crawls
-        seen_pairs.add((domain, creation_day))
-        events.append(
-            WhoisCreationObserved(
-                day=creation_day,
-                sequence=sequence,
-                domain=domain,
-                creation_day=creation_day,
-            )
+
+def _whois_events(bundle: DatasetBundle) -> Iterator[Event]:
+    # The same pair surfaces in many crawls; each distinct one is an event.
+    pairs = sorted(
+        {(creation_day, domain) for domain, creation_day in bundle.whois_creation_pairs}
+    )
+    for sequence, (creation_day, domain) in enumerate(pairs):
+        yield WhoisCreationObserved(
+            day=creation_day, sequence=sequence, domain=domain, creation_day=creation_day
         )
-        sequence += 1
 
-    if bundle.dns_snapshots is not None and len(bundle.dns_snapshots) >= 2:
-        for sequence, scan_day in enumerate(bundle.dns_snapshots.days()):
-            events.append(
-                DnsSnapshotTaken(
-                    day=scan_day,
-                    sequence=sequence,
-                    snapshot=bundle.dns_snapshots.get(scan_day),
-                )
-            )
 
-    events.sort(key=Event.sort_key)
-    return events
+def _dns_events(bundle: DatasetBundle) -> Iterator[Event]:
+    if bundle.dns_snapshots is None or len(bundle.dns_snapshots) < 2:
+        return
+    for sequence, scan_day in enumerate(bundle.dns_snapshots.days()):
+        yield DnsSnapshotTaken(
+            day=scan_day, sequence=sequence, snapshot=bundle.dns_snapshots.get(scan_day)
+        )
 
 
 @dataclass
@@ -207,9 +212,10 @@ class StreamEngine:
         self.stats = StreamStats()
         self.stats.bind_registry(self._registry)
         self.bus = EventBus(self.stats)
-        self._kc = IncrementalKeyCompromiseDetector(revocation_cutoff_day)
-        self._rc = IncrementalRegistrantChangeDetector(whois_tlds)
-        self._mt = IncrementalManagedTlsDetector()
+        corpus = bundle.corpus
+        self._kc = IncrementalKeyCompromiseDetector(corpus, revocation_cutoff_day)
+        self._rc = IncrementalRegistrantChangeDetector(corpus, whois_tlds)
+        self._mt = IncrementalManagedTlsDetector(corpus)
         #: Registry the engine iterates everywhere (dispatch, finalize,
         #: checkpoint, restore, materialize). Order fixes the emission
         #: order, matching the batch registry's; materialized findings are
@@ -230,7 +236,7 @@ class StreamEngine:
 
     def _on_ct_entry(self, event: CtEntryLogged) -> None:
         for detector in self._detectors:
-            self._emit(detector.register_certificate(event.certificate))
+            self._emit(detector.register(event.row))
 
     def _make_handler(self, detector):
         def handle(event: Event) -> None:
@@ -380,30 +386,31 @@ class StreamEngine:
         self.stats.bind_registry(self._registry)
         self.bus.stats = self.stats
 
-        detectors = state.get("detectors", {})
+        # Checkpointed findings name certificates by dedup fingerprint; only
+        # managed-TLS findings are restored rather than rederived, so only
+        # the CDN-managed rows are built to resolve them.
+        corpus = self._bundle.corpus
+        managed = (corpus.certificate(row) for row in corpus.managed_rows())
         by_fingerprint = {
-            certificate.dedup_fingerprint(): certificate
-            for certificate in self._bundle.corpus.certificates()
+            certificate.dedup_fingerprint(): certificate for certificate in managed
         }
+        detectors = state.get("detectors", {})
         for detector in self._detectors:
             detector.restore_state(
                 detectors.get(detector.name, {}), by_fingerprint.__getitem__
             )
 
-        # Re-ingest the CT prefix (certificates already logged by the
-        # cursor) to rebuild the derivable seen-certificate indexes; the
+        # Re-ingest the CT prefix (rows already logged by the cursor, in
+        # replay order) to rebuild the derivable seen-row indexes; the
         # key-compromise findings rebuild from the restored join state as a
         # side effect, and each detector's after_resume hook rederives
         # whatever else its state implies (registrant-change findings).
         if self._cursor is not None:
-            for certificate in sorted(
-                self._bundle.corpus.certificates(),
-                key=lambda c: (c.not_before, c.dedup_fingerprint()),
-            ):
-                if certificate.not_before > self._cursor:
+            for row in _ct_order(corpus):
+                if row.not_before > self._cursor:
                     break
                 for detector in self._detectors:
-                    detector.register_certificate(certificate)
+                    detector.register(row)
             for detector in self._detectors:
                 detector.after_resume()
         return True

@@ -8,7 +8,9 @@ produces one snapshot per day. Each stream maps to one event type here.
 Within a day, events dispatch in dataset order — CT first, then CRL, then
 WHOIS, then DNS — so that every join a detector performs on day *d* sees
 exactly the certificates known to CT by *d* (the same visibility the batch
-pipeline has over a completed corpus).
+pipeline has over a completed corpus). A CT event carries the corpus row's
+key columns (:class:`~repro.ct.dedup.CertRow`), not a built certificate;
+same-day CT events go in corpus row order.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.stale import StaleCertificate
+from repro.ct.dedup import CertRow
 from repro.dns.snapshots import DailySnapshot
-from repro.pki.certificate import Certificate
 from repro.revocation.crl import CrlEntry
 from repro.util.dates import Day, day_to_iso
 
@@ -70,9 +72,11 @@ class Event:
 
 @dataclass(frozen=True, repr=False)
 class CtEntryLogged(Event):
-    """A deduplicated certificate became visible in CT (at its notBefore)."""
+    """A deduplicated certificate became visible in CT (at its notBefore);
+    ``row`` is its corpus row, which a detector builds only if a join
+    needs the certificate."""
 
-    certificate: Certificate = None  # type: ignore[assignment]
+    row: CertRow = None  # type: ignore[assignment]
 
     @property
     def event_type(self) -> EventType:

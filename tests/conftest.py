@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import MeasurementPipeline, WorldConfig, simulate_world
+from repro.ecosystem.streamgen import save_streamed
 from repro.pki.certificate import Certificate
 from repro.pki.keys import KeyAlgorithm, KeyPair, KeyStore
 from repro.util.dates import day
@@ -19,6 +20,16 @@ from repro.util.dates import day
 def small_world():
     """A deterministic, small-scale full-decade world."""
     return simulate_world(WorldConfig(seed=4242).scaled(0.08))
+
+
+@pytest.fixture(scope="session")
+def streamgen_dir(tmp_path_factory):
+    """A saved seed-20231024 streamgen world at scale 0.05; open it with
+    ``open_bundle`` for a fresh bundle (nothing built yet)."""
+    directory = str(tmp_path_factory.mktemp("streamgen") / "bundle")
+    save_streamed(WorldConfig(seed=20231024).scaled(0.05), directory, shards=1,
+                  use_processes=False)
+    return directory
 
 
 @pytest.fixture(scope="session")

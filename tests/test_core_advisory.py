@@ -7,8 +7,13 @@ from repro.core.advisory import (
     Remediation,
     StaleCertificateAdvisor,
 )
+from repro.core.pipeline import MeasurementPipeline
+from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
+from repro.data import open_bundle
+from repro.ecosystem.timeline import DEFAULT_TIMELINE
 from repro.pki.keys import KeyStore
+from repro.psl.registered import DomainName, e2ld
 from repro.util.dates import day
 from tests.conftest import make_cert
 
@@ -156,3 +161,74 @@ class TestOnSimulatedWorld:
         assert not report.is_clean
         serials = {e.certificate.serial for e in report.exposures}
         assert finding.certificate.serial in serials
+
+
+def full_scan_exposures(corpus, domain, acquisition_day):
+    """The oracle: the advisor's definition as a scan of every certificate.
+
+    Every certificate issued before *acquisition_day*, not expired on it,
+    with a name equal to or beneath the target's registrable domain;
+    longest remaining exposure first, corpus order among ties.
+    """
+    target = DomainName(domain).name
+    registrable = e2ld(target) or target
+    exposures = []
+    for certificate in corpus.certificates():
+        if certificate.not_before >= acquisition_day:
+            continue
+        if certificate.not_after < acquisition_day:
+            continue
+        matched = tuple(
+            sorted(
+                name
+                for name in certificate.fqdns()
+                if name == registrable or name.endswith("." + registrable)
+            )
+        )
+        if matched:
+            exposures.append(
+                (certificate.dedup_fingerprint(), matched, certificate.not_after)
+            )
+    exposures.sort(key=lambda exposure: acquisition_day - exposure[2])
+    return [(fingerprint, matched) for fingerprint, matched, _ in exposures]
+
+
+def full_scan_issuance(corpus, domain, since_day):
+    """The oracle for ``monitor_new_issuance``: a scan of every certificate."""
+    target = DomainName(domain).name
+    return sorted(
+        (
+            certificate
+            for certificate in corpus.certificates()
+            if certificate.not_before >= since_day and certificate.covers_name(target)
+        ),
+        key=lambda certificate: certificate.not_before,
+    )
+
+
+class TestNarrowedScanOnStreamgenWorld:
+    """The advisor reads key rows and builds only the rows under the
+    queried domain; its answers equal the full scan on every
+    registrant-change finding (the queries live ``watch`` makes)."""
+
+    def test_every_finding_matches_the_full_scan(self, streamgen_dir):
+        bundle = open_bundle(streamgen_dir)
+        result = MeasurementPipeline.run_bundle(
+            bundle, revocation_cutoff_day=DEFAULT_TIMELINE.revocation_cutoff
+        )
+        findings = result.findings.of_class(StalenessClass.REGISTRANT_CHANGE)
+        assert findings
+        advisor = StaleCertificateAdvisor(open_bundle(streamgen_dir).corpus)
+        exposed = 0
+        for finding in findings:
+            domain, on_day = finding.affected_domain, finding.invalidation_day
+            report = advisor.check_acquisition(domain, on_day)
+            assert [
+                (exposure.certificate.dedup_fingerprint(), exposure.matched_names)
+                for exposure in report.exposures
+            ] == full_scan_exposures(bundle.corpus, domain, on_day)
+            exposed += len(report.exposures)
+            assert advisor.monitor_new_issuance(domain, on_day) == full_scan_issuance(
+                bundle.corpus, domain, on_day
+            )
+        assert exposed

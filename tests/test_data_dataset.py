@@ -287,8 +287,10 @@ class TestColumnsBeforeObjects:
             return {
                 "revocation_match": matches,
                 "e2ld_candidates": candidates,
-                "managed": fingerprints(corpus.managed_certificates()),
-                "routing_keys": list(corpus.routing_keys()),
+                "managed": fingerprints(
+                    corpus.certificate(row) for row in corpus.managed_rows()
+                ),
+                "key_rows": list(corpus.key_rows()),
                 "certificates": fingerprints(corpus.certificates()),
             }
 

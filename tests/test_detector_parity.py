@@ -16,9 +16,7 @@ import pytest
 from repro import MeasurementPipeline
 from repro.core.pipeline import DETECTOR_REGISTRY, PipelineConfig
 from repro.data import open_bundle
-from repro.ecosystem.streamgen import save_streamed
 from repro.ecosystem.timeline import DEFAULT_TIMELINE
-from repro.ecosystem.workload import WorldConfig
 from repro.stream import (
     IncrementalKeyCompromiseDetector,
     IncrementalManagedTlsDetector,
@@ -30,11 +28,8 @@ from repro.stream.events import EventType
 
 
 @pytest.fixture(scope="module")
-def streamgen_world(tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("parity") / "bundle")
-    save_streamed(WorldConfig(seed=20231024).scaled(0.05), directory, shards=1,
-                  use_processes=False)
-    return open_bundle(directory), DEFAULT_TIMELINE.revocation_cutoff
+def streamgen_world(streamgen_dir):
+    return open_bundle(streamgen_dir), DEFAULT_TIMELINE.revocation_cutoff
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +54,15 @@ def batch_stats(bundle, cutoff):
 
 def stream_stats(bundle, cutoff):
     wrappers = (
-        IncrementalKeyCompromiseDetector(cutoff),
-        IncrementalRegistrantChangeDetector(),
-        IncrementalManagedTlsDetector(),
+        IncrementalKeyCompromiseDetector(bundle.corpus, cutoff),
+        IncrementalRegistrantChangeDetector(bundle.corpus),
+        IncrementalManagedTlsDetector(bundle.corpus),
     )
     by_type = {wrapper.event_type: wrapper for wrapper in wrappers}
     for event in build_event_stream(bundle):
         if event.event_type is EventType.CT_ENTRY_LOGGED:
             for wrapper in wrappers:
-                wrapper.register_certificate(event.certificate)
+                wrapper.register(event.row)
         else:
             by_type[event.event_type].consume(event)
     for wrapper in wrappers:

@@ -1,4 +1,4 @@
-"""Cross-file lint tier: RNG labels, dead exports, the program graph.
+"""Cross-file lint tier: RNG labels and dead exports.
 
 The fixture trees under ``tests/lint_fixtures/flow/`` are a label
 collision split across two files and dead-export whitelisting.
@@ -13,12 +13,10 @@ from pathlib import Path
 from repro.cli import main
 from repro.lint import FileContext, LintRunner
 from repro.lint.flow import (
-    build_import_graph,
     collect_rng_labels,
     extract_module_facts,
     module_name_for_path,
 )
-from repro.lint.flow.graphs import ProgramGraph
 from repro.obs import names
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -37,12 +35,12 @@ def lint_tree(root: Path):
     return LintRunner().run_contexts(tree_contexts(root))
 
 
-def program_for(root: Path) -> ProgramGraph:
+def facts_for(root: Path):
     facts = {}
     for file in sorted(root.rglob("*.py")):
         lint_path = file.relative_to(root).as_posix()
         facts[lint_path] = extract_module_facts(lint_path, file.read_text())
-    return ProgramGraph.build(facts)
+    return facts
 
 
 class TestModuleNames:
@@ -75,17 +73,17 @@ class TestRngLabelRegistry:
         This is the CI self-check: every root fork site's label tuple is
         declared, and no declaration is stale.
         """
-        program = program_for(REPO_ROOT / "src")
         collected = {
             site.labels
-            for site in collect_rng_labels(program)
+            for site in collect_rng_labels(facts_for(REPO_ROOT / "src"))
             if site.site.kind == "root" and not site.site.variadic
         }
         assert collected == set(names.RNG_LABELS)
 
     def test_real_fork_sites_are_root_or_split(self):
-        program = program_for(REPO_ROOT / "src")
-        kinds = {site.site.kind for site in collect_rng_labels(program)}
+        kinds = {
+            site.site.kind for site in collect_rng_labels(facts_for(REPO_ROOT / "src"))
+        }
         assert kinds <= {"root", "split"}
 
 
@@ -104,23 +102,6 @@ class TestDeadExports:
             if f.code == "RL703"
         ]
         assert findings == []
-
-
-class TestProgramGraph:
-    def test_import_graph_resolves_internal_edges(self):
-        program = program_for(FLOW_DIR / "rl703_bad_dead_export")
-        edges = build_import_graph(program)
-        assert "repro.core.widgets" in edges["repro.cli"]
-        # An import from outside the analyzed tree keeps its top-level name.
-        outside = build_import_graph(
-            program_for(FLOW_DIR / "case_label_collision")
-        )
-        assert "repro" in outside["repro.ecosystem.one"]
-
-    def test_reexport_chasing(self):
-        program = program_for(REPO_ROOT / "src")
-        resolved = program.resolve("repro.data.write_dataset")
-        assert resolved == "repro.data.dataset.write_dataset"
 
 
 FIX_TREE_FILES = 10

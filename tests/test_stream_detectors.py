@@ -9,6 +9,7 @@ batch detectors lives in test_stream_equivalence.py.
 import pytest
 
 from repro.core.stale import StalenessClass
+from repro.ct.dedup import CertificateCorpus
 from repro.dns.records import RecordType
 from repro.dns.snapshots import DailySnapshot
 from repro.revocation.crl import CrlEntry
@@ -24,6 +25,13 @@ from tests.conftest import make_cert
 
 T0 = day(2021, 1, 1)
 CF_NS = ("ada.ns.cloudflare.com", "bob.ns.cloudflare.com")
+
+
+def rows_of(*certs):
+    """A corpus over *certs* and one key row per certificate, in order."""
+    corpus = CertificateCorpus()
+    corpus.ingest(certs)
+    return corpus, list(corpus.key_rows())
 
 
 def crl_delta(entries, akid="akid-test", on_day=None):
@@ -59,9 +67,9 @@ def managed_cert(domain="cust.com", serial=301, not_before=day(2020, 6, 1), life
 
 class TestIncrementalKeyCompromise:
     def test_cert_then_revocation_emits_both_classes(self):
-        detector = IncrementalKeyCompromiseDetector()
-        cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
-        assert detector.register_certificate(cert) == []
+        corpus, (row,) = rows_of(make_cert(sans=("kc.com",), serial=1, not_before=T0))
+        detector = IncrementalKeyCompromiseDetector(corpus)
+        assert detector.register(row) == []
         emitted = detector.handle_crl_delta(
             crl_delta([CrlEntry(1, T0 + 30, RevocationReason.KEY_COMPROMISE)])
         )
@@ -71,21 +79,21 @@ class TestIncrementalKeyCompromise:
         assert all(f.invalidation_day == T0 + 30 for f in emitted)
 
     def test_revocation_before_cert_joins_retroactively(self):
-        detector = IncrementalKeyCompromiseDetector()
+        corpus, (row,) = rows_of(make_cert(sans=("kc.com",), serial=1, not_before=T0))
+        detector = IncrementalKeyCompromiseDetector(corpus)
         emitted = detector.handle_crl_delta(
             crl_delta([CrlEntry(1, T0 + 30, RevocationReason.SUPERSEDED)])
         )
         assert emitted == []
         assert len(detector.pending_revocations()) == 1
-        cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
-        emitted = detector.register_certificate(cert)
+        emitted = detector.register(row)
         assert [f.staleness_class for f in emitted] == [StalenessClass.REVOKED_ALL]
         assert detector.pending_revocations() == {}
 
     def test_earlier_republication_revises_finding(self):
-        detector = IncrementalKeyCompromiseDetector()
-        cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(make_cert(sans=("kc.com",), serial=1, not_before=T0))
+        detector = IncrementalKeyCompromiseDetector(corpus)
+        detector.register(row)
         detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 60)]))
         revised = detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 20)]))
         assert [f.invalidation_day for f in revised] == [T0 + 20]
@@ -93,20 +101,21 @@ class TestIncrementalKeyCompromise:
         assert [f.invalidation_day for f in detector.findings()] == [T0 + 20]
 
     def test_later_republication_ignored(self):
-        detector = IncrementalKeyCompromiseDetector()
-        cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(make_cert(sans=("kc.com",), serial=1, not_before=T0))
+        detector = IncrementalKeyCompromiseDetector(corpus)
+        detector.register(row)
         detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 20)]))
         assert detector.handle_crl_delta(crl_delta([CrlEntry(1, T0 + 60)])) == []
 
     def test_filters_and_stats_match_batch_semantics(self):
         cutoff = T0 + 10
-        detector = IncrementalKeyCompromiseDetector(revocation_cutoff_day=cutoff)
         ok = make_cert(sans=("ok.com",), serial=1, not_before=T0, lifetime=100)
         early = make_cert(sans=("early.com",), serial=2, not_before=T0 + 50)
         expired = make_cert(sans=("expired.com",), serial=3, not_before=T0, lifetime=30)
-        for cert in (ok, early, expired):
-            detector.register_certificate(cert)
+        corpus, rows = rows_of(ok, early, expired)
+        detector = IncrementalKeyCompromiseDetector(corpus, revocation_cutoff_day=cutoff)
+        for row in rows:
+            detector.register(row)
         detector.handle_crl_delta(
             crl_delta(
                 [
@@ -127,18 +136,18 @@ class TestIncrementalKeyCompromise:
         assert len(detector.findings()) == 1
 
     def test_checkpoint_roundtrip_rebuilds_findings(self):
-        detector = IncrementalKeyCompromiseDetector()
-        cert = make_cert(sans=("kc.com",), serial=1, not_before=T0)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(make_cert(sans=("kc.com",), serial=1, not_before=T0))
+        detector = IncrementalKeyCompromiseDetector(corpus)
+        detector.register(row)
         detector.handle_crl_delta(
             crl_delta([CrlEntry(1, T0 + 30, RevocationReason.KEY_COMPROMISE)])
         )
         state = detector.checkpoint_state()
 
-        restored = IncrementalKeyCompromiseDetector()
+        restored = IncrementalKeyCompromiseDetector(corpus)
         restored.restore_state(state)
         assert restored.findings() == []  # certs not re-ingested yet
-        restored.register_certificate(cert)
+        restored.register(row)
         assert {f.staleness_class for f in restored.findings()} == {
             StalenessClass.REVOKED_ALL, StalenessClass.KEY_COMPROMISE,
         }
@@ -146,9 +155,9 @@ class TestIncrementalKeyCompromise:
 
 class TestIncrementalRegistrantChange:
     def test_second_creation_date_emits(self):
-        detector = IncrementalRegistrantChangeDetector()
-        cert = make_cert(sans=("re.com",), not_before=T0, lifetime=365)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(make_cert(sans=("re.com",), not_before=T0, lifetime=365))
+        detector = IncrementalRegistrantChangeDetector(corpus)
+        detector.register(row)
         assert detector.handle_whois(whois("re.com", T0 - 100)) == []
         emitted = detector.handle_whois(whois("re.com", T0 + 50))
         assert len(emitted) == 1
@@ -158,31 +167,35 @@ class TestIncrementalRegistrantChange:
         assert finding.detail == f"re_registered_after={T0 - 100}"
 
     def test_duplicate_crawl_observation_ignored(self):
-        detector = IncrementalRegistrantChangeDetector()
-        detector.register_certificate(make_cert(sans=("re.com",), not_before=T0))
+        corpus, (row,) = rows_of(make_cert(sans=("re.com",), not_before=T0))
+        detector = IncrementalRegistrantChangeDetector(corpus)
+        detector.register(row)
         detector.handle_whois(whois("re.com", T0 - 100))
         detector.handle_whois(whois("re.com", T0 + 50))
         assert detector.handle_whois(whois("re.com", T0 + 50)) == []
         assert len(detector.findings()) == 1
 
     def test_tld_filter(self):
-        detector = IncrementalRegistrantChangeDetector(tlds=("com",))
-        detector.register_certificate(make_cert(sans=("re.org",), not_before=T0))
+        corpus, (row,) = rows_of(make_cert(sans=("re.org",), not_before=T0))
+        detector = IncrementalRegistrantChangeDetector(corpus, tlds=("com",))
+        detector.register(row)
         detector.handle_whois(whois("re.org", T0 - 100))
         assert detector.handle_whois(whois("re.org", T0 + 50)) == []
 
     def test_cert_must_strictly_span_creation_day(self):
-        detector = IncrementalRegistrantChangeDetector()
-        cert = make_cert(sans=("re.com",), not_before=T0, lifetime=50)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(make_cert(sans=("re.com",), not_before=T0, lifetime=50))
+        detector = IncrementalRegistrantChangeDetector(corpus)
+        detector.register(row)
         detector.handle_whois(whois("re.com", T0 - 100))
         # creation exactly at notAfter: not strictly inside.
         assert detector.handle_whois(whois("re.com", T0 + 50)) == []
 
     def test_out_of_order_arrival_revises_detail(self):
-        detector = IncrementalRegistrantChangeDetector()
-        cert = make_cert(sans=("re.com",), not_before=T0 - 400, lifetime=800)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(
+            make_cert(sans=("re.com",), not_before=T0 - 400, lifetime=800)
+        )
+        detector = IncrementalRegistrantChangeDetector(corpus)
+        detector.register(row)
         detector.handle_whois(whois("re.com", T0 - 300))
         detector.handle_whois(whois("re.com", T0 + 50))
         # A late crawl surfaces a middle date: the T0+50 pair's previous day
@@ -196,25 +209,25 @@ class TestIncrementalRegistrantChange:
         assert len(emitted) == 2  # revision + new event
 
     def test_checkpoint_roundtrip(self):
-        detector = IncrementalRegistrantChangeDetector()
-        cert = make_cert(sans=("re.com",), not_before=T0)
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(make_cert(sans=("re.com",), not_before=T0))
+        detector = IncrementalRegistrantChangeDetector(corpus)
+        detector.register(row)
         detector.handle_whois(whois("re.com", T0 - 100))
         detector.handle_whois(whois("re.com", T0 + 50))
         state = detector.checkpoint_state()
 
-        restored = IncrementalRegistrantChangeDetector()
+        restored = IncrementalRegistrantChangeDetector(corpus)
         restored.restore_state(state)
-        restored.register_certificate(cert)
+        restored.register(row)
         restored.rebuild_findings()
         assert [f.invalidation_day for f in restored.findings()] == [T0 + 50]
 
 
 class TestIncrementalManagedTls:
     def test_delegation_loss_emits_departure(self):
-        detector = IncrementalManagedTlsDetector()
-        cert = managed_cert("cust.com")
-        detector.register_certificate(cert)
+        corpus, (row,) = rows_of(managed_cert("cust.com"))
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         emitted = detector.handle_snapshot(
             snapshot_event(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
@@ -227,8 +240,9 @@ class TestIncrementalManagedTls:
         assert finding.detail == "left=ada.ns.cloudflare.com,bob.ns.cloudflare.com"
 
     def test_shuffle_within_cloudflare_not_departure(self):
-        detector = IncrementalManagedTlsDetector()
-        detector.register_certificate(managed_cert("cust.com"))
+        corpus, (row,) = rows_of(managed_cert("cust.com"))
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         emitted = detector.handle_snapshot(
             snapshot_event(
@@ -239,8 +253,9 @@ class TestIncrementalManagedTls:
         assert emitted == []
 
     def test_disappearance_confirmed_by_reobservation_elsewhere(self):
-        detector = IncrementalManagedTlsDetector()
-        detector.register_certificate(managed_cert("cust.com"))
+        corpus, (row,) = rows_of(managed_cert("cust.com"))
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         assert detector.handle_snapshot(snapshot_event(T0 + 1, {})) == []
         assert detector.pending_departures() == 1
@@ -252,8 +267,9 @@ class TestIncrementalManagedTls:
         assert detector.pending_departures() == 0
 
     def test_disappearance_reappearing_on_cloudflare_is_scan_loss(self):
-        detector = IncrementalManagedTlsDetector()
-        detector.register_certificate(managed_cert("cust.com"))
+        corpus, (row,) = rows_of(managed_cert("cust.com"))
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         detector.handle_snapshot(snapshot_event(T0 + 1, {}))
         emitted = detector.handle_snapshot(
@@ -264,8 +280,9 @@ class TestIncrementalManagedTls:
         assert detector.findings() == []
 
     def test_lookahead_exhaustion_confirms_departure(self):
-        detector = IncrementalManagedTlsDetector()
-        detector.register_certificate(managed_cert("cust.com"))
+        corpus, (row,) = rows_of(managed_cert("cust.com"))
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         emitted = []
         for offset in range(1, 5):
@@ -274,8 +291,9 @@ class TestIncrementalManagedTls:
         assert all(f.invalidation_day == T0 + 1 for f in emitted)
 
     def test_finalize_flushes_pendings(self):
-        detector = IncrementalManagedTlsDetector()
-        detector.register_certificate(managed_cert("cust.com"))
+        corpus, (row,) = rows_of(managed_cert("cust.com"))
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         detector.handle_snapshot(snapshot_event(T0 + 1, {}))
         assert detector.pending_departures() == 1
@@ -284,10 +302,11 @@ class TestIncrementalManagedTls:
         assert detector.pending_departures() == 0
 
     def test_expired_cert_not_joined(self):
-        detector = IncrementalManagedTlsDetector()
-        detector.register_certificate(
+        corpus, (row,) = rows_of(
             managed_cert("cust.com", not_before=T0 - 400, lifetime=100)
         )
+        detector = IncrementalManagedTlsDetector(corpus)
+        detector.register(row)
         detector.handle_snapshot(snapshot_event(T0, {"cust.com": {RecordType.NS: CF_NS}}))
         emitted = detector.handle_snapshot(
             snapshot_event(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
@@ -295,11 +314,12 @@ class TestIncrementalManagedTls:
         assert emitted == []
 
     def test_checkpoint_roundtrip_preserves_pendings_and_findings(self):
-        detector = IncrementalManagedTlsDetector()
         cert = managed_cert("gone.com")
         still_cert = managed_cert("still.com", serial=302)
-        detector.register_certificate(cert)
-        detector.register_certificate(still_cert)
+        corpus, rows = rows_of(cert, still_cert)
+        detector = IncrementalManagedTlsDetector(corpus)
+        for row in rows:
+            detector.register(row)
         detector.handle_snapshot(
             snapshot_event(
                 T0,
@@ -322,11 +342,11 @@ class TestIncrementalManagedTls:
         state = detector.checkpoint_state()
 
         by_fingerprint = {c.dedup_fingerprint(): c for c in (cert, still_cert)}
-        restored = IncrementalManagedTlsDetector()
+        restored = IncrementalManagedTlsDetector(corpus)
         restored.restore_state(state, by_fingerprint.__getitem__)
         # The engine re-ingests the CT prefix after restore; mirror that.
-        restored.register_certificate(cert)
-        restored.register_certificate(still_cert)
+        for row in rows:
+            restored.register(row)
         assert restored.pending_departures() == 1
         assert sorted(f.affected_domain for f in restored.findings()) == sorted(
             f.affected_domain for f in detector.findings()

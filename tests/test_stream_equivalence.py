@@ -13,7 +13,14 @@ import pytest
 from repro import MeasurementPipeline
 from repro.core.pipeline import DatasetBundle
 from repro.core.stale import StalenessClass
-from repro.stream import StreamEngine, canonical_findings, verify_equivalence
+from repro.data import open_bundle
+from repro.ecosystem.timeline import DEFAULT_TIMELINE
+from repro.stream import (
+    CheckpointStore,
+    StreamEngine,
+    canonical_findings,
+    verify_equivalence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +115,38 @@ class TestReducedBundles:
         assert ok
         classes = {f.staleness_class for f in result.findings.all_findings()}
         assert StalenessClass.REGISTRANT_CHANGE not in classes
+
+
+class TestBuildsOnlyWhatBatchBuilds:
+    """Stream events carry corpus rows: a replay, and a killed replay
+    resumed in a fresh process, build no certificate that cold batch
+    detection does not (counted on fresh columnar bundles)."""
+
+    CUTOFF = DEFAULT_TIMELINE.revocation_cutoff
+
+    @pytest.fixture(scope="class")
+    def batch_built(self, streamgen_dir):
+        bundle = open_bundle(streamgen_dir)
+        MeasurementPipeline.run_bundle(bundle, revocation_cutoff_day=self.CUTOFF)
+        built = len(bundle.corpus._hydrated)
+        assert 0 < built < len(bundle.corpus)
+        return built
+
+    def test_full_replay(self, streamgen_dir, batch_built):
+        bundle = open_bundle(streamgen_dir)
+        assert StreamEngine(bundle, revocation_cutoff_day=self.CUTOFF).replay().complete
+        assert len(bundle.corpus._hydrated) <= batch_built
+
+    def test_kill_then_resume(self, streamgen_dir, batch_built, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        killed = open_bundle(streamgen_dir)
+        partial = StreamEngine(
+            killed, revocation_cutoff_day=self.CUTOFF, checkpoint_store=store
+        ).replay(max_days=200)
+        assert not partial.complete
+        resumed = open_bundle(streamgen_dir)
+        assert StreamEngine(
+            resumed, revocation_cutoff_day=self.CUTOFF, checkpoint_store=store
+        ).replay(resume=True).complete
+        assert len(killed.corpus._hydrated) <= batch_built
+        assert len(resumed.corpus._hydrated) <= batch_built

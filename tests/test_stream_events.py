@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.stale import StaleCertificate, StalenessClass
-from repro.ct.dedup import CertificateCorpus
+from repro.ct.dedup import CertificateCorpus, CertRow
 from repro.core.pipeline import DatasetBundle
+from repro.data import Dataset, open_bundle, write_dataset
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.stream import (
@@ -12,8 +13,10 @@ from repro.stream import (
     CtEntryLogged,
     DnsSnapshotTaken,
     EventBus,
+    Event,
     EventType,
     StaleFindingEmitted,
+    StreamEngine,
     StreamStats,
     WhoisCreationObserved,
     build_event_stream,
@@ -23,6 +26,10 @@ from repro.util.dates import day
 from tests.conftest import make_cert
 
 T0 = day(2021, 1, 1)
+
+
+def ct_row(not_before, row=0):
+    return CertRow(row, not_before, not_before + 365, "akid-test", row, ["example.com"])
 
 
 def _bundle(certs=(), crls=(), whois=(), snapshots=None):
@@ -38,12 +45,11 @@ def _bundle(certs=(), crls=(), whois=(), snapshots=None):
 
 class TestOrdering:
     def test_same_day_dispatch_priority(self):
-        cert = make_cert(not_before=T0)
         events = [
             DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0)),
             WhoisCreationObserved(day=T0, domain="a.com", creation_day=T0),
             CrlDeltaPublished(day=T0, authority_key_id="akid"),
-            CtEntryLogged(day=T0, certificate=cert),
+            CtEntryLogged(day=T0, row=ct_row(T0)),
         ]
         ordered = sorted(events, key=lambda e: e.sort_key())
         assert [e.event_type for e in ordered] == [
@@ -54,7 +60,7 @@ class TestOrdering:
         ]
 
     def test_day_dominates_priority(self):
-        late_ct = CtEntryLogged(day=T0 + 1, certificate=make_cert(not_before=T0 + 1))
+        late_ct = CtEntryLogged(day=T0 + 1, row=ct_row(T0 + 1))
         early_dns = DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0))
         assert early_dns.sort_key() < late_ct.sort_key()
 
@@ -169,3 +175,58 @@ class TestBuildEventStream:
     def test_repr_mentions_iso_day(self):
         event = WhoisCreationObserved(day=day(2021, 6, 15), domain="a.com", creation_day=T0)
         assert "2021-06-15" in repr(event)
+
+
+class TestStatedOrder:
+    """The replay order is a contract: the k-way merge equals a full sort
+    by ``Event.sort_key``, CT entries go in (notBefore, corpus row)
+    order, and a bundle and its written copy feed the same findings in
+    the same order."""
+
+    @pytest.fixture(params=["small_world", "streamgen_dir"])
+    def world_bundle(self, request):
+        world = request.getfixturevalue(request.param)
+        return open_bundle(world) if isinstance(world, str) else world.to_bundle()
+
+    def test_merge_equals_full_sort(self, world_bundle):
+        events = build_event_stream(world_bundle)
+        assert events == sorted(events, key=Event.sort_key)
+        assert [e.row for e in events if isinstance(e, CtEntryLogged)] == sorted(
+            world_bundle.corpus.key_rows(), key=lambda row: (row.not_before, row.row)
+        )
+
+    def test_written_copy_feeds_the_same_findings(self, small_world, tmp_path):
+        """The CT, WHOIS and DNS days survive ``write_dataset``, so the
+        registrant-change and managed-TLS feed is equal element by element.
+        The revocations table keeps each entry once, not the CRL series
+        (every rebuilt CRL carries the last revocation day), so revocation
+        findings are compared as a set."""
+        cutoff = small_world.config.timeline.revocation_cutoff
+        revocation = {StalenessClass.REVOKED_ALL.value, StalenessClass.KEY_COMPROMISE.value}
+
+        def feed(bundle):
+            fed = []
+            StreamEngine(
+                bundle,
+                revocation_cutoff_day=cutoff,
+                on_finding=lambda event: fed.append(
+                    (
+                        event.day,
+                        event.finding.staleness_class.value,
+                        event.finding.certificate.dedup_fingerprint(),
+                        event.finding.affected_domain,
+                    )
+                ),
+            ).replay()
+            return (
+                [entry for entry in fed if entry[1] not in revocation],
+                sorted(entry[1:] for entry in fed if entry[1] in revocation),
+            )
+
+        bundle = small_world.to_bundle()
+        write_dataset(bundle, str(tmp_path / "copy"))
+        with Dataset.open(str(tmp_path / "copy")) as dataset:
+            written = feed(dataset.to_bundle())
+        in_memory = feed(bundle)
+        assert all(in_memory)
+        assert written == in_memory
