@@ -83,9 +83,8 @@ class DepartureTracker:
     Both return departures in (departure day, apex) order, whatever order
     the snapshot store holds its apexes in.
 
-    ``last_view`` (apex -> observation) and ``pending`` (``apex``,
-    ``departure_day``, ``removed``, ``remaining`` records) are plain data,
-    so a checkpoint can serialise and restore them.
+    State is ``last_view`` (apex -> observation) and ``pending``
+    (``apex``, ``departure_day``, ``removed``, ``remaining`` records).
     """
 
     def __init__(self) -> None:
@@ -205,7 +204,8 @@ class ManagedCertificateJoin:
     def add(self, certificate: Certificate) -> None:
         if not is_cloudflare_managed_certificate(certificate):
             return
-        for san in certificate.fqdns():
+        # Sorted: join output must not follow PYTHONHASHSEED's set order.
+        for san in sorted(certificate.fqdns()):
             if not san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):  # the CDN's marker
                 self.by_domain.setdefault(san, []).append(certificate)
 

@@ -10,7 +10,7 @@ everything up to its last heartbeat. Three record kinds share the file:
   progress (done / total / rate / ETA), the registry's flat samples, and
   the slowest currently-open spans.
 * ``marker`` — one-off annotations (e.g. ``resumed_from`` after a
-  checkpoint restore, or the ``final`` end-of-run marker fields on the
+  checkpoint resume, or the ``final`` end-of-run marker fields on the
   closing snapshot).
 
 :func:`read_timeline` tolerates a truncated last line — the expected

@@ -15,8 +15,10 @@ into an always-on monitor. It is organized as:
   pending revocations, last NS/CNAME view per domain), building a
   certificate only when a join needs it, and emitting findings as events
   arrive instead of at end-of-batch;
-* :mod:`repro.stream.checkpoint` — serialized detector state so a killed
-  replay resumes mid-stream and converges to the same findings;
+* :mod:`repro.stream.checkpoint` — a checkpoint is the feed's offset (the
+  last processed day, plus an identity of bundle and configuration);
+  resume replays the prefix silently, so a killed replay converges to the
+  same state, stats and findings as an uninterrupted one;
 * :mod:`repro.stream.metrics` — :class:`StreamStats` counters surfaced by
   the ``watch`` CLI and the report layer;
 * :mod:`repro.stream.engine` — the replay driver that walks a simulated

@@ -1,17 +1,20 @@
 """Checkpoint persistence for the streaming engine.
 
-A checkpoint is one gzipped JSON document holding the replay cursor (last
-fully processed event day), the cumulative :class:`StreamStats`, and each
-detector's non-derivable state. Certificates are referenced by dedup
-fingerprint only — the engine re-ingests the CT prefix from the bundle on
-resume, so checkpoints stay small (kilobytes, not the corpus).
+A checkpoint is the live feed's offset: one small gzipped JSON document
+holding the replay cursor (last fully processed event day), whether the
+detectors were finalized, how many checkpoints have been written, and an
+identity over the bundle and the detector configuration. It holds no
+detector state. The bundle is the log — the event stream is always rebuilt
+from it — so a resumed run replays the prefix silently and its state
+equals an uninterrupted run's by construction.
 
 Writes are atomic (tmp + rename via :func:`repro.util.storage.dump_json`),
-so a kill mid-checkpoint leaves the previous checkpoint intact. A bundle
-fingerprint guards against resuming against a different world; mismatch
-raises :class:`CheckpointMismatchError` rather than silently diverging, and
-an unreadable (truncated/corrupt) file raises :class:`CheckpointCorruptError`
-naming the path instead of leaking a raw gzip/JSON traceback.
+so a kill mid-checkpoint leaves the previous checkpoint intact. The
+identity guards against resuming against a different world or
+configuration; a mismatch raises :class:`CheckpointMismatchError` rather
+than silently diverging, and an unreadable (truncated/corrupt) file raises
+:class:`CheckpointCorruptError` naming the path instead of leaking a raw
+gzip/JSON traceback.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from typing import Optional
 from repro.util.storage import dump_json, load_json
 
 #: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
-    """Base class for checkpoint load/restore failures."""
+    """Base class for checkpoint load failures."""
 
 
 class CheckpointMismatchError(CheckpointError):
-    """The checkpoint on disk does not belong to the bundle being replayed."""
+    """The checkpoint on disk does not belong to the bundle and detector
+    configuration being replayed, or has an unsupported format version."""
 
 
 class CheckpointCorruptError(CheckpointError):

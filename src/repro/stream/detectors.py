@@ -2,7 +2,7 @@
 
 The rules live once, in :mod:`repro.core.detectors`; the batch detectors
 drive them over index lookups, and each wrapper here drives them over
-events, keeping only its per-key stream state and checkpoint serialisation.
+events, keeping only its per-key stream state.
 
 A wrapper is built over the bundle's corpus and learns of each CT entry
 through :meth:`register`, which takes the entry's
@@ -16,12 +16,11 @@ Fed a bundle's events in nondecreasing day order, CT entries first within
 a day, every wrapper converges to the findings and join statistics of its
 batch detector (the equivalence and parity tests enforce this). A CRL
 republication with an earlier day revises an emitted finding, so the
-converged view is :meth:`findings`, not the emission feed. Checkpoints
-reference certificates by dedup fingerprint; the engine re-ingests the CT
-prefix on resume. The engine iterates ``name`` (the batch registry key),
-``event_type``, ``register``, ``consume``, ``finalize``, ``stats``,
-``checkpoint_state``, ``restore_state(state, resolve_certificate=None)``
-and ``after_resume``.
+converged view is :meth:`findings`, not the emission feed. A wrapper has
+no checkpoint format: a checkpoint is the feed's offset, and resume replays
+the prefix silently through the same calls. The engine iterates ``name``
+(the batch registry key), ``event_type``, ``register``, ``consume``,
+``finalize``, ``findings`` and ``stats``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from repro.core.detectors.managed_tls import (
     DepartureJoinStats,
     DepartureTracker,
     ManagedCertificateJoin,
-    departure_finding,
 )
 from repro.core.detectors.registrant_change import (
     RegistrantJoinStats,
@@ -48,10 +46,7 @@ from repro.core.detectors.registrant_change import (
 )
 from repro.core.stale import StaleCertificate, finding_key
 from repro.ct.dedup import CertRow, Corpus
-from repro.dns.records import RecordType
-from repro.dns.snapshots import DomainObservation
 from repro.revocation.crl import CrlEntry
-from repro.revocation.reasons import RevocationReason
 from repro.stream.events import (
     CrlDeltaPublished,
     DnsSnapshotTaken,
@@ -144,33 +139,6 @@ class IncrementalKeyCompromiseDetector:
             for key, entry in self._best.items()
         )
 
-    # -- checkpointing ------------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        return {
-            "entries": [
-                [akid, serial, entry.revocation_day, entry.reason.name]
-                for (akid, serial), entry in self._best.items()
-            ]
-        }
-
-    def restore_state(self, state: dict, resolve_certificate=None) -> None:
-        """Restore the merged revocation view; the engine re-ingests the CT
-        prefix afterwards, which rebuilds the row index and findings.
-        ``resolve_certificate`` is unused (uniform registry signature)."""
-        self._rows_by_key.clear()
-        self._findings.clear()
-        self._best = {
-            (akid, serial): CrlEntry(
-                serial=serial,
-                revocation_day=revocation_day,
-                reason=RevocationReason[reason_name],
-            )
-            for akid, serial, revocation_day, reason_name in state.get("entries", [])
-        }
-
-    def after_resume(self) -> None:
-        """Post-CT-reingest hook; nothing extra to rebuild here."""
 
 
 class IncrementalRegistrantChangeDetector:
@@ -260,32 +228,6 @@ class IncrementalRegistrantChangeDetector:
                 stats.events_joining_certificates += pairs
         return stats
 
-    # -- checkpointing ------------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        return {
-            "dates_by_domain": {
-                domain: list(dates) for domain, dates in self._dates_by_domain.items()
-            }
-        }
-
-    def restore_state(self, state: dict, resolve_certificate=None) -> None:
-        """``resolve_certificate`` is unused (uniform registry signature)."""
-        self._rows_by_e2ld.clear()
-        self._findings.clear()
-        self._dates_by_domain = {
-            domain: sorted(dates)
-            for domain, dates in state.get("dates_by_domain", {}).items()
-        }
-
-    def rebuild_findings(self) -> None:
-        """Rederive findings from the restored dates, after the engine
-        re-ingested the CT prefix on resume."""
-        self._findings.clear()
-        for domain in self._dates_by_domain:
-            self._rebuild_domain(domain)
-
-    after_resume = rebuild_findings
 
 
 class IncrementalManagedTlsDetector:
@@ -334,56 +276,5 @@ class IncrementalManagedTlsDetector:
 
     @property
     def stats(self) -> DepartureJoinStats:
-        """Join accounting in the batch detector's shape; the departure
-        count covers what this run emitted (it restarts on resume)."""
+        """Join accounting in the batch detector's shape."""
         return self._join.stats
-
-    # -- checkpointing ------------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        tracker = self._tracker
-        return {
-            "have_snapshot": bool(tracker.last_view or tracker.pending),
-            "last_view": {
-                apex: {
-                    "ns": sorted(observation.get(RecordType.NS)),
-                    "cname": sorted(observation.get(RecordType.CNAME)),
-                }
-                for apex, observation in tracker.last_view.items()
-            },
-            "pending": [dict(pending) for pending in tracker.pending],
-            "findings": [
-                [fingerprint, domain, finding.invalidation_day, finding.detail]
-                for (fingerprint, domain, _), finding in self._join.findings.items()
-            ],
-        }
-
-    def restore_state(self, state: dict, resolve_certificate=None) -> None:
-        """``resolve_certificate(fingerprint) -> Certificate`` maps the
-        checkpoint's certificate references back onto the bundle corpus;
-        required here (unlike the other detectors) because findings are
-        part of the non-derivable state."""
-        if resolve_certificate is None:
-            raise ValueError("managed-TLS restore requires resolve_certificate")
-        self._tracker = DepartureTracker()
-        self._tracker.last_view = {
-            apex: DomainObservation(
-                apex,
-                {
-                    RecordType.NS.value: frozenset(view.get("ns", ())),
-                    RecordType.CNAME.value: frozenset(view.get("cname", ())),
-                },
-            )
-            for apex, view in state.get("last_view", {}).items()
-        }
-        self._tracker.pending = [dict(pending) for pending in state.get("pending", [])]
-        self._join = ManagedCertificateJoin()
-        self._join.findings = {
-            (fingerprint, domain, departure_day): departure_finding(
-                resolve_certificate(fingerprint), domain, departure_day, detail
-            )
-            for fingerprint, domain, departure_day, detail in state.get("findings", [])
-        }
-
-    def after_resume(self) -> None:
-        """Post-CT-reingest hook; findings were restored, nothing to do."""

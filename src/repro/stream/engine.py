@@ -6,7 +6,9 @@ day, compacted CRL deltas at each CRL's thisUpdate, distinct WHOIS creation
 pairs at their creation day, DNS snapshots at their scan day.
 :class:`StreamEngine` dispatches one day at a time, feeding the incremental
 detectors and republishing their findings as ``STALE_FINDING`` events, with
-optional periodic checkpointing and kill/resume.
+optional periodic checkpointing and kill/resume. A checkpoint is the feed's
+offset; resume replays the prefix silently, so detector state and stats
+after a resume are an uninterrupted run's by construction.
 
 The equivalence guarantee (see :func:`verify_equivalence`): a full replay
 produces the same findings set as ``MeasurementPipeline.run()`` over the
@@ -30,7 +32,6 @@ from repro.core.stale import (
     StaleFindings,
     canonical_order_key,
 )
-from repro.ct.dedup import CertRow, Corpus
 from repro.revocation.crl import CrlEntry
 from repro.stream.bus import EventBus
 from repro.stream.checkpoint import CheckpointMismatchError, CheckpointStore
@@ -58,8 +59,14 @@ DEFAULT_CHECKPOINT_EVERY_DAYS = 30
 FindingCallback = Callable[[StaleFindingEmitted], None]
 
 
-def bundle_fingerprint(bundle: DatasetBundle) -> str:
-    """Cheap identity for checkpoint/bundle matching (not cryptographic)."""
+def checkpoint_identity(
+    bundle: DatasetBundle,
+    revocation_cutoff_day: Optional[Day],
+    whois_tlds: Optional[Sequence[str]],
+) -> str:
+    """Cheap identity of a replay for checkpoint matching (not
+    cryptographic): the bundle's sizes and windows plus the detector
+    configuration, since either changes what the replayed prefix holds."""
     digest = hashlib.sha256()
     parts = (
         str(len(bundle.corpus)),
@@ -68,16 +75,13 @@ def bundle_fingerprint(bundle: DatasetBundle) -> str:
         str(len(bundle.whois_creation_pairs)),
         str(len(bundle.dns_snapshots) if bundle.dns_snapshots is not None else 0),
         repr(sorted((cls.value, window) for cls, window in bundle.windows.items())),
+        repr(revocation_cutoff_day),
+        repr(tuple(whois_tlds) if whois_tlds is not None else None),
     )
     for part in parts:
         digest.update(part.encode("utf-8"))
         digest.update(b"|")
     return digest.hexdigest()[:16]
-
-
-def _ct_order(corpus: Corpus) -> List[CertRow]:
-    """The corpus's key rows in CT visibility order: (notBefore, row)."""
-    return sorted(corpus.key_rows(), key=attrgetter("not_before"))
 
 
 def build_event_stream(bundle: DatasetBundle) -> List[Event]:
@@ -106,7 +110,9 @@ def build_event_stream(bundle: DatasetBundle) -> List[Event]:
 
 
 def _ct_events(bundle: DatasetBundle) -> Iterator[Event]:
-    for sequence, row in enumerate(_ct_order(bundle.corpus)):
+    # CT visibility order: (notBefore, row).
+    rows = sorted(bundle.corpus.key_rows(), key=attrgetter("not_before"))
+    for sequence, row in enumerate(rows):
         yield CtEntryLogged(day=row.not_before, sequence=sequence, row=row)
 
 
@@ -184,7 +190,8 @@ class StreamEngine:
 
     One engine instance runs one replay (optionally resumed from a
     checkpoint at the start). ``on_finding`` is invoked for every
-    ``STALE_FINDING`` event as it is dispatched — the live advisory feed.
+    ``STALE_FINDING`` event as it is dispatched — the live advisory feed —
+    except the ones a resumed run replays from before its checkpoint.
     """
 
     def __init__(
@@ -203,7 +210,9 @@ class StreamEngine:
         from repro.obs import get_registry
 
         self._bundle = bundle
-        self._fingerprint = bundle_fingerprint(bundle)
+        self._identity = checkpoint_identity(
+            bundle, revocation_cutoff_day, whois_tlds
+        )
         self._store = checkpoint_store
         self._checkpoint_every = max(1, checkpoint_every_days)
         self._on_finding = on_finding
@@ -217,15 +226,17 @@ class StreamEngine:
         self._rc = IncrementalRegistrantChangeDetector(corpus, whois_tlds)
         self._mt = IncrementalManagedTlsDetector(corpus)
         #: Registry the engine iterates everywhere (dispatch, finalize,
-        #: checkpoint, restore, materialize). Order fixes the emission
-        #: order, matching the batch registry's; materialized findings are
-        #: in canonical order.
+        #: materialize). Order fixes the emission order, matching the batch
+        #: registry's; materialized findings are in canonical order.
         self._detectors = (self._kc, self._rc, self._mt)
 
         self._cursor: Optional[Day] = None
         self._current_day: Optional[Day] = None
         self._finding_sequence = 0
         self._finalized = False
+        #: Set while a resumed run replays what its checkpoint covers: the
+        #: findings still count, but the live feed already had them.
+        self._silent = False
 
         self.bus.subscribe(EventType.CT_ENTRY_LOGGED, self._on_ct_entry)
         for detector in self._detectors:
@@ -246,7 +257,7 @@ class StreamEngine:
 
     def _on_stale_finding(self, event: StaleFindingEmitted) -> None:
         self.stats.record_finding(event.finding.staleness_class.value)
-        if self._on_finding is not None:
+        if self._on_finding is not None and not self._silent:
             self._on_finding(event)
 
     def _emit(self, findings: List[StaleCertificate]) -> None:
@@ -271,13 +282,16 @@ class StreamEngine:
 
         ``max_days`` limits how many event-days this run processes (for
         partial runs and kill tests); ``through_day`` stops after that
-        absolute day. ``resume=True`` restores the checkpoint first (a
-        missing checkpoint silently degrades to a fresh run). Detectors are
-        finalized — and the result marked ``complete`` — only when the
-        stream is fully consumed.
+        absolute day. ``resume=True`` loads the checkpoint first (a missing
+        checkpoint silently degrades to a fresh run) and replays the days
+        it covers through the normal dispatch with ``on_finding`` silenced;
+        the limits apply only after its cursor. Detectors are finalized —
+        and the result marked ``complete`` — only when the stream is fully
+        consumed.
         """
+        resumed_cursor, resumed_finalized = None, False
         if resume and self._store is not None:
-            self._restore()
+            resumed_cursor, resumed_finalized = self._load_checkpoint()
 
         with span("stream_replay"):
             events = build_event_stream(self._bundle)
@@ -291,16 +305,13 @@ class StreamEngine:
             exhausted = True
             for day, day_events in groupby(events, key=lambda event: event.day):
                 day_events = list(day_events)
-                if self._cursor is not None and day <= self._cursor:
-                    # Skipped prefix still counts as done work: the resumed
-                    # timeline starts from the checkpoint's position, not 0.
-                    day_progress.add(1)
-                    event_progress.add(len(day_events))
-                    continue  # already processed before the kill
-                if through_day is not None and day > through_day:
-                    exhausted = False
-                    break
-                if max_days is not None and days_this_run >= max_days:
+                # Days the checkpoint covers replay whatever the limits: the
+                # state has to reach the cursor again before the run goes on.
+                self._silent = resumed_cursor is not None and day <= resumed_cursor
+                if not self._silent and (
+                    (through_day is not None and day > through_day)
+                    or (max_days is not None and days_this_run >= max_days)
+                ):
                     exhausted = False
                     break
                 self._current_day = day
@@ -310,6 +321,8 @@ class StreamEngine:
                 day_progress.add(1)
                 event_progress.add(len(day_events))
                 self._cursor = day
+                if self._silent:
+                    continue
                 days_this_run += 1
                 since_checkpoint += 1
                 if (
@@ -319,12 +332,14 @@ class StreamEngine:
                     self._checkpoint()
                     since_checkpoint = 0
 
-            if exhausted and not self._finalized:
+            if exhausted:
+                self._silent = resumed_finalized
                 with span("stream_finalize"):
                     for detector in self._detectors:
                         self._emit(detector.finalize())
                     self.bus.drain()
                 self._finalized = True
+            self._silent = False
             if self._store is not None:
                 self._checkpoint()
 
@@ -346,74 +361,38 @@ class StreamEngine:
 
     def _checkpoint(self) -> None:
         with span("stream_checkpoint", day=self._cursor):
-            self._write_checkpoint()
+            self._store.save(
+                {
+                    "identity": self._identity,
+                    "cursor_day": self._cursor,
+                    "finalized": self._finalized,
+                    # This one included: a resumed run counts on from here.
+                    "checkpoints_written": self.stats.checkpoints_written + 1,
+                }
+            )
+            self.stats.record_checkpoint()
 
-    def _write_checkpoint(self) -> None:
-        state = {
-            "bundle_fingerprint": self._fingerprint,
-            "cursor_day": self._cursor,
-            "finalized": self._finalized,
-            "stats": self.stats.to_record(),
-            "detectors": {
-                detector.name: detector.checkpoint_state()
-                for detector in self._detectors
-            },
-        }
-        self._store.save(state)
-        self.stats.record_checkpoint()
-
-    def _restore(self) -> bool:
+    def _load_checkpoint(self) -> Tuple[Optional[Day], bool]:
+        """The checkpoint's (cursor day, finalized); (None, False) without one."""
         state = self._store.load()
         if state is None:
-            return False
-        if state.get("bundle_fingerprint") != self._fingerprint:
+            return None, False
+        if state.get("identity") != self._identity:
             raise CheckpointMismatchError(
-                "checkpoint belongs to a different dataset bundle "
-                f"({state.get('bundle_fingerprint')} != {self._fingerprint})"
+                "checkpoint belongs to a different dataset bundle or detector "
+                f"configuration ({state.get('identity')} != {self._identity})"
             )
-        self._cursor = state.get("cursor_day")
-        self._finalized = state.get("finalized", False)
+        cursor = state.get("cursor_day")
         heartbeat = get_heartbeat()
         if heartbeat is not None:
             # The resumed run writes a fresh timeline; this marker ties it
             # back to the checkpoint it picked up from.
-            heartbeat.mark(resumed_from=self._cursor)
-        self.stats.bind_registry(None)  # detach the pre-restore stats
-        self.stats = StreamStats.from_record(state.get("stats", {}))
-        self.stats.resumed_from_day = self._cursor
-        # Rebind so the registry is seeded with the checkpointed totals
-        # and go-forward records keep mirroring onto it.
-        self.stats.bind_registry(self._registry)
-        self.bus.stats = self.stats
-
-        # Checkpointed findings name certificates by dedup fingerprint; only
-        # managed-TLS findings are restored rather than rederived, so only
-        # the CDN-managed rows are built to resolve them.
-        corpus = self._bundle.corpus
-        managed = (corpus.certificate(row) for row in corpus.managed_rows())
-        by_fingerprint = {
-            certificate.dedup_fingerprint(): certificate for certificate in managed
-        }
-        detectors = state.get("detectors", {})
-        for detector in self._detectors:
-            detector.restore_state(
-                detectors.get(detector.name, {}), by_fingerprint.__getitem__
-            )
-
-        # Re-ingest the CT prefix (rows already logged by the cursor, in
-        # replay order) to rebuild the derivable seen-row indexes; the
-        # key-compromise findings rebuild from the restored join state as a
-        # side effect, and each detector's after_resume hook rederives
-        # whatever else its state implies (registrant-change findings).
-        if self._cursor is not None:
-            for row in _ct_order(corpus):
-                if row.not_before > self._cursor:
-                    break
-                for detector in self._detectors:
-                    detector.register(row)
-            for detector in self._detectors:
-                detector.after_resume()
-        return True
+            heartbeat.mark(resumed_from=cursor)
+        self.stats.resumed_from_day = cursor
+        # The one count a replay cannot recompute: checkpoints on disk.
+        for _ in range(state.get("checkpoints_written", 0)):
+            self.stats.record_checkpoint()
+        return cursor, state.get("finalized", False)
 
 
 # -- batch equivalence -------------------------------------------------------

@@ -3,16 +3,14 @@
 A long-running monitor needs the operational numbers the batch pipeline
 never had to report: how many events of each type flowed, how long handler
 dispatch takes, how deep the bus queue gets, and how many findings each
-staleness class has produced. :class:`StreamStats` accumulates them and
-round-trips through checkpoints so counters survive a kill/resume.
+staleness class has produced. :class:`StreamStats` accumulates them. A
+checkpoint does not store them: a resumed run replays the prefix silently,
+so its counts are an uninterrupted run's by construction.
 
 :meth:`StreamStats.bind_registry` bridges the stats onto a shared
 :class:`~repro.obs.MetricsRegistry` so watch-mode counters and batch
 counters share one namespace (the findings counter a shard worker
-increments is the same series the stream engine increments). The bound
-registry is deliberately *not* serialized — checkpoint round-trip is
-byte-identical with or without a bridge — and binding a restored stats
-object seeds the registry with the checkpointed totals first.
+increments is the same series the stream engine increments).
 """
 
 from __future__ import annotations
@@ -27,7 +25,8 @@ from repro.util.dates import Day, day_to_iso
 
 @dataclass
 class StreamStats:
-    """Counters for one streaming replay (cumulative across resumes)."""
+    """Counters for one streaming replay (a resumed run counts the replayed
+    prefix too, so they match an uninterrupted run's)."""
 
     events_by_type: Dict[str, int] = field(default_factory=dict)
     findings_by_class: Dict[str, int] = field(default_factory=dict)
@@ -39,20 +38,15 @@ class StreamStats:
     checkpoints_written: int = 0
     resumed_from_day: Optional[Day] = None
 
-    # The obs bridge (never serialized; rebound after a checkpoint restore).
+    # The obs bridge (never part of :meth:`to_record`).
     _registry = None
 
     # -- obs bridge ----------------------------------------------------------
 
     def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
-        """Mirror these stats onto *registry* (pass ``None`` to unbind).
-
-        Counts already accumulated — e.g. restored from a checkpoint —
-        are seeded into the registry immediately; subsequent records
-        mirror incrementally. Handler latencies are mirrored into a
-        histogram going forward only (a checkpoint stores per-type sums,
-        not bucketized samples).
-        """
+        """Mirror these stats onto *registry* (pass ``None`` to unbind);
+        records from now on mirror incrementally, handler latencies into a
+        histogram."""
         self._registry = registry
         if registry is None:
             self._c_events = self._c_findings = self._c_days = None
@@ -76,16 +70,6 @@ class StreamStats:
             names.STREAM_HANDLER_SECONDS, names.STREAM_HANDLER_SECONDS_HELP,
             labels=("type",),
         )
-        for type_value, count in self.events_by_type.items():
-            self._c_events.inc(count, type=type_value)
-        for class_value, count in self.findings_by_class.items():
-            self._c_findings.inc(count, staleness_class=class_value)
-        if self.days_processed:
-            self._c_days.inc(self.days_processed)
-        if self.checkpoints_written:
-            self._c_checkpoints.inc(self.checkpoints_written)
-        if self.max_queue_depth:
-            self._g_queue.set_max(self.max_queue_depth)
 
     # -- recording ----------------------------------------------------------
 
@@ -171,7 +155,7 @@ class StreamStats:
             )
         return rows
 
-    # -- persistence --------------------------------------------------------
+    # -- export (``watch --format json``) ------------------------------------
 
     def to_record(self) -> dict:
         return {
@@ -185,17 +169,3 @@ class StreamStats:
             "checkpoints_written": self.checkpoints_written,
             "resumed_from_day": self.resumed_from_day,
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "StreamStats":
-        return cls(
-            events_by_type=dict(record.get("events_by_type", {})),
-            findings_by_class=dict(record.get("findings_by_class", {})),
-            handler_seconds_by_type=dict(record.get("handler_seconds_by_type", {})),
-            days_processed=record.get("days_processed", 0),
-            first_event_day=record.get("first_event_day"),
-            last_event_day=record.get("last_event_day"),
-            max_queue_depth=record.get("max_queue_depth", 0),
-            checkpoints_written=record.get("checkpoints_written", 0),
-            resumed_from_day=record.get("resumed_from_day"),
-        )

@@ -33,7 +33,10 @@ def percentile(values: Sequence[float], pct: float) -> float:
     lower = int(position)
     upper = min(lower + 1, len(ordered) - 1)
     fraction = position - lower
-    return float(ordered[lower]) * (1 - fraction) + float(ordered[upper]) * fraction
+    low, high = float(ordered[lower]), float(ordered[upper])
+    # low + step, not a weighted sum: 5e-324 * 0.5 rounds to 0, so the sum
+    # of two halved subnormals falls outside [low, high].
+    return low + (high - low) * fraction
 
 
 def quantiles(values: Sequence[float], points: Iterable[float]) -> List[float]:

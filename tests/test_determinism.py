@@ -13,8 +13,9 @@ script twice, concurrently, in two subprocesses:
 
 Each run saves a streamgen bundle, detects over it (findings JSONL, the
 JSON table and a metrics textfile), writes ``PipelineResult.to_json``,
-replays the bundle through the stream engine with ``--verify``, and
-sends a fixed request list through the serving app. It also writes
+replays the bundle through the stream engine with ``--verify`` (and once
+more in text mode for the live finding feed), and sends a fixed request
+list through the serving app. It also writes
 ``to_json`` for a world from the day-loop simulator, the other
 generator. The test then
 compares every bundle file and every artifact byte for byte, except for
@@ -148,6 +149,7 @@ def run_pipeline(out: str, k: int) -> None:
          stdout_path="detect.json")
     _cli(["watch", "--bundle", "bundle", "--verify", "--format", "json"]
          + world_args, stdout_path="watch.json")
+    _cli(["watch", "--bundle", "bundle"] + world_args, stdout_path="watch.txt")
 
     # One worker: a sharded result also carries its shard layout and
     # timings (``shard_stats``); the sharded findings are compared through
@@ -227,6 +229,16 @@ def _load_without(path: str, keys, parent=None):
     return payload
 
 
+def _feed_lines(path: str):
+    """The live feed of a text-mode ``watch``: finding lines and their
+    advisories (the metrics table around them holds latencies)."""
+    with open(path, encoding="utf-8") as handle:
+        return [
+            line for line in handle
+            if line.startswith("[") or line.lstrip().startswith("advisory:")
+        ]
+
+
 def _read(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
@@ -291,6 +303,9 @@ def test_two_differently_perturbed_runs_write_identical_artifacts(tmp_path):
     assert watch_a["verified_equivalent"] is True
     assert watch_a == _load_without(second, VOLATILE_WATCH_STATS,
                                     parent="stats")
+    first, second = both("watch.txt")
+    feed = _feed_lines(first)
+    assert feed and feed == _feed_lines(second)
 
     first, second = both("metrics.prom")
     samples = _metric_samples(first)

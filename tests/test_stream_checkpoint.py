@@ -2,14 +2,19 @@
 
 A replay killed mid-stream and resumed from its checkpoint must converge to
 the identical findings set (and matching statistics) as an uninterrupted
-run — which itself equals the batch pipeline. Also covers the checkpoint
-store itself: atomicity, format versioning, and bundle-mismatch detection.
+run — which itself equals the batch pipeline. A checkpoint is the feed's
+offset and resume replays the prefix silently, so late kills, with joins
+in flight, must give back the whole engine: wrapper stats, stream counts
+and the live feed after the cursor. Also covers the checkpoint store
+itself: atomicity, format versioning, and bundle/config-mismatch detection.
 """
 
 import os
 
 import pytest
 
+from repro.data import open_bundle
+from repro.ecosystem.timeline import DEFAULT_TIMELINE
 from repro.stream import (
     CheckpointCorruptError,
     CheckpointError,
@@ -36,6 +41,35 @@ def cutoff(small_world):
 @pytest.fixture(scope="module")
 def uninterrupted(small_bundle, cutoff):
     return StreamEngine(small_bundle, revocation_cutoff_day=cutoff).replay()
+
+
+@pytest.fixture(scope="module")
+def streamgen_run(streamgen_dir):
+    return _feed_run(streamgen_dir)
+
+
+def _feed_run(streamgen_dir, store=None, **replay):
+    """Replay a fresh open of the streamgen bundle, recording the live feed
+    as (day, class, fingerprint, domain, detail) in order."""
+    feed = []
+
+    def on_finding(event):
+        finding = event.finding
+        feed.append((
+            event.day,
+            finding.staleness_class.value,
+            finding.certificate.dedup_fingerprint(),
+            finding.affected_domain,
+            finding.detail,
+        ))
+
+    engine = StreamEngine(
+        open_bundle(streamgen_dir),
+        revocation_cutoff_day=DEFAULT_TIMELINE.revocation_cutoff,
+        checkpoint_store=store,
+        on_finding=on_finding,
+    )
+    return engine, engine.replay(**replay), feed
 
 
 def _kill_and_resume(bundle, cutoff, tmp_path, kill_after_days, every=25):
@@ -67,6 +101,62 @@ class TestKillResume:
         )
         assert resumed.revocation_stats == uninterrupted.revocation_stats
         assert resumed.stats.resumed_from_day == partial.cursor_day
+
+    @pytest.mark.parametrize("kill_after_days", [1900, 2050])
+    def test_resume_in_flight_equals_uninterrupted_engine(
+        self, streamgen_dir, streamgen_run, tmp_path, kill_after_days
+    ):
+        engine, result, feed = streamgen_run
+        store = CheckpointStore(str(tmp_path))
+        _, partial, killed_feed = _feed_run(
+            streamgen_dir, store=store, max_days=kill_after_days
+        )
+        assert not partial.complete
+        resumed_engine, resumed, resumed_feed = _feed_run(
+            streamgen_dir, store=store, resume=True
+        )
+        assert resumed.complete
+        assert {d.name: d.stats for d in resumed_engine._detectors} == {
+            d.name: d.stats for d in engine._detectors
+        }
+        for counts in ("events_by_type", "findings_by_class", "days_processed"):
+            assert getattr(resumed.stats, counts) == getattr(result.stats, counts)
+        assert resumed_feed == [f for f in feed if f[0] > partial.cursor_day]
+        assert killed_feed + resumed_feed == feed
+
+    def test_resume_under_other_detector_config_rejected(
+        self, small_bundle, cutoff, tmp_path
+    ):
+        store = CheckpointStore(str(tmp_path))
+        StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        ).replay(max_days=100)
+        with pytest.raises(CheckpointMismatchError, match="detector configuration"):
+            StreamEngine(
+                small_bundle,
+                revocation_cutoff_day=cutoff,
+                whois_tlds=None,
+                checkpoint_store=store,
+            ).replay(resume=True)
+
+    def test_format_v1_checkpoint_rejected(self, small_bundle, cutoff, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        dump_json(store.path, {"format_version": 1, "cursor_day": 100})
+        with pytest.raises(CheckpointMismatchError, match="v1"):
+            StreamEngine(
+                small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+            ).replay(resume=True)
+
+    def test_checkpoint_is_the_feed_offset(self, small_bundle, cutoff, tmp_path):
+        store = CheckpointStore(str(tmp_path))
+        partial = StreamEngine(
+            small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+        ).replay(max_days=100)
+        assert set(store.load()) == {
+            "format_version", "identity", "cursor_day", "finalized",
+            "checkpoints_written",
+        }
+        assert store.load()["cursor_day"] == partial.cursor_day
 
     def test_resume_equals_batch(self, small_bundle, cutoff, tmp_path):
         _, resumed = _kill_and_resume(small_bundle, cutoff, tmp_path, 700)
@@ -125,7 +215,7 @@ class TestCheckpointStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "ckpt"))
         assert store.load() is None
-        store.save({"cursor_day": 42, "detectors": {}})
+        store.save({"cursor_day": 42})
         loaded = store.load()
         assert loaded["cursor_day"] == 42
         assert loaded["format_version"] == CHECKPOINT_FORMAT_VERSION
@@ -163,7 +253,7 @@ class TestCorruptCheckpoints:
 
     def test_truncated_gzip_raises_corrupt_error(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        store.save({"cursor_day": 42, "detectors": {}})
+        store.save({"cursor_day": 42})
         with open(store.path, "rb") as handle:
             payload = handle.read()
         assert len(payload) > 12

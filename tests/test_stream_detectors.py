@@ -1,9 +1,10 @@
 """Unit tests for the incremental detector wrappers.
 
 Each class is exercised directly (no engine) to pin down the streaming
-semantics: retroactive joins, mid-stream revisions, pending-state
-resolution, and checkpoint round-trips. Whole-world equivalence against the
-batch detectors lives in test_stream_equivalence.py.
+semantics: retroactive joins, mid-stream revisions and pending-state
+resolution. Whole-world equivalence against the batch detectors lives in
+test_stream_equivalence.py; that pending state survives a kill is checked
+on the whole engine in test_stream_checkpoint.py.
 """
 
 import pytest
@@ -135,23 +136,6 @@ class TestIncrementalKeyCompromise:
         assert stats.survivors == 1
         assert len(detector.findings()) == 1
 
-    def test_checkpoint_roundtrip_rebuilds_findings(self):
-        corpus, (row,) = rows_of(make_cert(sans=("kc.com",), serial=1, not_before=T0))
-        detector = IncrementalKeyCompromiseDetector(corpus)
-        detector.register(row)
-        detector.handle_crl_delta(
-            crl_delta([CrlEntry(1, T0 + 30, RevocationReason.KEY_COMPROMISE)])
-        )
-        state = detector.checkpoint_state()
-
-        restored = IncrementalKeyCompromiseDetector(corpus)
-        restored.restore_state(state)
-        assert restored.findings() == []  # certs not re-ingested yet
-        restored.register(row)
-        assert {f.staleness_class for f in restored.findings()} == {
-            StalenessClass.REVOKED_ALL, StalenessClass.KEY_COMPROMISE,
-        }
-
 
 class TestIncrementalRegistrantChange:
     def test_second_creation_date_emits(self):
@@ -207,20 +191,6 @@ class TestIncrementalRegistrantChange:
             (T0 + 50, f"re_registered_after={T0 - 100}"),
         ]
         assert len(emitted) == 2  # revision + new event
-
-    def test_checkpoint_roundtrip(self):
-        corpus, (row,) = rows_of(make_cert(sans=("re.com",), not_before=T0))
-        detector = IncrementalRegistrantChangeDetector(corpus)
-        detector.register(row)
-        detector.handle_whois(whois("re.com", T0 - 100))
-        detector.handle_whois(whois("re.com", T0 + 50))
-        state = detector.checkpoint_state()
-
-        restored = IncrementalRegistrantChangeDetector(corpus)
-        restored.restore_state(state)
-        restored.register(row)
-        restored.rebuild_findings()
-        assert [f.invalidation_day for f in restored.findings()] == [T0 + 50]
 
 
 class TestIncrementalManagedTls:
@@ -312,44 +282,3 @@ class TestIncrementalManagedTls:
             snapshot_event(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
         )
         assert emitted == []
-
-    def test_checkpoint_roundtrip_preserves_pendings_and_findings(self):
-        cert = managed_cert("gone.com")
-        still_cert = managed_cert("still.com", serial=302)
-        corpus, rows = rows_of(cert, still_cert)
-        detector = IncrementalManagedTlsDetector(corpus)
-        for row in rows:
-            detector.register(row)
-        detector.handle_snapshot(
-            snapshot_event(
-                T0,
-                {
-                    "gone.com": {RecordType.NS: CF_NS},
-                    "still.com": {RecordType.NS: CF_NS},
-                },
-            )
-        )
-        detector.handle_snapshot(
-            snapshot_event(
-                T0 + 1,
-                {
-                    "gone.com": {RecordType.NS: ("ns1.other.net",)},
-                    # still.com unobserved: becomes a pending disappearance
-                },
-            )
-        )
-        assert detector.pending_departures() == 1
-        state = detector.checkpoint_state()
-
-        by_fingerprint = {c.dedup_fingerprint(): c for c in (cert, still_cert)}
-        restored = IncrementalManagedTlsDetector(corpus)
-        restored.restore_state(state, by_fingerprint.__getitem__)
-        # The engine re-ingests the CT prefix after restore; mirror that.
-        for row in rows:
-            restored.register(row)
-        assert restored.pending_departures() == 1
-        assert sorted(f.affected_domain for f in restored.findings()) == sorted(
-            f.affected_domain for f in detector.findings()
-        )
-        # The restored pending resolves identically.
-        assert restored.finalize()
