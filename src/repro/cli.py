@@ -229,12 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--checkpoint-every", type=int, default=30, metavar="DAYS",
-        help="checkpoint cadence in processed event-days (default 30)",
+        help="checkpoint cadence in processed event-days, i.e. days with a "
+        "CRL, WHOIS or DNS event (default 30)",
     )
     watch.add_argument(
         "--days", type=int, default=None, metavar="N",
-        help="stop after N event-days (partial run; combine with "
-        "--checkpoint-dir to continue later)",
+        help="stop after N event-days, i.e. days with a CRL, WHOIS or DNS "
+        "event (partial run; combine with --checkpoint-dir to continue later)",
     )
     watch.add_argument(
         "--verify", action="store_true",

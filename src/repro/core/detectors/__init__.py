@@ -11,12 +11,12 @@ Each module mirrors one methodology subsection of the paper:
   Cloudflare NS/CNAME delegation (:class:`DepartureTracker`) for domains
   holding Cloudflare-managed certificates.
 
-Each rule is a function or small state machine in its module
-(``revocation_outcome``/``revocation_findings``, ``re_registration_findings``,
-``DepartureTracker``/``ManagedCertificateJoin``). The batch detectors above
-drive it over index lookups and satisfy the batch-only :class:`Detector`
-protocol the pipeline registry iterates; the incremental wrappers in
-:mod:`repro.stream.detectors` drive the same code over events.
+Each rule is one class, which batch, shard and stream all drive. Its
+incremental calls (``add_crl``, ``add_creation``, ``observe``, then
+``finalize``, ``findings`` and ``stats``) query the corpus with the day
+bound the rule applies; ``detect(inputs, findings)`` — the
+:class:`Detector` protocol the pipeline registry iterates — is a loop over
+them, and the stream engine makes one of them per event.
 """
 
 from repro.core.detectors.base import Detector

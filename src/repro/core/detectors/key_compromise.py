@@ -26,9 +26,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.ct.dedup import Corpus
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
 from repro.pki.certificate import Certificate
-from repro.revocation.crl import CertificateRevocationList, CrlEntry, merge_crl_series
+from repro.revocation.crl import CertificateRevocationList, CrlEntry, merge_entry
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import Day
+
+RevocationKey = Tuple[str, int]
 
 
 @dataclass
@@ -95,7 +97,15 @@ def revocation_findings(entry: CrlEntry, certificate: Certificate) -> List[Stale
 
 
 class KeyCompromiseDetector:
-    """Cross-references a CRL series against a CT corpus."""
+    """Cross-references CRL entries against a CT corpus.
+
+    :meth:`add_crl` folds one CRL's entries into the merged view (step 1,
+    earliest revocation day per key) and joins each entry that changes it
+    (steps 2–4); the stream engine calls it per compacted CRL delta, and
+    :meth:`detect` calls it over a whole series. A revision to an earlier
+    day replaces the key's findings, so :meth:`findings` is the converged
+    view.
+    """
 
     def __init__(
         self,
@@ -106,7 +116,44 @@ class KeyCompromiseDetector:
         (the paper uses 13 months prior to CRL collection start)."""
         self._corpus = corpus
         self._cutoff = revocation_cutoff_day
-        self.stats = RevocationJoinStats()
+        self._apply_filters = True
+        self._merged: Dict[RevocationKey, CrlEntry] = {}
+        #: Per merged key: its outcome and current findings.
+        self._joined: Dict[RevocationKey, Tuple[str, List[StaleCertificate]]] = {}
+
+    def add_crl(
+        self, authority_key_id: str, entries: Iterable[CrlEntry]
+    ) -> List[StaleCertificate]:
+        """Merge and join one CRL's *entries*; returns the findings they
+        set (a revised key's replace its earlier ones in :meth:`findings`)."""
+        emitted: List[StaleCertificate] = []
+        for entry in entries:
+            key = (authority_key_id, entry.serial)
+            if not merge_entry(self._merged, key, entry):
+                continue
+            # The match carries the validity the filters read; only the
+            # survivors' certificates are built.
+            matched = self._corpus.revocation_match(key)
+            outcome = revocation_outcome(entry, matched, self._cutoff)
+            if not self._apply_filters and matched is not None:
+                outcome = "survivors"
+            found: List[StaleCertificate] = []
+            if outcome == "survivors":
+                found = revocation_findings(entry, self._corpus.certificate(matched.row))
+            self._joined[key] = (outcome, found)
+            emitted.extend(found)
+        return emitted
+
+    def finalize(self) -> List[StaleCertificate]:
+        """Nothing buffered: entries join on arrival."""
+        return []
+
+    def findings(self) -> List[StaleCertificate]:
+        return [finding for _, found in self._joined.values() for finding in found]
+
+    @property
+    def stats(self) -> RevocationJoinStats:
+        return RevocationJoinStats.of(outcome for outcome, _ in self._joined.values())
 
     def detect(
         self,
@@ -120,19 +167,10 @@ class KeyCompromiseDetector:
         quantifies the filters' effect.
         """
         out = findings if findings is not None else StaleFindings()
-        outcomes: List[str] = []
-        for key, entry in merge_crl_series(crls).items():
-            # The match carries the validity the filters read; only the
-            # survivors' certificates are built.
-            matched = self._corpus.revocation_match(key)
-            outcome = revocation_outcome(entry, matched, self._cutoff)
-            if not apply_filters and matched is not None:
-                outcome = "survivors"
-            outcomes.append(outcome)
-            if outcome == "survivors":
-                certificate = self._corpus.certificate(matched.row)
-                out.extend(revocation_findings(entry, certificate))
-        self.stats = RevocationJoinStats.of(outcomes)
+        self._apply_filters = apply_filters
+        for crl in crls:
+            self.add_crl(crl.authority_key_id, crl.entries)
+        out.extend(self.findings())
         return out
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.ct.dedup import CLOUDFLARE_MANAGED_SAN_SUFFIX, Corpus, has_managed_marker_san
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
@@ -163,78 +164,81 @@ def find_departures(store: SnapshotStore) -> List[Departure]:
     return departures + tracker.flush()
 
 
-def departure_finding(
-    certificate: Certificate, domain: str, departure_day: Day, detail: str
-) -> StaleCertificate:
-    return StaleCertificate(
-        certificate=certificate,
-        staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-        invalidation_day=departure_day,
-        affected_domain=domain,
-        detail=detail,
-    )
+class ManagedTlsDetector:
+    """Joins DNS-observed departures against Cloudflare-managed certs.
 
+    The corpus's managed certificates are indexed by customer domain at
+    construction, in (notBefore, row) order. :meth:`observe` feeds one scan
+    to the :class:`DepartureTracker` and joins each departure it confirms
+    against every indexed certificate at or beneath the apex that is valid
+    on the departure day; :meth:`finalize` flushes the disappearances the
+    scan window ended on. The stream engine calls both per DNS event;
+    :meth:`detect` calls them over a whole snapshot store.
+    """
 
-def departure_findings(
-    index: Dict[str, List[Certificate]], departure: Departure
-) -> Iterator[StaleCertificate]:
-    """The certificate join for one departure: every managed certificate
-    covering the apex or a name beneath it (managed certificates often
-    cover www, mail, ...) that is still valid on the departure day."""
-    detail = f"left={','.join(sorted(departure.removed_targets))}"
-    suffix = "." + departure.apex
-    for domain, certificates in index.items():
-        if domain != departure.apex and not domain.endswith(suffix):
-            continue
-        for certificate in certificates:
-            if certificate.is_valid_on(departure.departure_day):
-                yield departure_finding(certificate, domain, departure.departure_day, detail)
+    def __init__(self, corpus: Corpus) -> None:
+        self._tracker = DepartureTracker()
+        self._by_domain: Dict[str, List[Certificate]] = {}
+        managed = sorted(
+            (corpus.certificate(row) for row in corpus.managed_rows()),
+            key=attrgetter("not_before"),
+        )
+        for certificate in managed:
+            # Sorted: join output must not follow PYTHONHASHSEED's set order.
+            for san in sorted(certificate.fqdns()):
+                if not san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):  # the CDN's marker
+                    self._by_domain.setdefault(san, []).append(certificate)
+        self._indexed = len(
+            {c.dedup_fingerprint() for certs in self._by_domain.values() for c in certs}
+        )
+        self._departures = 0
+        #: One finding per certificate, domain and departure day.
+        self._findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
 
+    def observe(self, snapshot: DailySnapshot) -> List[StaleCertificate]:
+        return self._join(self._tracker.observe(snapshot))
 
-class ManagedCertificateJoin:
-    """Cloudflare-managed certificates by customer domain, and the findings
-    their departures produced so far (one per certificate, domain and day).
-    The batch detector and the stream wrapper both accumulate into one."""
+    def finalize(self) -> List[StaleCertificate]:
+        """Flush pendings the scan window ended before resolving."""
+        return self._join(self._tracker.flush())
 
-    def __init__(self) -> None:
-        self.by_domain: Dict[str, List[Certificate]] = {}
-        self.findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
-        self.departures = 0
-
-    def add(self, certificate: Certificate) -> None:
-        if not is_cloudflare_managed_certificate(certificate):
-            return
-        # Sorted: join output must not follow PYTHONHASHSEED's set order.
-        for san in sorted(certificate.fqdns()):
-            if not san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):  # the CDN's marker
-                self.by_domain.setdefault(san, []).append(certificate)
-
-    def join(self, departures: Iterable[Departure]) -> List[StaleCertificate]:
+    def _join(self, departures: Iterable[Departure]) -> List[StaleCertificate]:
         """Join *departures*; returns the findings not seen before."""
         emitted: List[StaleCertificate] = []
         for departure in departures:
-            self.departures += 1
-            for finding in departure_findings(self.by_domain, departure):
-                key = finding_key(finding)
-                if key not in self.findings:
-                    self.findings[key] = finding
-                    emitted.append(finding)
+            self._departures += 1
+            detail = f"left={','.join(sorted(departure.removed_targets))}"
+            suffix = "." + departure.apex
+            # The apex or any name beneath it: managed certificates often
+            # cover www, mail, ...
+            for domain, certificates in self._by_domain.items():
+                if domain != departure.apex and not domain.endswith(suffix):
+                    continue
+                for certificate in certificates:
+                    if not certificate.is_valid_on(departure.departure_day):
+                        continue
+                    finding = StaleCertificate(
+                        certificate=certificate,
+                        staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
+                        invalidation_day=departure.departure_day,
+                        affected_domain=domain,
+                        detail=detail,
+                    )
+                    key = finding_key(finding)
+                    if key not in self._findings:
+                        self._findings[key] = finding
+                        emitted.append(finding)
         return emitted
+
+    def pending_departures(self) -> int:
+        return len(self._tracker.pending)
+
+    def findings(self) -> List[StaleCertificate]:
+        return list(self._findings.values())
 
     @property
     def stats(self) -> DepartureJoinStats:
-        fingerprints = {
-            c.dedup_fingerprint() for certs in self.by_domain.values() for c in certs
-        }
-        return DepartureJoinStats(len(fingerprints), self.departures, len(self.findings))
-
-
-class ManagedTlsDetector:
-    """Joins DNS-observed departures against Cloudflare-managed certs."""
-
-    def __init__(self, corpus: Corpus) -> None:
-        self._corpus = corpus
-        self.stats = DepartureJoinStats()
+        return DepartureJoinStats(self._indexed, self._departures, len(self._findings))
 
     def detect(
         self,
@@ -242,9 +246,8 @@ class ManagedTlsDetector:
         findings: Optional[StaleFindings] = None,
     ) -> StaleFindings:
         out = findings if findings is not None else StaleFindings()
-        join = ManagedCertificateJoin()
-        for row in self._corpus.managed_rows():
-            join.add(self._corpus.certificate(row))
-        out.extend(join.join(find_departures(store)))
-        self.stats = join.stats
+        for scan_day in store.days():
+            self.observe(store.get(scan_day))
+        self.finalize()
+        out.extend(self.findings())
         return out

@@ -16,7 +16,9 @@ the gap against simulator ground truth).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ct.dedup import Corpus
@@ -102,12 +104,68 @@ def find_re_registrations(
 
 
 class RegistrantChangeDetector:
-    """Joins re-registration events against certificate validity windows."""
+    """Joins re-registration events against certificate validity windows.
+
+    :meth:`add_creation` takes one (domain, creation day) pair: a new
+    distinct date forms a (previous, current) pair with its neighbours, and
+    each pair queries the corpus for the certificates strictly spanning its
+    current day, handled in (notBefore, row) order. The stream engine calls
+    it per WHOIS event and :meth:`detect` over all pairs in (day, domain)
+    order; an out-of-order date revises the pair it splits.
+    """
 
     def __init__(self, corpus: Corpus, tlds: Optional[Sequence[str]] = ("com", "net")) -> None:
         self._corpus = corpus
         self._tlds = tlds
-        self.stats = RegistrantJoinStats()
+        #: Sorted distinct creation dates per in-scope domain.
+        self._dates: Dict[str, List[Day]] = {}
+        #: Whether any certificate carries the domain's e2LD.
+        self._joined: Dict[str, bool] = {}
+        self._findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
+
+    def add_creation(self, domain: str, creation_day: Day) -> List[StaleCertificate]:
+        """Record one creation pair; returns the findings it adds or revises."""
+        if not in_whois_scope(domain, self._tlds):
+            return []
+        dates = self._dates.setdefault(domain, [])
+        position = bisect.bisect_left(dates, creation_day)
+        if position < len(dates) and dates[position] == creation_day:
+            return []  # duplicate crawl observation
+        dates.insert(position, creation_day)
+        emitted: List[StaleCertificate] = []
+        for current in range(max(1, position), min(position + 2, len(dates))):
+            joined, candidates = self._corpus.e2ld_candidates(
+                registration_key(domain), dates[current]
+            )
+            self._joined[domain] = joined > 0
+            for finding in re_registration_findings(
+                domain,
+                dates[current - 1],
+                dates[current],
+                sorted(candidates, key=attrgetter("not_before")),
+            ):
+                key = finding_key(finding)
+                existing = self._findings.get(key)
+                if existing is None or existing.detail != finding.detail:
+                    self._findings[key] = finding
+                    emitted.append(finding)
+        return emitted
+
+    def finalize(self) -> List[StaleCertificate]:
+        """Nothing buffered: creation dates join on arrival."""
+        return []
+
+    def findings(self) -> List[StaleCertificate]:
+        return list(self._findings.values())
+
+    @property
+    def stats(self) -> RegistrantJoinStats:
+        stats = RegistrantJoinStats(findings=len(self._findings))
+        for domain, dates in self._dates.items():
+            stats.re_registration_events += len(dates) - 1
+            if self._joined.get(domain):
+                stats.events_joining_certificates += len(dates) - 1
+        return stats
 
     def detect(
         self,
@@ -116,21 +174,7 @@ class RegistrantChangeDetector:
     ) -> StaleFindings:
         """Run the full pipeline from raw creation pairs."""
         out = findings if findings is not None else StaleFindings()
-        events = find_re_registrations(creation_pairs, self._tlds)
-        self.stats = RegistrantJoinStats(re_registration_events=len(events))
-        emitted = set()
-        for event in events:
-            joined, candidates = self._corpus.e2ld_candidates(
-                registration_key(event.domain), event.creation_day
-            )
-            if joined:
-                self.stats.events_joining_certificates += 1
-            for finding in re_registration_findings(
-                event.domain, event.previous_creation_day, event.creation_day, candidates
-            ):
-                key = finding_key(finding)
-                if key not in emitted:
-                    emitted.add(key)
-                    out.add(finding)
-        self.stats.findings = len(emitted)
+        for domain, creation_day in sorted(set(creation_pairs), key=itemgetter(1, 0)):
+            self.add_creation(domain, creation_day)
+        out.extend(self.findings())
         return out

@@ -87,8 +87,17 @@ def merge_crl_series(crls: Iterable[CertificateRevocationList]) -> Dict[Tuple[st
     merged: Dict[Tuple[str, int], CrlEntry] = {}
     for crl in crls:
         for entry in crl.entries:
-            key = (crl.authority_key_id, entry.serial)
-            existing = merged.get(key)
-            if existing is None or entry.revocation_day < existing.revocation_day:
-                merged[key] = entry
+            merge_entry(merged, (crl.authority_key_id, entry.serial), entry)
     return merged
+
+
+def merge_entry(
+    merged: Dict[Tuple[str, int], CrlEntry], key: Tuple[str, int], entry: CrlEntry
+) -> bool:
+    """Fold *entry* into *merged* under *key*: the earliest revocation day
+    wins (the first seen on a tie). Returns whether *merged* changed."""
+    existing = merged.get(key)
+    if existing is not None and entry.revocation_day >= existing.revocation_day:
+        return False
+    merged[key] = entry
+    return True

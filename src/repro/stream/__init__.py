@@ -1,20 +1,16 @@
-"""Incremental streaming detection engine.
+"""Streaming detection engine.
 
 The batch :class:`~repro.core.pipeline.MeasurementPipeline` re-reads the
 entire world per run; this subsystem turns the same Section 4 methodology
 into an always-on monitor. It is organized as:
 
-* :mod:`repro.stream.events` — time-ordered event types (CT entry logged,
-  CRL delta published, WHOIS creation observed, DNS snapshot taken) and the
-  event-stream builder that derives them from a
-  :class:`~repro.core.pipeline.DatasetBundle`;
+* :mod:`repro.stream.events` — time-ordered event types (CRL delta
+  published, WHOIS creation observed, DNS snapshot taken) that
+  :func:`build_event_stream` derives from a
+  :class:`~repro.core.pipeline.DatasetBundle`; CT is the queryable corpus,
+  not an event stream;
 * :mod:`repro.stream.bus` — a synchronous publish/subscribe event bus with
   queue-depth and latency accounting;
-* :mod:`repro.stream.detectors` — incremental wrappers for the three
-  staleness detectors, maintaining internal state (seen corpus rows,
-  pending revocations, last NS/CNAME view per domain), building a
-  certificate only when a join needs it, and emitting findings as events
-  arrive instead of at end-of-batch;
 * :mod:`repro.stream.checkpoint` — a checkpoint is the feed's offset (the
   last processed day, plus an identity of bundle and configuration);
   resume replays the prefix silently, so a killed replay converges to the
@@ -22,7 +18,10 @@ into an always-on monitor. It is organized as:
 * :mod:`repro.stream.metrics` — :class:`StreamStats` counters surfaced by
   the ``watch`` CLI and the report layer;
 * :mod:`repro.stream.engine` — the replay driver that walks a simulated
-  world day by day.
+  world day by day, feeding each event to one call on the batch registry's
+  detector for its rule (:mod:`repro.core.detectors`; the same class
+  batch and shard runs use) and emitting findings as events arrive instead
+  of at end-of-batch.
 
 The correctness bar, enforced by the test suite: a streaming replay over a
 bundle yields a findings set identical to ``MeasurementPipeline.run()`` on
@@ -36,11 +35,6 @@ from repro.stream.checkpoint import (
     CheckpointMismatchError,
     CheckpointStore,
 )
-from repro.stream.detectors import (
-    IncrementalKeyCompromiseDetector,
-    IncrementalManagedTlsDetector,
-    IncrementalRegistrantChangeDetector,
-)
 from repro.stream.engine import (
     StreamEngine,
     StreamResult,
@@ -50,7 +44,6 @@ from repro.stream.engine import (
 )
 from repro.stream.events import (
     CrlDeltaPublished,
-    CtEntryLogged,
     DnsSnapshotTaken,
     Event,
     EventType,
@@ -65,16 +58,12 @@ __all__ = [
     "CheckpointError",
     "CheckpointMismatchError",
     "CheckpointStore",
-    "IncrementalKeyCompromiseDetector",
-    "IncrementalManagedTlsDetector",
-    "IncrementalRegistrantChangeDetector",
     "StreamEngine",
     "StreamResult",
     "build_event_stream",
     "canonical_findings",
     "verify_equivalence",
     "CrlDeltaPublished",
-    "CtEntryLogged",
     "DnsSnapshotTaken",
     "Event",
     "EventType",

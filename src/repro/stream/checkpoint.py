@@ -41,11 +41,25 @@ class CheckpointMismatchError(CheckpointError):
 class CheckpointCorruptError(CheckpointError):
     """The checkpoint file exists but cannot be read back.
 
-    Raised for truncated gzip streams, corrupt compressed data, and
-    malformed JSON — a kill mid-:func:`~repro.util.storage.dump_json`
-    cannot produce these (writes are atomic), but disk faults, manual
-    edits, and copied partial files can.
+    Raised for truncated gzip streams, corrupt compressed data, malformed
+    JSON, and a field of the wrong type or range — a kill
+    mid-:func:`~repro.util.storage.dump_json` cannot produce these (writes
+    are atomic), but disk faults, manual edits, and copied partial files
+    can.
     """
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: What each stored field must hold when present.
+_FIELDS = {
+    "identity": lambda value: isinstance(value, str),
+    "cursor_day": lambda value: value is None or _is_int(value),
+    "finalized": lambda value: isinstance(value, bool),
+    "checkpoints_written": lambda value: _is_int(value) and value >= 0,
+}
 
 
 class CheckpointStore:
@@ -69,8 +83,9 @@ class CheckpointStore:
     def load(self) -> Optional[dict]:
         """The stored state, or None when no checkpoint exists yet.
 
-        Raises :class:`CheckpointCorruptError` for unreadable files and
-        :class:`CheckpointMismatchError` for incompatible format versions.
+        Raises :class:`CheckpointCorruptError` for unreadable files or
+        malformed fields and :class:`CheckpointMismatchError` for
+        incompatible format versions.
         """
         if not self.exists():
             return None
@@ -93,6 +108,13 @@ class CheckpointStore:
             raise CheckpointMismatchError(
                 f"checkpoint format v{version} != supported v{CHECKPOINT_FORMAT_VERSION}"
             )
+        for name, valid in _FIELDS.items():
+            if name in document and not valid(document[name]):
+                raise CheckpointCorruptError(
+                    f"checkpoint {self.path} has a malformed {name!r} "
+                    f"({document[name]!r}); delete it (or run without --resume) "
+                    "to start fresh"
+                )
         return document
 
     def clear(self) -> None:

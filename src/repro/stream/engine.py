@@ -1,14 +1,17 @@
 """Replay driver: walks a simulated world day by day through the event bus.
 
 :func:`build_event_stream` derives the time-ordered event list from a
-:class:`~repro.core.pipeline.DatasetBundle` — CT entries at their notBefore
-day, compacted CRL deltas at each CRL's thisUpdate, distinct WHOIS creation
-pairs at their creation day, DNS snapshots at their scan day.
-:class:`StreamEngine` dispatches one day at a time, feeding the incremental
-detectors and republishing their findings as ``STALE_FINDING`` events, with
-optional periodic checkpointing and kill/resume. A checkpoint is the feed's
-offset; resume replays the prefix silently, so detector state and stats
-after a resume are an uninterrupted run's by construction.
+:class:`~repro.core.pipeline.DatasetBundle` — compacted CRL deltas at each
+CRL's thisUpdate, distinct WHOIS creation pairs at their creation day, DNS
+snapshots at their scan day. CT is not replayed: it is an append-only,
+queryable log, and every join queries the corpus with the day bound its
+rule already applies. :class:`StreamEngine` builds the
+:data:`~repro.core.pipeline.DETECTOR_REGISTRY` detectors that apply to the
+bundle, makes one call on one of them per event, and republishes their
+findings as ``STALE_FINDING`` events, with optional periodic checkpointing
+and kill/resume. A checkpoint is the feed's offset; resume replays the
+prefix silently, so detector state and stats after a resume are an
+uninterrupted run's by construction.
 
 The equivalence guarantee (see :func:`verify_equivalence`): a full replay
 produces the same findings set as ``MeasurementPipeline.run()`` over the
@@ -21,28 +24,27 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.detectors.key_compromise import RevocationJoinStats
-from repro.core.pipeline import DatasetBundle, MeasurementPipeline, PipelineResult
+from repro.core.pipeline import (
+    DETECTOR_REGISTRY,
+    DatasetBundle,
+    MeasurementPipeline,
+    PipelineConfig,
+    PipelineResult,
+)
 from repro.core.stale import (
     StaleCertificate,
     StalenessClass,
     StaleFindings,
     canonical_order_key,
 )
-from repro.revocation.crl import CrlEntry
+from repro.revocation.crl import CrlEntry, merge_entry
 from repro.stream.bus import EventBus
 from repro.stream.checkpoint import CheckpointMismatchError, CheckpointStore
-from repro.stream.detectors import (
-    IncrementalKeyCompromiseDetector,
-    IncrementalManagedTlsDetector,
-    IncrementalRegistrantChangeDetector,
-)
 from repro.stream.events import (
     CrlDeltaPublished,
-    CtEntryLogged,
     DnsSnapshotTaken,
     Event,
     EventType,
@@ -57,6 +59,22 @@ from repro.util.dates import Day
 DEFAULT_CHECKPOINT_EVERY_DAYS = 30
 
 FindingCallback = Callable[[StaleFindingEmitted], None]
+
+#: The one call each dataset event makes, on the registry detector it feeds.
+_CALLS = {
+    EventType.CRL_DELTA_PUBLISHED: (
+        "key_compromise",
+        lambda detector, event: detector.add_crl(event.authority_key_id, event.entries),
+    ),
+    EventType.WHOIS_CREATION_OBSERVED: (
+        "registrant_change",
+        lambda detector, event: detector.add_creation(event.domain, event.creation_day),
+    ),
+    EventType.DNS_SNAPSHOT_TAKEN: (
+        "managed_tls",
+        lambda detector, event: detector.observe(event.snapshot),
+    ),
+}
 
 
 def checkpoint_identity(
@@ -87,20 +105,19 @@ def checkpoint_identity(
 def build_event_stream(bundle: DatasetBundle) -> List[Event]:
     """Derive the sorted event list a live deployment would have observed.
 
-    Each of the four sources is generated in day order and the sources are
-    merged by :meth:`Event.sort_key`; sort keys are unique, so the merge
+    Each of the three sources is generated in day order and the sources
+    are merged by :meth:`Event.sort_key`; sort keys are unique, so the merge
     equals a full sort.
 
     CRL publications are *compacted*: each ``CrlDeltaPublished`` carries
     only the entries that are new for their (authority key id, serial) — or
-    that improve on a previously published revocation day, mirroring the
-    earliest-day-wins rule of
-    :func:`~repro.revocation.crl.merge_crl_series`. Daily republications of
-    an unchanged CRL therefore produce no event at all.
+    that improve on a previously published revocation day, by the
+    earliest-day-wins rule of :func:`~repro.revocation.crl.merge_entry`.
+    Daily republications of an unchanged CRL therefore produce no event at
+    all.
     """
     return list(
         heapq.merge(
-            _ct_events(bundle),
             _crl_events(bundle),
             _whois_events(bundle),
             _dns_events(bundle),
@@ -109,27 +126,17 @@ def build_event_stream(bundle: DatasetBundle) -> List[Event]:
     )
 
 
-def _ct_events(bundle: DatasetBundle) -> Iterator[Event]:
-    # CT visibility order: (notBefore, row).
-    rows = sorted(bundle.corpus.key_rows(), key=attrgetter("not_before"))
-    for sequence, row in enumerate(rows):
-        yield CtEntryLogged(day=row.not_before, sequence=sequence, row=row)
-
-
 def _crl_events(bundle: DatasetBundle) -> Iterator[Event]:
-    best_published: Dict[Tuple[str, int], Day] = {}
+    published: Dict[Tuple[str, int], CrlEntry] = {}
     sequence = 0
     for crl in sorted(
         bundle.crls, key=lambda c: (c.this_update, c.authority_key_id, c.crl_number)
     ):
-        delta: List[CrlEntry] = []
-        for entry in crl.entries:
-            key = (crl.authority_key_id, entry.serial)
-            published = best_published.get(key)
-            if published is not None and entry.revocation_day >= published:
-                continue
-            best_published[key] = entry.revocation_day
-            delta.append(entry)
+        delta: List[CrlEntry] = [
+            entry
+            for entry in crl.entries
+            if merge_entry(published, (crl.authority_key_id, entry.serial), entry)
+        ]
         if not delta:
             continue
         yield CrlDeltaPublished(
@@ -186,7 +193,7 @@ class StreamResult:
 
 
 class StreamEngine:
-    """Day-by-day replay of a bundle through the incremental detectors.
+    """Day-by-day replay of a bundle through the registry detectors.
 
     One engine instance runs one replay (optionally resumed from a
     checkpoint at the start). ``on_finding`` is invoked for every
@@ -221,14 +228,18 @@ class StreamEngine:
         self.stats = StreamStats()
         self.stats.bind_registry(self._registry)
         self.bus = EventBus(self.stats)
-        corpus = bundle.corpus
-        self._kc = IncrementalKeyCompromiseDetector(corpus, revocation_cutoff_day)
-        self._rc = IncrementalRegistrantChangeDetector(corpus, whois_tlds)
-        self._mt = IncrementalManagedTlsDetector(corpus)
-        #: Registry the engine iterates everywhere (dispatch, finalize,
-        #: materialize). Order fixes the emission order, matching the batch
-        #: registry's; materialized findings are in canonical order.
-        self._detectors = (self._kc, self._rc, self._mt)
+        config = PipelineConfig(
+            revocation_cutoff_day=revocation_cutoff_day,
+            whois_tlds=tuple(whois_tlds) if whois_tlds is not None else None,
+        )
+        #: The batch registry's detectors that apply to the bundle, by key,
+        #: in registry order (which fixes the finalize emission order);
+        #: materialized findings are in canonical order.
+        self._detectors = {
+            spec.key: spec.build(bundle, config)
+            for spec in DETECTOR_REGISTRY
+            if spec.applies(bundle)
+        }
 
         self._cursor: Optional[Day] = None
         self._current_day: Optional[Day] = None
@@ -238,20 +249,18 @@ class StreamEngine:
         #: findings still count, but the live feed already had them.
         self._silent = False
 
-        self.bus.subscribe(EventType.CT_ENTRY_LOGGED, self._on_ct_entry)
-        for detector in self._detectors:
-            self.bus.subscribe(detector.event_type, self._make_handler(detector))
+        for event_type, (key, call) in _CALLS.items():
+            if key in self._detectors:
+                self.bus.subscribe(
+                    event_type, self._make_handler(call, self._detectors[key])
+                )
         self.bus.subscribe(EventType.STALE_FINDING, self._on_stale_finding)
 
     # -- handlers ------------------------------------------------------------
 
-    def _on_ct_entry(self, event: CtEntryLogged) -> None:
-        for detector in self._detectors:
-            self._emit(detector.register(event.row))
-
-    def _make_handler(self, detector):
+    def _make_handler(self, call, detector):
         def handle(event: Event) -> None:
-            self._emit(detector.consume(event))
+            self._emit(call(detector, event))
 
         return handle
 
@@ -335,7 +344,7 @@ class StreamEngine:
             if exhausted:
                 self._silent = resumed_finalized
                 with span("stream_finalize"):
-                    for detector in self._detectors:
+                    for detector in self._detectors.values():
                         self._emit(detector.finalize())
                     self.bus.drain()
                 self._finalized = True
@@ -343,10 +352,11 @@ class StreamEngine:
             if self._store is not None:
                 self._checkpoint()
 
+        key_compromise = self._detectors.get("key_compromise")
         return StreamResult(
             findings=self._materialize(),
             stats=self.stats,
-            revocation_stats=self._kc.stats if self._bundle.crls else None,
+            revocation_stats=key_compromise.stats if key_compromise is not None else None,
             windows=dict(self._bundle.windows),
             complete=self._finalized,
             cursor_day=self._cursor,
@@ -354,7 +364,9 @@ class StreamEngine:
 
     def _materialize(self) -> StaleFindings:
         return StaleFindings.in_canonical_order(
-            finding for detector in self._detectors for finding in detector.findings()
+            finding
+            for detector in self._detectors.values()
+            for finding in detector.findings()
         )
 
     # -- checkpointing -------------------------------------------------------

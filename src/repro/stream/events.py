@@ -1,16 +1,15 @@
 """Time-ordered event types for the streaming engine.
 
-The longitudinal datasets of the paper are all natural event streams: CT
-logs grow monotonically, CRLs republish daily with occasional new entries,
-WHOIS crawls surface new registry creation dates, and the daily DNS scan
-produces one snapshot per day. Each stream maps to one event type here.
-
-Within a day, events dispatch in dataset order — CT first, then CRL, then
-WHOIS, then DNS — so that every join a detector performs on day *d* sees
-exactly the certificates known to CT by *d* (the same visibility the batch
-pipeline has over a completed corpus). A CT event carries the corpus row's
-key columns (:class:`~repro.ct.dedup.CertRow`), not a built certificate;
-same-day CT events go in corpus row order.
+The longitudinal join sources of the paper are natural event streams: CRLs
+republish daily with occasional new entries, WHOIS crawls surface new
+registry creation dates, and the daily DNS scan produces one snapshot per
+day. Each maps to one event type here; within a day they dispatch CRL,
+then WHOIS, then DNS. CT is not an event stream here: it is an
+append-only, queryable log, and each join queries the corpus with the day
+bound its rule applies, which sees exactly the certificates logged by the
+event day: a §4.1 survivor's notBefore is on or before its revocation
+day, which no CRL dates after its thisUpdate; §4.2 and §4.3 require
+notBefore on or before the event day.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.stale import StaleCertificate
-from repro.ct.dedup import CertRow
 from repro.dns.snapshots import DailySnapshot
 from repro.revocation.crl import CrlEntry
 from repro.util.dates import Day, day_to_iso
@@ -29,22 +27,19 @@ from repro.util.dates import Day, day_to_iso
 class EventType(enum.Enum):
     """Streamed dataset events plus the derived finding event."""
 
-    CT_ENTRY_LOGGED = "ct_entry_logged"
+    CT_ENTRY_LOGGED = "ct_entry_logged"  # no event has it; bench/workloads.py reads it
     CRL_DELTA_PUBLISHED = "crl_delta_published"
     WHOIS_CREATION_OBSERVED = "whois_creation_observed"
     DNS_SNAPSHOT_TAKEN = "dns_snapshot_taken"
     STALE_FINDING = "stale_finding"
 
 
-#: Within-day dispatch priority (lower dispatches first). CT entries must
-#: precede every join source so incremental joins see the same certificate
-#: visibility the batch pipeline has.
+#: Within-day dispatch priority (lower dispatches first).
 _DISPATCH_PRIORITY = {
-    EventType.CT_ENTRY_LOGGED: 0,
-    EventType.CRL_DELTA_PUBLISHED: 1,
-    EventType.WHOIS_CREATION_OBSERVED: 2,
-    EventType.DNS_SNAPSHOT_TAKEN: 3,
-    EventType.STALE_FINDING: 4,
+    EventType.CRL_DELTA_PUBLISHED: 0,
+    EventType.WHOIS_CREATION_OBSERVED: 1,
+    EventType.DNS_SNAPSHOT_TAKEN: 2,
+    EventType.STALE_FINDING: 3,
 }
 
 
@@ -68,19 +63,6 @@ class Event:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({day_to_iso(self.day)}, #{self.sequence})"
-
-
-@dataclass(frozen=True, repr=False)
-class CtEntryLogged(Event):
-    """A deduplicated certificate became visible in CT (at its notBefore);
-    ``row`` is its corpus row, which a detector builds only if a join
-    needs the certificate."""
-
-    row: CertRow = None  # type: ignore[assignment]
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.CT_ENTRY_LOGGED
 
 
 @dataclass(frozen=True, repr=False)

@@ -593,3 +593,21 @@ class TestWatchCorruptCheckpoint:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "truncated or corrupt" in err
+
+    def test_watch_resume_malformed_cursor_day_clean_error(self, tmp_path, capsys):
+        # Regression: a checkpoint with the right identity but a string
+        # cursor_day crashed replay() with a TypeError traceback.
+        ckpt = str(tmp_path / "ckpt")
+        assert main(ARGS + ["watch", "--days", "60", "--checkpoint-dir", ckpt]) == 0
+        capsys.readouterr()
+        from repro.stream import CheckpointStore
+
+        store = CheckpointStore(ckpt)
+        state = store.load()
+        state["cursor_day"] = "2021-01-01"
+        store.save(state)
+        code = main(ARGS + ["watch", "--checkpoint-dir", ckpt, "--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "malformed 'cursor_day'" in err

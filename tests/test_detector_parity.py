@@ -1,8 +1,8 @@
 """Batch, sharded and stream runs agree beyond the findings set.
 
-* Join statistics: each batch detector and its stream wrapper report the
-  same ``RevocationJoinStats`` / ``RegistrantJoinStats`` /
-  ``DepartureJoinStats`` on a completed world.
+* Join statistics: each detector reports the same ``RevocationJoinStats``
+  / ``RegistrantJoinStats`` / ``DepartureJoinStats`` on a completed world
+  whether ``detect`` ran it or the stream engine fed it event by event.
 * Order: every engine hands findings out in ``canonical_order_key`` order,
   so batch, ``workers=2`` and stream lists are equal element by element.
   Byte-identical artifacts under any ``PYTHONHASHSEED``, shard count and
@@ -17,14 +17,7 @@ from repro import MeasurementPipeline
 from repro.core.pipeline import DETECTOR_REGISTRY, PipelineConfig
 from repro.data import open_bundle
 from repro.ecosystem.timeline import DEFAULT_TIMELINE
-from repro.stream import (
-    IncrementalKeyCompromiseDetector,
-    IncrementalManagedTlsDetector,
-    IncrementalRegistrantChangeDetector,
-    StreamEngine,
-    build_event_stream,
-)
-from repro.stream.events import EventType
+from repro.stream import StreamEngine
 
 
 @pytest.fixture(scope="module")
@@ -53,21 +46,9 @@ def batch_stats(bundle, cutoff):
 
 
 def stream_stats(bundle, cutoff):
-    wrappers = (
-        IncrementalKeyCompromiseDetector(bundle.corpus, cutoff),
-        IncrementalRegistrantChangeDetector(bundle.corpus),
-        IncrementalManagedTlsDetector(bundle.corpus),
-    )
-    by_type = {wrapper.event_type: wrapper for wrapper in wrappers}
-    for event in build_event_stream(bundle):
-        if event.event_type is EventType.CT_ENTRY_LOGGED:
-            for wrapper in wrappers:
-                wrapper.register(event.row)
-        else:
-            by_type[event.event_type].consume(event)
-    for wrapper in wrappers:
-        wrapper.finalize()
-    return {wrapper.name: wrapper.stats for wrapper in wrappers}
+    engine = StreamEngine(bundle, revocation_cutoff_day=cutoff)
+    assert engine.replay().complete
+    return {key: detector.stats for key, detector in engine._detectors.items()}
 
 
 class TestJoinStatsParity:

@@ -13,12 +13,7 @@ from repro.core.detectors import (
 )
 from repro.core.pipeline import DETECTOR_REGISTRY, DatasetBundle, PipelineResult
 from repro.ct.dedup import CertificateCorpus
-from repro.stream.detectors import (
-    IncrementalKeyCompromiseDetector,
-    IncrementalManagedTlsDetector,
-    IncrementalRegistrantChangeDetector,
-)
-from repro.stream.engine import canonical_findings
+from repro.stream.engine import StreamEngine, canonical_findings
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +107,13 @@ class TestDetectorProtocol:
     def test_all_detectors_satisfy_protocol(self, build):
         assert isinstance(build(), Detector)
 
-    def test_registry_keys_match_stream_names(self):
-        assert [spec.key for spec in DETECTOR_REGISTRY] == [
-            IncrementalKeyCompromiseDetector.name,
-            IncrementalRegistrantChangeDetector.name,
-            IncrementalManagedTlsDetector.name,
+    def test_registry_keys_match_stream_names(self, bundle, cutoff):
+        # The stream engine drives the registry's own detector classes.
+        engine = StreamEngine(bundle, revocation_cutoff_day=cutoff)
+        assert [(key, type(d)) for key, d in engine._detectors.items()] == [
+            ("key_compromise", KeyCompromiseDetector),
+            ("registrant_change", RegistrantChangeDetector),
+            ("managed_tls", ManagedTlsDetector),
         ]
 
     def test_registry_applies_gates_on_dataset_presence(self):

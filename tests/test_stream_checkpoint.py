@@ -25,7 +25,20 @@ from repro.stream import (
     verify_equivalence,
 )
 from repro.stream.checkpoint import CHECKPOINT_FORMAT_VERSION
+from repro.util.dates import day
 from repro.util.storage import dump_json
+
+#: Kill points, keyed by the test ids they keep: after one event-day, and at
+#: the last day 200, 1,400, 1,900 and 2,050 event-days reached when every CT
+#: entry was a stream event. A day-counted kill that late would now run to
+#: completion (small_world has 1,331 event-days, streamgen 859).
+KILL_POINTS = {
+    "1": {"max_days": 1},
+    "200": {"through_day": day(2016, 2, 10)},
+    "1400": {"through_day": day(2020, 8, 12)},
+    "1900": {"through_day": day(2022, 10, 1)},
+    "2050": {"through_day": day(2023, 3, 1)},
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +85,14 @@ def _feed_run(streamgen_dir, store=None, **replay):
     return engine, engine.replay(**replay), feed
 
 
-def _kill_and_resume(bundle, cutoff, tmp_path, kill_after_days, every=25):
+def _kill_and_resume(bundle, cutoff, tmp_path, every=25, **limit):
     store = CheckpointStore(str(tmp_path))
     partial = StreamEngine(
         bundle,
         revocation_cutoff_day=cutoff,
         checkpoint_store=store,
         checkpoint_every_days=every,
-    ).replay(max_days=kill_after_days)
+    ).replay(**limit)
     assert not partial.complete
     resumed = StreamEngine(
         bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
@@ -89,12 +102,12 @@ def _kill_and_resume(bundle, cutoff, tmp_path, kill_after_days, every=25):
 
 
 class TestKillResume:
-    @pytest.mark.parametrize("kill_after_days", [1, 200, 1400])
+    @pytest.mark.parametrize("kill", ["1", "200", "1400"])
     def test_resume_converges_to_uninterrupted(
-        self, small_bundle, cutoff, tmp_path, uninterrupted, kill_after_days
+        self, small_bundle, cutoff, tmp_path, uninterrupted, kill
     ):
         partial, resumed = _kill_and_resume(
-            small_bundle, cutoff, tmp_path, kill_after_days
+            small_bundle, cutoff, tmp_path, **KILL_POINTS[kill]
         )
         assert canonical_findings(resumed.findings) == canonical_findings(
             uninterrupted.findings
@@ -102,22 +115,22 @@ class TestKillResume:
         assert resumed.revocation_stats == uninterrupted.revocation_stats
         assert resumed.stats.resumed_from_day == partial.cursor_day
 
-    @pytest.mark.parametrize("kill_after_days", [1900, 2050])
+    @pytest.mark.parametrize("kill", ["1900", "2050"])
     def test_resume_in_flight_equals_uninterrupted_engine(
-        self, streamgen_dir, streamgen_run, tmp_path, kill_after_days
+        self, streamgen_dir, streamgen_run, tmp_path, kill
     ):
         engine, result, feed = streamgen_run
         store = CheckpointStore(str(tmp_path))
         _, partial, killed_feed = _feed_run(
-            streamgen_dir, store=store, max_days=kill_after_days
+            streamgen_dir, store=store, **KILL_POINTS[kill]
         )
         assert not partial.complete
         resumed_engine, resumed, resumed_feed = _feed_run(
             streamgen_dir, store=store, resume=True
         )
         assert resumed.complete
-        assert {d.name: d.stats for d in resumed_engine._detectors} == {
-            d.name: d.stats for d in engine._detectors
+        assert {k: d.stats for k, d in resumed_engine._detectors.items()} == {
+            k: d.stats for k, d in engine._detectors.items()
         }
         for counts in ("events_by_type", "findings_by_class", "days_processed"):
             assert getattr(resumed.stats, counts) == getattr(result.stats, counts)
@@ -159,7 +172,7 @@ class TestKillResume:
         assert store.load()["cursor_day"] == partial.cursor_day
 
     def test_resume_equals_batch(self, small_bundle, cutoff, tmp_path):
-        _, resumed = _kill_and_resume(small_bundle, cutoff, tmp_path, 700)
+        _, resumed = _kill_and_resume(small_bundle, cutoff, tmp_path, max_days=700)
         ok, _ = verify_equivalence(
             small_bundle, resumed.findings, revocation_cutoff_day=cutoff
         )
@@ -183,7 +196,7 @@ class TestKillResume:
         )
 
     def test_cumulative_day_count_survives_resume(self, small_bundle, cutoff, tmp_path, uninterrupted):
-        _, resumed = _kill_and_resume(small_bundle, cutoff, tmp_path, 500)
+        _, resumed = _kill_and_resume(small_bundle, cutoff, tmp_path, max_days=500)
         assert resumed.stats.days_processed == uninterrupted.stats.days_processed
 
     def test_resume_without_checkpoint_is_fresh_run(self, small_bundle, cutoff, tmp_path, uninterrupted):
@@ -267,6 +280,32 @@ class TestCorruptCheckpoints:
         store = CheckpointStore(str(tmp_path))
         dump_json(store.path, [1, 2, 3])
         with pytest.raises(CheckpointCorruptError, match="checkpoint document"):
+            store.load()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("identity", 42),
+            ("cursor_day", "2021-01-01"),
+            ("cursor_day", True),
+            ("finalized", "no"),
+            ("checkpoints_written", -1),
+        ],
+    )
+    def test_malformed_field_raises_corrupt_error(self, tmp_path, field, value):
+        # Regression: a string cursor_day passed load() and crashed replay()
+        # with a TypeError comparing it to an event day.
+        store = CheckpointStore(str(tmp_path))
+        store.save(
+            {
+                "identity": "0123456789abcdef",
+                "cursor_day": 738000,
+                "finalized": False,
+                "checkpoints_written": 3,
+                field: value,
+            }
+        )
+        with pytest.raises(CheckpointCorruptError, match=f"malformed '{field}'"):
             store.load()
 
     def test_corrupt_error_is_a_checkpoint_error(self):

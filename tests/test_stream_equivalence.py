@@ -8,6 +8,9 @@ join statistics. Runs against the session-scoped small world (a full
 detector-skipping edges of the batch pipeline.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import MeasurementPipeline
@@ -150,3 +153,52 @@ class TestBuildsOnlyWhatBatchBuilds:
         ).replay(resume=True).complete
         assert len(killed.corpus._hydrated) <= batch_built
         assert len(resumed.corpus._hydrated) <= batch_built
+
+
+class TestLiveFeed:
+    """The live feed, in order, is pinned by digest. Every join queries the
+    corpus with its rule's day bound instead of replaying CT entries, so
+    what a feed line may depend on is fixed by the rules alone."""
+
+    @pytest.fixture(params=["small_world", "streamgen_dir"])
+    def world(self, request):
+        world = request.getfixturevalue(request.param)
+        if isinstance(world, str):
+            return request.param, open_bundle(world), DEFAULT_TIMELINE.revocation_cutoff
+        return request.param, world.to_bundle(), world.config.timeline.revocation_cutoff
+
+    #: (emissions, first 16 hex digits of the feed's sha256) per world.
+    EXPECTED = {
+        "small_world": (722, "05f967b0aad67ee4"),
+        "streamgen_dir": (595, "ce6383106562897c"),
+    }
+
+    def test_feed_digest(self, world):
+        name, bundle, cutoff = world
+        feed = []
+
+        def on_finding(event):
+            finding = event.finding
+            feed.append((
+                event.day,
+                finding.staleness_class.value,
+                finding.certificate.dedup_fingerprint(),
+                finding.affected_domain,
+                finding.detail,
+            ))
+
+        StreamEngine(bundle, revocation_cutoff_day=cutoff, on_finding=on_finding).replay()
+        digest = hashlib.sha256(json.dumps(feed).encode("utf-8")).hexdigest()[:16]
+        assert (len(feed), digest) == self.EXPECTED[name]
+
+    def test_no_crl_entry_postdates_its_crl(self, world):
+        """Why a key-compromise survivor's certificate is logged by the day
+        its CRL delta is replayed: revocation day <= thisUpdate, and a
+        survivor's notBefore <= revocation day."""
+        _, bundle, _ = world
+        assert bundle.crls
+        assert all(
+            entry.revocation_day <= crl.this_update
+            for crl in bundle.crls
+            for entry in crl.entries
+        )

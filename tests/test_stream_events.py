@@ -3,14 +3,13 @@
 import pytest
 
 from repro.core.stale import StaleCertificate, StalenessClass
-from repro.ct.dedup import CertificateCorpus, CertRow
+from repro.ct.dedup import CertificateCorpus
 from repro.core.pipeline import DatasetBundle
 from repro.data import Dataset, open_bundle, write_dataset
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.stream import (
     CrlDeltaPublished,
-    CtEntryLogged,
     DnsSnapshotTaken,
     EventBus,
     Event,
@@ -26,10 +25,6 @@ from repro.util.dates import day
 from tests.conftest import make_cert
 
 T0 = day(2021, 1, 1)
-
-
-def ct_row(not_before, row=0):
-    return CertRow(row, not_before, not_before + 365, "akid-test", row, ["example.com"])
 
 
 def _bundle(certs=(), crls=(), whois=(), snapshots=None):
@@ -49,20 +44,18 @@ class TestOrdering:
             DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0)),
             WhoisCreationObserved(day=T0, domain="a.com", creation_day=T0),
             CrlDeltaPublished(day=T0, authority_key_id="akid"),
-            CtEntryLogged(day=T0, row=ct_row(T0)),
         ]
         ordered = sorted(events, key=lambda e: e.sort_key())
         assert [e.event_type for e in ordered] == [
-            EventType.CT_ENTRY_LOGGED,
             EventType.CRL_DELTA_PUBLISHED,
             EventType.WHOIS_CREATION_OBSERVED,
             EventType.DNS_SNAPSHOT_TAKEN,
         ]
 
     def test_day_dominates_priority(self):
-        late_ct = CtEntryLogged(day=T0 + 1, row=ct_row(T0 + 1))
+        late_crl = CrlDeltaPublished(day=T0 + 1, authority_key_id="akid")
         early_dns = DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0))
-        assert early_dns.sort_key() < late_ct.sort_key()
+        assert early_dns.sort_key() < late_crl.sort_key()
 
     def test_sequence_breaks_ties(self):
         first = WhoisCreationObserved(day=T0, sequence=0, domain="a.com", creation_day=T0)
@@ -116,12 +109,9 @@ class TestEventBus:
 
 
 class TestBuildEventStream:
-    def test_events_sorted_and_ct_at_not_before(self):
+    def test_ct_entries_are_not_events(self):
         certs = [make_cert(not_before=T0 + offset) for offset in (30, 0, 10)]
-        events = build_event_stream(_bundle(certs=certs))
-        assert [e.sort_key() for e in events] == sorted(e.sort_key() for e in events)
-        ct_days = [e.day for e in events if isinstance(e, CtEntryLogged)]
-        assert ct_days == [T0, T0 + 10, T0 + 30]
+        assert build_event_stream(_bundle(certs=certs)) == []
 
     def test_crl_republication_compacted(self):
         entry = CrlEntry(serial=1, revocation_day=T0 + 5, reason=RevocationReason.KEY_COMPROMISE)
@@ -179,9 +169,8 @@ class TestBuildEventStream:
 
 class TestStatedOrder:
     """The replay order is a contract: the k-way merge equals a full sort
-    by ``Event.sort_key``, CT entries go in (notBefore, corpus row)
-    order, and a bundle and its written copy feed the same findings in
-    the same order."""
+    by ``Event.sort_key``, and a bundle and its written copy feed the same
+    findings in the same order."""
 
     @pytest.fixture(params=["small_world", "streamgen_dir"])
     def world_bundle(self, request):
@@ -191,12 +180,9 @@ class TestStatedOrder:
     def test_merge_equals_full_sort(self, world_bundle):
         events = build_event_stream(world_bundle)
         assert events == sorted(events, key=Event.sort_key)
-        assert [e.row for e in events if isinstance(e, CtEntryLogged)] == sorted(
-            world_bundle.corpus.key_rows(), key=lambda row: (row.not_before, row.row)
-        )
 
     def test_written_copy_feeds_the_same_findings(self, small_world, tmp_path):
-        """The CT, WHOIS and DNS days survive ``write_dataset``, so the
+        """The WHOIS and DNS days survive ``write_dataset``, so the
         registrant-change and managed-TLS feed is equal element by element.
         The revocations table keeps each entry once, not the CRL series
         (every rebuilt CRL carries the last revocation day), so revocation
