@@ -1197,6 +1197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         use_collector,
         use_registry,
     )
+    from repro.data.segment import SegmentFormatError
     from repro.obs.timeline import TIMELINE_NAME
 
     log_handler = None
@@ -1241,7 +1242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             try:
                 with span("cli_command", command=args.command):
                     code = handlers[args.command](args)
-            except BundleCliError as error:
+            except (BundleCliError, SegmentFormatError) as error:
                 print(f"error: {error}", file=sys.stderr)
                 code = 2
             except BaseException:

@@ -24,7 +24,7 @@ class Detector(Protocol):
 
     ``inputs`` is whatever dataset the detector joins: a CRL series for
     key compromise, (domain, creation day) pairs for registrant change, or
-    a :class:`~repro.dns.snapshots.SnapshotStore` for managed TLS. ``detect``
+    a :class:`~repro.dns.snapshots.CloudflareScans` for managed TLS. ``detect``
     appends to (and returns) *findings*; ``stats`` exposes the detector's
     join accounting. ``finalize`` returns what the detector held back until
     its input ended, and ``findings`` is the converged view so far.

@@ -2,9 +2,9 @@
 
 A Cloudflare-managed certificate is identifiable by the
 ``sni*.cloudflaressl.com`` SAN entry accompanying customer domains. A
-*departure* is detected when any Cloudflare nameserver or CNAME
-(``*.ns.cloudflare.com`` / ``*.cdn.cloudflare.com``) present for a domain on
-one scan day is absent on the next. If the departing domain still has an
+*departure* is detected when a domain delegated to a Cloudflare nameserver
+or CNAME (``*.ns.cloudflare.com`` / ``*.cdn.cloudflare.com``) on one scan day
+has no Cloudflare delegation on the next. If the departing domain still has an
 unexpired Cloudflare-managed certificate, the CDN retains a valid key for a
 domain it no longer serves — a third-party stale certificate from the
 departure day to notAfter.
@@ -12,22 +12,15 @@ departure day to notAfter.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.ct.dedup import CLOUDFLARE_MANAGED_SAN_SUFFIX, Corpus, has_managed_marker_san
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
-from repro.dns.records import RecordType
-from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
+from repro.dns.snapshots import CloudflareScans
 from repro.pki.certificate import Certificate
 from repro.util.dates import Day
-
-#: Delegation names that indicate Cloudflare is serving the domain.
-_CLOUDFLARE_DELEGATION_RE = re.compile(
-    r"\.(ns|cdn)\.cloudflare\.com$"
-)
 
 
 def is_cloudflare_managed_certificate(certificate: Certificate) -> bool:
@@ -37,14 +30,6 @@ def is_cloudflare_managed_certificate(certificate: Certificate) -> bool:
     issuance from certificates a customer uploaded themselves (paper §4.3).
     """
     return has_managed_marker_san(certificate.san_dns_names)
-
-
-def is_cloudflare_delegation(target: str) -> bool:
-    return bool(_CLOUDFLARE_DELEGATION_RE.search(target.lower().rstrip(".")))
-
-
-def _cloudflare_targets(targets: Iterable[str]) -> FrozenSet[str]:
-    return frozenset(t for t in targets if is_cloudflare_delegation(t))
 
 
 @dataclass(frozen=True)
@@ -73,51 +58,44 @@ DISAPPEARANCE_LOOKAHEAD_SCANS = 3
 class DepartureTracker:
     """The §4.3 rule as a per-apex state machine over consecutive scans.
 
-    :meth:`observe` compares each apex of the previous scan with the new
-    one: a Cloudflare NS or CNAME target gone while none remains is a
-    departure on the new scan's day (a shuffle within Cloudflare is not).
-    The paper checks "with neighboring days" because daily scans lose
-    lookups, so an apex that vanished entirely stays *pending* until one of
-    the next :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans observes it (back
-    on Cloudflare is scan loss; anything else confirms) or the lookahead
-    runs out (confirms). :meth:`flush` confirms what the window ended on.
-    Both return departures in (departure day, apex) order, whatever order
-    the snapshot store holds its apexes in.
+    :meth:`observe` takes one scan as ``{apex: Cloudflare NS/CNAME
+    targets}`` (empty when the apex has none): an apex on Cloudflare in the
+    previous scan and observed with no Cloudflare target departs on the new
+    scan's day, so the targets it removed are the earlier scan's whole
+    Cloudflare set (a shuffle within Cloudflare, or an NS/CNAME move, is
+    not a departure). Daily scans lose lookups, so an apex that vanished
+    entirely stays *pending* until one of the next
+    :data:`DISAPPEARANCE_LOOKAHEAD_SCANS` scans observes it (back on
+    Cloudflare is scan loss; anything else confirms) or the lookahead runs
+    out (confirms). :meth:`flush` confirms what the window ended on. Both
+    return departures in (departure day, apex) order.
 
-    State is ``last_view`` (apex -> observation) and ``pending``
-    (``apex``, ``departure_day``, ``removed``, ``remaining`` records).
+    State is ``last`` (apex -> its non-empty Cloudflare set on the previous
+    scan) and the ``pending`` records.
     """
 
     def __init__(self) -> None:
-        self.last_view: Dict[str, DomainObservation] = {}
+        self.last: Dict[str, FrozenSet[str]] = {}
         self.pending: List[dict] = []
 
-    def observe(self, snapshot: DailySnapshot) -> List[Departure]:
-        current = snapshot.observations()
-        departures = self._resolve_pending(current)
-        for apex, before in self.last_view.items():
-            after = current.get(apex)
-            if after is before:
-                continue  # interned observation: unchanged since the last scan
+    def observe(
+        self, scan_day: Day, cloudflare: Mapping[str, FrozenSet[str]]
+    ) -> List[Departure]:
+        departures = self._resolve_pending(cloudflare)
+        for apex, before in self.last.items():
+            after = cloudflare.get(apex)
             if after is None:
-                removed = _cloudflare_targets(before.delegation_targets())
-                if removed:
-                    self.pending.append(
-                        {
-                            "apex": apex,
-                            "departure_day": snapshot.day,
-                            "removed": sorted(removed),
-                            "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
-                        }
-                    )
-                continue
-            removed = _cloudflare_targets(
-                (before.get(RecordType.NS) - after.get(RecordType.NS))
-                | (before.get(RecordType.CNAME) - after.get(RecordType.CNAME))
-            )
-            if removed and not _cloudflare_targets(after.delegation_targets()):
-                departures.append(Departure(apex, snapshot.day, removed))
-        self.last_view = dict(current)
+                self.pending.append(
+                    {
+                        "apex": apex,
+                        "departure_day": scan_day,
+                        "removed": before,
+                        "remaining": DISAPPEARANCE_LOOKAHEAD_SCANS,
+                    }
+                )
+            elif not after:
+                departures.append(Departure(apex, scan_day, before))
+        self.last = {apex: targets for apex, targets in cloudflare.items() if targets}
         return sorted(departures, key=_departure_order)
 
     def flush(self) -> List[Departure]:
@@ -126,14 +104,14 @@ class DepartureTracker:
         return sorted(departures, key=_departure_order)
 
     def _resolve_pending(
-        self, current: Mapping[str, DomainObservation]
+        self, cloudflare: Mapping[str, FrozenSet[str]]
     ) -> List[Departure]:
         departures: List[Departure] = []
         unresolved: List[dict] = []
         for pending in self.pending:
-            observation = current.get(pending["apex"])
-            if observation is not None:
-                if not _cloudflare_targets(observation.delegation_targets()):
+            targets = cloudflare.get(pending["apex"])
+            if targets is not None:
+                if not targets:
                     departures.append(_confirmed(pending))
                 continue  # back on Cloudflare: transient scan loss
             pending["remaining"] -= 1
@@ -150,18 +128,7 @@ def _departure_order(departure: Departure) -> Tuple[Day, str]:
 
 
 def _confirmed(pending: dict) -> Departure:
-    return Departure(
-        pending["apex"], pending["departure_day"], frozenset(pending["removed"])
-    )
-
-
-def find_departures(store: SnapshotStore) -> List[Departure]:
-    """Every departure over the store's scans, in detection order."""
-    tracker = DepartureTracker()
-    departures: List[Departure] = []
-    for scan_day in store.days():
-        departures.extend(tracker.observe(store.get(scan_day)))
-    return departures + tracker.flush()
+    return Departure(pending["apex"], pending["departure_day"], pending["removed"])
 
 
 class ManagedTlsDetector:
@@ -173,7 +140,8 @@ class ManagedTlsDetector:
     against every indexed certificate at or beneath the apex that is valid
     on the departure day; :meth:`finalize` flushes the disappearances the
     scan window ended on. The stream engine calls both per DNS event;
-    :meth:`detect` calls them over a whole snapshot store.
+    :meth:`detect` calls them over every day of a
+    :class:`~repro.dns.snapshots.CloudflareScans`.
     """
 
     def __init__(self, corpus: Corpus) -> None:
@@ -195,8 +163,12 @@ class ManagedTlsDetector:
         #: One finding per certificate, domain and departure day.
         self._findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
 
-    def observe(self, snapshot: DailySnapshot) -> List[StaleCertificate]:
-        return self._join(self._tracker.observe(snapshot))
+    def observe(
+        self, scan_day: Day, cloudflare: Mapping[str, FrozenSet[str]]
+    ) -> List[StaleCertificate]:
+        """Feed one scan (``{apex: Cloudflare targets}``); returns the new
+        findings."""
+        return self._join(self._tracker.observe(scan_day, cloudflare))
 
     def finalize(self) -> List[StaleCertificate]:
         """Flush pendings the scan window ended before resolving."""
@@ -242,12 +214,12 @@ class ManagedTlsDetector:
 
     def detect(
         self,
-        store: SnapshotStore,
+        scans: CloudflareScans,
         findings: Optional[StaleFindings] = None,
     ) -> StaleFindings:
         out = findings if findings is not None else StaleFindings()
-        for scan_day in store.days():
-            self.observe(store.get(scan_day))
+        for scan_day in scans.days():
+            self.observe(scan_day, scans.cloudflare(scan_day))
         self.finalize()
         out.extend(self.findings())
         return out

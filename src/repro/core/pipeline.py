@@ -26,7 +26,7 @@ from repro.core.detectors.managed_tls import ManagedTlsDetector
 from repro.core.detectors.registrant_change import RegistrantChangeDetector
 from repro.core.stale import ClassAggregate, StaleCertificate, StalenessClass, StaleFindings
 from repro.ct.dedup import Corpus
-from repro.dns.snapshots import SnapshotStore
+from repro.dns.snapshots import CloudflareScans
 from repro.revocation.crl import CertificateRevocationList
 from repro.util.dates import Day
 
@@ -36,12 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel -> core)
 
 @dataclass
 class DatasetBundle:
-    """The four datasets of paper Table 3."""
+    """The four datasets of paper Table 3 (DNS as its §4.3 input)."""
 
     corpus: Corpus
     crls: List[CertificateRevocationList] = field(default_factory=list)
     whois_creation_pairs: List[Tuple[str, Day]] = field(default_factory=list)
-    dns_snapshots: Optional[SnapshotStore] = None
+    dns_snapshots: Optional[CloudflareScans] = None
     #: Observation windows per staleness class, (first_day, last_day);
     #: used for the daily-rate denominators in Table 4.
     windows: Dict[StalenessClass, Tuple[Day, Day]] = field(default_factory=dict)
@@ -180,7 +180,7 @@ DETECTOR_REGISTRY: Tuple[DetectorSpec, ...] = (
         build=lambda bundle, config: ManagedTlsDetector(bundle.corpus),
         inputs=lambda bundle: bundle.dns_snapshots,
         applies=lambda bundle: (
-            bundle.dns_snapshots is not None and len(bundle.dns_snapshots) >= 2
+            bundle.dns_snapshots is not None and len(bundle.dns_snapshots.days()) >= 2
         ),
     ),
 )

@@ -8,23 +8,28 @@ datasets are rebuilt from their tables here:
 
 * :func:`synthetic_crls` — one CRL per (issuer, authority key id) from the
   deduplicated revocations table;
-* :class:`LazySnapshotStore` — DNS snapshots built one scan day at a time
-  from two range reads.
+* :class:`DnsColumns` — the §4.3 DNS input, one scan day of Cloudflare
+  delegations at a time from two range reads.
 
 Equality with the in-memory bundle that was saved is positional:
 ``write_dataset`` stores corpus iteration order, first-wins deduplicated
 revocations and day-then-apex DNS rows, so every reconstructed object —
 synthetic CRLs included — comes back in a fixed order with the same
 values, and detection over it finds exactly what the in-memory run does.
+A DNS ``records`` cell that is not a JSON object of string lists raises
+:class:`~repro.data.segment.SegmentFormatError` naming its row when it is
+first read.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, FrozenSet, List, Tuple
 
-from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
+from repro.data.segment import SegmentFormatError
+from repro.dns.records import RecordType
+from repro.dns.snapshots import cloudflare_targets
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.util.dates import Day
 
@@ -52,55 +57,60 @@ def synthetic_crls(revocations) -> List[CertificateRevocationList]:
     return crls
 
 
-class LazySnapshotStore(SnapshotStore):
-    """A :class:`SnapshotStore` that materializes one day's snapshot on
-    first access from the dns table's contiguous (day, apex) rows.
-
-    Observations are interned on their raw (apex, record-bytes) cell:
-    unchanged domains repeat identical record JSON across scan days, so
-    each distinct observation decodes once and every later day shares the
-    object — the same sharing the world simulator's snapshot builder uses.
+class DnsColumns:
+    """The §4.3 DNS input (:class:`~repro.dns.snapshots.CloudflareScans`)
+    over the dns table's (day, apex)-sorted rows: a scan day is the row
+    range that bisecting the ``day`` column finds. An unchanged domain
+    repeats its records JSON every day, so a cell is decoded only when its
+    bytes differ from its apex's last decoded cell: the state is one
+    (cell, Cloudflare targets) pair per apex, whatever the number of days.
     """
 
     def __init__(self, dns) -> None:
-        super().__init__()
         self._dns = dns
-        self._intern: Dict[Tuple[str, bytes], DomainObservation] = {}
+        self._last: Dict[str, Tuple[bytes, FrozenSet[str]]] = {}
+        #: Scan day -> its rows (first, last): a few bisection probes a day.
         self._ranges: Dict[Day, Tuple[int, int]] = {}
-        row = 0
-        for scan_day, run in groupby(dns.column("day")):
-            end = row + len(list(run))
-            self._ranges[scan_day] = (self._ranges.get(scan_day, (row,))[0], end)
-            row = end
+        days, first = dns.column("day"), 0
+        while first < len(days):
+            last = bisect_right(days, days[first], first)
+            self._ranges[days[first]] = (first, last)
+            first = last
+
+    def __reduce__(self):
+        # Pickles as its table: a shard worker maps the segments itself.
+        return (type(self), (self._dns,))
 
     def days(self) -> List[Day]:
-        return sorted(set(self._ranges) | set(self._by_day))
+        return list(self._ranges)
 
-    def __len__(self) -> int:
-        return len(set(self._ranges) | set(self._by_day))
-
-    def get(self, scan_day: Day) -> Optional[DailySnapshot]:
-        snapshot = self._by_day.get(scan_day)
-        if snapshot is None and scan_day in self._ranges:
-            snapshot = self._materialize(scan_day)
-            self._by_day[scan_day] = snapshot
-        return snapshot
-
-    def _materialize(self, scan_day: Day) -> DailySnapshot:
+    def cloudflare(self, scan_day: Day) -> Dict[str, FrozenSet[str]]:
         first, last = self._ranges[scan_day]
         apexes = self._dns.column("apex").read(first, last)
-        raws = self._dns.column("records").read_bytes(first, last)
-        snapshot = DailySnapshot(scan_day)
-        for apex, raw in zip(apexes, raws):
-            observation = self._intern.get((apex, raw))
-            if observation is None:
-                observation = DomainObservation(
-                    apex,
-                    {
-                        rtype_value: frozenset(values)
-                        for rtype_value, values in json.loads(raw).items()
-                    },
-                )
-                self._intern[(apex, raw)] = observation
-            snapshot._observations[apex] = observation
-        return snapshot
+        cells = self._dns.column("records").read_bytes(first, last)
+        targets: Dict[str, FrozenSet[str]] = {}
+        for row, apex, cell in zip(range(first, last), apexes, cells):
+            decoded = self._last.get(apex)
+            if decoded is None or decoded[0] != cell:
+                decoded = self._last[apex] = (cell, _cloudflare_cell(cell, row))
+            targets[apex] = decoded[1]
+        return targets
+
+
+def _cloudflare_cell(cell: bytes, row: int) -> FrozenSet[str]:
+    """The Cloudflare NS/CNAME targets of one ``records`` cell, which must
+    be a JSON object mapping record types to lists of strings."""
+    try:
+        records = json.loads(cell)
+        valid = all(
+            isinstance(values, list) and all(isinstance(value, str) for value in values)
+            for values in records.values()
+        )
+    except (ValueError, AttributeError):  # not JSON, or not an object
+        valid = False
+    if not valid:
+        raise SegmentFormatError(
+            f"dns table row {row}: records cell is not an object of string lists"
+        )
+    ns, cname = RecordType.NS.value, RecordType.CNAME.value
+    return cloudflare_targets(frozenset(records.get(ns, []) + records.get(cname, [])))

@@ -50,7 +50,7 @@ from repro.core.pipeline import DatasetBundle
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertRow, ValidityRow
 from repro.data import schema
-from repro.data.bundle import LazySnapshotStore, synthetic_crls
+from repro.data.bundle import DnsColumns, synthetic_crls
 from repro.data.segment import Segment, SegmentFormatError, check_span
 from repro.obs import get_registry, names
 from repro.pki.certificate import Certificate
@@ -516,14 +516,15 @@ class Dataset:
 
     def to_bundle(self) -> DatasetBundle:
         """The bundle the engines run on: the certs table is its corpus,
-        CRLs are rebuilt per (issuer, akid) and DNS snapshots build one
-        day at a time. It shares this dataset's mappings, so the dataset
-        must stay open while the bundle is used."""
+        CRLs are rebuilt per (issuer, akid) and the DNS input reads one
+        scan day of Cloudflare delegations at a time. It shares this
+        dataset's mappings, so the dataset must stay open while the bundle
+        is used."""
         return DatasetBundle(
             corpus=self.certs,
             crls=synthetic_crls(self.revocations),
             whois_creation_pairs=self.whois.pairs(),
-            dns_snapshots=LazySnapshotStore(self.dns) if self.dns.rows else None,
+            dns_snapshots=DnsColumns(self.dns) if self.dns.rows else None,
             windows=dict(self.windows),
         )
 
@@ -564,7 +565,7 @@ def _deduplicated_revocation_rows(crls) -> Iterator[Tuple[str, str, int, int, st
 
 
 def _dns_rows(store) -> Iterator[Tuple[Day, str, Dict[str, List[str]]]]:
-    """(day, apex, records) rows in (day, sorted apex) order."""
+    """(day, apex, records) rows of a SnapshotStore, (day, apex)-sorted."""
     if store is None:
         return
     for scan_day in store.days():
@@ -634,7 +635,9 @@ def check_equivalent(left_dir: str, right_dir: str) -> List[str]:
     the bundles are equivalent in everything the engines consume.
     """
     with Dataset.open(left_dir) as left_dataset, Dataset.open(right_dir) as right_dataset:
-        return _bundle_problems(left_dataset.to_bundle(), right_dataset.to_bundle())
+        problems = _bundle_problems(left_dataset.to_bundle(), right_dataset.to_bundle())
+        problems.extend(_dns_problems(left_dataset.dns, right_dataset.dns))
+        return problems
 
 
 def _bundle_problems(left: DatasetBundle, right: DatasetBundle) -> List[str]:
@@ -671,26 +674,17 @@ def _bundle_problems(left: DatasetBundle, right: DatasetBundle) -> List[str]:
     if left.whois_creation_pairs != right.whois_creation_pairs:
         problems.append("WHOIS creation pairs differ")
 
-    problems.extend(_compare_snapshots(left.dns_snapshots, right.dns_snapshots))
-
     if left.windows != right.windows:
         problems.append("observation windows differ")
     return problems
 
 
-def _compare_snapshots(left_store, right_store) -> List[str]:
-    if left_store is None and right_store is None:
-        return []
-    if (left_store is None) != (right_store is None):
-        return ["one bundle has DNS snapshots, the other does not"]
-    if left_store.days() != right_store.days():
-        return ["DNS snapshot days differ"]
-    for scan_day in left_store.days():
-        left_snapshot = left_store.get(scan_day)
-        right_snapshot = right_store.get(scan_day)
-        if left_snapshot.apexes() != right_snapshot.apexes():
-            return [f"DNS apex set differs on day {scan_day}"]
-        for apex in sorted(left_snapshot.apexes()):
-            if left_snapshot.get(apex).rdatas != right_snapshot.get(apex).rdatas:
-                return [f"DNS records differ for {apex!r} on day {scan_day}"]
+def _dns_problems(left: Table, right: Table) -> List[str]:
+    """Compare two dns tables row by row: (day, apex, decoded records)."""
+    if left.rows != right.rows:
+        return [f"DNS row count differs: {left.rows} vs {right.rows}"]
+    columns = ("day", "apex", "records")
+    for (row, ours), (_, theirs) in zip(left.scan(columns), right.scan(columns)):
+        if ours != theirs:
+            return [f"DNS row {row} differs: {ours[:2]!r} vs {theirs[:2]!r}"]
     return []

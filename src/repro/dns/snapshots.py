@@ -1,22 +1,50 @@
-"""Daily DNS snapshots.
+"""Daily DNS snapshots and the §4.3 DNS input.
 
 The paper's managed-TLS detector compares "each day's NS and CNAME records
-with neighboring days" (Section 4.3). A :class:`DailySnapshot` captures, for
-one day, the observed record sets per apex; a :class:`SnapshotStore` holds
-the scan window by day. The comparison itself is
+with neighboring days" (Section 4.3). One fact per apex decides it, its
+Cloudflare delegation targets on each scan, so the detector reads a
+:class:`CloudflareScans`: the in-memory :class:`SnapshotStore` (one
+:class:`DailySnapshot` of record sets per apex per scan day) or
+:class:`~repro.data.bundle.DnsColumns` over a saved bundle's dns table.
+The comparison itself is
 :class:`~repro.core.detectors.managed_tls.DepartureTracker`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol, Set
 
 from repro.dns.records import RecordType
 from repro.util.dates import Day, day_to_iso
 
 #: The record types captured by the daily scan, per Table 3 of the paper.
 SCANNED_TYPES = (RecordType.A, RecordType.AAAA, RecordType.NS, RecordType.CNAME)
+
+_NS, _CNAME, _NONE = RecordType.NS.value, RecordType.CNAME.value, frozenset()
+
+#: Delegation names that indicate Cloudflare is serving the domain.
+_CLOUDFLARE_DELEGATION_RE = re.compile(r"\.(ns|cdn)\.cloudflare\.com$")
+
+
+def is_cloudflare_delegation(target: str) -> bool:
+    return bool(_CLOUDFLARE_DELEGATION_RE.search(target.lower().rstrip(".")))
+
+
+@lru_cache(maxsize=1 << 12)  # a zone repeats few distinct delegation sets
+def cloudflare_targets(targets: FrozenSet[str]) -> FrozenSet[str]:
+    return frozenset(t for t in targets if is_cloudflare_delegation(t))
+
+
+class CloudflareScans(Protocol):
+    """The §4.3 DNS input: sorted scan ``days()``, and per day each observed
+    apex's Cloudflare NS/CNAME targets (empty when it has none)."""
+
+    def days(self) -> List[Day]: ...
+
+    def cloudflare(self, scan_day: Day) -> Dict[str, FrozenSet[str]]: ...
 
 
 @dataclass
@@ -34,7 +62,7 @@ class DomainObservation:
 
     def delegation_targets(self) -> FrozenSet[str]:
         """NS plus CNAME targets — the names that indicate who serves the domain."""
-        return self.get(RecordType.NS) | self.get(RecordType.CNAME)
+        return self.rdatas.get(_NS, _NONE) | self.rdatas.get(_CNAME, _NONE)
 
 
 class DailySnapshot:
@@ -85,7 +113,7 @@ class DailySnapshot:
 
 
 class SnapshotStore:
-    """Day-indexed snapshot collection."""
+    """Day-indexed snapshot collection; a :class:`CloudflareScans`."""
 
     def __init__(self) -> None:
         self._by_day: Dict[Day, DailySnapshot] = {}
@@ -98,6 +126,12 @@ class SnapshotStore:
 
     def days(self) -> List[Day]:
         return sorted(self._by_day)
+
+    def cloudflare(self, scan_day: Day) -> Dict[str, FrozenSet[str]]:
+        return {
+            apex: cloudflare_targets(obs.delegation_targets())
+            for apex, obs in self._by_day[scan_day].observations().items()
+        }
 
     def __len__(self) -> int:
         return len(self._by_day)

@@ -204,7 +204,6 @@ class ParallelMeasurementPipeline:
                     domain_certificates=len(shard.domain_corpus),
                     crls=len(shard.crls),
                     whois_pairs=len(shard.whois_creation_pairs),
-                    snapshot_observations=shard.snapshot_observations(),
                     findings=len(outcome.findings),
                     seconds=outcome.seconds,
                     detector_seconds=dict(outcome.detector_seconds),

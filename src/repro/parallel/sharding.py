@@ -15,11 +15,11 @@ because the three joins use two different keys:
   look up certificates by registered domain (``e2ld(name) or name`` — the
   exact lookup the detectors use). A certificate links all of its e2LDs,
   so components are formed with a union-find and each *component* is
-  routed to one shard; WHOIS creation pairs and DNS snapshot observations
-  follow the component owning their domain key. This assumes zone apexes
-  are registrable e2LDs (true for the simulator and for the paper's
-  .com/.net zone files); a SAN beneath an apex then shares the apex's
-  domain key and can never land in a different shard.
+  routed to one shard; WHOIS creation pairs follow the component owning
+  their domain key. This assumes zone apexes are registrable e2LDs (true
+  for the simulator and for the paper's .com/.net zone files); a SAN
+  beneath an apex then shares the apex's domain key and can never land in
+  a different shard.
 
 Routing reads only :meth:`~repro.ct.dedup.Corpus.key_rows` — the
 authority key id and the sorted e2LD list per row — so over the columnar
@@ -35,21 +35,25 @@ SAN (``sni*.cloudflaressl.com``) links every managed certificate into one
 component; that skew is accepted — correctness over balance — and visible
 in :class:`~repro.parallel.stats.ShardStats`.
 
-Every shard's snapshot store keeps *all* scan days (possibly empty), so
-consecutive-pair iteration and the disappearance lookahead behave exactly
-as in the unsharded store.
+The partition reads no DNS. A DNS apex whose domain key no certificate or
+WHOIS pair holds is a singleton component, routed by its own
+``stable_hash(key) % num_shards`` — :meth:`ShardPlan.shard_of` computes
+both cases — so each shard's DNS input is the bundle's filtered to the
+apexes with ``plan.shard_of(domain_key(apex)) == index``, read by the
+shard's worker. The filter keeps *every* scan day (possibly empty for the
+shard), so consecutive-scan comparison and the disappearance lookahead
+behave exactly as over the unsharded input.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.core.pipeline import DatasetBundle
 from repro.ct.dedup import CorpusSlice
-from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
+from repro.dns.snapshots import CloudflareScans
 from repro.psl.registered import e2ld
 from repro.revocation.crl import CertificateRevocationList
 from repro.util.dates import Day
@@ -61,12 +65,11 @@ def stable_hash(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-@lru_cache(maxsize=1 << 17)
 def domain_key(name: str) -> str:
     """The domain-axis routing key: exactly the detectors' lookup key.
 
-    Memoized: snapshot apexes repeat on every scan day, so partitioning
-    would otherwise re-run the PSL parse hundreds of times per name.
+    A PSL parse, so callers key each name once: the partition each WHOIS
+    domain, and :class:`ShardScans` each apex (not once per scan day).
     """
     registrable = e2ld(name)
     return registrable if registrable is not None else name
@@ -112,7 +115,7 @@ class BundleShard:
     domain_corpus: CorpusSlice
     crls: List[CertificateRevocationList] = field(default_factory=list)
     whois_creation_pairs: List[Tuple[str, Day]] = field(default_factory=list)
-    dns_snapshots: Optional[SnapshotStore] = None
+    dns_snapshots: Optional["ShardScans"] = None
 
     def bundle_view(self, detector_key: str) -> DatasetBundle:
         """A per-detector bundle view over this shard's slice.
@@ -128,17 +131,6 @@ class BundleShard:
             dns_snapshots=self.dns_snapshots,
         )
 
-    def snapshot_observations(self) -> int:
-        if self.dns_snapshots is None:
-            return 0
-        return sum(
-            len(snapshot)
-            for snapshot in (
-                self.dns_snapshots.get(scan_day) for scan_day in self.dns_snapshots.days()
-            )
-            if snapshot is not None
-        )
-
 
 @dataclass
 class ShardPlan:
@@ -148,8 +140,39 @@ class ShardPlan:
     shards: List[BundleShard]
     #: authority_key_id -> shard index (revocation axis).
     revocation_assignment: Dict[str, int] = field(default_factory=dict)
-    #: domain key -> shard index (domain axis; component-consistent).
+    #: domain key -> shard index (domain axis; component-consistent) for
+    #: every certificate and WHOIS key.
     domain_assignment: Dict[str, int] = field(default_factory=dict)
+
+    def shard_of(self, key: str) -> int:
+        """The domain-axis shard of domain key *key*; a key no certificate
+        or WHOIS pair holds is a singleton component, routed by its hash."""
+        return self.domain_assignment.get(key, stable_hash(key) % self.num_shards)
+
+
+@dataclass
+class ShardScans:
+    """One shard's DNS input: the bundle's, keeping on every scan day the
+    apexes whose domain key the shard owns (each apex keyed once)."""
+
+    source: CloudflareScans
+    #: The plan's domain routing alone (no shards, so a pickled shard
+    #: carries only the assignment map).
+    routing: "ShardPlan"
+    index: int
+    _owned: Dict[str, bool] = field(default_factory=dict, repr=False)
+
+    def days(self) -> List[Day]:
+        return self.source.days()
+
+    def cloudflare(self, scan_day: Day) -> Dict[str, FrozenSet[str]]:
+        owned, kept = self._owned, {}
+        for apex, targets in self.source.cloudflare(scan_day).items():
+            if apex not in owned:
+                owned[apex] = self.routing.shard_of(domain_key(apex)) == self.index
+            if owned[apex]:
+                kept[apex] = targets
+        return kept
 
 
 def partition_bundle(bundle: DatasetBundle, num_shards: int) -> ShardPlan:
@@ -176,7 +199,13 @@ def partition_bundle(bundle: DatasetBundle, num_shards: int) -> ShardPlan:
             components.add(key)
         for other in keys[1:]:
             components.union(keys[0], other)
-    snapshot_days = _add_domain_side_keys(components, bundle)
+    # A domain recurs across WHOIS crawls: key each one once.
+    whois_keys = {
+        domain: domain_key(domain)
+        for domain in dict.fromkeys(domain for domain, _ in bundle.whois_creation_pairs)
+    }
+    for key in whois_keys.values():
+        components.add(key)
     _assign_components(plan, components)
 
     for row, keys in enumerate(row_e2lds):
@@ -202,22 +231,14 @@ def partition_bundle(bundle: DatasetBundle, num_shards: int) -> ShardPlan:
             crl.authority_key_id, stable_hash(crl.authority_key_id) % num_shards
         )
         plan.shards[shard_index].crls.append(crl)
-    _route_whois_and_dns(plan, bundle, snapshot_days)
-    return plan
-
-
-def _add_domain_side_keys(components: _UnionFind, bundle: DatasetBundle) -> List[Day]:
-    """Register WHOIS domains and snapshot apexes; returns the scan days."""
-    for domain, _creation_day in bundle.whois_creation_pairs:
-        components.add(domain_key(domain))
-    snapshot_days: List[Day] = []
+    for pair in bundle.whois_creation_pairs:
+        shard_index = plan.domain_assignment[whois_keys[pair[0]]]
+        plan.shards[shard_index].whois_creation_pairs.append(pair)
     if bundle.dns_snapshots is not None:
-        snapshot_days = bundle.dns_snapshots.days()
-        for scan_day in snapshot_days:
-            snapshot = bundle.dns_snapshots.get(scan_day)
-            for apex in snapshot.apexes():
-                components.add(domain_key(apex))
-    return snapshot_days
+        routing = ShardPlan(num_shards, [], domain_assignment=plan.domain_assignment)
+        for shard in plan.shards:
+            shard.dns_snapshots = ShardScans(bundle.dns_snapshots, routing, shard.index)
+    return plan
 
 
 def _assign_components(plan: ShardPlan, components: _UnionFind) -> None:
@@ -232,34 +253,3 @@ def _assign_components(plan: ShardPlan, components: _UnionFind) -> None:
         plan.domain_assignment[key] = (
             stable_hash(min_member[components.find(key)]) % plan.num_shards
         )
-
-
-def _route_whois_and_dns(
-    plan: ShardPlan, bundle: DatasetBundle, snapshot_days: List[Day]
-) -> None:
-    for domain, creation_day in bundle.whois_creation_pairs:
-        shard_index = plan.domain_assignment[domain_key(domain)]
-        plan.shards[shard_index].whois_creation_pairs.append((domain, creation_day))
-
-    if bundle.dns_snapshots is not None:
-        # Every shard sees every scan day (even when it owns no apexes that
-        # day) so consecutive-pair diffing and the disappearance lookahead
-        # keep their unsharded semantics.
-        per_shard_observations: List[Dict[Day, Dict[str, DomainObservation]]] = [
-            {scan_day: {} for scan_day in snapshot_days}
-            for _ in range(plan.num_shards)
-        ]
-        for scan_day in snapshot_days:
-            snapshot = bundle.dns_snapshots.get(scan_day)
-            for apex in snapshot.apexes():
-                shard_index = plan.domain_assignment[domain_key(apex)]
-                per_shard_observations[shard_index][scan_day][apex] = snapshot.get(apex)
-        for shard, observations_by_day in zip(plan.shards, per_shard_observations):
-            store = SnapshotStore()
-            for scan_day in snapshot_days:
-                store.put(
-                    DailySnapshot.from_observations(
-                        scan_day, observations_by_day[scan_day]
-                    )
-                )
-            shard.dns_snapshots = store

@@ -28,7 +28,6 @@ class ShardRecord:
     domain_certificates: int = 0
     crls: int = 0
     whois_pairs: int = 0
-    snapshot_observations: int = 0
     findings: int = 0
     seconds: float = 0.0
     #: Detector key (as in ``DETECTOR_REGISTRY``) -> seconds spent.
@@ -43,7 +42,6 @@ class ShardRecord:
             "domain_certificates": self.domain_certificates,
             "crls": self.crls,
             "whois_pairs": self.whois_pairs,
-            "snapshot_observations": self.snapshot_observations,
             "findings": self.findings,
             "seconds": self.seconds,
             "detector_seconds": dict(self.detector_seconds),
@@ -58,7 +56,6 @@ class ShardRecord:
             domain_certificates=int(record["domain_certificates"]),
             crls=int(record["crls"]),
             whois_pairs=int(record["whois_pairs"]),
-            snapshot_observations=int(record["snapshot_observations"]),
             findings=int(record["findings"]),
             seconds=float(record["seconds"]),
             detector_seconds={

@@ -3,9 +3,9 @@
 :func:`build_event_stream` derives the time-ordered event list from a
 :class:`~repro.core.pipeline.DatasetBundle` — compacted CRL deltas at each
 CRL's thisUpdate, distinct WHOIS creation pairs at their creation day, DNS
-snapshots at their scan day. CT is not replayed: it is an append-only,
-queryable log, and every join queries the corpus with the day bound its
-rule already applies. :class:`StreamEngine` builds the
+scan days at their day (the handler reads the day's DNS at dispatch). CT is
+not replayed: it is an append-only, queryable log, and every join queries
+the corpus with the day bound its rule already applies. :class:`StreamEngine` builds the
 :data:`~repro.core.pipeline.DETECTOR_REGISTRY` detectors that apply to the
 bundle, makes one call on one of them per event, and republishes their
 findings as ``STALE_FINDING`` events, with optional periodic checkpointing
@@ -72,7 +72,9 @@ _CALLS = {
     ),
     EventType.DNS_SNAPSHOT_TAKEN: (
         "managed_tls",
-        lambda detector, event: detector.observe(event.snapshot),
+        lambda detector, event: detector.observe(
+            event.day, event.source.cloudflare(event.day)
+        ),
     ),
 }
 
@@ -91,7 +93,7 @@ def checkpoint_identity(
         str(len(bundle.crls)),
         str(sum(len(crl) for crl in bundle.crls)),
         str(len(bundle.whois_creation_pairs)),
-        str(len(bundle.dns_snapshots) if bundle.dns_snapshots is not None else 0),
+        str(len(bundle.dns_snapshots.days()) if bundle.dns_snapshots is not None else 0),
         repr(sorted((cls.value, window) for cls, window in bundle.windows.items())),
         repr(revocation_cutoff_day),
         repr(tuple(whois_tlds) if whois_tlds is not None else None),
@@ -161,12 +163,10 @@ def _whois_events(bundle: DatasetBundle) -> Iterator[Event]:
 
 
 def _dns_events(bundle: DatasetBundle) -> Iterator[Event]:
-    if bundle.dns_snapshots is None or len(bundle.dns_snapshots) < 2:
-        return
-    for sequence, scan_day in enumerate(bundle.dns_snapshots.days()):
-        yield DnsSnapshotTaken(
-            day=scan_day, sequence=sequence, snapshot=bundle.dns_snapshots.get(scan_day)
-        )
+    source = bundle.dns_snapshots
+    days = source.days() if source is not None else []
+    for sequence, scan_day in enumerate(days if len(days) >= 2 else []):
+        yield DnsSnapshotTaken(day=scan_day, sequence=sequence, source=source)
 
 
 @dataclass

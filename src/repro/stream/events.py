@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.core.stale import StaleCertificate
-from repro.dns.snapshots import DailySnapshot
+from repro.dns.snapshots import CloudflareScans
 from repro.revocation.crl import CrlEntry
 from repro.util.dates import Day, day_to_iso
 
@@ -99,9 +99,9 @@ class WhoisCreationObserved(Event):
 
 @dataclass(frozen=True, repr=False)
 class DnsSnapshotTaken(Event):
-    """One day of the daily DNS scan completed."""
+    """One DNS scan day; the handler reads ``source.cloudflare(day)``."""
 
-    snapshot: DailySnapshot = None  # type: ignore[assignment]
+    source: CloudflareScans = None  # type: ignore[assignment]
 
     @property
     def event_type(self) -> EventType:

@@ -49,6 +49,28 @@ def key_store():
 _SERIAL = iter(range(10_000, 10_000_000))
 
 
+class Scans(dict):
+    """The §4.3 DNS input from literals: ``{day: {apex: Cloudflare
+    NS/CNAME targets}}`` with ``days()`` and ``cloudflare(day)``."""
+
+    def days(self):
+        return sorted(self)
+
+    def cloudflare(self, scan_day):
+        return self[scan_day]
+
+
+def find_departures(scans):
+    """Every departure over *scans*, in detection order."""
+    from repro.core.detectors.managed_tls import DepartureTracker
+
+    tracker = DepartureTracker()
+    departures = []
+    for scan_day in scans.days():
+        departures.extend(tracker.observe(scan_day, scans.cloudflare(scan_day)))
+    return departures + tracker.flush()
+
+
 def make_key(owner: str = "tester", on_day: int = day(2020, 1, 1)) -> KeyPair:
     return KeyStore().generate(owner, on_day)
 

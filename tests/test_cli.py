@@ -611,3 +611,45 @@ class TestWatchCorruptCheckpoint:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "malformed 'cursor_day'" in err
+
+
+class TestMalformedDnsCell:
+    """A DNS ``records`` cell that is not an object of string lists is bad
+    input, which every command that reads it reports as exit 2."""
+
+    @pytest.fixture(scope="class")
+    def bundle_dir(self, tmp_path_factory):
+        from repro.data import StreamingDatasetWriter, schema
+        from repro.util.dates import day
+        from tests.conftest import make_cert
+
+        directory = str(tmp_path_factory.mktemp("malformed-dns") / "bundle")
+        certificate = make_cert(
+            sans=("sni1.cloudflaressl.com", "cust.com"), not_before=day(2022, 1, 1)
+        )
+        writer = StreamingDatasetWriter(directory, {})
+        writer.append(schema.CERTS_TABLE, schema.certificate_row(certificate))
+        writer.extend(
+            schema.DNS_TABLE,
+            [
+                (day(2022, 6, 1), "cust.com", {"NS": ["ada.ns.cloudflare.com"]}),
+                (day(2022, 6, 2), "cust.com", {"NS": 5}),  # the writer accepts it
+            ],
+        )
+        writer.finish()
+        return directory
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["detect", "--workers", "1"],
+            ["detect", "--workers", "2"],
+            ["watch"],
+        ],
+        ids=["detect-workers-1", "detect-workers-2", "watch"],
+    )
+    def test_exits_2_without_traceback(self, bundle_dir, command, capsys):
+        assert main(command + ["--bundle", bundle_dir]) == 2
+        err = capsys.readouterr().err
+        assert "error: dns table row 1: records cell" in err
+        assert "Traceback" not in err

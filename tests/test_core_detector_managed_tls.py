@@ -1,22 +1,18 @@
 """Tests for the managed-TLS departure (DNS diff x CT) pipeline (§4.3)."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.detectors.managed_tls import (
     DISAPPEARANCE_LOOKAHEAD_SCANS,
     DepartureTracker,
     ManagedTlsDetector,
-    find_departures,
-    is_cloudflare_delegation,
     is_cloudflare_managed_certificate,
 )
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
-from repro.dns.records import RecordType
-from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
+from repro.dns.snapshots import cloudflare_targets, is_cloudflare_delegation
 from repro.util.dates import day
-from tests.conftest import make_cert
+from tests.conftest import Scans, find_departures, make_cert
 
 D1 = day(2022, 8, 1)
 D2 = day(2022, 8, 2)
@@ -25,13 +21,13 @@ CF_NS = ("ada.ns.cloudflare.com", "bob.ns.cloudflare.com")
 
 
 def store_with(days):
-    store = SnapshotStore()
-    for scan_day, observations in days.items():
-        snapshot = DailySnapshot(scan_day)
-        for apex, ns in observations.items():
-            snapshot.observe(apex, RecordType.NS, ns)
-        store.put(snapshot)
-    return store
+    """Scans of apexes delegated to these NS names (Cloudflare ones kept)."""
+    return Scans(
+        {
+            scan_day: {apex: cloudflare_targets(ns) for apex, ns in observations.items()}
+            for scan_day, observations in days.items()
+        }
+    )
 
 
 def managed_cert(domain="cust.com", serial=201, not_before=day(2022, 5, 1), lifetime=365):
@@ -131,22 +127,33 @@ _view = st.tuples(
     st.frozensets(st.sampled_from(_TARGETS), max_size=2),
 )
 _scans = st.lists(
-    st.dictionaries(st.sampled_from(_APEXES), _view, max_size=3), min_size=2, max_size=7
+    st.dictionaries(st.sampled_from(_APEXES), _view, max_size=3), min_size=2, max_size=9
 )
 
+_ADA = frozenset({"ada.ns.cloudflare.com"})
+_BOB = frozenset({"bob.ns.cloudflare.com"})
+_CDN = frozenset({"e.cdn.cloudflare.com"})
+_ELSEWHERE = frozenset({"ns1.x.net"})
+_NONE = frozenset()
+A = "a.com"
 
-def _observation(apex, view):
-    ns, cname = view
-    return DomainObservation(apex, {RecordType.NS.value: ns, RecordType.CNAME.value: cname})
+
+def _on_cf(targets):
+    return any(is_cloudflare_delegation(t) for t in targets)
+
+
+def _cloudflare_scans(scans):
+    """The tracker's input: each scan's apexes with their Cloudflare targets."""
+    return [
+        {apex: cloudflare_targets(ns | cname) for apex, (ns, cname) in scan.items()}
+        for scan in scans
+    ]
 
 
 def _oracle(scans):
     """The §4.3 rule stated pairwise: compare each scan with the next; a
     vanished apex departs unless the first of the next few scans that
     observes it finds it back on Cloudflare."""
-    def on_cf(targets):
-        return any(is_cloudflare_delegation(t) for t in targets)
-
     found = set()
     for i in range(len(scans) - 1):
         before, after = scans[i], scans[i + 1]
@@ -155,51 +162,106 @@ def _oracle(scans):
                 removed = {t for t in ns | cname if is_cloudflare_delegation(t)}
                 lookahead = scans[i + 2 : i + 2 + DISAPPEARANCE_LOOKAHEAD_SCANS]
                 later = [scan[apex] for scan in lookahead if apex in scan]
-                if removed and not (later and on_cf(later[0][0] | later[0][1])):
+                if removed and not (later and _on_cf(later[0][0] | later[0][1])):
                     found.add((apex, i + 1, frozenset(removed)))
                 continue
             ns2, cname2 = after[apex]
             removed = {t for t in (ns - ns2) | (cname - cname2) if is_cloudflare_delegation(t)}
-            if removed and not on_cf(ns2 | cname2):
+            if removed and not _on_cf(ns2 | cname2):
                 found.add((apex, i + 1, frozenset(removed)))
     return found
+
+
+class _FullObservationTracker:
+    """The reference: the §4.3 state machine over whole (NS, CNAME)
+    observations, diffing each record type against the previous scan."""
+
+    def __init__(self):
+        self.last_view = {}
+        self.pending = []
+
+    def observe(self, scan_day, scan):
+        departures, unresolved = [], []
+        for apex, departure_day, removed, remaining in self.pending:
+            if apex in scan:
+                if not _on_cf(scan[apex][0] | scan[apex][1]):
+                    departures.append((apex, departure_day, removed))
+            elif remaining > 1:
+                unresolved.append((apex, departure_day, removed, remaining - 1))
+            else:
+                departures.append((apex, departure_day, removed))
+        self.pending = unresolved
+        for apex, (ns, cname) in self.last_view.items():
+            if apex not in scan:
+                removed = frozenset(t for t in ns | cname if is_cloudflare_delegation(t))
+                if removed:
+                    self.pending.append(
+                        (apex, scan_day, removed, DISAPPEARANCE_LOOKAHEAD_SCANS)
+                    )
+                continue
+            ns2, cname2 = scan[apex]
+            removed = frozenset(
+                t for t in (ns - ns2) | (cname - cname2) if is_cloudflare_delegation(t)
+            )
+            if removed and not _on_cf(ns2 | cname2):
+                departures.append((apex, scan_day, removed))
+        self.last_view = dict(scan)
+        return sorted(departures, key=lambda d: (d[1], d[0]))
+
+    def flush(self):
+        departures = [pending[:3] for pending in self.pending]
+        self.pending = []
+        return sorted(departures, key=lambda d: (d[1], d[0]))
+
+
+def _as_tuples(departures):
+    return [(d.apex, d.departure_day, d.removed_targets) for d in departures]
 
 
 class TestDepartureTracker:
     @settings(max_examples=200, deadline=None)
     @given(_scans)
     def test_matches_pairwise_rule(self, scans):
-        store = SnapshotStore()
-        for offset, scan in enumerate(scans):
-            observations = {apex: _observation(apex, view) for apex, view in scan.items()}
-            store.put(DailySnapshot.from_observations(D1 + offset, observations))
+        store = Scans(
+            {D1 + offset: scan for offset, scan in enumerate(_cloudflare_scans(scans))}
+        )
         got = [(d.apex, d.departure_day - D1, d.removed_targets) for d in find_departures(store)]
         assert len(got) == len(set(got))
         assert set(got) == _oracle(scans)
 
-    @settings(max_examples=100, deadline=None)
-    @given(_scans)
-    def test_interned_observations_decide_like_copies(self, scans):
-        """Shared objects skip the comparison; equal copies take it."""
-        interned = {}
-        shared, copied = DepartureTracker(), DepartureTracker()
-        for offset, scan in enumerate(scans):
-            day_ = D1 + offset
-            shared_obs = {
-                apex: interned.setdefault((apex, view), _observation(apex, view))
-                for apex, view in scan.items()
-            }
-            fresh_obs = {apex: _observation(apex, view) for apex, view in scan.items()}
-            assert shared.observe(DailySnapshot.from_observations(day_, shared_obs)) == (
-                copied.observe(DailySnapshot.from_observations(day_, fresh_obs))
-            )
-        assert shared.flush() == copied.flush()
+    @settings(max_examples=300, deadline=None)
+    @given(scans=_scans)
+    # NS <-> CNAME moves, within Cloudflare and out of it.
+    @example(scans=[{A: (_ADA, _NONE)}, {A: (_NONE, _ADA)}, {A: (_CDN, _NONE)}])
+    @example(scans=[{A: (_ADA, _CDN)}, {A: (_ELSEWHERE, _CDN)}, {A: (_ELSEWHERE, _NONE)}])
+    # A shuffle within Cloudflare.
+    @example(scans=[{A: (_ADA | _BOB, _NONE)}, {A: (_BOB, _CDN)}, {A: (_ADA, _NONE)}])
+    # Gaps shorter than the lookahead: back on Cloudflare, and back elsewhere.
+    @example(scans=[{A: (_ADA, _NONE)}, {}, {}, {A: (_BOB, _NONE)}])
+    @example(scans=[{A: (_ADA, _NONE)}, {}, {A: (_ELSEWHERE, _NONE)}, {}])
+    # Gaps longer than the lookahead, ending on and off Cloudflare.
+    @example(scans=[{A: (_ADA, _NONE)}, {}, {}, {}, {}, {A: (_ADA, _NONE)}])
+    @example(scans=[{A: (_NONE, _CDN)}, {}, {}, {}, {}, {}, {A: (_ELSEWHERE, _NONE)}])
+    # Departs, then comes back on Cloudflare and departs again.
+    @example(
+        scans=[
+            {A: (_ADA, _NONE)}, {A: (_ELSEWHERE, _NONE)}, {A: (_ADA, _NONE)}, {},
+            {A: (_NONE, _NONE)},
+        ]
+    )
+    def test_matches_full_observation_rule(self, scans):
+        """The tracker, fed only each apex's Cloudflare targets, decides
+        scan by scan exactly as the rule over whole NS/CNAME observations."""
+        reference, tracker = _FullObservationTracker(), DepartureTracker()
+        for offset, (scan, cloudflare) in enumerate(zip(scans, _cloudflare_scans(scans))):
+            got = tracker.observe(D1 + offset, cloudflare)
+            assert _as_tuples(got) == reference.observe(D1 + offset, scan)
+        assert _as_tuples(tracker.flush()) == reference.flush()
 
     def test_pending_survives_gap_then_flush(self):
         tracker = DepartureTracker()
-        present = _observation("cust.com", (frozenset(CF_NS), frozenset()))
-        tracker.observe(DailySnapshot.from_observations(D1, {"cust.com": present}))
-        assert tracker.observe(DailySnapshot(D2)) == []
+        tracker.observe(D1, {"cust.com": frozenset(CF_NS)})
+        assert tracker.observe(D2, {}) == []
         assert [p["apex"] for p in tracker.pending] == ["cust.com"]
         departures = tracker.flush()
         assert [(d.apex, d.departure_day) for d in departures] == [("cust.com", D2)]

@@ -5,12 +5,10 @@ import pytest
 from repro.core.pipeline import DatasetBundle, MeasurementPipeline
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
-from repro.dns.records import RecordType
-from repro.dns.snapshots import DailySnapshot, SnapshotStore
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import day
-from tests.conftest import make_cert
+from tests.conftest import Scans, make_cert
 
 T0 = day(2022, 1, 1)
 
@@ -33,13 +31,13 @@ def small_bundle():
         this_update=T0 + 60, next_update=T0 + 67, crl_number=1,
     )
     crl.add(CrlEntry(1, T0 + 50, RevocationReason.KEY_COMPROMISE))
-    store = SnapshotStore()
-    s1 = DailySnapshot(T0 + 100)
-    s1.observe("cdncust.com", RecordType.NS, ["ada.ns.cloudflare.com"])
-    s2 = DailySnapshot(T0 + 101)
-    s2.observe("cdncust.com", RecordType.NS, ["ns1.elsewhere.net"])
-    store.put(s1)
-    store.put(s2)
+    # cdncust.com leaves Cloudflare for ns1.elsewhere.net on day T0 + 101.
+    store = Scans(
+        {
+            T0 + 100: {"cdncust.com": frozenset({"ada.ns.cloudflare.com"})},
+            T0 + 101: {"cdncust.com": frozenset()},
+        }
+    )
     return DatasetBundle(
         corpus=corpus,
         crls=[crl],
@@ -73,9 +71,8 @@ class TestPipeline:
 
     def test_single_snapshot_insufficient_for_diffing(self):
         bundle = small_bundle()
-        single = SnapshotStore()
-        single.put(bundle.dns_snapshots.get(bundle.dns_snapshots.days()[0]))
-        bundle.dns_snapshots = single
+        first = bundle.dns_snapshots.days()[0]
+        bundle.dns_snapshots = Scans({first: bundle.dns_snapshots.cloudflare(first)})
         result = MeasurementPipeline(bundle).run()
         assert result.findings.of_class(StalenessClass.MANAGED_TLS_DEPARTURE) == []
 

@@ -42,6 +42,25 @@ def dataset(dataset_dir):
         yield handle
 
 
+class TestDnsColumns:
+    """The §4.3 DNS input read from the dns table (64-row segments, so a
+    scan day's rows span segments)."""
+
+    def test_every_day_equals_the_in_memory_store(self, dataset, bundle):
+        scans = dataset.to_bundle().dns_snapshots
+        store = bundle.dns_snapshots
+        assert scans.days() == store.days()
+        # Backwards: what a cell decodes to never depends on read order.
+        for scan_day in reversed(store.days()):
+            assert scans.cloudflare(scan_day) == store.cloudflare(scan_day)
+
+    def test_state_is_one_entry_per_apex(self, dataset):
+        scans = dataset.to_bundle().dns_snapshots
+        for scan_day in scans.days():
+            scans.cloudflare(scan_day)
+        assert len(scans._last) == len(set(dataset.dns.column("apex")))
+
+
 class TestOpen:
     def test_tables_cover_the_bundle(self, dataset, bundle):
         assert len(dataset.certs) == len(bundle.corpus)

@@ -61,3 +61,23 @@ class TestSnapshotStore:
 
     def test_get_missing_day(self):
         assert SnapshotStore().get(D1) is None
+
+    def test_cloudflare_maps_every_observed_apex_to_its_cloudflare_targets(self):
+        store = SnapshotStore()
+        store.put(
+            snap(
+                D1,
+                {
+                    "a.com": {
+                        RecordType.NS: ["ada.ns.cloudflare.com", "ns1.x.net"],
+                        RecordType.CNAME: ["e.cdn.cloudflare.com."],
+                        RecordType.A: ["192.0.2.1"],
+                    },
+                    "b.com": {RecordType.NS: ["ns1.x.net"]},
+                },
+            )
+        )
+        assert store.cloudflare(D1) == {
+            "a.com": frozenset({"ada.ns.cloudflare.com", "e.cdn.cloudflare.com."}),
+            "b.com": frozenset(),
+        }

@@ -8,17 +8,16 @@ degrades the way the paper's did — losing coverage, not correctness.
 import pytest
 
 from repro.core.detectors.key_compromise import KeyCompromiseDetector
-from repro.core.detectors.managed_tls import ManagedTlsDetector, find_departures
+from repro.core.detectors.managed_tls import ManagedTlsDetector
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
-from repro.dns.records import RecordType
-from repro.dns.snapshots import DailySnapshot, SnapshotStore
+from repro.dns.snapshots import cloudflare_targets
 from repro.ecosystem import WorldConfig, WorldSimulator
 from repro.ecosystem.events import GroundTruthEventType
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import day
-from tests.conftest import make_cert
+from tests.conftest import Scans, find_departures, make_cert
 
 T0 = day(2022, 8, 1)
 CF_NS = ("ada.ns.cloudflare.com", "bob.ns.cloudflare.com")
@@ -55,13 +54,12 @@ class TestCrlOutages:
 
 class TestScanGaps:
     def _store(self, days):
-        store = SnapshotStore()
-        for scan_day, observations in days.items():
-            snapshot = DailySnapshot(scan_day)
-            for apex, ns in observations.items():
-                snapshot.observe(apex, RecordType.NS, ns)
-            store.put(snapshot)
-        return store
+        return Scans(
+            {
+                scan_day: {apex: cloudflare_targets(ns) for apex, ns in observations.items()}
+                for scan_day, observations in days.items()
+            }
+        )
 
     def test_missing_scan_days_still_yield_departure(self):
         """A three-day scanner outage spanning the change: the diff between

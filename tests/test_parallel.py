@@ -11,6 +11,7 @@ from repro import MeasurementPipeline, ParallelMeasurementPipeline
 from repro.core.pipeline import DatasetBundle
 from repro.data import Dataset, write_dataset
 from repro.dns.snapshots import SnapshotStore
+from repro.obs import MetricsRegistry, names, use_registry
 from repro.parallel import (
     ProcessPoolShardExecutor,
     SerialExecutor,
@@ -97,25 +98,23 @@ class TestPartitionInvariants:
                     assert plan.domain_assignment[registrable] == shard.index
             for domain, _creation_day in shard.whois_creation_pairs:
                 assert plan.domain_assignment[domain_key(domain)] == shard.index
-            if shard.dns_snapshots is None:
-                continue
             for scan_day in shard.dns_snapshots.days():
-                snapshot = shard.dns_snapshots.get(scan_day)
-                for apex in snapshot.apexes():
-                    assert plan.domain_assignment[domain_key(apex)] == shard.index
+                for apex in shard.dns_snapshots.cloudflare(scan_day):
+                    assert plan.shard_of(domain_key(apex)) == shard.index
 
     def test_inputs_are_fully_covered(self, bundle, plan):
         assert sum(len(s.crls) for s in plan.shards) == len(bundle.crls)
         assert sum(len(s.whois_creation_pairs) for s in plan.shards) == len(
             bundle.whois_creation_pairs
         )
-        total_observations = sum(
-            len(bundle.dns_snapshots.get(scan_day))
-            for scan_day in bundle.dns_snapshots.days()
-        )
-        assert (
-            sum(s.snapshot_observations() for s in plan.shards) == total_observations
-        )
+        # Each (day, apex) row lands in exactly one shard's view.
+        for scan_day in bundle.dns_snapshots.days():
+            rows = {}
+            for shard in plan.shards:
+                view = shard.dns_snapshots.cloudflare(scan_day)
+                assert not (rows.keys() & view.keys())
+                rows.update(view)
+            assert rows == bundle.dns_snapshots.cloudflare(scan_day)
 
     def test_every_shard_sees_every_scan_day(self, bundle, plan):
         # The managed-TLS lookahead needs the full day grid even on shards
@@ -162,6 +161,29 @@ class TestColumnarPartitionInvariants(TestPartitionInvariants):
                 assert _fingerprints(getattr(shard, axis)) == _fingerprints(
                     getattr(expected, axis)
                 ), axis
+
+
+class TestPartitionReadsNoDns:
+    def test_partition_opens_no_dns_segment(self, small_world, tmp_path, cutoff):
+        """The parent routes DNS apexes by rule, not by reading them: with
+        the dns segments unmapped, partitioning maps none of them again,
+        and the shards read their own DNS to the batch findings."""
+        directory = str(tmp_path / "bundle")
+        write_dataset(small_world.to_bundle(), directory)
+        with Dataset.open(directory) as dataset:
+            bundle = dataset.to_bundle()
+            dataset.dns.close()
+            with use_registry(MetricsRegistry()) as registry:
+                partition_bundle(bundle, 2)
+            assert registry.counter_total(names.DATA_SEGMENTS_OPENED) == 0
+            with use_registry(MetricsRegistry()) as registry:
+                sharded = ParallelMeasurementPipeline(
+                    bundle, workers=1, num_shards=2, revocation_cutoff_day=cutoff
+                ).run()
+            opened = registry.counter(names.DATA_SEGMENTS_OPENED, labels=("table",))
+            assert opened.value(table="dns") > 0
+            batch = MeasurementPipeline(bundle, revocation_cutoff_day=cutoff).run()
+        assert canonical_findings(sharded.findings) == canonical_findings(batch.findings)
 
 
 class TestShardPayloads:

@@ -1,8 +1,8 @@
 """Unit tests for the incremental calls of the three core detectors.
 
 Each detector is exercised directly (no engine), fed CRL entries, creation
-pairs and snapshots the way the stream engine feeds it, to pin down the
-streaming semantics: mid-stream revisions, out-of-order creation dates and
+pairs and per-day Cloudflare delegations the way the stream engine feeds
+it, to pin down the streaming semantics: mid-stream revisions, out-of-order creation dates and
 pending-state resolution. Whole-world equivalence against batch lives in
 test_stream_equivalence.py; that pending state survives a kill is checked
 on the whole engine in test_stream_checkpoint.py.
@@ -15,15 +15,15 @@ from repro.core.detectors import (
 )
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
-from repro.dns.records import RecordType
-from repro.dns.snapshots import DailySnapshot
 from repro.revocation.crl import CrlEntry
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import day
 from tests.conftest import make_cert
 
 T0 = day(2021, 1, 1)
-CF_NS = ("ada.ns.cloudflare.com", "bob.ns.cloudflare.com")
+CF = frozenset({"ada.ns.cloudflare.com", "bob.ns.cloudflare.com"})
+#: Observed, with no Cloudflare NS or CNAME target.
+OFF = frozenset()
 AKID = "akid-test"
 
 
@@ -31,14 +31,6 @@ def corpus_of(*certs):
     corpus = CertificateCorpus()
     corpus.ingest(certs)
     return corpus
-
-
-def snapshot(scan_day, observations):
-    taken = DailySnapshot(scan_day)
-    for apex, by_type in observations.items():
-        for rtype, values in by_type.items():
-            taken.observe(apex, rtype, values)
-    return taken
 
 
 def managed_cert(domain="cust.com", serial=301, not_before=day(2020, 6, 1), lifetime=730):
@@ -162,10 +154,8 @@ class TestIncrementalRegistrantChange:
 class TestIncrementalManagedTls:
     def test_delegation_loss_emits_departure(self):
         detector = ManagedTlsDetector(corpus_of(managed_cert("cust.com")))
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        emitted = detector.observe(
-            snapshot(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
-        )
+        detector.observe(T0, {"cust.com": CF})
+        emitted = detector.observe(T0 + 1, {"cust.com": OFF})
         assert len(emitted) == 1  # apex and wildcard share the FQDN "cust.com"
         finding = emitted[0]
         assert finding.affected_domain == "cust.com"
@@ -175,51 +165,44 @@ class TestIncrementalManagedTls:
 
     def test_shuffle_within_cloudflare_not_departure(self):
         detector = ManagedTlsDetector(corpus_of(managed_cert("cust.com")))
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        detector.observe(T0, {"cust.com": CF})
         emitted = detector.observe(
-            snapshot(
-                T0 + 1,
-                {"cust.com": {RecordType.NS: ("carol.ns.cloudflare.com",)}},
-            )
+            T0 + 1, {"cust.com": frozenset({"carol.ns.cloudflare.com"})}
         )
         assert emitted == []
 
     def test_disappearance_confirmed_by_reobservation_elsewhere(self):
         detector = ManagedTlsDetector(corpus_of(managed_cert("cust.com")))
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        assert detector.observe(snapshot(T0 + 1, {})) == []
+        detector.observe(T0, {"cust.com": CF})
+        assert detector.observe(T0 + 1, {}) == []
         assert detector.pending_departures() == 1
-        emitted = detector.observe(
-            snapshot(T0 + 2, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
-        )
+        emitted = detector.observe(T0 + 2, {"cust.com": OFF})
         assert emitted  # confirmed: departed on the disappearance day
         assert all(f.invalidation_day == T0 + 1 for f in emitted)
         assert detector.pending_departures() == 0
 
     def test_disappearance_reappearing_on_cloudflare_is_scan_loss(self):
         detector = ManagedTlsDetector(corpus_of(managed_cert("cust.com")))
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        detector.observe(snapshot(T0 + 1, {}))
-        emitted = detector.observe(
-            snapshot(T0 + 2, {"cust.com": {RecordType.NS: CF_NS}})
-        )
+        detector.observe(T0, {"cust.com": CF})
+        detector.observe(T0 + 1, {})
+        emitted = detector.observe(T0 + 2, {"cust.com": CF})
         assert emitted == []
         assert detector.pending_departures() == 0
         assert detector.findings() == []
 
     def test_lookahead_exhaustion_confirms_departure(self):
         detector = ManagedTlsDetector(corpus_of(managed_cert("cust.com")))
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
+        detector.observe(T0, {"cust.com": CF})
         emitted = []
         for offset in range(1, 5):
-            emitted.extend(detector.observe(snapshot(T0 + offset, {})))
+            emitted.extend(detector.observe(T0 + offset, {}))
         assert emitted  # three unobserved scans exhaust the lookahead
         assert all(f.invalidation_day == T0 + 1 for f in emitted)
 
     def test_finalize_flushes_pendings(self):
         detector = ManagedTlsDetector(corpus_of(managed_cert("cust.com")))
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        detector.observe(snapshot(T0 + 1, {}))
+        detector.observe(T0, {"cust.com": CF})
+        detector.observe(T0 + 1, {})
         assert detector.pending_departures() == 1
         emitted = detector.finalize()
         assert emitted
@@ -229,8 +212,6 @@ class TestIncrementalManagedTls:
         detector = ManagedTlsDetector(
             corpus_of(managed_cert("cust.com", not_before=T0 - 400, lifetime=100))
         )
-        detector.observe(snapshot(T0, {"cust.com": {RecordType.NS: CF_NS}}))
-        emitted = detector.observe(
-            snapshot(T0 + 1, {"cust.com": {RecordType.NS: ("ns1.other.net",)}})
-        )
+        detector.observe(T0, {"cust.com": CF})
+        emitted = detector.observe(T0 + 1, {"cust.com": OFF})
         assert emitted == []

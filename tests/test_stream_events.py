@@ -20,9 +20,8 @@ from repro.stream import (
     WhoisCreationObserved,
     build_event_stream,
 )
-from repro.dns.snapshots import DailySnapshot, SnapshotStore
 from repro.util.dates import day
-from tests.conftest import make_cert
+from tests.conftest import Scans, make_cert
 
 T0 = day(2021, 1, 1)
 
@@ -41,7 +40,7 @@ def _bundle(certs=(), crls=(), whois=(), snapshots=None):
 class TestOrdering:
     def test_same_day_dispatch_priority(self):
         events = [
-            DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0)),
+            DnsSnapshotTaken(day=T0, source=Scans({T0: {}})),
             WhoisCreationObserved(day=T0, domain="a.com", creation_day=T0),
             CrlDeltaPublished(day=T0, authority_key_id="akid"),
         ]
@@ -54,7 +53,7 @@ class TestOrdering:
 
     def test_day_dominates_priority(self):
         late_crl = CrlDeltaPublished(day=T0 + 1, authority_key_id="akid")
-        early_dns = DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0))
+        early_dns = DnsSnapshotTaken(day=T0, source=Scans({T0: {}}))
         assert early_dns.sort_key() < late_crl.sort_key()
 
     def test_sequence_breaks_ties(self):
@@ -99,8 +98,9 @@ class TestEventBus:
         stats = StreamStats()
         bus = EventBus(stats)
         bus.subscribe(EventType.DNS_SNAPSHOT_TAKEN, lambda e: None)
-        bus.publish(DnsSnapshotTaken(day=T0, snapshot=DailySnapshot(T0)))
-        bus.publish(DnsSnapshotTaken(day=T0 + 1, snapshot=DailySnapshot(T0 + 1)))
+        scans = Scans({T0: {}, T0 + 1: {}})
+        bus.publish(DnsSnapshotTaken(day=T0, source=scans))
+        bus.publish(DnsSnapshotTaken(day=T0 + 1, source=scans))
         bus.drain()
         assert stats.events_by_type == {EventType.DNS_SNAPSHOT_TAKEN.value: 2}
         assert stats.max_queue_depth == 2
@@ -157,9 +157,7 @@ class TestBuildEventStream:
         assert all(e.day == e.creation_day for e in events)
 
     def test_single_snapshot_produces_no_dns_events(self):
-        store = SnapshotStore()
-        store.put(DailySnapshot(T0))
-        events = build_event_stream(_bundle(snapshots=store))
+        events = build_event_stream(_bundle(snapshots=Scans({T0: {}})))
         assert events == []
 
     def test_repr_mentions_iso_day(self):
