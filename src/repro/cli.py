@@ -47,7 +47,8 @@ default to off and cost nothing when off.
 
 ``profile`` aggregates an exported trace (per-span self/cumulative time
 and the cross-worker critical path); ``obs-diff`` compares two runs'
-artifacts and exits non-zero on regressions beyond ``--threshold``.
+artifacts and exits non-zero on a timing regression beyond ``--threshold``
+or on any count drift.
 
 ``serve`` builds a :class:`repro.serve.index.FindingsIndex` once and
 answers staleness queries over a read-only HTTP API (stdlib ``wsgiref``;
@@ -274,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_diff.add_argument("run_b", help="candidate run (same forms)")
     obs_diff.add_argument(
         "--threshold", type=float, default=25.0, metavar="PCT",
-        help="regression threshold in percent (default 25)",
+        help="regression threshold for timing series in percent (default "
+        "25); count series must match exactly",
     )
     obs_diff.add_argument(
         "--top", type=int, default=20, metavar="N",

@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.ct.dedup import CLOUDFLARE_MANAGED_SAN_SUFFIX, Corpus, has_managed_marker_san
-from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings, finding_key
+from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
 from repro.dns.snapshots import CloudflareScans
 from repro.pki.certificate import Certificate
 from repro.util.dates import Day
@@ -45,6 +45,7 @@ class Departure:
 class DepartureJoinStats:
     """Accounting for the departure/managed-certificate join."""
 
+    #: Managed corpus rows with at least one customer name.
     managed_certificates_indexed: int = 0
     departures_detected: int = 0
     findings: int = 0
@@ -134,34 +135,46 @@ def _confirmed(pending: dict) -> Departure:
 class ManagedTlsDetector:
     """Joins DNS-observed departures against Cloudflare-managed certs.
 
-    The corpus's managed certificates are indexed by customer domain at
-    construction, in (notBefore, row) order. :meth:`observe` feeds one scan
-    to the :class:`DepartureTracker` and joins each departure it confirms
-    against every indexed certificate at or beneath the apex that is valid
-    on the departure day; :meth:`finalize` flushes the disappearances the
-    scan window ended on. The stream engine calls both per DNS event;
-    :meth:`detect` calls them over every day of a
-    :class:`~repro.dns.snapshots.CloudflareScans`.
+    At construction the corpus's :meth:`~repro.ct.dedup.Corpus.managed_rows`
+    are indexed as ``(row, notBefore, notAfter)`` by customer name, in
+    (notBefore, row) order, and every label suffix of a name (the name
+    itself included) maps to the names at or beneath it, in first-seen
+    order; no certificate is built. :meth:`observe` feeds one scan to the
+    :class:`DepartureTracker` and joins each departure it confirms against
+    the rows under the apex that are valid on the departure day, building
+    ``corpus.certificate(row)`` only for a finding it emits;
+    :meth:`finalize` flushes the disappearances the scan window ended on.
+    The stream engine calls both per DNS event; :meth:`detect` calls them
+    over every day of a :class:`~repro.dns.snapshots.CloudflareScans`.
     """
 
     def __init__(self, corpus: Corpus) -> None:
+        self._corpus = corpus
         self._tracker = DepartureTracker()
-        self._by_domain: Dict[str, List[Certificate]] = {}
-        managed = sorted(
-            (corpus.certificate(row) for row in corpus.managed_rows()),
-            key=attrgetter("not_before"),
-        )
-        for certificate in managed:
+        #: Customer name -> (row, notBefore, notAfter) of its certificates.
+        self._by_name: Dict[str, List[Tuple[int, Day, Day]]] = {}
+        #: Label suffix -> the indexed names at or beneath it.
+        self._under: Dict[str, List[str]] = {}
+        self._indexed = 0
+        for managed in sorted(corpus.managed_rows(), key=attrgetter("not_before")):
             # Sorted: join output must not follow PYTHONHASHSEED's set order.
-            for san in sorted(certificate.fqdns()):
-                if not san.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX):  # the CDN's marker
-                    self._by_domain.setdefault(san, []).append(certificate)
-        self._indexed = len(
-            {c.dedup_fingerprint() for certs in self._by_domain.values() for c in certs}
-        )
+            customer = sorted(
+                name
+                for name in managed.names
+                if not name.endswith("." + CLOUDFLARE_MANAGED_SAN_SUFFIX)  # the CDN's marker
+            )
+            self._indexed += bool(customer)
+            for name in customer:
+                rows = self._by_name.get(name)
+                if rows is None:
+                    rows = self._by_name[name] = []
+                    labels = name.split(".")
+                    for start in range(len(labels)):
+                        self._under.setdefault(".".join(labels[start:]), []).append(name)
+                rows.append((managed.row, managed.not_before, managed.not_after))
         self._departures = 0
-        #: One finding per certificate, domain and departure day.
-        self._findings: Dict[Tuple[str, Optional[str], Day], StaleCertificate] = {}
+        #: One finding per certificate (row), domain and departure day.
+        self._findings: Dict[Tuple[int, str, Day], StaleCertificate] = {}
 
     def observe(
         self, scan_day: Day, cloudflare: Mapping[str, FrozenSet[str]]
@@ -179,27 +192,23 @@ class ManagedTlsDetector:
         emitted: List[StaleCertificate] = []
         for departure in departures:
             self._departures += 1
+            day = departure.departure_day
             detail = f"left={','.join(sorted(departure.removed_targets))}"
-            suffix = "." + departure.apex
             # The apex or any name beneath it: managed certificates often
             # cover www, mail, ...
-            for domain, certificates in self._by_domain.items():
-                if domain != departure.apex and not domain.endswith(suffix):
-                    continue
-                for certificate in certificates:
-                    if not certificate.is_valid_on(departure.departure_day):
+            for name in self._under.get(departure.apex, ()):
+                for row, not_before, not_after in self._by_name[name]:
+                    key = (row, name, day)
+                    if not not_before <= day <= not_after or key in self._findings:
                         continue
-                    finding = StaleCertificate(
-                        certificate=certificate,
+                    finding = self._findings[key] = StaleCertificate(
+                        certificate=self._corpus.certificate(row),
                         staleness_class=StalenessClass.MANAGED_TLS_DEPARTURE,
-                        invalidation_day=departure.departure_day,
-                        affected_domain=domain,
+                        invalidation_day=day,
+                        affected_domain=name,
                         detail=detail,
                     )
-                    key = finding_key(finding)
-                    if key not in self._findings:
-                        self._findings[key] = finding
-                        emitted.append(finding)
+                    emitted.append(finding)
         return emitted
 
     def pending_departures(self) -> int:

@@ -13,8 +13,8 @@ certificate corpus through: the §4 joins (CRL × CT on (AKID, serial), WHOIS
 re-creation × validity on the e2LD, managed certificates for DNS
 departures) and the key columns per row (:class:`CertRow`) that the shard
 planner, the stream replay and the advisor read without building a
-certificate. Two stores implement it — the
-in-memory :class:`CertificateCorpus` and the columnar
+certificate (:class:`ManagedRow` likewise for the §4.3 join). Two stores
+implement it — the in-memory :class:`CertificateCorpus` and the columnar
 :class:`~repro.data.dataset.CertsTable` — and :class:`CorpusSlice` is one
 shard's view of either.
 """
@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -80,6 +81,18 @@ class CertRow(NamedTuple):
     e2lds: List[str]
 
 
+class ManagedRow(NamedTuple):
+    """A CDN-managed corpus row: its validity and the names it covers
+    (``Certificate.fqdns()`` of its certificate, via
+    :func:`~repro.pki.certificate.san_fqdns`), all the §4.3 join reads
+    before it emits a finding."""
+
+    row: int
+    not_before: Day
+    not_after: Day
+    names: FrozenSet[str]
+
+
 class Corpus(Protocol):
     """What the detectors, the shard planner, the stream engine, the
     advisor and ``write_dataset`` read from a certificate corpus.
@@ -104,9 +117,10 @@ class Corpus(Protocol):
         """How many certificates have *e2ld* among their e2LDs, and those
         of them whose validity strictly spans *day*, corpus order."""
 
-    def managed_rows(self) -> List[int]:
-        """Rows of CDN-managed certificates (:func:`has_managed_marker_san`),
-        ascending."""
+    def managed_rows(self) -> List[ManagedRow]:
+        """One :class:`ManagedRow` per CDN-managed certificate
+        (:func:`has_managed_marker_san`), ascending rows; builds no
+        certificate."""
 
     def key_rows(self) -> Iterator[CertRow]:
         """One :class:`CertRow` per row, corpus order; builds no
@@ -224,10 +238,11 @@ class CertificateCorpus:
             if certificates[row].not_before < day < certificates[row].not_after
         ]
 
-    def managed_rows(self) -> List[int]:
-        """Rows of CDN-managed certificates, ascending."""
+    def managed_rows(self) -> List[ManagedRow]:
         return [
-            row
+            ManagedRow(
+                row, certificate.not_before, certificate.not_after, certificate.fqdns()
+            )
             for row, certificate in enumerate(self._row_list())
             if has_managed_marker_san(certificate.san_dns_names)
         ]
@@ -279,9 +294,9 @@ class CorpusSlice:
     def e2ld_candidates(self, e2ld: str, day: Day) -> Tuple[int, List[Certificate]]:
         return self._store.e2ld_candidates(e2ld, day)
 
-    def managed_rows(self) -> List[int]:
+    def managed_rows(self) -> List[ManagedRow]:
         rows = set(self._rows)
-        return [row for row in self._store.managed_rows() if row in rows]
+        return [managed for managed in self._store.managed_rows() if managed.row in rows]
 
     def key_rows(self) -> Iterator[CertRow]:
         rows = set(self._rows)

@@ -48,12 +48,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.core.pipeline import DatasetBundle
 from repro.core.stale import StalenessClass
-from repro.ct.dedup import CertRow, ValidityRow
+from repro.ct.dedup import CertRow, ManagedRow, ValidityRow
 from repro.data import schema
 from repro.data.bundle import DnsColumns, synthetic_crls
 from repro.data.segment import Segment, SegmentFormatError, check_span
 from repro.obs import get_registry, names
-from repro.pki.certificate import Certificate
+from repro.pki.certificate import Certificate, san_fqdns
 from repro.revocation.crl import CrlEntry
 from repro.util.dates import Day
 
@@ -341,6 +341,9 @@ class CertsTable(Table):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._hydrated: Dict[int, Certificate] = {}
+        #: AKID -> its [lo, hi) entry range in the ``revkey`` index: one
+        #: pair per issuing CA key the CRLs name.
+        self._akid_ranges: Dict[str, Tuple[int, int]] = {}
 
     def certificate(self, row: int) -> Certificate:
         certificate = self._hydrated.get(row)
@@ -363,10 +366,22 @@ class CertsTable(Table):
                 yield certificate
 
     def revocation_match(self, key: Tuple[str, int]) -> Optional[ValidityRow]:
-        rows = self.lookup("revkey", key)
-        if not rows:
+        """Bisects the ``revkey`` index's i64 ``serial`` column within the
+        AKID's range, found once per AKID."""
+        authority_key_id, serial = key
+        index = self._index_segment("revkey")
+        span = self._akid_ranges.get(authority_key_id)
+        if span is None:
+            akids = index.column("authority_key_id")
+            lo = bisect_left(akids, authority_key_id)
+            span = (lo, bisect_right(akids, authority_key_id, lo))
+            self._akid_ranges[authority_key_id] = span
+        serials = index.column("serial")
+        lo = bisect_left(serials, serial, *span)
+        hi = bisect_right(serials, serial, lo, span[1])
+        if lo == hi:
             return None
-        row = rows[-1]
+        row = index.column("row")[hi - 1]  # entries sort by row last
         return ValidityRow(
             row, self.column("not_before")[row], self.column("not_after")[row]
         )
@@ -383,10 +398,18 @@ class CertsTable(Table):
             if not_before[row] < day < not_after[row]
         ]
 
-    def managed_rows(self) -> List[int]:
-        """Rows of CDN-managed certificates, ascending (corpus order)."""
+    def managed_rows(self) -> List[ManagedRow]:
+        """The ``managed`` index's rows, with their validity and
+        ``san_dns_names`` cells; builds no certificate."""
         segment = self._index_segment("managed")
-        return segment.column("row").read(0, segment.rows)
+        columns = [
+            self.column(name) for name in ("not_before", "not_after", "san_dns_names")
+        ]
+        managed = []
+        for row in segment.column("row").read(0, segment.rows):
+            not_before, not_after, sans = (column[row] for column in columns)
+            managed.append(ManagedRow(row, not_before, not_after, san_fqdns(sans)))
+        return managed
 
     def key_rows(self) -> Iterator[CertRow]:
         """Range reads of the validity, CRL-key and derived ``e2lds``

@@ -3,8 +3,9 @@
 ``repro obs-diff RUN_A RUN_B [--threshold PCT]`` compares two runs'
 artifacts — each a run directory (holding ``run.json`` + ``metrics.prom``),
 a ``run.json`` manifest, or a bare metrics textfile — and exits non-zero
-when run B regressed beyond the threshold. CI wires this against a
-committed baseline under ``benchmarks/baselines/``.
+when run B regressed: a timing series beyond the threshold, or any count
+series at all. CI wires this against a committed baseline under
+``benchmarks/baselines/``.
 
 Series are classified by name:
 
@@ -15,8 +16,9 @@ Series are classified by name:
   percentage *and* more than an absolute floor (so microsecond spans
   cannot trip the gate on scheduler noise);
 * everything else (counters, gauges, ``*_seconds_count``) is a **count**
-  series: deterministic for a fixed seed/scale, so drift beyond the
-  threshold in either direction is a regression.
+  series: deterministic for a fixed seed/scale, so any drift in either
+  direction is a regression, whatever the threshold (a loose timing
+  threshold must not let a change in *what* was detected through).
 
 Series present in only one run are reported as added/removed but never
 fail the diff — new instrumentation must not break the baseline gate.
@@ -190,7 +192,7 @@ def diff_runs(
                 and delta_pct > threshold_pct
             )
         else:
-            regression = abs(delta_pct) > threshold_pct
+            regression = value_a != value_b
         diff.deltas.append(
             SeriesDelta(
                 series=series,

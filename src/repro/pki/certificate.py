@@ -41,6 +41,18 @@ LIMIT_398_EFFECTIVE = day(2020, 9, 1)
 MAX_LIFETIME_LEGACY = 1187
 
 
+def san_fqdns(san_dns_names: Iterable[str]) -> FrozenSet[str]:
+    """The names a certificate with these SANs covers: each SAN normalized
+    as :class:`Certificate` normalizes it, a wildcard mapped to its base.
+
+    :meth:`Certificate.fqdns` and the corpus stores' ``managed_rows()``
+    (which read the ``san_dns_names`` cell without building a certificate)
+    both derive names here, so the two paths cannot drift.
+    """
+    names = (DomainName(san).name for san in san_dns_names)
+    return frozenset(name[2:] if name.startswith("*.") else name for name in names)
+
+
 def lifetime_limit_on(issuance_day: Day) -> int:
     """Maximum permitted DV lifetime for a certificate issued on a day.
 
@@ -187,13 +199,11 @@ class Certificate:
         return frozen
 
     def fqdns(self) -> FrozenSet[str]:
-        """Non-wildcard representation of SAN names (wildcards map to base)."""
+        """Non-wildcard representation of SAN names (:func:`san_fqdns`)."""
         cached = self.__dict__.get("_fqdns")
         if cached is not None:
             return cached
-        frozen = frozenset(
-            san[2:] if san.startswith("*.") else san for san in self.san_dns_names
-        )
+        frozen = san_fqdns(self.san_dns_names)
         object.__setattr__(self, "_fqdns", frozen)
         return frozen
 

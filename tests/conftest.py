@@ -71,6 +71,34 @@ def find_departures(scans):
     return departures + tracker.flush()
 
 
+def scan_managed_join(corpus, departures):
+    """The §4.3 join by a full scan: every indexed customer name of the
+    corpus's managed certificates is tested against each departure's apex.
+    Returns ``(day, domain, fingerprint)`` per finding, in emission order;
+    the reference for ``ManagedTlsDetector``'s suffix index."""
+    from repro.core.detectors.managed_tls import is_cloudflare_managed_certificate
+
+    managed = sorted(
+        (c for c in corpus.certificates() if is_cloudflare_managed_certificate(c)),
+        key=lambda certificate: certificate.not_before,
+    )
+    by_name = {}
+    for certificate in managed:
+        for name in sorted(certificate.fqdns()):
+            if not name.endswith(".cloudflaressl.com"):
+                by_name.setdefault(name, []).append(certificate)
+    emitted = []
+    for departure in departures:
+        for name, certificates in by_name.items():
+            if name != departure.apex and not name.endswith("." + departure.apex):
+                continue
+            for certificate in certificates:
+                key = (departure.departure_day, name, certificate.dedup_fingerprint())
+                if certificate.is_valid_on(departure.departure_day) and key not in emitted:
+                    emitted.append(key)
+    return emitted
+
+
 def make_key(owner: str = "tester", on_day: int = day(2020, 1, 1)) -> KeyPair:
     return KeyStore().generate(owner, on_day)
 

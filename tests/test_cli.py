@@ -544,6 +544,17 @@ class TestObsDiffCommand:
         b = self._metrics_file(tmp_path / "b.prom", {"x_seconds_sum": 3.0})
         assert main(["obs-diff", a, b, "--threshold", "500"]) == 0
 
+    def test_one_finding_drift_fails_under_a_loose_threshold(self, tmp_path, capsys):
+        # The threshold loosens timing only: a count series that moves at
+        # all is a change in what was detected.
+        series = 'repro_findings_total{staleness_class="managed_tls_departure"}'
+        a = self._metrics_file(tmp_path / "a.prom", {series: 3, "x_seconds_sum": 1.0})
+        b = self._metrics_file(tmp_path / "b.prom", {series: 4, "x_seconds_sum": 3.0})
+        assert main(["obs-diff", a, b, "--threshold", "500"]) == 1
+        out = capsys.readouterr().out
+        assert "managed_tls_departure" in out and "REGRESSION" in out
+        assert "1 regression(s)" in out
+
     def test_missing_run_is_usage_error(self, tmp_path, capsys):
         a = self._metrics_file(tmp_path / "a.prom", {"x_total": 1})
         assert main(["obs-diff", a, str(tmp_path / "nope.prom")]) == 2

@@ -12,7 +12,7 @@ from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
 from repro.dns.snapshots import cloudflare_targets, is_cloudflare_delegation
 from repro.util.dates import day
-from tests.conftest import Scans, find_departures, make_cert
+from tests.conftest import Scans, find_departures, make_cert, scan_managed_join
 
 D1 = day(2022, 8, 1)
 D2 = day(2022, 8, 2)
@@ -319,3 +319,101 @@ class TestDetector:
         store = store_with({D1: {"cust.com": CF_NS}, D2: {"cust.com": ("ns1.other.net",)}})
         findings = ManagedTlsDetector(corpus).detect(store)
         assert len(findings) == 0
+
+
+D3 = day(2022, 8, 3)
+
+
+class TestSuffixIndex:
+    """The detector visits only the names at or beneath a departed apex, in
+    the order a full scan of every indexed name visits them."""
+
+    @staticmethod
+    def corpus():
+        def managed(serial, *names, not_before=day(2022, 5, 1), lifetime=365):
+            return make_cert(
+                sans=(f"sni{serial}.cloudflaressl.com",) + names,
+                serial=serial,
+                not_before=not_before,
+                lifetime=lifetime,
+                issuer="CloudFlare ECC CA-2",
+            )
+
+        corpus = CertificateCorpus()
+        corpus.ingest(
+            [
+                # Indexed first, so www.example.com precedes example.com.
+                managed(301, "www.example.com", not_before=day(2020, 12, 1), lifetime=700),
+                managed(302, "example.com", "*.example.com"),
+                managed(303, "*.example.com", not_before=day(2022, 3, 1)),
+                managed(304, "badexample.com", "www.badexample.com"),
+                managed(305, "example.com.evil.net"),
+                managed(306, "example.com", not_before=day(2021, 1, 1), lifetime=90),
+                managed(307, "shop.other.org", "other.org", not_before=day(2022, 2, 1)),
+                managed(308, "other.org", not_before=day(2022, 7, 1)),
+                managed(309, "mail.example.com", "www.example.com"),
+            ]
+        )
+        return corpus
+
+    #: example.com leaves alone; other.org and evil.net leave on one day.
+    SCANS = store_with(
+        {
+            D1: {
+                apex: CF_NS
+                for apex in ("example.com", "badexample.com", "evil.net", "other.org")
+            },
+            D2: {
+                "example.com": ("ns1.other.net",),
+                "badexample.com": CF_NS,
+                "evil.net": CF_NS,
+                "other.org": CF_NS,
+            },
+            D3: {
+                "example.com": ("ns1.other.net",),
+                "badexample.com": CF_NS,
+                "evil.net": ("ns1.other.net",),
+                "other.org": ("ns1.other.net",),
+            },
+        }
+    )
+
+    @classmethod
+    def feed(cls, corpus):
+        detector = ManagedTlsDetector(corpus)
+        emitted = []
+        for scan_day in cls.SCANS.days():
+            emitted += detector.observe(scan_day, cls.SCANS.cloudflare(scan_day))
+        emitted += detector.finalize()
+        return [
+            (f.invalidation_day, f.affected_domain, f.certificate.dedup_fingerprint())
+            for f in emitted
+        ]
+
+    def test_apex_matches_itself_subdomains_and_wildcards_only(self):
+        corpus = self.corpus()
+        by_serial = {c.serial: c.dedup_fingerprint() for c in corpus.certificates()}
+        found = {
+            (domain, fingerprint)
+            for found_day, domain, fingerprint in self.feed(corpus)
+            if found_day == D2
+        }
+        assert found == {
+            ("www.example.com", by_serial[301]),
+            ("www.example.com", by_serial[309]),
+            ("mail.example.com", by_serial[309]),
+            ("example.com", by_serial[302]),
+            ("example.com", by_serial[303]),  # from *.example.com
+        }
+
+    def test_emission_order_equals_a_full_scan(self, tmp_path):
+        from repro.core.pipeline import DatasetBundle
+        from repro.data import Dataset, write_dataset
+
+        corpus = self.corpus()
+        expected = scan_managed_join(corpus, find_departures(self.SCANS))
+        assert len({found_day for found_day, _, _ in expected}) == 2
+        assert self.feed(corpus) == expected
+        write_dataset(DatasetBundle(corpus=corpus), str(tmp_path), rows_per_segment=4)
+        with Dataset.open(str(tmp_path)) as dataset:
+            assert self.feed(dataset.certs) == expected

@@ -306,9 +306,7 @@ class TestColumnsBeforeObjects:
             return {
                 "revocation_match": matches,
                 "e2ld_candidates": candidates,
-                "managed": fingerprints(
-                    corpus.certificate(row) for row in corpus.managed_rows()
-                ),
+                "managed": list(corpus.managed_rows()),
                 "key_rows": list(corpus.key_rows()),
                 "certificates": fingerprints(corpus.certificates()),
             }
@@ -323,6 +321,75 @@ class TestColumnsBeforeObjects:
             for corpus in corpora:
                 assert len(corpus) == len(bundle.corpus)
                 assert answers(corpus) == reference, type(corpus).__name__
+
+
+class TestRevocationMatchEdges:
+    """The columnar ``revocation_match`` (an AKID range found once, then a
+    bisect of the ``serial`` column within it) answers like the in-memory
+    store's dict at every edge of the ``revkey`` index."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        from repro.core.pipeline import DatasetBundle
+        from repro.ct.dedup import CertificateCorpus
+        from repro.util.dates import day
+        from tests.conftest import make_cert
+
+        def cert(akid, serial, not_before=day(2021, 1, 1)):
+            return make_cert(
+                sans=(f"s{serial}.example.com",),
+                authority_key_id=akid,
+                serial=serial,
+                not_before=not_before,
+            )
+
+        corpus = CertificateCorpus()
+        corpus.ingest(
+            [
+                cert("akid-b", 20),
+                cert("akid-a", 5),  # the index's first entry
+                cert("akid-b", 30, day(2021, 2, 1)),
+                cert("akid-c", 90),  # the index's last entry
+                cert("akid-b", 30, day(2021, 3, 1)),  # same key, later row
+                cert("akid-b", 40),
+            ]
+        )
+        directory = str(tmp_path_factory.mktemp("revkey") / "bundle")
+        write_dataset(DatasetBundle(corpus=corpus), directory, rows_per_segment=2)
+        with Dataset.open(directory) as dataset:
+            yield corpus, dataset.certs
+
+    KEYS = [
+        ("akid-a", 5),  # first index entry
+        ("akid-c", 90),  # last index entry
+        ("akid-b", 30),  # duplicate (AKID, serial): the last row wins
+        ("akid-b", 20),
+        ("akid-b", 40),
+        ("akid-b", 10),  # below its AKID's serial range
+        ("akid-b", 25),  # inside the range, between entries
+        ("akid-b", 41),  # above the range
+        ("akid-a", 6),
+        ("akid-0", 5),  # AKID sorting before every entry
+        ("akid-x", 90),  # AKID missing, sorting after every entry
+        ("akid-bb", 30),  # AKID missing, between two present ones
+    ]
+
+    def test_every_edge_answers_like_the_in_memory_store(self, stores):
+        corpus, certs = stores
+        for key in self.KEYS * 2:  # the second pass reads memoised ranges
+            assert certs.revocation_match(key) == corpus.revocation_match(key), key
+
+    def test_duplicate_key_last_row_wins(self, stores):
+        corpus, certs = stores
+        match = certs.revocation_match(("akid-b", 30))
+        assert match.row == 4
+        assert certs.certificate(match.row) == corpus.certificate(4)
+
+    def test_misses_return_none(self, stores):
+        _, certs = stores
+        for key in [("akid-b", 10), ("akid-b", 25), ("akid-b", 41), ("akid-x", 90),
+                    ("akid-bb", 30), ("akid-0", 5)]:
+            assert certs.revocation_match(key) is None, key
 
 
 class TestOpenFailsFast:

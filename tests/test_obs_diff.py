@@ -83,6 +83,15 @@ class TestDiffRuns:
         assert len(up.regressions) == 1
         assert len(down.regressions) == 1
 
+    def test_count_drift_ignores_the_threshold(self):
+        diff = diff_runs(
+            run({"findings_total": 96}),
+            run({"findings_total": 92}),
+            threshold_pct=500.0,
+        )
+        (delta,) = diff.regressions
+        assert delta.kind == COUNT
+
     def test_count_zero_baseline_to_nonzero_is_infinite_drift(self):
         diff = diff_runs(run({"c_total": 0}), run({"c_total": 3}))
         (delta,) = diff.regressions

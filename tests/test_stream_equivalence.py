@@ -155,6 +155,21 @@ class TestBuildsOnlyWhatBatchBuilds:
         assert len(resumed.corpus._hydrated) <= batch_built
 
 
+class TestBatchBuildsOnlyItsFindings:
+    """Every join filters on row columns first: cold batch detection builds
+    exactly the distinct certificates of its findings."""
+
+    def test_cold_batch(self, streamgen_dir):
+        bundle = open_bundle(streamgen_dir)
+        result = MeasurementPipeline.run_bundle(
+            bundle, revocation_cutoff_day=DEFAULT_TIMELINE.revocation_cutoff
+        )
+        emitted = {f.certificate.dedup_fingerprint() for f in result.findings.all_findings()}
+        built = {c.dedup_fingerprint() for c in bundle.corpus._hydrated.values()}
+        assert built == emitted
+        assert len(built) == 554
+
+
 class TestLiveFeed:
     """The live feed, in order, is pinned by digest. Every join queries the
     corpus with its rule's day bound instead of replaying CT entries, so
