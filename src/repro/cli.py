@@ -179,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     save.add_argument(
         "--gen-dns-rows", type=int, default=None, metavar="N",
-        help="DNS observation row budget for --gen-shards (the scan-day "
-        "stride is widened to stay under it; default 4,000,000)",
+        help="DNS observation budget for --gen-shards, counted in "
+        "apex-scan-day observations, not in the runs the bundle stores "
+        "(the scan-day stride is widened to stay under it; default "
+        "4,000,000)",
     )
 
     lifetime = sub.add_parser(

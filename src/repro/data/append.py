@@ -16,8 +16,8 @@ than RAM, so this module provides the append-shaped counterparts:
 * :class:`ExternalSorter` — sorts an unbounded stream of tuples, added
   in batches, with bounded memory (sorted runs spilled to temp files,
   heap-merged on read), producing exactly the order ``sorted()``
-  would. Secondary
-  indexes and the generator's day-ordered DNS rows are built with it.
+  would. Secondary indexes and the generator's (first_day, apex)-ordered
+  DNS runs are built with it.
 
 Peak memory is O(spill threshold x open blobs), not O(rows).
 """

@@ -9,11 +9,12 @@ datasets are rebuilt from their tables here:
 * :func:`synthetic_crls` — one CRL per (issuer, authority key id) from the
   deduplicated revocations table;
 * :class:`DnsColumns` — the §4.3 DNS input, one scan day of Cloudflare
-  delegations at a time from two range reads.
+  delegations at a time from a forward sweep over the DNS runs.
 
 Equality with the in-memory bundle that was saved is positional:
 ``write_dataset`` stores corpus iteration order, first-wins deduplicated
-revocations and day-then-apex DNS rows, so every reconstructed object —
+revocations and (first_day, apex)-ordered DNS runs on the store's scan
+calendar, so every reconstructed object —
 synthetic CRLs included — comes back in a fixed order with the same
 values, and detection over it finds exactly what the in-memory run does.
 A DNS ``records`` cell that is not a JSON object of string lists raises
@@ -24,8 +25,7 @@ first read.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.data.segment import SegmentFormatError
 from repro.dns.records import RecordType
@@ -57,44 +57,103 @@ def synthetic_crls(revocations) -> List[CertificateRevocationList]:
     return crls
 
 
+#: Runs per range read while :class:`DnsColumns` sweeps the dns table.
+_SWEEP_CHUNK = 1024
+
+
 class DnsColumns:
     """The §4.3 DNS input (:class:`~repro.dns.snapshots.CloudflareScans`)
-    over the dns table's (day, apex)-sorted rows: a scan day is the row
-    range that bisecting the ``day`` column finds. An unchanged domain
-    repeats its records JSON every day, so a cell is decoded only when its
-    bytes differ from its apex's last decoded cell: the state is one
-    (cell, Cloudflare targets) pair per apex, whatever the number of days.
+    over the dns table's runs, swept forward along the scan *calendar*.
+
+    Serving a scan day drops the runs that ended on the scan before it and
+    adds the runs that start on it; each run's records cell is decoded and
+    validated once. The state is the current day's apexes (their
+    Cloudflare targets, and the apexes grouped by the day their run ends).
+    A request for an earlier day restarts the sweep from row 0. A run that
+    ends before it starts, a day off the calendar, rows out of (first_day,
+    apex) order and two overlapping runs of one apex each raise
+    :class:`~repro.data.segment.SegmentFormatError` naming the row.
     """
 
-    def __init__(self, dns) -> None:
+    def __init__(self, dns, calendar: List[Day]) -> None:
         self._dns = dns
-        self._last: Dict[str, Tuple[bytes, FrozenSet[str]]] = {}
-        #: Scan day -> its rows (first, last): a few bisection probes a day.
-        self._ranges: Dict[Day, Tuple[int, int]] = {}
-        days, first = dns.column("day"), 0
-        while first < len(days):
-            last = bisect_right(days, days[first], first)
-            self._ranges[days[first]] = (first, last)
-            first = last
+        self._calendar = list(calendar)
+        self._positions = {scan_day: p for p, scan_day in enumerate(self._calendar)}
+        self._rows: Optional[Iterator[Tuple]] = None  # no segment read yet
+        self._position = -1
 
     def __reduce__(self):
         # Pickles as its table: a shard worker maps the segments itself.
-        return (type(self), (self._dns,))
+        return (type(self), (self._dns, self._calendar))
+
+    def _restart(self) -> None:
+        self._rows = self._sweep()
+        self._pending: Optional[Tuple] = next(self._rows, None)
+        self._last_key: Optional[Tuple[Day, str]] = None
+        self._position = -1
+        self._targets: Dict[str, FrozenSet[str]] = {}
+        self._ending: Dict[Day, List[str]] = {}
+
+    def _sweep(self) -> Iterator[Tuple]:
+        """(row, first_day, apex, last_day, records cell), in row order."""
+        dns = self._dns
+        for lo in range(0, dns.rows, _SWEEP_CHUNK):
+            hi = min(lo + _SWEEP_CHUNK, dns.rows)
+            yield from zip(
+                range(lo, hi),
+                dns.column("first_day").read(lo, hi),
+                dns.column("apex").read(lo, hi),
+                dns.column("last_day").read(lo, hi),
+                dns.column("records").read_bytes(lo, hi),
+            )
 
     def days(self) -> List[Day]:
-        return list(self._ranges)
+        return list(self._calendar)
 
     def cloudflare(self, scan_day: Day) -> Dict[str, FrozenSet[str]]:
-        first, last = self._ranges[scan_day]
-        apexes = self._dns.column("apex").read(first, last)
-        cells = self._dns.column("records").read_bytes(first, last)
-        targets: Dict[str, FrozenSet[str]] = {}
-        for row, apex, cell in zip(range(first, last), apexes, cells):
-            decoded = self._last.get(apex)
-            if decoded is None or decoded[0] != cell:
-                decoded = self._last[apex] = (cell, _cloudflare_cell(cell, row))
-            targets[apex] = decoded[1]
-        return targets
+        position = self._positions[scan_day]
+        if self._rows is None or position < self._position:
+            self._restart()
+        while self._position < position:
+            self._position += 1
+            self._advance(self._calendar[self._position])
+        return dict(self._targets)
+
+    def _advance(self, scan_day: Day) -> None:
+        """Move the sweep onto *scan_day*, the next calendar day."""
+        if self._position > 0:
+            ended = self._ending.pop(self._calendar[self._position - 1], ())
+            for apex in ended:
+                del self._targets[apex]
+        while self._pending is not None and self._pending[1] <= scan_day:
+            row, first_day, apex, last_day, cell = self._pending
+            self._check_run(row, first_day, apex, last_day, scan_day)
+            self._targets[apex] = _cloudflare_cell(cell, row)
+            self._ending.setdefault(last_day, []).append(apex)
+            self._last_key = (first_day, apex)
+            self._pending = next(self._rows, None)
+        if self._pending is not None and self._position == len(self._calendar) - 1:
+            # A run left after the last scan day starts off the calendar.
+            self._check_run(*self._pending[:4], scan_day)
+
+    def _check_run(
+        self, row: int, first_day: Day, apex: str, last_day: Day, scan_day: Day
+    ) -> None:
+        problem = None
+        if first_day not in self._positions:
+            problem = f"first_day {first_day} is not a scan day"
+        elif last_day not in self._positions:
+            problem = f"last_day {last_day} is not a scan day"
+        elif last_day < first_day:
+            problem = "run ends before it starts"
+        elif first_day < scan_day or (
+            self._last_key is not None and (first_day, apex) <= self._last_key
+        ):
+            problem = "runs are not in (first_day, apex) order"
+        elif apex in self._targets:
+            problem = f"run overlaps an earlier run of {apex!r}"
+        if problem is not None:
+            raise SegmentFormatError(f"dns table row {row}: {problem}")
 
 
 def _cloudflare_cell(cell: bytes, row: int) -> FrozenSet[str]:

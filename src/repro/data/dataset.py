@@ -12,19 +12,23 @@ handle                 purpose
                        served by the ``revkey``/``e2ld``/``managed`` indexes
 ``dataset.revocations``  deduplicated CRL entries with issuer/akid
 ``dataset.whois``      (domain, creation day) pairs
-``dataset.dns``        per-(day, apex) record observations
+``dataset.dns``        DNS runs: (first_day, apex, last_day, records), one
+                       per apex per stretch of unchanged scan days, dated
+                       on ``dataset.dns_calendar`` (the scan days)
 =====================  ===================================================
 
-Every table supports ``scan(columns, day_range=...)`` (zone-map pruned),
-``lookup(index, key)`` (sorted secondary index, binary search) and
-``interval_query(lo, hi)`` (sorted interval index). Row ids are global
-and stable; ``column(name)`` reads one cell (``table.locate(row)``) or
-one ``read(lo, hi)`` range, walking only the segments it overlaps.
+Every table supports ``scan(columns, day_range=...)`` (zone-map pruned);
+the certs table adds ``lookup(index, key)`` (sorted secondary index,
+binary search) and ``interval_query(lo, hi)`` (sorted interval index).
+Row ids are global and stable; ``column(name)`` reads one cell
+(``table.locate(row)``) or one ``read(lo, hi)`` range, walking only the
+segments it overlaps.
 
 On-disk layout::
 
     bundle-dir/
-      dataset.json            # format marker, windows, table + index map
+      dataset.json            # format marker, windows, table + index map,
+                              # the DNS scan calendar
       certs-000.seg ...       # table segments (rows_per_segment chunks)
       revocations-000.seg ...
       whois-000.seg ...
@@ -32,7 +36,7 @@ On-disk layout::
       idx-certs-revkey.seg    # sorted (authority_key_id, serial, row)
       idx-certs-e2ld.seg      # sorted (e2ld, row)
       idx-certs-managed.seg   # ascending rows of CDN-managed certificates
-      idx-<table>-interval.seg  # sorted (start, end, row)
+      idx-certs-interval.seg  # sorted (not_before, not_after, row)
 
 A missing directory or file raises ``OSError``; a malformed manifest or
 segment raises ``ValueError``, which the CLI maps to exit code 2.
@@ -59,7 +63,7 @@ from repro.util.dates import Day
 
 DATASET_MANIFEST = "dataset.json"
 FORMAT_NAME = "repro-columnar"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Default horizontal chunking of table segments. Small enough that zone
 #: maps prune day-windowed scans, large enough that per-segment overhead
@@ -69,6 +73,14 @@ DEFAULT_ROWS_PER_SEGMENT = 65536
 
 def _manifest_error(directory: str, problem: str) -> SegmentFormatError:
     return SegmentFormatError(f"{directory}: corrupt dataset manifest: {problem}")
+
+
+def _calendar(spec: Any) -> List[Day]:
+    """The dns table's scan calendar: strictly ascending integer days."""
+    ascending = isinstance(spec, list) and all(type(day) is int for day in spec)
+    if not ascending or any(later <= earlier for earlier, later in zip(spec, spec[1:])):
+        raise ValueError("dns calendar is not a list of ascending days")
+    return spec
 
 
 class Table:
@@ -460,17 +472,20 @@ def _open_segment(directory: str, filename: str) -> Segment:
 
 
 class Dataset:
-    """A columnar bundle: four typed tables plus observation windows."""
+    """A columnar bundle: four typed tables, observation windows and the
+    DNS scan calendar."""
 
     def __init__(
         self,
         tables: Dict[str, Table],
         windows: Dict[StalenessClass, Tuple[Day, Day]],
         directory: str,
+        dns_calendar: Sequence[Day] = (),
     ) -> None:
         self._tables = tables
         self.windows = windows
         self.directory = directory
+        self.dns_calendar = list(dns_calendar)
 
     @classmethod
     def open(cls, directory: str) -> "Dataset":
@@ -505,9 +520,10 @@ class Dataset:
                 StalenessClass(value): (window[0], window[1])
                 for value, window in manifest.get("windows", {}).items()
             }
+            dns_calendar = _calendar(manifest["tables"][schema.DNS_TABLE]["calendar"])
         except (KeyError, TypeError, ValueError) as error:
             raise _manifest_error(directory, repr(error)) from error
-        dataset = cls(tables, windows, directory=directory)
+        dataset = cls(tables, windows, directory=directory, dns_calendar=dns_calendar)
         try:
             for table in tables.values():
                 table.ensure_open()
@@ -539,15 +555,17 @@ class Dataset:
 
     def to_bundle(self) -> DatasetBundle:
         """The bundle the engines run on: the certs table is its corpus,
-        CRLs are rebuilt per (issuer, akid) and the DNS input reads one
-        scan day of Cloudflare delegations at a time. It shares this
-        dataset's mappings, so the dataset must stay open while the bundle
-        is used."""
+        CRLs are rebuilt per (issuer, akid) and the DNS input sweeps the
+        runs forward, one scan day of Cloudflare delegations at a time. It
+        shares this dataset's mappings, so the dataset must stay open while
+        the bundle is used."""
         return DatasetBundle(
             corpus=self.certs,
             crls=synthetic_crls(self.revocations),
             whois_creation_pairs=self.whois.pairs(),
-            dns_snapshots=DnsColumns(self.dns) if self.dns.rows else None,
+            dns_snapshots=(
+                DnsColumns(self.dns, self.dns_calendar) if self.dns_calendar else None
+            ),
             windows=dict(self.windows),
         )
 
@@ -587,19 +605,27 @@ def _deduplicated_revocation_rows(crls) -> Iterator[Tuple[str, str, int, int, st
             )
 
 
-def _dns_rows(store) -> Iterator[Tuple[Day, str, Dict[str, List[str]]]]:
-    """(day, apex, records) rows of a SnapshotStore, (day, apex)-sorted."""
+def _dns_rows(store) -> List[Tuple[Day, str, Day, Dict[str, List[str]]]]:
+    """The (first_day, apex, last_day, records) runs of a SnapshotStore,
+    (first_day, apex)-sorted: an apex's run goes on while consecutive
+    scans observe it with equal records."""
     if store is None:
-        return
+        return []
+    runs: List[List[Any]] = []
+    previous: Dict[str, List[Any]] = {}  # apex -> its run on the previous scan
     for scan_day in store.days():
-        snapshot = store.get(scan_day)
-        for apex in sorted(snapshot.apexes()):
-            observation = snapshot.get(apex)
-            yield (
-                scan_day,
-                apex,
-                {key: sorted(value) for key, value in observation.rdatas.items()},
-            )
+        current = {}
+        for apex, observation in store.get(scan_day).observations().items():
+            records = {key: sorted(value) for key, value in observation.rdatas.items()}
+            run = previous.get(apex)
+            if run is None or run[3] != records:
+                run = [scan_day, apex, scan_day, records]
+                runs.append(run)
+            run[2] = scan_day
+            current[apex] = run
+        previous = current
+    runs.sort(key=lambda run: (run[0], run[1]))
+    return [tuple(run) for run in runs]
 
 
 def write_dataset(
@@ -615,8 +641,12 @@ def write_dataset(
     """
     from repro.data.streamwrite import StreamingDatasetWriter
 
+    store = bundle.dns_snapshots
     writer = StreamingDatasetWriter(
-        directory, bundle.windows, rows_per_segment=rows_per_segment
+        directory,
+        bundle.windows,
+        rows_per_segment=rows_per_segment,
+        dns_calendar=store.days() if store is not None else (),
     )
     try:
         writer.extend(
@@ -627,7 +657,7 @@ def write_dataset(
             schema.REVOCATIONS_TABLE, _deduplicated_revocation_rows(bundle.crls)
         )
         writer.extend(schema.WHOIS_TABLE, bundle.whois_creation_pairs)
-        writer.extend(schema.DNS_TABLE, _dns_rows(bundle.dns_snapshots))
+        writer.extend(schema.DNS_TABLE, _dns_rows(store))
         return writer.finish()
     except BaseException:
         writer.close()
@@ -659,7 +689,7 @@ def check_equivalent(left_dir: str, right_dir: str) -> List[str]:
     """
     with Dataset.open(left_dir) as left_dataset, Dataset.open(right_dir) as right_dataset:
         problems = _bundle_problems(left_dataset.to_bundle(), right_dataset.to_bundle())
-        problems.extend(_dns_problems(left_dataset.dns, right_dataset.dns))
+        problems.extend(_dns_problems(left_dataset, right_dataset))
         return problems
 
 
@@ -702,12 +732,15 @@ def _bundle_problems(left: DatasetBundle, right: DatasetBundle) -> List[str]:
     return problems
 
 
-def _dns_problems(left: Table, right: Table) -> List[str]:
-    """Compare two dns tables row by row: (day, apex, decoded records)."""
-    if left.rows != right.rows:
-        return [f"DNS row count differs: {left.rows} vs {right.rows}"]
-    columns = ("day", "apex", "records")
-    for (row, ours), (_, theirs) in zip(left.scan(columns), right.scan(columns)):
+def _dns_problems(left: Dataset, right: Dataset) -> List[str]:
+    """Compare two DNS scan calendars, then the run tables row by row:
+    (first_day, apex, last_day, decoded records)."""
+    if left.dns_calendar != right.dns_calendar:
+        return ["DNS scan calendars differ"]
+    if left.dns.rows != right.dns.rows:
+        return [f"DNS run count differs: {left.dns.rows} vs {right.dns.rows}"]
+    columns = tuple(name for name, _ in schema.COLUMNS[schema.DNS_TABLE])
+    for (row, ours), (_, theirs) in zip(left.dns.scan(columns), right.dns.scan(columns)):
         if ours != theirs:
-            return [f"DNS row {row} differs: {ours[:2]!r} vs {theirs[:2]!r}"]
+            return [f"DNS run {row} differs: {ours[:3]!r} vs {theirs[:3]!r}"]
     return []

@@ -1,7 +1,7 @@
 """Table schemas: how bundle objects map onto columnar segments.
 
 One schema per dataset of paper Table 3 — certificates, revocation
-entries, WHOIS creation pairs, DNS snapshot observations. Each schema
+entries, WHOIS creation pairs, DNS delegation runs. Each schema
 declares its column kinds (``i64`` / ``str`` / ``json``), the interval
 columns its day-range queries sweep, and the row↔object codecs:
 :func:`certificate_row` projects a certificate into a row for the
@@ -16,6 +16,13 @@ The certificates table carries one *derived* column, ``e2lds`` (the
 sorted registered-domain list per certificate), so the shard
 partitioner and the e2LD secondary index never have to hydrate a
 ``Certificate`` just to learn its routing keys.
+
+The dns table stores *runs*: one row ``(first_day, apex, last_day,
+records)`` per apex per maximal stretch of consecutive scan days on
+which the apex was observed with identical records, in (first_day,
+apex) order. Consecutive means adjacent on the scan calendar (the days
+a scan ran), which the manifest stores once; a day the apex was not
+observed ends its run.
 """
 
 from __future__ import annotations
@@ -34,12 +41,13 @@ DNS_TABLE = "dns"
 
 TABLE_NAMES = (CERTS_TABLE, REVOCATIONS_TABLE, WHOIS_TABLE, DNS_TABLE)
 
-#: (start column, end column) swept by each table's ``interval_query``.
+#: (start column, end column) of each table's rows, swept by day-windowed
+#: ``scan``s and the certs ``interval`` index.
 INTERVAL_COLUMNS: Dict[str, Tuple[str, str]] = {
     CERTS_TABLE: ("not_before", "not_after"),
     REVOCATIONS_TABLE: ("revocation_day", "revocation_day"),
     WHOIS_TABLE: ("creation_day", "creation_day"),
-    DNS_TABLE: ("day", "day"),
+    DNS_TABLE: ("first_day", "last_day"),
 }
 
 #: column name -> kind, per table, in written order.
@@ -77,8 +85,9 @@ COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("creation_day", "i64"),
     ),
     DNS_TABLE: (
-        ("day", "i64"),
+        ("first_day", "i64"),
         ("apex", "str"),
+        ("last_day", "i64"),  # inclusive, on the scan calendar
         ("records", "json"),  # record-type value -> sorted rdata list
     ),
 }

@@ -38,7 +38,8 @@ from repro.data.dataset import (
 )
 from repro.data.segment import SegmentWriter
 
-#: Key columns per (table, index).
+#: Key columns per (table, index). Only the certs table is indexed: the
+#: other tables are read whole or swept in row order.
 INDEX_KEY_COLUMNS: Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]] = {
     schema.CERTS_TABLE: {
         "revkey": (("authority_key_id", "str"), ("serial", "i64")),
@@ -46,15 +47,9 @@ INDEX_KEY_COLUMNS: Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]] = {
         "managed": (),
         "interval": (("start", "i64"), ("end", "i64")),
     },
-    schema.REVOCATIONS_TABLE: {
-        "interval": (("start", "i64"), ("end", "i64")),
-    },
-    schema.WHOIS_TABLE: {
-        "interval": (("start", "i64"), ("end", "i64")),
-    },
-    schema.DNS_TABLE: {
-        "interval": (("start", "i64"), ("end", "i64")),
-    },
+    schema.REVOCATIONS_TABLE: {},
+    schema.WHOIS_TABLE: {},
+    schema.DNS_TABLE: {},
 }
 
 _CERT_COL = {name: i for i, (name, _) in enumerate(schema.COLUMNS[schema.CERTS_TABLE])}
@@ -64,10 +59,6 @@ _SERIAL_IDX = _CERT_COL["serial"]
 _NOT_BEFORE_IDX = _CERT_COL["not_before"]
 _NOT_AFTER_IDX = _CERT_COL["not_after"]
 _E2LDS_IDX = _CERT_COL["e2lds"]
-
-
-#: The day column of each single-day table's ``interval`` index.
-_DAY_COLUMN = {schema.REVOCATIONS_TABLE: 3, schema.WHOIS_TABLE: 1, schema.DNS_TABLE: 0}
 
 #: Rows encoded per batch, for table segments and index segments alike.
 BATCH_ROWS = 4096
@@ -87,8 +78,10 @@ def index_entries(
     numbered from *first_row_id*: the one definition of every secondary
     index's entries (and of the CDN-managed predicate the ``managed``
     index applies)."""
-    numbered = list(zip(range(first_row_id, first_row_id + len(rows)), rows))
+    if table not in INDEX_KEY_COLUMNS:
+        raise ValueError(f"unknown table {table!r}")
     if table == schema.CERTS_TABLE:
+        numbered = list(zip(range(first_row_id, first_row_id + len(rows)), rows))
         return {
             "revkey": [(row[_AKID_IDX], row[_SERIAL_IDX], i) for i, row in numbered],
             "e2ld": [(e2ld, i) for i, row in numbered for e2ld in row[_E2LDS_IDX]],
@@ -99,14 +92,23 @@ def index_entries(
                 (row[_NOT_BEFORE_IDX], row[_NOT_AFTER_IDX], i) for i, row in numbered
             ],
         }
-    if table not in _DAY_COLUMN:
-        raise ValueError(f"unknown table {table!r}")
-    day = _DAY_COLUMN[table]
-    return {"interval": [(row[day], row[day], i) for i, row in numbered]}
+    return {}
 
 
 def _windows_spec(windows) -> Dict[str, List[int]]:
     return {cls.value: list(window) for cls, window in windows.items()}
+
+
+def _manifest(windows, tables_spec: Dict[str, Any], dns_calendar) -> Dict[str, Any]:
+    """The ``dataset.json`` contents; the scan calendar rides with the dns
+    table it dates."""
+    tables_spec[schema.DNS_TABLE]["calendar"] = list(dns_calendar)
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "windows": _windows_spec(windows),
+        "tables": tables_spec,
+    }
 
 
 def _write_manifest(directory: str, manifest: Dict[str, Any]) -> None:
@@ -174,8 +176,9 @@ class StreamingDatasetWriter:
 
     Rows must arrive in each table's canonical order (certificates in
     corpus order, revocations deduplicated, WHOIS pairs in span order,
-    DNS globally (day, apex)-sorted — the lazy snapshot reader requires
-    day-contiguous rows). Cross-table interleaving is free.
+    DNS runs globally (first_day, apex)-sorted — the DNS reader sweeps
+    them forward). Cross-table interleaving is free. *dns_calendar* is
+    the ascending scan days the DNS runs are dated on.
     """
 
     def __init__(
@@ -183,10 +186,12 @@ class StreamingDatasetWriter:
         directory: str,
         windows,
         rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
+        dns_calendar: Sequence[int] = (),
     ) -> None:
         os.makedirs(directory, exist_ok=True)
         self._directory = directory
         self._windows = windows
+        self._dns_calendar = list(dns_calendar)
         self._tables = {
             name: _RollingTable(directory, name, rows_per_segment)
             for name in schema.TABLE_NAMES
@@ -232,13 +237,9 @@ class StreamingDatasetWriter:
                 "segments": segments,
                 "indexes": index_files,
             }
-        manifest = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "windows": _windows_spec(self._windows),
-            "tables": tables_spec,
-        }
-        _write_manifest(self._directory, manifest)
+        _write_manifest(
+            self._directory, _manifest(self._windows, tables_spec, self._dns_calendar)
+        )
         return {name: spec["rows"] for name, spec in tables_spec.items()}
 
     def close(self) -> None:
@@ -308,6 +309,7 @@ def write_rows_dataset(
     windows,
     directory: str,
     rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
+    dns_calendar: Sequence[int] = (),
 ) -> Dict[str, int]:
     """Materialised reference encoder over the same schema-shaped rows.
 
@@ -345,11 +347,5 @@ def write_rows_dataset(
                 for index_name, (filename, _) in indexes.items()
             },
         }
-    manifest = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "windows": _windows_spec(windows),
-        "tables": tables_spec,
-    }
-    _write_manifest(directory, manifest)
+    _write_manifest(directory, _manifest(windows, tables_spec, dns_calendar))
     return {name: spec["rows"] for name, spec in tables_spec.items()}

@@ -9,6 +9,9 @@ and departure, background and breach revocations, daily DNS delegation
 snapshots, WHOIS visibility — as a **per-domain decomposable** process
 that streams schema-shaped rows straight into the columnar data plane
 (:mod:`repro.data.streamwrite`), so peak RSS is O(shard), not O(world).
+A domain's DNS observations leave as runs: one row per stretch of
+consecutive scan days (``GenPlan.dns_days``, the bundle's scan calendar)
+with unchanged records, ended by a scan loss or a delegation change.
 
 Determinism and population-invariance come from labelled RNG forks
 instead of one shared sequential stream:
@@ -61,8 +64,9 @@ from repro.util.dates import Day
 from repro.util.rng import RngStream, split_seed
 from repro.whois.lifecycle import release_day as lifecycle_release_day
 
-#: Default cap on emitted DNS observation rows; the scan-day stride is
-#: chosen deterministically from the planned population to stay under it.
+#: Default cap on DNS observations (apex-scan-day pairs, not the stored
+#: runs they coalesce into); the scan-day stride is chosen
+#: deterministically from the planned population to stay under it.
 DEFAULT_DNS_ROW_BUDGET = 4_000_000
 
 #: Rough share of ever-registered domains still alive during the 2022
@@ -296,12 +300,6 @@ class GenContext:
             return 0.0, 0.0
         _, p_kc, p_other = self._rate_eras[position]
         return p_kc, p_other
-
-    def dns_days_between(self, lo: Day, hi: Day) -> Sequence[Day]:
-        days = self.plan.dns_days
-        left = bisect_left(days, lo)
-        right = bisect_right(days, hi)
-        return days[left:right]
 
 
 def _stable_ip(name: str, generation: int) -> str:
@@ -670,14 +668,22 @@ class _DomainEmitter:
                     (f"ns1.{phase.ns_base}", f"ns2.{phase.ns_base}")
                 ),
             }
-        seed = self.ctx.seed
-        for scan_day in self.ctx.dns_days_between(phase.start, phase.end):
+        seed, days, dns = self.ctx.seed, self.ctx.plan.dns_days, self.dns
+        lo, hi = bisect_left(days, phase.start), bisect_right(days, phase.end)
+        for position in range(lo, hi):
+            scan_day = days[position]
             if loss_rate > 0 and (
                 _hash_uniform(seed, "streamgen", "dns-loss", self.name, str(scan_day))
                 < loss_rate
             ):
                 continue  # transient lookup failure: absent from the day
-            self.dns.append((scan_day, self.name, records))
+            # The run goes on when the previous scan saw the same records
+            # (phases and spans meet, so it may have begun in an earlier one).
+            run = dns[-1] if position and dns else None
+            if run is not None and run[2] == days[position - 1] and run[3] == records:
+                dns[-1] = (run[0], self.name, scan_day, records)
+            else:
+                dns.append((scan_day, self.name, scan_day, records))
 
 
 def emit_domain(ctx: GenContext, index: int) -> _DomainEmitter:
@@ -711,8 +717,8 @@ def shard_rows(
     on_progress: Optional[ProgressCallback] = None,
 ) -> Iterator[Tuple[str, List[Tuple]]]:
     """Stream one shard's certs/revocations/whois batches, in canonical
-    (domain-index-major) order; DNS rows go into *dns_sorter* for the
-    global (day, apex) sort.
+    (domain-index-major) order; DNS runs go into *dns_sorter* for the
+    global (first_day, apex) sort.
 
     *on_progress*, when given, is invoked every
     :data:`PROGRESS_EVERY_DOMAINS` domains (and at shard end) with the
@@ -759,7 +765,7 @@ def stream_rows(
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> Iterator[Tuple[str, List[Tuple]]]:
     """In-process row stream: all shards' lifecycle rows (in shard
-    order), then globally (day, apex)-merged DNS batches.
+    order), then globally (first_day, apex)-merged DNS run batches.
 
     Shard count never changes the emitted rows — only which worker
     computes them — so any K yields an identical stream.
@@ -823,7 +829,7 @@ def save_streamed(
     """Stream-generate a world straight into a columnar bundle.
 
     Peak RSS is O(shard + segment): per-domain state is discarded after
-    emission, DNS rows and index entries live in spill files, and table
+    emission, DNS runs and index entries live in spill files, and table
     segments roll every 64Ki rows. Returns per-table row counts.
     """
     from repro.data.dataset import DEFAULT_ROWS_PER_SEGMENT
@@ -852,6 +858,7 @@ def save_streamed(
         directory,
         world_windows(config),
         rows_per_segment=rows_per_segment or DEFAULT_ROWS_PER_SEGMENT,
+        dns_calendar=ctx.plan.dns_days,
     )
     try:
         with span("gen_stream", shards=shards, domains=ctx.plan.total_domains):
@@ -897,4 +904,5 @@ def save_materialized(
         world_windows(config),
         directory,
         rows_per_segment=rows_per_segment or DEFAULT_ROWS_PER_SEGMENT,
+        dns_calendar=ctx.plan.dns_days,
     )

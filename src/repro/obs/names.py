@@ -91,7 +91,7 @@ GEN_SHARDS_HELP = "Shard count used by the streaming world generator."
 
 GEN_DNS_STRIDE = "repro_gen_dns_stride"
 GEN_DNS_STRIDE_HELP = (
-    "Scan-day stride chosen to keep DNS rows within the row budget "
+    "Scan-day stride chosen to keep DNS observations within the budget "
     "(1 = every day in the scan window)."
 )
 

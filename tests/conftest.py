@@ -133,3 +133,20 @@ def make_cert(
 @pytest.fixture()
 def cert_factory():
     return make_cert
+
+
+def assert_maximal_runs(calendar, rows):
+    """DNS run *rows* on *calendar* are in (first_day, apex) order, and no
+    run continues its apex's run before it."""
+    position = {scan_day: i for i, scan_day in enumerate(calendar)}
+    assert [row[:2] for row in rows] == sorted(row[:2] for row in rows)
+    last = {}
+    for first_day, apex, last_day, records in rows:
+        assert position[first_day] <= position[last_day]
+        before = last.get(apex)
+        if before is not None:
+            assert position[before[0]] < position[first_day]
+            assert not (
+                position[before[0]] + 1 == position[first_day] and before[1] == records
+            ), f"{apex} run at {first_day} continues its previous run"
+        last[apex] = (last_day, records)

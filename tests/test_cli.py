@@ -624,43 +624,98 @@ class TestWatchCorruptCheckpoint:
         assert "malformed 'cursor_day'" in err
 
 
+_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [
+        ["detect", "--workers", "1"],
+        ["detect", "--workers", "2"],
+        ["watch"],
+    ],
+    ids=["detect-workers-1", "detect-workers-2", "watch"],
+)
+
+
+def _malformed_dns_bundle(directory, runs):
+    """One managed certificate for cust.com and the given DNS runs, on a
+    two-day scan calendar (2022-06-01, 2022-06-02)."""
+    from repro.data import StreamingDatasetWriter, schema
+    from repro.util.dates import day
+    from tests.conftest import make_cert
+
+    certificate = make_cert(
+        sans=("sni1.cloudflaressl.com", "cust.com"), not_before=day(2022, 1, 1)
+    )
+    writer = StreamingDatasetWriter(
+        directory, {}, dns_calendar=[day(2022, 6, 1), day(2022, 6, 2)]
+    )
+    writer.append(schema.CERTS_TABLE, schema.certificate_row(certificate))
+    writer.extend(schema.DNS_TABLE, runs)
+    writer.finish()
+    return directory
+
+
 class TestMalformedDnsCell:
-    """A DNS ``records`` cell that is not an object of string lists is bad
-    input, which every command that reads it reports as exit 2."""
+    """A DNS ``records`` cell that is not an object of string lists, a run
+    that overlaps an earlier run of its apex and a version-1 bundle are bad
+    input, which every command that reads them reports as exit 2."""
 
     @pytest.fixture(scope="class")
     def bundle_dir(self, tmp_path_factory):
-        from repro.data import StreamingDatasetWriter, schema
         from repro.util.dates import day
-        from tests.conftest import make_cert
 
-        directory = str(tmp_path_factory.mktemp("malformed-dns") / "bundle")
-        certificate = make_cert(
-            sans=("sni1.cloudflaressl.com", "cust.com"), not_before=day(2022, 1, 1)
-        )
-        writer = StreamingDatasetWriter(directory, {})
-        writer.append(schema.CERTS_TABLE, schema.certificate_row(certificate))
-        writer.extend(
-            schema.DNS_TABLE,
+        june1, june2 = day(2022, 6, 1), day(2022, 6, 2)
+        return _malformed_dns_bundle(
+            str(tmp_path_factory.mktemp("malformed-dns") / "bundle"),
             [
-                (day(2022, 6, 1), "cust.com", {"NS": ["ada.ns.cloudflare.com"]}),
-                (day(2022, 6, 2), "cust.com", {"NS": 5}),  # the writer accepts it
+                (june1, "cust.com", june1, {"NS": ["ada.ns.cloudflare.com"]}),
+                (june2, "cust.com", june2, {"NS": 5}),  # the writer accepts it
             ],
         )
-        writer.finish()
-        return directory
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["detect", "--workers", "1"],
-            ["detect", "--workers", "2"],
-            ["watch"],
-        ],
-        ids=["detect-workers-1", "detect-workers-2", "watch"],
-    )
+    @pytest.fixture(scope="class")
+    def overlap_dir(self, tmp_path_factory):
+        from repro.util.dates import day
+
+        june1, june2 = day(2022, 6, 1), day(2022, 6, 2)
+        return _malformed_dns_bundle(
+            str(tmp_path_factory.mktemp("overlapping-runs") / "bundle"),
+            [
+                (june1, "cust.com", june2, {"NS": ["ada.ns.cloudflare.com"]}),
+                (june2, "cust.com", june2, {"NS": ["ns1.other.net"]}),
+            ],
+        )
+
+    @_COMMANDS
     def test_exits_2_without_traceback(self, bundle_dir, command, capsys):
         assert main(command + ["--bundle", bundle_dir]) == 2
         err = capsys.readouterr().err
         assert "error: dns table row 1: records cell" in err
+        assert "Traceback" not in err
+
+    @_COMMANDS
+    def test_overlapping_run_exits_2_without_traceback(
+        self, overlap_dir, command, capsys
+    ):
+        assert main(command + ["--bundle", overlap_dir]) == 2
+        err = capsys.readouterr().err
+        assert "error: dns table row 1: run overlaps an earlier run" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["detect"], ["watch"]], ids=["detect", "watch"])
+    def test_version_1_bundle_exits_2(self, overlap_dir, command, tmp_path, capsys):
+        import shutil
+
+        from repro.data import DATASET_MANIFEST
+
+        directory = str(tmp_path / "v1")
+        shutil.copytree(overlap_dir, directory)
+        manifest_path = f"{directory}/{DATASET_MANIFEST}"
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["version"] = 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        assert main(command + ["--bundle", directory]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported version 1" in err
         assert "Traceback" not in err

@@ -10,16 +10,30 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.strategies import (
+    composite,
+    dictionaries,
+    integers,
+    lists,
+    sampled_from,
+)
 
 from repro.data import (
     DATASET_MANIFEST,
     Dataset,
     SegmentFormatError,
+    StreamingDatasetWriter,
     open_bundle,
+    schema,
     write_dataset,
 )
+from repro.dns.records import RecordType
+from tests.conftest import assert_maximal_runs
 
 ROWS_PER_SEGMENT = 64
 
@@ -42,23 +56,167 @@ def dataset(dataset_dir):
         yield handle
 
 
+#: Record sets an apex flips between (two share Cloudflare targets).
+_RECORDS = (
+    {"NS": ["ada.ns.cloudflare.com", "bob.ns.cloudflare.com"]},
+    {"NS": ["ns1.other.net", "ns2.other.net"], "A": ["198.51.0.1"]},
+    {"CNAME": ["cust.cdn.cloudflare.com"], "NS": ["ada.ns.cloudflare.com"]},
+)
+
+
+@composite
+def _scan_worlds(draw):
+    """A calendar of 1-8 scan days and, per day, the observed apexes'
+    record-set choices; an apex missing from a day is a lost lookup."""
+    gaps = draw(lists(integers(1, 3), min_size=1, max_size=8))
+    calendar = [19000 + sum(gaps[: i + 1]) for i in range(len(gaps))]
+    apexes = ("a.com", "b.com", "c.com")
+    observed = {
+        scan_day: draw(
+            dictionaries(sampled_from(apexes), integers(0, len(_RECORDS) - 1))
+        )
+        for scan_day in calendar
+    }
+    return calendar, observed
+
+
+def _store(calendar, observed):
+    from repro.dns.snapshots import DailySnapshot, SnapshotStore
+
+    store = SnapshotStore()
+    for scan_day in calendar:
+        snapshot = DailySnapshot(scan_day)
+        for apex, choice in observed[scan_day].items():
+            for rtype, values in _RECORDS[choice].items():
+                snapshot.observe(apex, RecordType(rtype), values)
+        store.put(snapshot)
+    return store
+
+
 class TestDnsColumns:
-    """The §4.3 DNS input read from the dns table (64-row segments, so a
-    scan day's rows span segments)."""
+    """The §4.3 DNS input swept from the dns table's runs (64-row
+    segments, so the sweep's range reads span segments)."""
 
     def test_every_day_equals_the_in_memory_store(self, dataset, bundle):
         scans = dataset.to_bundle().dns_snapshots
         store = bundle.dns_snapshots
         assert scans.days() == store.days()
-        # Backwards: what a cell decodes to never depends on read order.
+        # Backwards: every earlier day restarts the sweep.
         for scan_day in reversed(store.days()):
             assert scans.cloudflare(scan_day) == store.cloudflare(scan_day)
 
-    def test_state_is_one_entry_per_apex(self, dataset):
+    def test_state_is_one_entry_per_apex(self, dataset, bundle):
+        """The state holds only the current day's apexes: one target set
+        per apex observed on it, each filed under the day its run ends."""
         scans = dataset.to_bundle().dns_snapshots
+        store = bundle.dns_snapshots
         for scan_day in scans.days():
             scans.cloudflare(scan_day)
-        assert len(scans._last) == len(set(dataset.dns.column("apex")))
+            assert set(scans._targets) == store.get(scan_day).apexes()
+            ending = [apex for apexes in scans._ending.values() for apex in apexes]
+            assert sorted(ending) == sorted(scans._targets)
+
+    def test_runs_are_fewer_than_observations(self, dataset, bundle):
+        store = bundle.dns_snapshots
+        observations = sum(len(store.get(scan_day)) for scan_day in store.days())
+        assert 0 < len(dataset.dns) < observations
+        assert dataset.dns_calendar == store.days()
+
+    @settings(max_examples=60, deadline=None)
+    @given(world=_scan_worlds())
+    @example(  # gap, comeback with the same records, flip-flop, empty day
+        world=(
+            [10, 11, 12, 14, 15, 16],
+            {
+                10: {"a.com": 0, "b.com": 1},
+                11: {"b.com": 2},
+                12: {"a.com": 0, "b.com": 1},
+                14: {},
+                15: {"a.com": 0, "b.com": 2},
+                16: {"a.com": 1, "b.com": 2},
+            },
+        )
+    )
+    def test_sweep_equals_the_store_in_any_order(self, world):
+        from repro.core.pipeline import DatasetBundle
+        from repro.ct.dedup import CertificateCorpus
+
+        store = _store(*world)
+        with tempfile.TemporaryDirectory() as directory, mock.patch(
+            "repro.data.bundle._SWEEP_CHUNK", 3
+        ):
+            write_dataset(
+                DatasetBundle(corpus=CertificateCorpus(), dns_snapshots=store),
+                directory,
+                rows_per_segment=2,
+            )
+            with Dataset.open(directory) as dataset:
+                columns = [name for name, _ in schema.COLUMNS[schema.DNS_TABLE]]
+                assert_maximal_runs(
+                    dataset.dns_calendar,
+                    [values for _, values in dataset.dns.scan(columns)],
+                )
+                scans = dataset.to_bundle().dns_snapshots
+                assert scans.days() == store.days()
+                for order in (store.days(), store.days()[::-1]):
+                    for scan_day in order:
+                        assert scans.cloudflare(scan_day) == store.cloudflare(scan_day)
+
+
+class TestMalformedRuns:
+    """A dns table whose runs break the layout raises SegmentFormatError
+    naming the row, when the sweep reaches it."""
+
+    CALENDAR = [10, 11, 12, 14]
+    NS = {"NS": ["ada.ns.cloudflare.com"]}
+
+    def _sweep(self, tmp_path, rows):
+        directory = str(tmp_path / "bundle")
+        writer = StreamingDatasetWriter(directory, {}, dns_calendar=self.CALENDAR)
+        writer.extend(schema.DNS_TABLE, rows)
+        writer.finish()
+        with Dataset.open(directory) as dataset:
+            scans = dataset.to_bundle().dns_snapshots
+            for scan_day in scans.days():
+                scans.cloudflare(scan_day)
+
+    def _raises(self, tmp_path, rows, message):
+        with pytest.raises(SegmentFormatError, match=message):
+            self._sweep(tmp_path, rows)
+
+    def test_well_formed_runs_sweep(self, tmp_path):
+        self._sweep(
+            tmp_path,
+            [(10, "a.com", 11, self.NS), (10, "b.com", 14, {}), (12, "a.com", 14, {})],
+        )
+
+    def test_run_ending_before_it_starts(self, tmp_path):
+        rows = [(10, "a.com", 10, self.NS), (12, "b.com", 11, self.NS)]
+        self._raises(tmp_path, rows, r"dns table row 1: run ends before it starts")
+
+    @pytest.mark.parametrize(
+        "run", [(13, "b.com", 14), (15, "b.com", 15), (11, "b.com", 13)],
+        ids=["first-day-in-a-gap", "first-day-after-the-calendar", "last-day-in-a-gap"],
+    )
+    def test_day_off_the_calendar(self, tmp_path, run):
+        rows = [(10, "a.com", 10, self.NS), run + (self.NS,)]
+        self._raises(tmp_path, rows, r"dns table row 1: (first|last)_day \d+ is not a scan day")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(11, "a.com", 11, {}), (10, "b.com", 10, {})],
+            [(10, "b.com", 10, {}), (10, "a.com", 10, {})],
+            [(10, "a.com", 10, {}), (10, "a.com", 10, {})],
+        ],
+        ids=["first-day-descends", "apex-descends", "duplicate-key"],
+    )
+    def test_rows_out_of_order(self, tmp_path, rows):
+        self._raises(tmp_path, rows, r"dns table row 1: runs are not in \(first_day, apex\) order")
+
+    def test_overlapping_runs_of_one_apex(self, tmp_path):
+        rows = [(10, "a.com", 12, self.NS), (11, "b.com", 11, {}), (12, "a.com", 14, {})]
+        self._raises(tmp_path, rows, r"dns table row 2: run overlaps an earlier run of 'a.com'")
 
 
 class TestOpen:
@@ -197,7 +355,7 @@ class TestRangeReads:
             assert [json.loads(cell) for cell in raw] == column.read(lo, hi)
 
     def test_iteration_equals_cell_reads(self, dataset):
-        column = dataset.dns.column("day")
+        column = dataset.dns.column("first_day")
         assert list(column) == [column[row] for row in range(len(column))]
 
     def test_locate_finds_the_owning_segment(self, dataset):
@@ -412,15 +570,37 @@ class TestOpenFailsFast:
         with pytest.raises(SegmentFormatError):
             Dataset.open(broken)
 
-    def test_unknown_format_version(self, dataset_dir, tmp_path):
+    def _edit_manifest(self, dataset_dir, tmp_path, edit):
         broken = self._copy(dataset_dir, tmp_path / "broken")
         manifest_path = os.path.join(broken, DATASET_MANIFEST)
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        manifest["version"] = 999
+        edit(manifest)
         with open(manifest_path, "w") as handle:
             json.dump(manifest, handle)
+        return broken
+
+    def test_unknown_format_version(self, dataset_dir, tmp_path):
+        broken = self._edit_manifest(
+            dataset_dir, tmp_path, lambda manifest: manifest.update(version=999)
+        )
         with pytest.raises(SegmentFormatError):
+            Dataset.open(broken)
+
+    def test_version_1_bundle_is_rejected(self, dataset_dir, tmp_path):
+        broken = self._edit_manifest(
+            dataset_dir, tmp_path, lambda manifest: manifest.update(version=1)
+        )
+        with pytest.raises(SegmentFormatError, match="unsupported version 1"):
+            Dataset.open(broken)
+
+    @pytest.mark.parametrize("calendar", [None, [12, 11], [10, "11"]])
+    def test_malformed_dns_calendar(self, dataset_dir, tmp_path, calendar):
+        def edit(manifest):
+            manifest["tables"]["dns"]["calendar"] = calendar
+
+        broken = self._edit_manifest(dataset_dir, tmp_path, edit)
+        with pytest.raises(SegmentFormatError, match="dns calendar"):
             Dataset.open(broken)
 
     def test_truncated_segment_fails_at_open(self, dataset_dir, tmp_path):

@@ -94,3 +94,53 @@ class TestForkSafety:
                 reopened.to_bundle(), revocation_cutoff_day=cutoff
             ).run()
             assert canonical_findings(again.findings) == materialised_findings
+
+
+class TestEmptyScanDay:
+    """A scan that observed nothing is still a scan day: the departure it
+    shows is dated on it, read from memory or from the saved calendar."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        from repro.core.pipeline import DatasetBundle
+        from repro.ct.dedup import CertificateCorpus
+        from repro.dns.records import RecordType
+        from repro.dns.snapshots import DailySnapshot, SnapshotStore
+        from repro.util.dates import day
+        from tests.conftest import make_cert
+
+        corpus = CertificateCorpus()
+        corpus.ingest(
+            [
+                make_cert(
+                    sans=("sni1.cloudflaressl.com", "cust.com"),
+                    not_before=day(2022, 1, 1),
+                )
+            ]
+        )
+        store = SnapshotStore()
+        for scan_day, nameserver in (
+            (day(2022, 6, 1), "ada.ns.cloudflare.com"),
+            (day(2022, 6, 2), None),  # every lookup failed
+            (day(2022, 6, 3), "ns1.other.net"),
+        ):
+            snapshot = DailySnapshot(scan_day)
+            if nameserver is not None:
+                snapshot.observe("cust.com", RecordType.NS, [nameserver])
+            store.put(snapshot)
+        return DatasetBundle(corpus=corpus, dns_snapshots=store)
+
+    def test_departure_day_survives_the_save(self, bundle, tmp_path):
+        from repro.util.dates import day
+
+        materialised = canonical_findings(MeasurementPipeline(bundle).run().findings)
+        assert [finding[2] for finding in materialised] == [day(2022, 6, 2)]
+
+        directory = str(tmp_path / "bundle")
+        write_dataset(bundle, directory)
+        columnar = open_bundle(directory)
+        assert columnar.dns_snapshots.days() == bundle.dns_snapshots.days()
+        found = canonical_findings(MeasurementPipeline(columnar).run().findings)
+        assert found == materialised
+        replayed = StreamEngine(columnar).replay()
+        assert canonical_findings(replayed.findings) == materialised

@@ -50,6 +50,7 @@ from repro.ecosystem.streamgen import (
 )
 from repro.ecosystem.timeline import DEFAULT_TIMELINE
 from repro.ecosystem.workload import WorldConfig
+from tests.conftest import assert_maximal_runs
 
 SEED_CONFIG = WorldConfig(seed=20231024).scaled(0.02)
 
@@ -110,7 +111,10 @@ class TestByteIdentity:
             schema.DNS_TABLE: list(_dns_rows(bundle.dns_snapshots)),
         }
         reference = str(tmp_path / "reference")
-        write_rows_dataset(rows, bundle.windows, reference)
+        write_rows_dataset(
+            rows, bundle.windows, reference,
+            dns_calendar=bundle.dns_snapshots.days(),
+        )
         _assert_directories_byte_identical(reference, streamed)
 
     def test_any_append_extend_mix_matches_reference_encoder(self, tmp_path):
@@ -119,14 +123,20 @@ class TestByteIdentity:
         batches split at segment ends; chunks go in as generators, the
         way ``write_dataset`` passes whole tables."""
         rows_by_table = {name: [] for name in schema.TABLE_NAMES}
-        for table, rows in stream_rows(GenContext(SEED_CONFIG)):
+        ctx = GenContext(SEED_CONFIG)
+        for table, rows in stream_rows(ctx):
             rows_by_table[table].extend(rows)
-        windows = world_windows(SEED_CONFIG)
+        windows, calendar = world_windows(SEED_CONFIG), ctx.plan.dns_days
         reference = str(tmp_path / "reference")
-        write_rows_dataset(rows_by_table, windows, reference, rows_per_segment=64)
+        write_rows_dataset(
+            rows_by_table, windows, reference, rows_per_segment=64,
+            dns_calendar=calendar,
+        )
 
         mixed = str(tmp_path / "mixed")
-        writer = StreamingDatasetWriter(mixed, windows, rows_per_segment=64)
+        writer = StreamingDatasetWriter(
+            mixed, windows, rows_per_segment=64, dns_calendar=calendar
+        )
         rng = random.Random(20231024)
         positions = dict.fromkeys(schema.TABLE_NAMES, 0)
         while positions:
@@ -178,7 +188,7 @@ class TestPinnedBytes:
     them. This digest pins the bundle bytes across commits; a deliberate
     format change must update it."""
 
-    DIGEST = "19012cd748bec97319f0f2bc2600639b9f755cf88820a126c20e48d9136ea611"
+    DIGEST = "3f89881e29e33d0c531b8fa1091482161e2375828c30991c51d161d03f4bc9be"
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_seed7_bundle_digest_is_pinned(self, tmp_path, shards):
@@ -209,6 +219,22 @@ class TestShardInvariance:
                 per_table.setdefault(table, []).extend(rows)
             streams[shards] = per_table
         assert streams[1] == streams[2] == streams[5]
+
+    def test_dns_runs_are_maximal_and_shard_count_invariant(self):
+        """Each domain's observations leave as maximal runs on the plan's
+        scan calendar, whatever K generates them."""
+        runs = {}
+        for shards in (1, 4):
+            ctx = GenContext(SEED_CONFIG)
+            runs[shards] = [
+                row
+                for table, rows in stream_rows(ctx, shards=shards)
+                if table == schema.DNS_TABLE
+                for row in rows
+            ]
+            assert_maximal_runs(ctx.plan.dns_days, runs[shards])
+        assert runs[1] == runs[4]
+        assert any(first != last for first, _, last, _ in runs[1])
 
     def test_findings_invariant_across_shard_counts(self, tmp_path):
         per_class = {}
