@@ -7,9 +7,9 @@ One API for every engine that consumes a saved
   :class:`~repro.core.pipeline.DatasetBundle` whose corpus is the
   columnar certs table (``Dataset.open(dir).to_bundle()``);
 * :class:`Dataset` — typed table handles (``certs`` / ``revocations`` /
-  ``whois`` / ``dns``) with ``scan()`` over memory-mapped columnar
-  segments (certs adds ``lookup()`` and ``interval_query()``), and the
-  DNS scan calendar;
+  ``whois`` / ``dns``) with cell and range reads over memory-mapped
+  columnar segments (certs adds the three keyed join lookups over its
+  sorted indexes), and the DNS scan calendar;
 * :func:`write_dataset` — persist a live bundle as columnar segments;
 * :class:`StreamingDatasetWriter` — the one bundle writer behind
   ``write_dataset`` and the streaming world generator: append

@@ -10,9 +10,9 @@ than RAM, so this module provides the append-shaped counterparts:
   anonymous temporary files past a threshold, and emits a segment file
   that is **byte-identical** to what ``SegmentWriter`` would have
   produced for the same rows, however they were batched (same
-  preamble, header JSON, alignment padding, blob order, and zone
-  maps). The equivalence tests in ``tests/test_data_append.py``
-  compare raw bytes.
+  preamble, header JSON, alignment padding and blob order). The
+  equivalence tests in ``tests/test_data_append.py`` compare raw
+  bytes.
 * :class:`ExternalSorter` — sorts an unbounded stream of tuples, added
   in batches, with bounded memory (sorted runs spilled to temp files,
   heap-merged on read), producing exactly the order ``sorted()``
@@ -33,7 +33,7 @@ import sys
 import tempfile
 from array import array
 from itertools import accumulate
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.data.segment import (
     _EXTENT_COUNT,
@@ -95,7 +95,7 @@ class _SpillBuffer:
 
 
 class _Column:
-    """One column's blobs plus its running zone map.
+    """One column's blobs.
 
     ``i64`` is one ``array('q')`` blob; ``str``/``json`` are an i64
     offsets blob plus the concatenated cells. :meth:`encode` validates
@@ -112,19 +112,17 @@ class _Column:
         if kind != "i64":
             self.blobs[0].write(array("q", [0]).tobytes())
         self._position = 0
-        self._zone: Optional[Tuple[Any, Any]] = None
 
-    def encode(self, values: Sequence[Any]) -> Tuple[List[bytes], Any, int]:
-        """``(blob parts, (min, max) or None, end offset)`` of one batch."""
-        zone = None if self.kind == "json" else (min(values), max(values))
+    def encode(self, values: Sequence[Any]) -> Tuple[List[bytes], int]:
+        """``(blob parts, end offset)`` of one batch."""
         if self.kind == "i64":
-            low, high = zone
+            low, high = min(values), max(values)
             if low < I64_MIN or high > I64_MAX:
                 raise ValueError(
                     f"column {self.name!r}: value "
                     f"{low if low < I64_MIN else high} does not fit in int64"
                 )
-            return [array("q", values).tobytes()], zone, self._position
+            return [array("q", values).tobytes()], self._position
         if self.kind == "str":
             cells = list(map(str.encode, values))
             data = b"".join(cells)
@@ -132,20 +130,12 @@ class _Column:
             cells = list(map(_JSON_ENCODE, values))
             data = "".join(cells).encode("ascii")
         offsets = array("q", accumulate(map(len, cells), initial=self._position))
-        return [offsets[1:].tobytes(), data], zone, offsets[-1]
+        return [offsets[1:].tobytes(), data], offsets[-1]
 
-    def commit(self, encoded: Tuple[List[bytes], Any, int]) -> None:
-        parts, zone, self._position = encoded
+    def commit(self, encoded: Tuple[List[bytes], int]) -> None:
+        parts, self._position = encoded
         for blob, part in zip(self.blobs, parts):
             blob.write(part)
-        if self._zone is not None:
-            zone = (min(self._zone[0], zone[0]), max(self._zone[1], zone[1]))
-        self._zone = zone
-
-    def zonemap(self) -> Optional[Dict[str, Any]]:
-        if self._zone is None:
-            return None
-        return {"min": self._zone[0], "max": self._zone[1]}
 
     def close(self) -> None:
         for blob in self.blobs:
@@ -166,11 +156,9 @@ class AppendSegmentWriter:
         self,
         table: str,
         columns: Sequence[Tuple[str, str]],
-        meta: Optional[Dict[str, Any]] = None,
         spill_bytes: int = DEFAULT_SPILL_BYTES,
     ) -> None:
         self._table = table
-        self._meta = dict(meta or {})
         self._rows = 0
         self._columns: List[_Column] = []
         seen = set()
@@ -186,8 +174,8 @@ class AppendSegmentWriter:
 
     def append_rows(self, rows: Sequence[Sequence[Any]]) -> None:
         """Append a batch of rows, all or nothing: every column of the
-        batch is validated and encoded before any blob, row count or
-        zone map changes, so a rejected batch leaves the writer intact."""
+        batch is validated and encoded before any blob or the row count
+        changes, so a rejected batch leaves the writer intact."""
         if not rows:
             return
         width = len(self._columns)
@@ -204,18 +192,6 @@ class AppendSegmentWriter:
         for column, batch in zip(self._columns, encoded):
             column.commit(batch)
         self._rows += len(rows)
-
-    def append_row(self, row: Sequence[Any]) -> None:
-        self.append_rows((row,))
-
-    def zonemap(self) -> Dict[str, Dict[str, Any]]:
-        """Per-column min/max, matching ``SegmentWriter._zonemap``."""
-        result: Dict[str, Dict[str, Any]] = {}
-        for column in self._columns:
-            entry = column.zonemap()
-            if entry is not None:
-                result[column.name] = entry
-        return result
 
     def write(self, path: str) -> int:
         """Atomically stream the segment to *path*; returns row count."""
@@ -240,8 +216,6 @@ class AppendSegmentWriter:
             "byteorder": sys.byteorder,
             "payload_bytes": position,
             "columns": specs,
-            "zonemap": self.zonemap(),
-            "meta": self._meta,
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         preamble = _PREAMBLE.pack(MAGIC, VERSION, 0, len(header_bytes))

@@ -17,12 +17,12 @@ handle                 purpose
                        on ``dataset.dns_calendar`` (the scan days)
 =====================  ===================================================
 
-Every table supports ``scan(columns, day_range=...)`` (zone-map pruned);
-the certs table adds ``lookup(index, key)`` (sorted secondary index,
-binary search) and ``interval_query(lo, hi)`` (sorted interval index).
 Row ids are global and stable; ``column(name)`` reads one cell
 (``table.locate(row)``) or one ``read(lo, hi)`` range, walking only the
-segments it overlaps.
+segments it overlaps. The certs table adds the three keyed lookups the
+joins make, each a binary search of a sorted secondary index declared in
+:data:`~repro.data.schema.INDEX_KEY_COLUMNS`; a certificate is built
+only for a row a join returns.
 
 On-disk layout::
 
@@ -36,10 +36,13 @@ On-disk layout::
       idx-certs-revkey.seg    # sorted (authority_key_id, serial, row)
       idx-certs-e2ld.seg      # sorted (e2ld, row)
       idx-certs-managed.seg   # ascending rows of CDN-managed certificates
-      idx-certs-interval.seg  # sorted (not_before, not_after, row)
 
-A missing directory or file raises ``OSError``; a malformed manifest or
-segment raises ``ValueError``, which the CLI maps to exit code 2.
+``Dataset.open`` requires each declared index and checks its segment's
+table name and columns; a manifest index entry the reader does not
+declare (the ``interval`` index of older bundles) is neither mapped nor
+required. A missing directory or file raises ``OSError``; a malformed
+manifest or segment raises ``ValueError``, which the CLI maps to exit
+code 2.
 """
 
 from __future__ import annotations
@@ -65,9 +68,8 @@ DATASET_MANIFEST = "dataset.json"
 FORMAT_NAME = "repro-columnar"
 FORMAT_VERSION = 2
 
-#: Default horizontal chunking of table segments. Small enough that zone
-#: maps prune day-windowed scans, large enough that per-segment overhead
-#: stays negligible at simulator scales.
+#: Default horizontal chunking of table segments: large enough that
+#: per-segment overhead stays negligible at simulator scales.
 DEFAULT_ROWS_PER_SEGMENT = 65536
 
 
@@ -94,7 +96,7 @@ class Table:
         indexes: Optional[Dict[str, str]] = None,
     ) -> None:
         self.name = name
-        self._refs = segments  # [{"file", "rows", "zonemap"}]
+        self._refs = segments  # [{"file", "rows"}]
         self._loader = loader
         self._indexes = dict(indexes or {})  # index name -> filename
         self._index_open: Dict[str, Segment] = {}
@@ -106,8 +108,6 @@ class Table:
             base += ref["rows"]
         self.rows = base
         self._columns: Dict[str, "ChainedColumn"] = {}
-        #: (opened, pruned) scan accounting, exposed for tests.
-        self.scan_stats = {"segments_scanned": 0, "segments_pruned": 0}
 
     def __len__(self) -> int:
         return self.rows
@@ -147,7 +147,9 @@ class Table:
         return self._segment(self._refs[index]), row - self._bases[index]
 
     def ensure_open(self) -> None:
-        """Map and header-validate every segment (tables and indexes).
+        """Map and header-validate every table segment and every index
+        the schema declares (a listed index it does not declare is left
+        unmapped).
 
         Payload pages are still untouched — mmap is lazy per page — but
         truncation and header corruption surface here, at open time,
@@ -157,7 +159,7 @@ class Table:
         """
         for ref in self._refs:
             self._segment(ref)
-        for index_name in list(self._indexes):
+        for index_name in schema.INDEX_KEY_COLUMNS[self.name]:
             self._index_segment(index_name)
 
     def close(self) -> None:
@@ -178,118 +180,42 @@ class Table:
             self._columns[name] = column
         return column
 
-    def zone_range(self, column: str) -> Optional[Tuple[Any, Any]]:
-        """Aggregated (min, max) of *column* across all segment zone maps."""
-        lows: List[Any] = []
-        highs: List[Any] = []
-        for ref in self._refs:
-            zone = ref.get("zonemap", {}).get(column)
-            if zone is not None:
-                lows.append(zone["min"])
-                highs.append(zone["max"])
-        if not lows:
-            return None
-        return min(lows), max(highs)
-
-    # -- scans ---------------------------------------------------------------
-
-    def scan(
-        self,
-        column_names: Sequence[str],
-        day_range: Optional[Tuple[Day, Day]] = None,
-    ) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Yield ``(row_id, values)`` over all segments, in row order.
-
-        With ``day_range=(lo, hi)``, rows whose interval columns (declared
-        in :data:`~repro.data.schema.INTERVAL_COLUMNS`) overlap ``[lo, hi]``
-        are yielded; segments whose zone maps prove no overlap are skipped
-        without being opened.
-        """
-        start_col = end_col = None
-        if day_range is not None:
-            lo, hi = day_range
-            start_col, end_col = schema.INTERVAL_COLUMNS[self.name]
-        for ref, base in zip(self._refs, self._bases):
-            if day_range is not None and self._prunable(ref, lo, hi):
-                self.scan_stats["segments_pruned"] += 1
-                get_registry().counter(
-                    names.DATA_SEGMENTS_PRUNED,
-                    names.DATA_SEGMENTS_PRUNED_HELP,
-                    labels=("table",),
-                ).inc(table=self.name)
-                continue
-            self.scan_stats["segments_scanned"] += 1
-            segment = self._segment(ref)
-            columns = [segment.column(name) for name in column_names]
-            if day_range is not None:
-                starts, ends = segment.column(start_col), segment.column(end_col)
-            for local in range(ref["rows"]):
-                if day_range is None or (starts[local] <= hi and ends[local] >= lo):
-                    yield base + local, tuple(column[local] for column in columns)
-
-    def _prunable(self, ref: Dict[str, Any], lo: Day, hi: Day) -> bool:
-        start_col, end_col = schema.INTERVAL_COLUMNS[self.name]
-        zonemap = ref.get("zonemap", {})
-        start_zone = zonemap.get(start_col)
-        end_zone = zonemap.get(end_col)
-        if start_zone is None or end_zone is None:
-            return False  # no zone map: must scan
-        # No row can overlap [lo, hi] when every start is past hi or
-        # every end is before lo.
-        return start_zone["min"] > hi or end_zone["max"] < lo
-
     # -- indexes -------------------------------------------------------------
 
     def _index_segment(self, index_name: str) -> Segment:
         segment = self._index_open.get(index_name)
         if segment is not None:
             return segment
+        key_columns = schema.INDEX_KEY_COLUMNS[self.name][index_name]
         filename = self._indexes.get(index_name)
         if filename is None:
-            raise KeyError(f"table {self.name!r} has no index {index_name!r}")
+            raise SegmentFormatError(
+                f"manifest lists no {index_name!r} index for table {self.name!r}"
+            )
         segment = self._loader(filename)
+        expected = (
+            f"idx-{self.name}-{index_name}",
+            [name for name, _ in key_columns] + ["row"],
+        )
+        found = (segment.table, segment.column_names())
+        if found != expected:
+            segment.close()
+            raise SegmentFormatError(
+                f"{filename}: index segment does not match manifest "
+                f"(table {found[0]!r} columns {found[1]}, "
+                f"expected {expected[0]!r} columns {expected[1]})"
+            )
         self._index_open[index_name] = segment
         return segment
 
-    def lookup(self, index_name: str, key) -> List[int]:
-        """Global row ids matching *key* in a sorted secondary index.
-
-        ``key`` is a scalar for single-column indexes and a tuple for
-        compound ones; returned row ids ascend (corpus order). Entries
-        sort by the whole key, so each key part narrows the matching
-        range by binary search within the range of the parts before it.
-        """
+    def lookup(self, index_name: str, key: Any) -> List[int]:
+        """Global row ids whose key equals *key* in a sorted one-column
+        index, ascending (entries sort by key, then row)."""
         segment = self._index_segment(index_name)
-        key_columns = [
-            segment.column(name) for name in segment.meta["key_columns"]
-        ]
-        if not isinstance(key, tuple):
-            key = (key,)
-        if len(key) != len(key_columns):
-            raise ValueError(
-                f"index {index_name!r} key has {len(key_columns)} parts, "
-                f"got {len(key)}"
-            )
-        lo, hi = 0, segment.rows
-        for column, part in zip(key_columns, key):
-            lo, hi = bisect_left(column, part, lo, hi), bisect_right(column, part, lo, hi)
-        return segment.column("row").read(lo, hi)
-
-    def interval_query(self, lo: Day, hi: Day) -> List[int]:
-        """Row ids whose declared interval overlaps ``[lo, hi]``, ascending.
-
-        Uses the sorted interval index: binary search bounds the
-        ``start <= hi`` prefix, then the prefix is filtered on
-        ``end >= lo``.
-        """
-        segment = self._index_segment("interval")
-        cutoff = bisect_left(segment.column("start"), hi + 1)
-        ends = segment.column("end").read(0, cutoff)
-        rows = segment.column("row").read(0, cutoff)
-        return sorted(row for row, end in zip(rows, ends) if end >= lo)
-
-    def has_index(self, index_name: str) -> bool:
-        return index_name in self._indexes
+        (key_column, _), = schema.INDEX_KEY_COLUMNS[self.name][index_name]
+        keys = segment.column(key_column)
+        lo = bisect_left(keys, key)
+        return segment.column("row").read(lo, bisect_right(keys, key, lo))
 
 
 class ChainedColumn(Sequence):
@@ -337,6 +263,7 @@ class ChainedColumn(Sequence):
 
 
 _CERT_COLUMNS = tuple(name for name, _ in schema.COLUMNS[schema.CERTS_TABLE])
+_DNS_COLUMNS = tuple(name for name, _ in schema.COLUMNS[schema.DNS_TABLE])
 
 #: The columns behind :class:`~repro.ct.dedup.CertRow`, after its row id.
 _KEY_COLUMNS = CertRow._fields[1:]
@@ -348,34 +275,27 @@ _HYDRATE_CHUNK = 4096
 class CertsTable(Table):
     """The columnar :class:`~repro.ct.dedup.Corpus` store: joins answer
     from the sorted indexes and the validity columns, and a certificate is
-    built (and cached) only for a row a query returns."""
+    built only for a row a query returns (each call builds it anew; the
+    findings hold what they emit)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._hydrated: Dict[int, Certificate] = {}
         #: AKID -> its [lo, hi) entry range in the ``revkey`` index: one
         #: pair per issuing CA key the CRLs name.
         self._akid_ranges: Dict[str, Tuple[int, int]] = {}
 
     def certificate(self, row: int) -> Certificate:
-        certificate = self._hydrated.get(row)
-        if certificate is None:
-            segment, local = self.locate(row)
-            columns = {name: segment.column(name) for name in _CERT_COLUMNS}
-            certificate = self._hydrated[row] = schema.certificate_at(columns, local)
-        return certificate
+        segment, local = self.locate(row)
+        columns = {name: segment.column(name) for name in _CERT_COLUMNS}
+        return schema.certificate_at(columns, local)
 
     def certificates(self) -> Iterator[Certificate]:
         """Every certificate in row order, hydrated from range reads."""
         for lo in range(0, self.rows, _HYDRATE_CHUNK):
             hi = min(lo + _HYDRATE_CHUNK, self.rows)
             chunk = {name: self.column(name).read(lo, hi) for name in _CERT_COLUMNS}
-            for row in range(lo, hi):
-                certificate = self._hydrated.get(row)
-                if certificate is None:
-                    certificate = schema.certificate_at(chunk, row - lo)
-                    self._hydrated[row] = certificate
-                yield certificate
+            for local in range(hi - lo):
+                yield schema.certificate_at(chunk, local)
 
     def revocation_match(self, key: Tuple[str, int]) -> Optional[ValidityRow]:
         """Bisects the ``revkey`` index's i64 ``serial`` column within the
@@ -739,8 +659,17 @@ def _dns_problems(left: Dataset, right: Dataset) -> List[str]:
         return ["DNS scan calendars differ"]
     if left.dns.rows != right.dns.rows:
         return [f"DNS run count differs: {left.dns.rows} vs {right.dns.rows}"]
-    columns = tuple(name for name, _ in schema.COLUMNS[schema.DNS_TABLE])
-    for (row, ours), (_, theirs) in zip(left.dns.scan(columns), right.dns.scan(columns)):
-        if ours != theirs:
-            return [f"DNS run {row} differs: {ours[:3]!r} vs {theirs[:3]!r}"]
+    for lo in range(0, left.dns.rows, _HYDRATE_CHUNK):
+        hi = min(lo + _HYDRATE_CHUNK, left.dns.rows)
+        pairs = zip(_dns_runs(left, lo, hi), _dns_runs(right, lo, hi))
+        for row, (ours, theirs) in enumerate(pairs, lo):
+            if ours != theirs:
+                return [f"DNS run {row} differs: {ours[:3]!r} vs {theirs[:3]!r}"]
     return []
+
+
+def _dns_runs(dataset: Dataset, lo: int, hi: int) -> List[Tuple[Any, ...]]:
+    """DNS runs ``lo..hi-1`` as rows, from one range read per column."""
+    return list(
+        zip(*(dataset.dns.column(name).read(lo, hi) for name in _DNS_COLUMNS))
+    )

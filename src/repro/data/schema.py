@@ -2,8 +2,9 @@
 
 One schema per dataset of paper Table 3 — certificates, revocation
 entries, WHOIS creation pairs, DNS delegation runs. Each schema
-declares its column kinds (``i64`` / ``str`` / ``json``), the interval
-columns its day-range queries sweep, and the row↔object codecs:
+declares its column kinds (``i64`` / ``str`` / ``json``), the sorted
+secondary indexes the joins read (writer and reader share
+:data:`INDEX_KEY_COLUMNS`), and the row↔object codecs:
 :func:`certificate_row` projects a certificate into a row for the
 writer, and the ``*_at`` functions hydrate objects back for the
 :class:`~repro.data.dataset.Dataset` tables. Hydration goes through the
@@ -40,15 +41,6 @@ WHOIS_TABLE = "whois"
 DNS_TABLE = "dns"
 
 TABLE_NAMES = (CERTS_TABLE, REVOCATIONS_TABLE, WHOIS_TABLE, DNS_TABLE)
-
-#: (start column, end column) of each table's rows, swept by day-windowed
-#: ``scan``s and the certs ``interval`` index.
-INTERVAL_COLUMNS: Dict[str, Tuple[str, str]] = {
-    CERTS_TABLE: ("not_before", "not_after"),
-    REVOCATIONS_TABLE: ("revocation_day", "revocation_day"),
-    WHOIS_TABLE: ("creation_day", "creation_day"),
-    DNS_TABLE: ("first_day", "last_day"),
-}
 
 #: column name -> kind, per table, in written order.
 COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
@@ -90,6 +82,22 @@ COLUMNS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("last_day", "i64"),  # inclusive, on the scan calendar
         ("records", "json"),  # record-type value -> sorted rdata list
     ),
+}
+
+#: Key columns per (table, index); an index segment ``idx-<table>-<index>``
+#: holds these columns, then the global ``row``, sorted. Only the certs
+#: table is indexed, for the three joins: ``revkey`` (§4.1 key
+#: compromise), ``e2ld`` (§4.2 registrant change) and ``managed`` (§4.3
+#: managed TLS). The other tables are read whole or swept in row order.
+INDEX_KEY_COLUMNS: Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]] = {
+    CERTS_TABLE: {
+        "revkey": (("authority_key_id", "str"), ("serial", "i64")),
+        "e2ld": (("e2ld", "str"),),
+        "managed": (),
+    },
+    REVOCATIONS_TABLE: {},
+    WHOIS_TABLE: {},
+    DNS_TABLE: {},
 }
 
 

@@ -6,8 +6,8 @@ columns in a single file::
     +----------------------------------------------------------------+
     | b"RSEG" | version u16 | flags u16 | header-length u64  (16 B)  |
     +----------------------------------------------------------------+
-    | header JSON (UTF-8): table, rows, byteorder, column specs,     |
-    | zone map (per-column min/max), free-form meta                  |
+    | header JSON (UTF-8): table, rows, byteorder, payload bytes,    |
+    | column specs                                                   |
     +----------------------------------------------------------------+
     | payload: column blobs, each 8-byte aligned                     |
     |   i64 column  -> array('q') bytes                              |
@@ -72,19 +72,12 @@ def _align(offset: int) -> int:
 
 
 class SegmentWriter:
-    """Accumulates equal-length columns, then emits one segment file.
+    """Accumulates equal-length columns, then emits one segment file."""
 
-    Zone maps (min/max per column) are computed automatically for ``i64``
-    and ``str`` columns; readers prune whole segments against them
-    without touching the payload.
-    """
-
-    def __init__(self, table: str, meta: Optional[Dict[str, Any]] = None) -> None:
+    def __init__(self, table: str) -> None:
         self._table = table
-        self._meta = dict(meta or {})
         self._rows: Optional[int] = None
         self._columns: List[Dict[str, Any]] = []
-        self._zonemap: Dict[str, Dict[str, Any]] = {}
 
     @property
     def rows(self) -> int:
@@ -109,8 +102,6 @@ class SegmentWriter:
                 raise ValueError(
                     f"column {name!r}: value {value} does not fit in int64"
                 )
-        if values:
-            self._zonemap[name] = {"min": min(values), "max": max(values)}
         self._columns.append(
             {"name": name, "kind": "i64", "blobs": [array("q", values).tobytes()]}
         )
@@ -132,8 +123,6 @@ class SegmentWriter:
     def add_str(self, name: str, values: Sequence[str]) -> None:
         values = list(values)
         self._accept(name, len(values))
-        if values:
-            self._zonemap[name] = {"min": min(values), "max": max(values)}
         self._add_offsets_blob(
             name, "str", [value.encode("utf-8") for value in values]
         )
@@ -177,8 +166,6 @@ class SegmentWriter:
             "byteorder": sys.byteorder,
             "payload_bytes": len(payload),
             "columns": specs,
-            "zonemap": self._zonemap,
-            "meta": self._meta,
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         preamble = _PREAMBLE.pack(MAGIC, VERSION, 0, len(header_bytes))
@@ -381,8 +368,6 @@ class Segment:
             self.byteorder: str = header["byteorder"]
             payload_bytes: int = header["payload_bytes"]
             specs = {spec["name"]: spec for spec in header["columns"]}
-            self.zonemap: Dict[str, Dict[str, Any]] = header.get("zonemap", {})
-            self.meta: Dict[str, Any] = header.get("meta", {})
         except (KeyError, TypeError) as error:
             raise SegmentFormatError(
                 f"{self._source}: segment header missing field: {error}"

@@ -36,28 +36,13 @@ from repro.data.dataset import (
     FORMAT_NAME,
     FORMAT_VERSION,
 )
+from repro.data.schema import INDEX_KEY_COLUMNS
 from repro.data.segment import SegmentWriter
-
-#: Key columns per (table, index). Only the certs table is indexed: the
-#: other tables are read whole or swept in row order.
-INDEX_KEY_COLUMNS: Dict[str, Dict[str, Tuple[Tuple[str, str], ...]]] = {
-    schema.CERTS_TABLE: {
-        "revkey": (("authority_key_id", "str"), ("serial", "i64")),
-        "e2ld": (("e2ld", "str"),),
-        "managed": (),
-        "interval": (("start", "i64"), ("end", "i64")),
-    },
-    schema.REVOCATIONS_TABLE: {},
-    schema.WHOIS_TABLE: {},
-    schema.DNS_TABLE: {},
-}
 
 _CERT_COL = {name: i for i, (name, _) in enumerate(schema.COLUMNS[schema.CERTS_TABLE])}
 _SAN_IDX = _CERT_COL["san_dns_names"]
 _AKID_IDX = _CERT_COL["authority_key_id"]
 _SERIAL_IDX = _CERT_COL["serial"]
-_NOT_BEFORE_IDX = _CERT_COL["not_before"]
-_NOT_AFTER_IDX = _CERT_COL["not_after"]
 _E2LDS_IDX = _CERT_COL["e2lds"]
 
 #: Rows encoded per batch, for table segments and index segments alike.
@@ -87,9 +72,6 @@ def index_entries(
             "e2ld": [(e2ld, i) for i, row in numbered for e2ld in row[_E2LDS_IDX]],
             "managed": [
                 (i,) for i, row in numbered if has_managed_marker_san(row[_SAN_IDX])
-            ],
-            "interval": [
-                (row[_NOT_BEFORE_IDX], row[_NOT_AFTER_IDX], i) for i, row in numbered
             ],
         }
     return {}
@@ -153,9 +135,8 @@ class _RollingTable:
         if writer is None:
             return
         filename = f"{self._table}-{len(self._segments):03d}.seg"
-        zonemap = writer.zonemap()
         rows = writer.write(os.path.join(self._directory, filename))
-        self._segments.append({"file": filename, "rows": rows, "zonemap": zonemap})
+        self._segments.append({"file": filename, "rows": rows})
         self._writer = None
 
     def finish(self) -> List[Dict[str, Any]]:
@@ -202,9 +183,6 @@ class StreamingDatasetWriter:
             for index in indexes
         }
 
-    def append(self, table: str, row: Sequence[Any]) -> None:
-        self.extend(table, (row,))
-
     def extend(self, table: str, rows: Iterable[Sequence[Any]]) -> None:
         """Append *rows* (any iterable, drawn lazily) in
         :data:`BATCH_ROWS` slices."""
@@ -224,9 +202,7 @@ class StreamingDatasetWriter:
             for index_name, key_columns in INDEX_KEY_COLUMNS[name].items():
                 filename = f"idx-{name}-{index_name}.seg"
                 writer = AppendSegmentWriter(
-                    f"idx-{name}-{index_name}",
-                    tuple(key_columns) + (("row", "i64"),),
-                    meta={"key_columns": [col for col, _ in key_columns]},
+                    f"idx-{name}-{index_name}", key_columns + (("row", "i64"),)
                 )
                 for chunk in batched(self._sorters[(name, index_name)].sorted_iter()):
                     writer.append_rows(chunk)
@@ -293,10 +269,7 @@ def _index_writer(
 ) -> Tuple[str, SegmentWriter]:
     """One sorted index segment: key columns plus the global ``row``."""
     entries = sorted(entries)
-    writer = SegmentWriter(
-        f"idx-{table}-{index_name}",
-        meta={"key_columns": [name for name, _ in key_columns]},
-    )
+    writer = SegmentWriter(f"idx-{table}-{index_name}")
     for position, (name, kind) in enumerate(key_columns):
         adder = writer.add_i64 if kind == "i64" else writer.add_str
         adder(name, [entry[position] for entry in entries])
@@ -339,7 +312,7 @@ def write_rows_dataset(
         tables_spec[name] = {
             "rows": sum(writer.rows for _, writer in table_writers),
             "segments": [
-                {"file": filename, "rows": writer.rows, "zonemap": writer._zonemap}
+                {"file": filename, "rows": writer.rows}
                 for filename, writer in table_writers
             ],
             "indexes": {

@@ -73,10 +73,7 @@ SERVE_INDEX_BUILD_SECONDS_HELP = "Wall time spent building the serving index."
 DATA_SEGMENTS_OPENED = "repro_data_segments_opened_total"
 DATA_SEGMENTS_OPENED_HELP = "Columnar segments mapped into memory, by table."
 
-DATA_SEGMENTS_PRUNED = "repro_data_segments_pruned_total"
-DATA_SEGMENTS_PRUNED_HELP = (
-    "Columnar segments skipped by zone-map pruning during scans, by table."
-)
+DATA_SEGMENTS_PRUNED = "repro_data_segments_pruned_total"  # repro-lint: disable=RL703  # nothing counts it; bench/workloads.py reads it
 
 # -- streaming world generation (repro.ecosystem.streamgen) ------------------
 

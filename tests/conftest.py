@@ -7,9 +7,13 @@ their own tiny objects via the helpers below.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro import MeasurementPipeline, WorldConfig, simulate_world
+from repro.data import schema
 from repro.ecosystem.streamgen import save_streamed
 from repro.pki.certificate import Certificate
 from repro.pki.keys import KeyAlgorithm, KeyPair, KeyStore
@@ -150,3 +154,20 @@ def assert_maximal_runs(calendar, rows):
                 position[before[0]] + 1 == position[first_day] and before[1] == records
             ), f"{apex} run at {first_day} continues its previous run"
         last[apex] = (last_day, records)
+
+
+@contextmanager
+def recording_builds():
+    """The dedup fingerprints of the certificates the columnar certs table
+    builds inside the block (it builds each one through
+    ``schema.certificate_at``); one fingerprint per corpus row."""
+    built = set()
+    build = schema.certificate_at
+
+    def recorded(columns, row):
+        certificate = build(columns, row)
+        built.add(certificate.dedup_fingerprint())
+        return certificate
+
+    with mock.patch.object(schema, "certificate_at", recorded):
+        yield built

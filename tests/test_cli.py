@@ -1,6 +1,7 @@
 """Tests for the command-line interface (in-process, tiny worlds)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -635,7 +636,7 @@ _COMMANDS = pytest.mark.parametrize(
 )
 
 
-def _malformed_dns_bundle(directory, runs):
+def _managed_cert_bundle(directory, runs):
     """One managed certificate for cust.com and the given DNS runs, on a
     two-day scan calendar (2022-06-01, 2022-06-02)."""
     from repro.data import StreamingDatasetWriter, schema
@@ -648,7 +649,7 @@ def _malformed_dns_bundle(directory, runs):
     writer = StreamingDatasetWriter(
         directory, {}, dns_calendar=[day(2022, 6, 1), day(2022, 6, 2)]
     )
-    writer.append(schema.CERTS_TABLE, schema.certificate_row(certificate))
+    writer.extend(schema.CERTS_TABLE, (schema.certificate_row(certificate),))
     writer.extend(schema.DNS_TABLE, runs)
     writer.finish()
     return directory
@@ -664,7 +665,7 @@ class TestMalformedDnsCell:
         from repro.util.dates import day
 
         june1, june2 = day(2022, 6, 1), day(2022, 6, 2)
-        return _malformed_dns_bundle(
+        return _managed_cert_bundle(
             str(tmp_path_factory.mktemp("malformed-dns") / "bundle"),
             [
                 (june1, "cust.com", june1, {"NS": ["ada.ns.cloudflare.com"]}),
@@ -677,7 +678,7 @@ class TestMalformedDnsCell:
         from repro.util.dates import day
 
         june1, june2 = day(2022, 6, 1), day(2022, 6, 2)
-        return _malformed_dns_bundle(
+        return _managed_cert_bundle(
             str(tmp_path_factory.mktemp("overlapping-runs") / "bundle"),
             [
                 (june1, "cust.com", june2, {"NS": ["ada.ns.cloudflare.com"]}),
@@ -703,19 +704,69 @@ class TestMalformedDnsCell:
 
     @pytest.mark.parametrize("command", [["detect"], ["watch"]], ids=["detect", "watch"])
     def test_version_1_bundle_exits_2(self, overlap_dir, command, tmp_path, capsys):
-        import shutil
-
-        from repro.data import DATASET_MANIFEST
-
         directory = str(tmp_path / "v1")
         shutil.copytree(overlap_dir, directory)
-        manifest_path = f"{directory}/{DATASET_MANIFEST}"
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-        manifest["version"] = 1
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
+        _edit_manifest(directory, lambda manifest: manifest.update(version=1))
         assert main(command + ["--bundle", directory]) == 2
         err = capsys.readouterr().err
         assert "unsupported version 1" in err
+        assert "Traceback" not in err
+
+
+def _edit_manifest(directory, edit):
+    from repro.data import DATASET_MANIFEST
+
+    manifest_path = f"{directory}/{DATASET_MANIFEST}"
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    edit(manifest)
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+
+
+def _drop_e2ld_index(directory):
+    def edit(manifest):
+        del manifest["tables"]["certs"]["indexes"]["e2ld"]
+
+    _edit_manifest(directory, edit)
+
+
+def _swap_managed_index(directory):
+    shutil.copyfile(
+        f"{directory}/idx-certs-e2ld.seg", f"{directory}/idx-certs-managed.seg"
+    )
+
+
+class TestMalformedIndex:
+    """A certs index missing from the manifest, or an index file that holds
+    another index, is bad input: exit 2 at open, before any join."""
+
+    @pytest.fixture(scope="class")
+    def bundle_dir(self, tmp_path_factory):
+        from repro.util.dates import day
+
+        june1, june2 = day(2022, 6, 1), day(2022, 6, 2)
+        return _managed_cert_bundle(
+            str(tmp_path_factory.mktemp("malformed-index") / "bundle"),
+            [(june1, "cust.com", june2, {"NS": ["ada.ns.cloudflare.com"]})],
+        )
+
+    @_COMMANDS
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (_drop_e2ld_index, "lists no 'e2ld' index for table 'certs'"),
+            (_swap_managed_index, "index segment does not match manifest"),
+        ],
+        ids=["missing-e2ld", "swapped-managed"],
+    )
+    def test_exits_2_without_traceback(
+        self, bundle_dir, command, breakage, message, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "broken")
+        shutil.copytree(bundle_dir, directory)
+        breakage(directory)
+        assert main(command + ["--bundle", directory]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
         assert "Traceback" not in err

@@ -25,55 +25,47 @@ ROWS = [
 COLUMNS = (("num", "i64"), ("label", "str"), ("payload", "json"))
 
 
-def _batch_bytes(rows, meta=None):
-    writer = SegmentWriter("t", meta=meta)
+def _batch_bytes(rows):
+    writer = SegmentWriter("t")
     writer.add_i64("num", [row[0] for row in rows])
     writer.add_str("label", [row[1] for row in rows])
     writer.add_json("payload", [row[2] for row in rows])
-    return writer.to_bytes(), writer._zonemap
+    return writer.to_bytes()
 
 
 def _written(tmp_path, writer):
-    zonemap = writer.zonemap()
     path = os.path.join(str(tmp_path), "appended.seg")
     writer.write(path)
     with open(path, "rb") as handle:
-        return handle.read(), zonemap
+        return handle.read()
 
 
-def _append_bytes(tmp_path, rows, meta=None, spill_bytes=8 << 20):
-    writer = AppendSegmentWriter("t", COLUMNS, meta=meta, spill_bytes=spill_bytes)
+def _append_bytes(tmp_path, rows, spill_bytes=8 << 20):
+    writer = AppendSegmentWriter("t", COLUMNS, spill_bytes=spill_bytes)
     for row in rows:
-        writer.append_row(row)
+        writer.append_rows((row,))
     return _written(tmp_path, writer)
 
 
 def test_append_writer_bytes_match_batch_writer(tmp_path):
-    expected, expected_zonemap = _batch_bytes(ROWS, meta={"key_columns": ["num"]})
-    actual, zonemap = _append_bytes(tmp_path, ROWS, meta={"key_columns": ["num"]})
-    assert actual == expected
-    assert zonemap == expected_zonemap
+    assert _append_bytes(tmp_path, ROWS) == _batch_bytes(ROWS)
 
 
 def test_append_writer_spill_path_is_byte_identical(tmp_path):
     rows = [(i, f"name-{i % 17}", {"k": [i, i + 1]}) for i in range(5000)]
-    expected, _ = _batch_bytes(rows)
-    actual, _ = _append_bytes(tmp_path, rows, spill_bytes=64)  # force spills
+    expected = _batch_bytes(rows)
+    actual = _append_bytes(tmp_path, rows, spill_bytes=64)  # force spills
     assert actual == expected
 
 
 def test_append_writer_empty_table_matches(tmp_path):
-    expected, _ = _batch_bytes([])
-    actual, zonemap = _append_bytes(tmp_path, [])
-    assert actual == expected
-    assert zonemap == {}
+    assert _append_bytes(tmp_path, []) == _batch_bytes([])
 
 
 def test_append_writer_output_is_readable(tmp_path):
     path = os.path.join(str(tmp_path), "t.seg")
     writer = AppendSegmentWriter("t", COLUMNS)
-    for row in ROWS:
-        writer.append_row(row)
+    writer.append_rows(ROWS)
     assert writer.write(path) == len(ROWS)
     segment = Segment.open(path)
     assert segment.rows == len(ROWS)
@@ -85,9 +77,9 @@ def test_append_writer_output_is_readable(tmp_path):
 def test_append_writer_rejects_bad_rows():
     writer = AppendSegmentWriter("t", COLUMNS)
     with pytest.raises(ValueError):
-        writer.append_row((1, "only-two"))
+        writer.append_rows([(1, "only-two")])
     with pytest.raises(ValueError):
-        writer.append_row((2**64, "x", None))
+        writer.append_rows([(2**64, "x", None)])
     writer.close()
 
 
@@ -102,21 +94,16 @@ def test_append_writer_rejects_bad_rows():
 )
 @pytest.mark.parametrize("single", [True, False])
 def test_rejected_rows_leave_the_writer_intact(tmp_path, bad, single):
-    """A rejected row or batch changes no blob, row count or zone map:
-    the valid rows around it give exactly ``SegmentWriter``'s bytes."""
+    """A rejected row or batch changes no blob or row count: the valid
+    rows around it give exactly ``SegmentWriter``'s bytes."""
     writer = AppendSegmentWriter("t", COLUMNS)
     writer.append_rows(ROWS[:2])
     with pytest.raises((TypeError, ValueError)):
-        if single:
-            writer.append_row(bad[-1])
-        else:
-            writer.append_rows(bad)
+        writer.append_rows(bad[-1:] if single else bad)
     assert writer.rows == 2
     writer.append_rows(ROWS[2:])
-    expected, expected_zonemap = _batch_bytes(ROWS)
-    actual, zonemap = _written(tmp_path, writer)
-    assert actual == expected
-    assert zonemap == expected_zonemap
+    actual = _written(tmp_path, writer)
+    assert actual == _batch_bytes(ROWS)
     assert Segment.from_bytes(actual).rows == len(ROWS)
 
 
@@ -141,17 +128,15 @@ def test_any_batch_split_gives_the_same_bytes(
     tmp_path_factory, rows, data, spill_bytes
 ):
     """However the rows are cut into batches (empty batches and single
-    rows included, spilled or not), ``append_rows`` writes the bytes and
-    zone map of ``SegmentWriter`` over all the rows."""
+    rows included, spilled or not), ``append_rows`` writes the bytes of
+    ``SegmentWriter`` over all the rows."""
     cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=8)))
     bounds = [0, *cuts, len(rows)]
     writer = AppendSegmentWriter("t", COLUMNS, spill_bytes=spill_bytes)
     for start, end in zip(bounds, bounds[1:]):
         writer.append_rows(rows[start:end])
-    actual, zonemap = _written(tmp_path_factory.mktemp("split"), writer)
-    expected, expected_zonemap = _batch_bytes(rows)
-    assert actual == expected
-    assert zonemap == expected_zonemap
+    actual = _written(tmp_path_factory.mktemp("split"), writer)
+    assert actual == _batch_bytes(rows)
 
 
 def test_external_sorter_extend_spills_runs_of_run_size():

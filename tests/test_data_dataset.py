@@ -1,9 +1,8 @@
-"""Dataset access API: scans, zone-map pruning, indexes, fail-fast opening.
+"""Dataset access API: range reads, the join indexes, fail-fast opening.
 
-Pruning correctness is proven against brute force: whatever a
-zone-map-pruned ``scan`` yields must equal filtering every row. The
+Index answers are proven against brute force over the columns. The
 fixtures use a tiny ``rows_per_segment`` so the seed world spans many
-segments and pruning has something real to skip.
+segments and every read crosses segment ends.
 """
 
 from __future__ import annotations
@@ -26,14 +25,17 @@ from hypothesis.strategies import (
 from repro.data import (
     DATASET_MANIFEST,
     Dataset,
+    Segment,
     SegmentFormatError,
+    SegmentWriter,
     StreamingDatasetWriter,
     open_bundle,
     schema,
     write_dataset,
 )
+from repro.data.segment import _PREAMBLE
 from repro.dns.records import RecordType
-from tests.conftest import assert_maximal_runs
+from tests.conftest import assert_maximal_runs, recording_builds
 
 ROWS_PER_SEGMENT = 64
 
@@ -151,11 +153,12 @@ class TestDnsColumns:
                 rows_per_segment=2,
             )
             with Dataset.open(directory) as dataset:
-                columns = [name for name, _ in schema.COLUMNS[schema.DNS_TABLE]]
-                assert_maximal_runs(
-                    dataset.dns_calendar,
-                    [values for _, values in dataset.dns.scan(columns)],
-                )
+                dns = dataset.dns
+                columns = [
+                    dns.column(name).read(0, len(dns))
+                    for name, _ in schema.COLUMNS[schema.DNS_TABLE]
+                ]
+                assert_maximal_runs(dataset.dns_calendar, list(zip(*columns)))
                 scans = dataset.to_bundle().dns_snapshots
                 assert scans.days() == store.days()
                 for order in (store.days(), store.days()[::-1]):
@@ -245,43 +248,10 @@ class TestOpen:
         ]
 
 
-class TestScanPruning:
-    def test_scan_matches_brute_force(self, dataset):
-        certs = dataset.certs
-        lo, hi = certs.zone_range("not_before")
-        mid = (lo + hi) // 2
-        day_range = (mid, mid + 30)
-        pruned = list(certs.scan(("serial",), day_range=day_range))
-        not_before = list(certs.column("not_before"))
-        not_after = list(certs.column("not_after"))
-        serials = list(certs.column("serial"))
-        expected = [
-            (row, (serials[row],))
-            for row in range(len(certs))
-            if not_before[row] <= day_range[1] and not_after[row] >= day_range[0]
-        ]
-        assert pruned == expected
-
-    def test_narrow_range_prunes_segments(self, dataset):
-        certs = dataset.certs
-        lo, _hi = certs.zone_range("not_before")
-        # A window ending before any certificate starts cannot match
-        # anything, and the zone maps prove it per segment.
-        matched = list(certs.scan(("serial",), day_range=(lo - 100, lo - 50)))
-        assert matched == []
-        assert certs.scan_stats["segments_scanned"] == 0
-        assert certs.scan_stats["segments_pruned"] > 1
-
-    def test_full_range_scans_everything(self, dataset):
-        certs = dataset.certs
-        lo, hi = certs.zone_range("not_before")
-        rows = list(certs.scan((), day_range=(lo, hi + 100_000)))
-        assert len(rows) == len(certs)
-        assert certs.scan_stats["segments_pruned"] == 0
-
-
 class TestIndexes:
     def test_revkey_lookup_matches_brute_force(self, dataset, bundle):
+        """``revocation_match`` answers the last row of each (AKID,
+        serial) key, read across 64-row segments."""
         certs = dataset.certs
         akids = list(certs.column("authority_key_id"))
         serials = list(certs.column("serial"))
@@ -291,26 +261,26 @@ class TestIndexes:
                 row for row in range(len(certs))
                 if (akids[row], serials[row]) == key
             ]
-            assert certs.lookup("revkey", key) == expected
+            match = certs.revocation_match(key)
+            assert match.row == expected[-1]
+            assert (match.not_before, match.not_after) == (
+                certs.column("not_before")[match.row],
+                certs.column("not_after")[match.row],
+            )
+
+    def test_e2ld_lookup_matches_brute_force(self, dataset):
+        certs = dataset.certs
+        e2lds = list(certs.column("e2lds"))
+        for key in sorted({name for names in e2lds for name in names})[:20]:
+            expected = [row for row, names in enumerate(e2lds) if key in names]
+            assert certs.lookup("e2ld", key) == expected
 
     def test_lookup_misses_return_empty(self, dataset):
-        assert dataset.certs.lookup("revkey", ("no-such-akid", -1)) == []
+        assert dataset.certs.revocation_match(("no-such-akid", -1)) is None
         assert dataset.certs.lookup("e2ld", "zzz-not-a-domain.example") == []
 
-    def test_interval_query_matches_brute_force(self, dataset):
-        certs = dataset.certs
-        lo, hi = certs.zone_range("not_before")
-        mid = (lo + hi) // 2
-        window = (mid, mid + 45)
-        not_before = list(certs.column("not_before"))
-        not_after = list(certs.column("not_after"))
-        expected = sorted(
-            row for row in range(len(certs))
-            if not_before[row] <= window[1] and not_after[row] >= window[0]
-        )
-        assert certs.interval_query(*window) == expected
-
     def test_bad_index_key_arity_raises(self, dataset):
+        """``lookup`` takes one key column; ``revkey`` has two."""
         with pytest.raises(ValueError):
             dataset.certs.lookup("revkey", ("only-one-part",))
 
@@ -398,6 +368,7 @@ class TestColumnsBeforeObjects:
         return find_re_registrations(bundle.whois_creation_pairs)
 
     def test_registrant_join_hydrates_only_spanning_rows(self, dataset_dir, bundle):
+        """Builds are counted by fingerprint, one per corpus row."""
         from repro.core.detectors.registrant_change import (
             RegistrantChangeDetector,
             registration_key,
@@ -417,10 +388,12 @@ class TestColumnsBeforeObjects:
                     if not_before[row] < event.creation_day < not_after[row]:
                         spanning.add(row)
             assert candidates - spanning, "no candidate for the filter to drop"
+            spanning = {certs.certificate(row).dedup_fingerprint() for row in spanning}
 
             detector = RegistrantChangeDetector(columnar.corpus)
-            found = detector.detect(columnar.whois_creation_pairs)
-            assert set(certs._hydrated) <= spanning
+            with recording_builds() as built:
+                found = detector.detect(columnar.whois_creation_pairs)
+            assert built <= spanning
 
         reference = RegistrantChangeDetector(bundle.corpus)
         expected = reference.detect(bundle.whois_creation_pairs)
@@ -620,3 +593,113 @@ class TestOpenFailsFast:
         os.remove(os.path.join(broken, "idx-certs-revkey.seg"))
         with pytest.raises((OSError, SegmentFormatError)):
             Dataset.open(broken)
+
+    @pytest.mark.parametrize("index", ["revkey", "e2ld", "managed"])
+    def test_missing_index_entry(self, dataset_dir, tmp_path, index):
+        def edit(manifest):
+            del manifest["tables"]["certs"]["indexes"][index]
+
+        broken = self._edit_manifest(dataset_dir, tmp_path, edit)
+        message = f"lists no '{index}' index for table 'certs'"
+        with pytest.raises(SegmentFormatError, match=message):
+            Dataset.open(broken)
+
+    @pytest.mark.parametrize(
+        "index, swapped_in",
+        [("e2ld", "managed"), ("revkey", "managed"), ("managed", "e2ld")],
+    )
+    def test_misfiled_index_segment(self, dataset_dir, tmp_path, index, swapped_in):
+        import shutil
+
+        broken = self._copy(dataset_dir, tmp_path / "broken")
+        shutil.copyfile(
+            os.path.join(broken, f"idx-certs-{swapped_in}.seg"),
+            os.path.join(broken, f"idx-certs-{index}.seg"),
+        )
+        with pytest.raises(SegmentFormatError, match="index segment does not match"):
+            Dataset.open(broken)
+
+
+class TestRetiredManifestEntries:
+    """A bundle written before zone maps and the certs ``interval`` index
+    were dropped carries both in its manifest; the reader maps neither and
+    answers as on the bundle without them."""
+
+    @staticmethod
+    def _zonemap(segment, table):
+        zones = {}
+        for column, kind in schema.COLUMNS[table]:
+            values = list(segment.column(column))
+            if kind != "json" and values:
+                zones[column] = {"min": min(values), "max": max(values)}
+        return zones
+
+    def _add_retired_entries(self, directory):
+        manifest_path = os.path.join(directory, DATASET_MANIFEST)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        for table, spec in manifest["tables"].items():
+            for ref in spec["segments"]:
+                with Segment.open(os.path.join(directory, ref["file"])) as segment:
+                    ref["zonemap"] = self._zonemap(segment, table)
+        with Dataset.open(directory) as dataset:
+            certs = dataset.certs
+            validity = (certs.column("not_before"), certs.column("not_after"))
+            entries = sorted(zip(*validity, range(len(certs))))
+        writer = SegmentWriter("idx-certs-interval")
+        for position, name in enumerate(("start", "end", "row")):
+            writer.add_i64(name, [entry[position] for entry in entries])
+        writer.write(os.path.join(directory, "idx-certs-interval.seg"))
+        manifest["tables"]["certs"]["indexes"]["interval"] = "idx-certs-interval.seg"
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+
+    def test_findings_equal_the_untouched_bundle(
+        self, dataset_dir, small_world, tmp_path
+    ):
+        import shutil
+
+        from repro import MeasurementPipeline
+        from repro.stream import canonical_findings
+
+        def detect(directory):
+            with Dataset.open(directory) as dataset:
+                result = MeasurementPipeline.run_bundle(
+                    dataset.to_bundle(),
+                    revocation_cutoff_day=small_world.config.timeline.revocation_cutoff,
+                )
+            return canonical_findings(result.findings), result.revocation_stats
+
+        retired = str(tmp_path / "retired")
+        shutil.copytree(dataset_dir, retired)
+        self._add_retired_entries(retired)
+
+        opened = []
+        open_segment = Segment.open
+        with mock.patch.object(
+            Segment, "open", lambda path: opened.append(path) or open_segment(path)
+        ):
+            findings, stats = detect(retired)
+        assert opened and not [path for path in opened if "interval" in path]
+        assert (findings, stats) == detect(dataset_dir)
+        assert findings and stats.matched_in_ct > 0
+
+
+class TestWrittenLayout:
+    def test_no_zone_maps_and_no_interval_index(self, dataset_dir):
+        with open(os.path.join(dataset_dir, DATASET_MANIFEST)) as handle:
+            manifest = json.load(handle)
+        indexes = manifest["tables"]["certs"]["indexes"]
+        assert set(indexes) == {"revkey", "e2ld", "managed"}
+        files = sorted(os.listdir(dataset_dir))
+        assert "idx-certs-interval.seg" not in files
+        for spec in manifest["tables"].values():
+            assert all(set(ref) == {"file", "rows"} for ref in spec["segments"])
+        for name in files:
+            if name.endswith(".seg"):
+                with open(os.path.join(dataset_dir, name), "rb") as handle:
+                    *_, length = _PREAMBLE.unpack(handle.read(_PREAMBLE.size))
+                    header = json.loads(handle.read(length))
+                assert set(header) == {
+                    "table", "rows", "byteorder", "payload_bytes", "columns"
+                }

@@ -1,11 +1,11 @@
-"""Columnar segment format: round-trips, header validation, zone maps.
+"""Columnar segment format: round-trips and header validation.
 
 The segment file is the unit of the columnar bundle layout — everything
 above it (tables, indexes, the ``Dataset`` API) assumes a segment either
 opens with every header invariant intact or raises
 :class:`SegmentFormatError` (a ``ValueError``) immediately. These tests
 pin the format contract the way the CLI relies on it: corruption maps
-to the existing typed errors, never to a crash mid-scan.
+to the existing typed errors, never to a crash mid-read.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _PREAMBLE = struct.Struct("<4sHHQ")
 
 
 def sample_writer() -> SegmentWriter:
-    writer = SegmentWriter("certs", meta={"origin": "test"})
+    writer = SegmentWriter("certs")
     writer.add_i64("serial", [3, 1, 2, -7, I64_MAX])
     writer.add_i64("not_before", [10, 20, 30, 40, 50])
     writer.add_str("issuer", ["CA-1", "", "CA-2", "ünïcode", "CA-1"])
@@ -61,7 +61,6 @@ class TestRoundTrip:
         segment = Segment.from_bytes(sample_writer().to_bytes())
         assert segment.table == "certs"
         assert segment.rows == 5
-        assert segment.meta == {"origin": "test"}
         assert list(segment.column("serial")) == [3, 1, 2, -7, I64_MAX]
         assert list(segment.column("issuer")) == [
             "CA-1", "", "CA-2", "ünïcode", "CA-1",
@@ -106,21 +105,6 @@ class TestRoundTrip:
         segment = Segment.from_bytes(writer.to_bytes())
         assert segment.rows == 0
         assert segment.column_names() == []
-
-
-class TestZoneMaps:
-    def test_i64_zone_map_is_min_max(self):
-        segment = Segment.from_bytes(sample_writer().to_bytes())
-        assert segment.zonemap["serial"] == {"min": -7, "max": I64_MAX}
-        assert segment.zonemap["not_before"] == {"min": 10, "max": 50}
-
-    def test_str_zone_map_is_lexicographic(self):
-        segment = Segment.from_bytes(sample_writer().to_bytes())
-        assert segment.zonemap["issuer"] == {"min": "", "max": "ünïcode"}
-
-    def test_json_columns_have_no_zone_map(self):
-        segment = Segment.from_bytes(sample_writer().to_bytes())
-        assert "tags" not in segment.zonemap
 
 
 class TestWriterValidation:
@@ -368,8 +352,7 @@ class TestTruncation:
         writer = AppendSegmentWriter(
             "t", (("num", "i64"), ("label", "str"), ("payload", "json"))
         )
-        for row in rows:
-            writer.append_row(row)
+        writer.append_rows(rows)
         writer.write(path)
         with open(path, "rb") as handle:
             payload = handle.read()

@@ -24,6 +24,7 @@ from repro.stream import (
     canonical_findings,
     verify_equivalence,
 )
+from tests.conftest import recording_builds
 
 
 @pytest.fixture(scope="module")
@@ -130,29 +131,33 @@ class TestBuildsOnlyWhatBatchBuilds:
     @pytest.fixture(scope="class")
     def batch_built(self, streamgen_dir):
         bundle = open_bundle(streamgen_dir)
-        MeasurementPipeline.run_bundle(bundle, revocation_cutoff_day=self.CUTOFF)
-        built = len(bundle.corpus._hydrated)
-        assert 0 < built < len(bundle.corpus)
-        return built
+        with recording_builds() as built:
+            MeasurementPipeline.run_bundle(bundle, revocation_cutoff_day=self.CUTOFF)
+        assert 0 < len(built) < len(bundle.corpus)
+        return len(built)
 
     def test_full_replay(self, streamgen_dir, batch_built):
         bundle = open_bundle(streamgen_dir)
-        assert StreamEngine(bundle, revocation_cutoff_day=self.CUTOFF).replay().complete
-        assert len(bundle.corpus._hydrated) <= batch_built
+        with recording_builds() as built:
+            engine = StreamEngine(bundle, revocation_cutoff_day=self.CUTOFF)
+            assert engine.replay().complete
+        assert len(built) <= batch_built
 
     def test_kill_then_resume(self, streamgen_dir, batch_built, tmp_path):
         store = CheckpointStore(str(tmp_path))
         killed = open_bundle(streamgen_dir)
-        partial = StreamEngine(
-            killed, revocation_cutoff_day=self.CUTOFF, checkpoint_store=store
-        ).replay(max_days=200)
+        with recording_builds() as killed_built:
+            partial = StreamEngine(
+                killed, revocation_cutoff_day=self.CUTOFF, checkpoint_store=store
+            ).replay(max_days=200)
         assert not partial.complete
         resumed = open_bundle(streamgen_dir)
-        assert StreamEngine(
-            resumed, revocation_cutoff_day=self.CUTOFF, checkpoint_store=store
-        ).replay(resume=True).complete
-        assert len(killed.corpus._hydrated) <= batch_built
-        assert len(resumed.corpus._hydrated) <= batch_built
+        with recording_builds() as resumed_built:
+            assert StreamEngine(
+                resumed, revocation_cutoff_day=self.CUTOFF, checkpoint_store=store
+            ).replay(resume=True).complete
+        assert len(killed_built) <= batch_built
+        assert len(resumed_built) <= batch_built
 
 
 class TestBatchBuildsOnlyItsFindings:
@@ -161,11 +166,11 @@ class TestBatchBuildsOnlyItsFindings:
 
     def test_cold_batch(self, streamgen_dir):
         bundle = open_bundle(streamgen_dir)
-        result = MeasurementPipeline.run_bundle(
-            bundle, revocation_cutoff_day=DEFAULT_TIMELINE.revocation_cutoff
-        )
+        with recording_builds() as built:
+            result = MeasurementPipeline.run_bundle(
+                bundle, revocation_cutoff_day=DEFAULT_TIMELINE.revocation_cutoff
+            )
         emitted = {f.certificate.dedup_fingerprint() for f in result.findings.all_findings()}
-        built = {c.dedup_fingerprint() for c in bundle.corpus._hydrated.values()}
         assert built == emitted
         assert len(built) == 554
 

@@ -118,8 +118,8 @@ class TestByteIdentity:
         _assert_directories_byte_identical(reference, streamed)
 
     def test_any_append_extend_mix_matches_reference_encoder(self, tmp_path):
-        """How rows are cut into ``append``/``extend`` calls, and how
-        tables interleave, never changes the bytes. 64-row segments make
+        """How rows are cut into ``extend`` calls (one-row calls included),
+        and how tables interleave, never changes the bytes. 64-row segments make
         batches split at segment ends; chunks go in as generators, the
         way ``write_dataset`` passes whole tables."""
         rows_by_table = {name: [] for name in schema.TABLE_NAMES}
@@ -143,10 +143,7 @@ class TestByteIdentity:
             table = rng.choice(sorted(positions))
             rows, start = rows_by_table[table], positions[table]
             size = rng.choice((0, 1, 1, 5, 63, 64, 65, 4095, 4096, 4097, 9000))
-            if size == 1:
-                writer.append(table, rows[start])
-            else:
-                writer.extend(table, iter(rows[start : start + size]))
+            writer.extend(table, iter(rows[start : start + size]))
             positions[table] = start + size
             if positions[table] >= len(rows):
                 del positions[table]
@@ -188,7 +185,7 @@ class TestPinnedBytes:
     them. This digest pins the bundle bytes across commits; a deliberate
     format change must update it."""
 
-    DIGEST = "3f89881e29e33d0c531b8fa1091482161e2375828c30991c51d161d03f4bc9be"
+    DIGEST = "6071a77f0f22cc8e40502f1dd4162f4889d33aa99ffaeac4bcfd8ecd2a1feb5a"
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_seed7_bundle_digest_is_pinned(self, tmp_path, shards):
