@@ -522,7 +522,12 @@ def cmd_detect(args) -> int:
 def cmd_save(args) -> int:
     from repro.data import write_dataset
 
-    if getattr(args, "gen_shards", None):
+    for flag, value in (("--gen-shards", args.gen_shards),
+                        ("--gen-dns-rows", args.gen_dns_rows)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1", file=sys.stderr)
+            return 2
+    if args.gen_shards is not None:
         return _save_streamed(args)
     counts = write_dataset(_world(args).to_bundle(), args.dir)
     print(
@@ -538,9 +543,6 @@ def _save_streamed(args) -> int:
     """``save --gen-shards K``: stream-generate straight into segments."""
     from repro.ecosystem.streamgen import save_streamed
 
-    if args.gen_shards < 1:
-        print("error: --gen-shards must be >= 1", file=sys.stderr)
-        return 2
     print(
         f"stream-generating world (seed={args.seed}, scale={args.scale}, "
         f"shards={args.gen_shards}) ...",

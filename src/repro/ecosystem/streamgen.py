@@ -21,9 +21,12 @@ instead of one shared sequential stream:
 * every domain's entire lifecycle draws from its own
   ``split_seed(seed, "streamgen", "domain", index)`` fork, so a
   domain's fate never depends on how many other domains exist;
-* cross-cutting events fork per (entity, day):
-  DNS scan losses from ``("streamgen", "dns-loss", apex, day)`` and
-  the scripted GoDaddy breach from ``("streamgen", "breach", serial)``.
+* cross-cutting events fork per entity: DNS scan losses from
+  ``("streamgen", "dns-loss", apex, day)``, and the scripted GoDaddy
+  breach from ``("streamgen", "breach", serial)``. An apex hashes its
+  ``dns-loss`` prefix once (:class:`~repro.util.rng.ForkPrefix`), and
+  each scan day's draw hashes only the day's label onto it, encoded
+  once per world in ``GenContext.dns_day_suffixes``.
 
 Because the row streams depend only on the config (never on shard
 count or process layout), sharded generation is reproducible: any K
@@ -61,7 +64,7 @@ from repro.pki.certificate import KeyUsage, lifetime_limit_on
 from repro.pki.keys import KeyAlgorithm
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import Day
-from repro.util.rng import RngStream, split_seed
+from repro.util.rng import ForkPrefix, RngStream, label_suffix, split_seed
 from repro.whois.lifecycle import release_day as lifecycle_release_day
 
 #: Default cap on DNS observations (apex-scan-day pairs, not the stored
@@ -111,11 +114,6 @@ _GODADDY_CA_NAME = "GoDaddy Secure CA - G2"
 
 def _slug(name: str) -> str:
     return "".join(c if c.isalnum() else "-" for c in name.lower()).strip("-")
-
-
-def _hash_uniform(seed: int, *labels: str) -> float:
-    """One cheap uniform draw from a labelled fork (no Random init)."""
-    return split_seed(seed, *labels) / _TWO_POW_64
 
 
 @dataclass(frozen=True)
@@ -188,12 +186,17 @@ _CF_MANAGED_SPECS = {
 class GenPlan:
     """The deterministic registration plan: day buckets + prefix sums.
 
-    Every worker rebuilds the identical plan from the config alone (one
-    labelled Poisson fork per day), so shard workers agree on the
-    global domain indexing without any parent-to-worker data transfer.
+    A pure function of the config (one labelled Poisson fork per day),
+    so every shard agrees on the global domain indexing. A save builds
+    it once, inside its :class:`GenContext`; its size follows the
+    timeline, not the world scale.
     """
 
     def __init__(self, config: WorldConfig, dns_row_budget: int) -> None:
+        if dns_row_budget < 1:
+            raise ValueError(
+                f"dns_row_budget must be positive, got {dns_row_budget}"
+            )
         self.config = config
         self.timeline = config.timeline
         start = self.timeline.simulation_start
@@ -252,13 +255,25 @@ def shard_ranges(total: int, shards: int) -> List[Tuple[int, int]]:
 
 
 class GenContext:
-    """Everything per-domain emission needs, rebuildable from config."""
+    """Everything per-domain emission needs, built once per save.
+
+    A function of the config alone and small (no per-domain state), so
+    a sharded save hands the same context to every worker: forked
+    workers inherit it, spawned ones unpickle it.
+    """
 
     def __init__(self, config: WorldConfig, dns_row_budget: Optional[int] = None) -> None:
         self.config = config
         self.timeline = config.timeline
-        self.plan = GenPlan(config, dns_row_budget or DEFAULT_DNS_ROW_BUDGET)
+        self.plan = GenPlan(
+            config,
+            DEFAULT_DNS_ROW_BUDGET if dns_row_budget is None else dns_row_budget,
+        )
         self.seed = config.seed
+        #: ``label_suffix(str(day))`` for each of ``plan.dns_days``.
+        self.dns_day_suffixes: Tuple[bytes, ...] = tuple(
+            label_suffix(str(day)) for day in self.plan.dns_days
+        )
         specs = [_ca_spec(profile) for profile in build_standard_profiles()]
         self.pool_cas: Tuple[CaSpec, ...] = tuple(specs)
         self.acme_cas: Tuple[CaSpec, ...] = tuple(s for s in specs if s.acme)
@@ -339,6 +354,7 @@ class _DomainEmitter:
     __slots__ = (
         "ctx", "cfg", "tl", "index", "rng", "name", "www", "e2lds",
         "serial_base", "seq", "certs", "revocations", "whois", "dns",
+        "dns_loss",
     )
 
     def __init__(self, ctx: GenContext, index: int) -> None:
@@ -356,6 +372,7 @@ class _DomainEmitter:
         self.revocations: List[Tuple[Day, Tuple]] = []
         self.whois: List[Tuple] = []
         self.dns: List[Tuple] = []
+        self.dns_loss: Optional[ForkPrefix] = None  # built on first scan day
 
     # -- span / phase structure ------------------------------------------
 
@@ -625,8 +642,8 @@ class _DomainEmitter:
             return None
         if not_after < disclosure:
             return None
-        exposure = _hash_uniform(self.ctx.seed, "streamgen", "breach", str(serial))
-        if exposure >= self.cfg.godaddy_breach_exposure_fraction:
+        exposure = split_seed(self.ctx.seed, "streamgen", "breach", str(serial))
+        if exposure / _TWO_POW_64 >= self.cfg.godaddy_breach_exposure_fraction:
             return None
         window = tl.godaddy_breach_revocation_end - disclosure + 1
         offset = split_seed(
@@ -668,13 +685,15 @@ class _DomainEmitter:
                     (f"ns1.{phase.ns_base}", f"ns2.{phase.ns_base}")
                 ),
             }
-        seed, days, dns = self.ctx.seed, self.ctx.plan.dns_days, self.dns
+        ctx, dns = self.ctx, self.dns
+        days, suffixes = ctx.plan.dns_days, ctx.dns_day_suffixes
         lo, hi = bisect_left(days, phase.start), bisect_right(days, phase.end)
+        if loss_rate > 0 and lo < hi and self.dns_loss is None:
+            self.dns_loss = ForkPrefix(ctx.seed, "streamgen", "dns-loss", self.name)
         for position in range(lo, hi):
             scan_day = days[position]
             if loss_rate > 0 and (
-                _hash_uniform(seed, "streamgen", "dns-loss", self.name, str(scan_day))
-                < loss_rate
+                self.dns_loss.draw(suffixes[position]) / _TWO_POW_64 < loss_rate
             ):
                 continue  # transient lookup failure: absent from the day
             # The run goes on when the previous scan saw the same records
@@ -865,7 +884,7 @@ def save_streamed(
             if use_processes:
                 from repro.parallel.genpool import stream_rows_parallel
 
-                batches = stream_rows_parallel(config, shards, dns_row_budget)
+                batches = stream_rows_parallel(ctx, shards)
             else:
                 batches = stream_rows(ctx, shards)
             for table, rows in batches:

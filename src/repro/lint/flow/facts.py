@@ -18,13 +18,15 @@ from repro.lint.base import FileContext
 
 METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 
+#: A fork root holding its labels as a prefix: every ``draw`` appends one
+#: more runtime label, so its sites register their labels plus ``"*"``.
+FORK_PREFIX_CLASS = "repro.util.rng.ForkPrefix"
 #: Canonical names of the labelled RNG fork primitives.
 FORK_ROOTS = {
     "repro.util.rng.RngStream",
     "repro.util.rng.split_seed",
+    FORK_PREFIX_CLASS,
 }
-#: Module-local wrapper suffixes that relay (seed, *labels) to a fork.
-FORK_WRAPPER_SUFFIXES = ("._hash_uniform",)
 RNG_STREAM_CLASS = "repro.util.rng.RngStream"
 
 PHASE_PROGRESS_CALLS = (
@@ -52,7 +54,7 @@ class ForkSite:
 
     line: int
     col: int
-    kind: str                 # "root" (RngStream/split_seed/wrapper) | "split"
+    kind: str                 # "root" (RngStream/split_seed/ForkPrefix) | "split"
     labels: Tuple[str, ...]   # literal components; "*" for runtime-varying
     variadic: bool            # *labels relay — nothing to register here
     line_text: str = ""
@@ -324,8 +326,6 @@ class _Extractor:
         label_args: Sequence[ast.expr] = ()
         if resolved in FORK_ROOTS:
             kind, label_args = "root", node.args[1:]
-        elif resolved is not None and resolved.endswith(FORK_WRAPPER_SUFFIXES):
-            kind, label_args = "root", node.args[1:]
         elif resolved == f"{RNG_STREAM_CLASS}.split":
             kind, label_args = "split", node.args
         elif (isinstance(node.func, ast.Attribute)
@@ -342,6 +342,8 @@ class _Extractor:
             for a in label_args
             if not isinstance(a, ast.Starred)
         )
+        if resolved == FORK_PREFIX_CLASS:
+            labels += ("*",)
         self.fork_sites.append(ForkSite(
             line=node.lineno,
             col=node.col_offset + 1,

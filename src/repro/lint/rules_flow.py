@@ -20,7 +20,7 @@ _CLI_ANCHOR_SUFFIXES = ("repro/cli.py",)
 _ROOT_MODULES = ("repro.cli", "repro.__main__")
 #: Directories scanned from disk for extra references (entry points that
 #: live outside the default ``src tests`` lint set).
-_EXTRA_REF_DIRS = ("benchmarks", "examples")
+_EXTRA_REF_DIRS = ("bench", "benchmarks", "examples")
 
 
 @register
@@ -171,7 +171,7 @@ def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
     """Dotted names (and their prefixes) reachable from anything scanned.
 
     Seeds with every attributed reference in the program plus references
-    found in ``benchmarks/``/``examples/`` on disk, then propagates
+    found in ``bench/``/``benchmarks/``/``examples/`` on disk, then propagates
     through import aliases to a fixpoint so package re-exports keep their
     targets alive, and marks star-import targets wholesale (conservative:
     a ``*`` import may use anything).
@@ -213,7 +213,7 @@ def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
 
 
 def _extra_reference_facts() -> List:
-    """Facts for ``benchmarks/``/``examples/`` files found on disk.
+    """Facts for ``bench/``/``benchmarks/``/``examples/`` files on disk.
 
     These directories hold entry points that reference public API but are
     outside the default lint set; missing them would flag live symbols as

@@ -73,7 +73,8 @@ SERVE_INDEX_BUILD_SECONDS_HELP = "Wall time spent building the serving index."
 DATA_SEGMENTS_OPENED = "repro_data_segments_opened_total"
 DATA_SEGMENTS_OPENED_HELP = "Columnar segments mapped into memory, by table."
 
-DATA_SEGMENTS_PRUNED = "repro_data_segments_pruned_total"  # repro-lint: disable=RL703  # nothing counts it; bench/workloads.py reads it
+#: Read by ``bench/workloads.py``; no code path counts it.
+DATA_SEGMENTS_PRUNED = "repro_data_segments_pruned_total"
 
 # -- streaming world generation (repro.ecosystem.streamgen) ------------------
 
@@ -130,11 +131,12 @@ PROGRESS_PHASES = (
 )
 
 #: Declared RNG stream labels — every site that forks a random stream
-#: (``RngStream(seed, *labels)``, ``split_seed(seed, *labels)``, or a
-#: keyed wrapper such as ``_hash_uniform``) must use a label tuple listed
-#: here, with ``"*"`` standing for a runtime-varying component (a domain
-#: name, a shard index). RL702 enforces the registry in both directions:
-#: an undeclared fork site is flagged (two subsystems silently sharing a
+#: (``RngStream(seed, *labels)``, ``split_seed(seed, *labels)``, or
+#: ``ForkPrefix(seed, *labels)``, whose draws each append one more label)
+#: must use a label tuple listed here, with ``"*"`` standing for a
+#: runtime-varying component (a domain name, a shard index, a prefix's
+#: draw label). RL702 enforces the registry in both directions: an
+#: undeclared fork site is flagged (two subsystems silently sharing a
 #: stream is the determinism bug the label scheme exists to prevent), and
 #: a declared tuple with no surviving fork site is flagged as stale.
 #: Child ``.split(...)`` calls are exempt — they are rooted in a declared

@@ -289,6 +289,29 @@ class TestCommands:
         assert not report.is_clean
 
 
+class TestSaveRejectsNonPositiveCounts:
+    """``--gen-dns-rows`` and ``--gen-shards`` below 1 exit 2 before
+    anything is generated, instead of falling back to a default (0) or
+    an unbounded DNS stride (negative)."""
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--gen-shards", "1", "--gen-dns-rows", "0"], "--gen-dns-rows"),
+            (["--gen-shards", "1", "--gen-dns-rows", "-5"], "--gen-dns-rows"),
+            (["--gen-dns-rows", "0"], "--gen-dns-rows"),
+            (["--gen-shards", "0"], "--gen-shards"),
+        ],
+    )
+    def test_exits_2_and_writes_no_bundle(self, tmp_path, capsys, flags, flag):
+        bundle_dir = tmp_path / "bundle"
+        assert main(ARGS + ["save", "--dir", str(bundle_dir)] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be >= 1" in err
+        assert "Traceback" not in err
+        assert not bundle_dir.exists()
+
+
 class TestWatch:
     def test_watch_verify_matches_batch(self, capsys):
         assert main(ARGS + ["watch", "--verify"]) == 0

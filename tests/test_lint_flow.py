@@ -56,6 +56,15 @@ class TestModuleNames:
         assert module_name_for_path("src/repro/data/__init__.py") == "repro.data"
 
 
+PREFIX_MODULE = (
+    "from repro.util.rng import ForkPrefix, label_suffix\n"
+    "\n"
+    "def draw(seed, apex, day):\n"
+    "    prefix = ForkPrefix(seed, 'fixture-prefix', apex)\n"
+    "    return prefix.draw(label_suffix(str(day)))\n"
+)
+
+
 class TestRngLabelRegistry:
     def test_collision_across_two_files(self):
         findings = [
@@ -80,6 +89,32 @@ class TestRngLabelRegistry:
         }
         assert collected == set(names.RNG_LABELS)
 
+    def test_fork_prefix_registers_the_label_its_draws_append(self):
+        facts = extract_module_facts("src/repro/ecosystem/x.py", PREFIX_MODULE)
+        assert [site.labels for site in facts.fork_sites] == [
+            ("fixture-prefix", "*", "*"),
+        ]
+
+    def test_fork_prefix_declared_without_its_draw_label_is_flagged(self):
+        """Declaring only the prefix's own labels is not enough: the
+        stream namespace a draw uses has one more component."""
+        contexts = {
+            path: FileContext.parse(path, source)
+            for path, source in (
+                ("src/repro/obs/names.py",
+                 'RNG_LABELS = (("fixture-prefix", "*"),)\n'),
+                ("src/repro/ecosystem/x.py", PREFIX_MODULE),
+            )
+        }
+        messages = [
+            f.message for f in LintRunner().run_contexts(contexts)
+            if f.code == "RL702"
+        ]
+        assert any(
+            "('fixture-prefix', '*', '*') is not declared" in m for m in messages
+        ), messages
+        assert any("declares ('fixture-prefix', '*')" in m for m in messages)
+
     def test_real_fork_sites_are_root_or_split(self):
         kinds = {
             site.site.kind for site in collect_rng_labels(facts_for(REPO_ROOT / "src"))
@@ -95,6 +130,23 @@ class TestDeadExports:
         ]
         assert [f.path for f in findings] == ["src/repro/core/widgets.py"]
         assert "dead_fixture_widget" in findings[0].message
+
+    def test_a_name_only_bench_reads_is_live(self, monkeypatch):
+        """``bench/`` files are read from disk as references, like
+        ``benchmarks/`` and ``examples/``; a name nothing reads is still
+        dead."""
+        root = FLOW_DIR / "rl703_bad_dead_beside_bench"
+        monkeypatch.chdir(root)
+        contexts = {
+            path: context for path, context in tree_contexts(root).items()
+            if path.startswith("src/")
+        }
+        findings = [
+            f for f in LintRunner().run_contexts(contexts) if f.code == "RL703"
+        ]
+        assert [f.path for f in findings] == ["src/repro/core/widgets.py"]
+        assert "dead_fixture_widget" in findings[0].message
+        assert not any("bench_only_widget" in f.message for f in findings)
 
     def test_whitelisting_suppresses_it(self):
         findings = [

@@ -19,6 +19,7 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -41,7 +42,9 @@ from repro.data.dataset import (
     open_bundle,
 )
 from repro.ecosystem.streamgen import (
+    DEFAULT_DNS_ROW_BUDGET,
     GenContext,
+    GenPlan,
     save_materialized,
     save_streamed,
     shard_ranges,
@@ -192,6 +195,54 @@ class TestPinnedBytes:
         directory = str(tmp_path / f"seed7-k{shards}")
         save_streamed(WorldConfig(seed=7).scaled(0.02), directory, shards)
         assert _bundle_digest(directory) == self.DIGEST
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pickled_context_gives_the_pinned_bytes(
+        self, tmp_path, monkeypatch, method
+    ):
+        """Workers that do not fork get the parent's GenContext by pickle."""
+        _default_start_method(monkeypatch, method)
+        directory = str(tmp_path / f"seed7-{method}")
+        save_streamed(WorldConfig(seed=7).scaled(0.02), directory, 2)
+        assert _bundle_digest(directory) == self.DIGEST
+
+
+def _default_start_method(monkeypatch, method: str) -> None:
+    """Make *method* the context ``multiprocessing.get_context()`` returns."""
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing,
+        "get_context",
+        lambda name=None: get_context(method if name is None else name),
+    )
+
+
+class TestGenContext:
+    def test_default_budget_applies_only_to_none(self):
+        assert GenContext(SEED_CONFIG).plan.dns_row_budget == DEFAULT_DNS_ROW_BUDGET
+        assert GenContext(SEED_CONFIG, 1).plan.dns_row_budget == 1
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="dns_row_budget must be positive"):
+            GenContext(SEED_CONFIG, budget)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_save_builds_one_plan(self, tmp_path, monkeypatch, shards):
+        """Forked workers inherit the parent's plan instead of building
+        their own; every build, in any process, appends a line."""
+        _default_start_method(monkeypatch, "fork")
+        log = tmp_path / "plan-builds"
+        build = GenPlan.__init__
+
+        def counted(self, *args, **kwargs):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(GenPlan, "__init__", counted)
+        save_streamed(SEED_CONFIG, str(tmp_path / "bundle"), shards)
+        assert log.read_text().splitlines() == [str(os.getpid())]
 
 
 class TestShardInvariance:

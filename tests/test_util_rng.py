@@ -1,9 +1,9 @@
 """Tests for deterministic RNG streams."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.util.rng import RngStream, split_seed
+from repro.util.rng import ForkPrefix, RngStream, label_suffix, split_seed
 
 
 class TestSplitSeed:
@@ -19,6 +19,23 @@ class TestSplitSeed:
     def test_label_path_is_not_concatenation(self):
         # ("ab",) and ("a", "b") must derive different children.
         assert split_seed(1, "ab") != split_seed(1, "a", "b")
+
+
+class TestForkPrefix:
+    @given(
+        seed=st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+        labels=st.lists(st.text(), max_size=4),
+        finals=st.lists(st.text(), min_size=1, max_size=3),
+    )
+    @example(seed=7, labels=["streamgen", "dns-loss", "bücher.de"], finals=["日"])
+    def test_draw_equals_split_seed(self, seed, labels, finals):
+        """Any seed, any label path (non-ASCII and empty labels included),
+        and any number of draws from one prefix, in any order."""
+        prefix = ForkPrefix(seed, *labels)
+        for final in finals + [""]:
+            assert prefix.draw(label_suffix(final)) == split_seed(
+                seed, *labels, final
+            )
 
 
 class TestRngStream:
