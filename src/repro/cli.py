@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     data.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="run detection sharded across N worker processes (default 1)",
+        help="run the detectors as parallel tasks on up to N processes "
+        "(default 1)",
     )
     # Observability options shared by the pipeline-running subcommands.
     obsopts = argparse.ArgumentParser(add_help=False)
@@ -512,9 +513,9 @@ def cmd_detect(args) -> int:
         print(render_table(columns, table_rows, title=title))
         if result.shard_stats is not None:
             print(render_table(
-                ["Shard quantity", "Value"],
+                ["Task quantity", "Value"],
                 result.shard_stats.summary_rows(),
-                title="Parallel shard stats",
+                title="Parallel detector tasks",
             ))
     return 0
 
@@ -527,6 +528,9 @@ def cmd_save(args) -> int:
         if value is not None and value < 1:
             print(f"error: {flag} must be >= 1", file=sys.stderr)
             return 2
+    if args.gen_dns_rows is not None and args.gen_shards is None:
+        print("error: --gen-dns-rows needs --gen-shards", file=sys.stderr)
+        return 2
     if args.gen_shards is not None:
         return _save_streamed(args)
     counts = write_dataset(_world(args).to_bundle(), args.dir)

@@ -4,9 +4,9 @@ The three pipelines of Sections 4.1–4.3 share one shape: construct one
 from the data it joins against, feed it the dataset it consumes via
 ``detect(inputs, findings)``, and read join accounting from ``stats``.
 The batch pipeline iterates a registry of detectors with this shape
-instead of hard-coding each class, the sharded parallel engine
+instead of hard-coding each class, the parallel engine
 (:mod:`repro.parallel`) relies on detectors being uniformly constructible
-and picklable inside worker processes, and the stream engine builds the
+inside worker processes, and the stream engine builds the
 same registry entries and feeds them per event through the incremental
 calls ``detect`` loops over.
 """

@@ -10,13 +10,13 @@ The pipeline iterates :data:`DETECTOR_REGISTRY` — an ordered list of
 :class:`DetectorSpec` entries describing how to build each
 :class:`~repro.core.detectors.base.Detector`, which bundle dataset it
 consumes, and when it applies — so adding a staleness class means adding a
-registry entry, not editing ``run()``. The sharded parallel engine
-(:mod:`repro.parallel`) reuses the same registry inside worker processes.
+registry entry, not editing ``run()``. The parallel engine
+(:mod:`repro.parallel`) runs each registry entry as one worker task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.detectors.base import Detector
@@ -54,8 +54,8 @@ class PipelineResult:
     findings: StaleFindings
     revocation_stats: Optional[RevocationJoinStats] = None
     windows: Dict[StalenessClass, Tuple[Day, Day]] = field(default_factory=dict)
-    #: Per-shard sizes/timings when the result came from the sharded
-    #: parallel engine (:mod:`repro.parallel`); ``None`` for batch runs.
+    #: Per-task timings when the result came from the parallel engine
+    #: (:mod:`repro.parallel`); ``None`` for batch runs.
     shard_stats: Optional["ShardStats"] = None
 
     def aggregate_table(self) -> List[ClassAggregate]:
@@ -157,7 +157,7 @@ class PipelineConfig:
 
 #: The Section 4 methodology as data: one entry per staleness pipeline,
 #: in the paper's order. ``MeasurementPipeline``, the stream engine's
-#: verification path, and the parallel shard workers all iterate this.
+#: verification path, and the parallel engine's tasks all iterate this.
 DETECTOR_REGISTRY: Tuple[DetectorSpec, ...] = (
     DetectorSpec(
         key="key_compromise",
@@ -186,25 +186,6 @@ DETECTOR_REGISTRY: Tuple[DetectorSpec, ...] = (
 )
 
 
-def merge_revocation_stats(
-    parts: Sequence[RevocationJoinStats],
-) -> RevocationJoinStats:
-    """Sum per-shard join accounting into the global view.
-
-    Valid because shards partition CRL entries by (authority key id,
-    serial) ownership: every counter is a disjoint count.
-    """
-    merged = RevocationJoinStats()
-    for part in parts:
-        for stat_field in dataclass_fields(RevocationJoinStats):
-            setattr(
-                merged,
-                stat_field.name,
-                getattr(merged, stat_field.name) + getattr(part, stat_field.name),
-            )
-    return merged
-
-
 class MeasurementPipeline:
     """Runs the Section 4 methodology over a dataset bundle."""
 
@@ -215,8 +196,8 @@ class MeasurementPipeline:
         whois_tlds: Optional[Sequence[str]] = ("com", "net"),
     ) -> None:
         """Direct construction still works but :meth:`run_bundle` is the
-        preferred entry point (it also routes to the sharded parallel
-        engine via ``workers``); this constructor is kept for backwards
+        preferred entry point (it also routes to the parallel engine via
+        ``workers``); this constructor is kept for backwards
         compatibility and may gain a deprecation warning in a future
         release."""
         self._bundle = bundle
@@ -236,9 +217,10 @@ class MeasurementPipeline:
         """One-call entry point: run the methodology over *bundle*.
 
         ``workers > 1`` routes through
-        :class:`~repro.parallel.ParallelMeasurementPipeline`, which shards
-        the bundle and fans detection out over a process pool while
-        producing a findings set identical to the single-process run.
+        :class:`~repro.parallel.ParallelMeasurementPipeline`, which runs
+        each applicable detector as one task over the whole bundle on a
+        process pool, producing a findings set identical to the
+        single-process run.
         """
         if workers > 1:
             from repro.parallel import ParallelMeasurementPipeline
@@ -289,8 +271,8 @@ def run_detector(
     Returns ``(detector, elapsed_seconds)``. Records the wall time (build
     + detect) into the ``repro_detector_seconds`` histogram and the
     findings added into ``repro_findings_total`` by staleness class —
-    identically for the batch pipeline and the parallel shard workers
-    (:func:`repro.parallel.executor.run_shard`), so serial and sharded
+    identically for the batch pipeline and the parallel engine's tasks
+    (:func:`repro.parallel.executor.run_shard`), so serial and parallel
     runs report into the same series.
     """
     from time import perf_counter

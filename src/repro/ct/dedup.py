@@ -11,12 +11,11 @@ Implements two corpus rules from paper Section 4:
 It also declares :class:`Corpus`, the one interface every engine reads a
 certificate corpus through: the §4 joins (CRL × CT on (AKID, serial), WHOIS
 re-creation × validity on the e2LD, managed certificates for DNS
-departures) and the key columns per row (:class:`CertRow`) that the shard
-planner, the stream replay and the advisor read without building a
-certificate (:class:`ManagedRow` likewise for the §4.3 join). Two stores
-implement it — the in-memory :class:`CertificateCorpus` and the columnar
-:class:`~repro.data.dataset.CertsTable` — and :class:`CorpusSlice` is one
-shard's view of either.
+departures) and the key columns per row (:class:`CertRow`) that the stream
+replay and the advisor read without building a certificate
+(:class:`ManagedRow` likewise for the §4.3 join). Two stores implement it —
+the in-memory :class:`CertificateCorpus` and the columnar
+:class:`~repro.data.dataset.CertsTable`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import (
     NamedTuple,
     Optional,
     Protocol,
-    Sequence,
     Set,
     Tuple,
 )
@@ -94,12 +92,11 @@ class ManagedRow(NamedTuple):
 
 
 class Corpus(Protocol):
-    """What the detectors, the shard planner, the stream engine, the
-    advisor and ``write_dataset`` read from a certificate corpus.
+    """What the detectors, the stream engine, the advisor and
+    ``write_dataset`` read from a certificate corpus.
 
-    Rows are store row ids: in a store, ``certificate(row)`` is the
-    ``row``-th certificate of ``certificates()``; a :class:`CorpusSlice`
-    keeps its store's ids.
+    Rows are store row ids: ``certificate(row)`` is the ``row``-th
+    certificate of ``certificates()``.
     """
 
     def __len__(self) -> int: ...
@@ -258,46 +255,3 @@ class CertificateCorpus:
                 sorted(certificate.e2lds()),
             )
 
-
-class CorpusSlice:
-    """One shard's corpus: *rows* of a store, in the store's row order.
-
-    ``certificates()``, ``len``, ``managed_rows()`` and ``key_rows()``
-    cover only the slice's rows. The joins go straight to the store's
-    indexes. That is sound because shard routing is join-closed: every
-    certificate that
-    shares an authority key id (revocation axis) or an e2LD component
-    (domain axis) with the slice's rows is in the slice, so a lookup from
-    a shard-local key returns shard-local rows.
-
-    A slice pickles as its store plus its rows; a columnar store pickles
-    as its segment files, so a spawned worker reopens the bundle instead
-    of receiving certificates.
-    """
-
-    def __init__(self, store: Corpus, rows: Sequence[int]) -> None:
-        self._store = store
-        self._rows = list(rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def certificates(self) -> Iterator[Certificate]:
-        return (self._store.certificate(row) for row in self._rows)
-
-    def certificate(self, row: int) -> Certificate:
-        return self._store.certificate(row)
-
-    def revocation_match(self, key: Tuple[str, int]) -> Optional[ValidityRow]:
-        return self._store.revocation_match(key)
-
-    def e2ld_candidates(self, e2ld: str, day: Day) -> Tuple[int, List[Certificate]]:
-        return self._store.e2ld_candidates(e2ld, day)
-
-    def managed_rows(self) -> List[ManagedRow]:
-        rows = set(self._rows)
-        return [managed for managed in self._store.managed_rows() if managed.row in rows]
-
-    def key_rows(self) -> Iterator[CertRow]:
-        rows = set(self._rows)
-        return (key for key in self._store.key_rows() if key.row in rows)

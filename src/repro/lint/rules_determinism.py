@@ -1,7 +1,7 @@
 """Determinism rules: RL101 wall clock, RL102 global random, RL103 set order.
 
 These protect the reproduction's headline claim — batch, stream, and
-sharded-parallel runs are finding-for-finding identical given a seed.
+parallel runs are finding-for-finding identical given a seed.
 Wall-clock reads make a simulated 2013–2023 timeline depend on the day
 the code runs; the process-global ``random`` module entangles every
 subsystem's draws through shared hidden state (the repo's

@@ -1,12 +1,12 @@
 """Fork-safety rule: RL201 mutable module-level state in worker-reachable code.
 
-The sharded parallel engine forks (or spawns) worker processes that import
+The parallel engine forks (or spawns) worker processes that import
 the same modules as the parent. Module-level state that is *mutated* at
 runtime silently diverges per process: the parent never sees a worker's
 writes, and two workers never see each other's. A constant lookup table
 defined once and only read is fine; a module-level cache, accumulator, or
 registry that code writes into is a latent correctness bug the moment it
-is reached from a shard worker or a ``DETECTOR_REGISTRY`` detector.
+is reached from a worker process or a ``DETECTOR_REGISTRY`` detector.
 """
 
 from __future__ import annotations

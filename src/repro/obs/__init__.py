@@ -1,17 +1,17 @@
 """Unified observability: metrics, span tracing, structured JSON logging.
 
 The operational counterpart to :mod:`repro.stream` (incremental detection)
-and :mod:`repro.parallel` (sharded detection): one process-wide
+and :mod:`repro.parallel` (parallel detection): one process-wide
 :class:`MetricsRegistry` that every engine layer records into —
 
 * :class:`~repro.revocation.fetcher.CrlFetcher` counts per-operator fetch
   attempts, retries, and outcomes, and traces a span per fetch day;
-* :class:`~repro.core.pipeline.MeasurementPipeline` and the shard workers
-  record per-detector duration histograms and finding counters by
+* :class:`~repro.core.pipeline.MeasurementPipeline` and the parallel
+  detector tasks record per-detector duration histograms and finding counters by
   staleness class;
 * the stream engine bridges :class:`~repro.stream.metrics.StreamStats`
   onto the registry so watch-mode and batch counters share one namespace;
-* the parallel engine snapshots each shard's registry into its
+* the parallel engine snapshots each detector task's registry into its
   :class:`~repro.parallel.executor.ShardOutcome` and merges them
   deterministically in the parent.
 
@@ -21,8 +21,8 @@ structured log feed (span timings, fetch progress) on stderr.
 
 Three sibling modules turn one run's telemetry into run *artifacts*:
 :mod:`repro.obs.traceout` collects span begin/end events into a bounded
-buffer and exports Chrome trace-event JSON (``--trace-out FILE``; shard
-workers snapshot their local buffers and merge onto deterministic pid
+buffer and exports Chrome trace-event JSON (``--trace-out FILE``; parallel
+tasks snapshot their local buffers and merge onto deterministic pid
 lanes), :mod:`repro.obs.profile` aggregates a trace into per-span-name
 self/cumulative time and the cross-lane critical path
 (``repro profile TRACE``), and :mod:`repro.obs.diff` compares two runs'

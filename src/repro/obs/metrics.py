@@ -6,15 +6,15 @@ quantified continuously, not discovered when a test fails. This module is
 the storage half of that: a :class:`MetricsRegistry` holding named metric
 families, a Prometheus-style text exposition (:meth:`MetricsRegistry.render_text`
 / :meth:`~MetricsRegistry.write_textfile`), and a deterministic
-:meth:`~MetricsRegistry.merge` so per-shard snapshots from the parallel
+:meth:`~MetricsRegistry.merge` so per-task snapshots from the parallel
 engine sum into the parent's registry.
 
 Merge semantics are chosen to be commutative and associative — counters and
-histograms add, gauges take the maximum — so merging shard snapshots in any
+histograms add, gauges take the maximum — so merging task snapshots in any
 order produces identical totals (the parallel engine's determinism bar).
 
 A process-wide default registry is reachable via :func:`get_registry`;
-:func:`use_registry` scopes a replacement per thread (shard workers and the
+:func:`use_registry` scopes a replacement per thread (detector tasks and the
 CLI use it so concurrent runs never interleave their counters).
 """
 
@@ -235,7 +235,8 @@ class MetricsRegistry:
     # -- snapshot / merge ----------------------------------------------------
 
     def to_record(self) -> Dict[str, object]:
-        """JSON-serializable snapshot (travels in ShardOutcome pickles too)."""
+        """JSON-serializable snapshot (a parallel detector task returns one
+        in its ShardOutcome)."""
         with self._lock:
             families = {}
             for family in self.families():
@@ -269,7 +270,7 @@ class MetricsRegistry:
         """Fold another registry (or its record) into this one.
 
         Counters and histogram buckets add; gauges take the maximum — all
-        commutative and associative, so shard snapshots merge to identical
+        commutative and associative, so task snapshots merge to identical
         totals in any order.
         """
         record = other.to_record() if isinstance(other, MetricsRegistry) else other
@@ -419,8 +420,8 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:  # repro
 def use_registry(registry: Optional[MetricsRegistry] = None) -> Iterator[MetricsRegistry]:
     """Scope :func:`get_registry` to *registry* for the current thread.
 
-    Shard workers wrap their detector pass in this so each shard snapshot
-    is isolated; tests use it to keep assertions off the global registry.
+    Parallel detector tasks wrap their detector in this so each task's
+    snapshot is isolated; tests use it to keep assertions off the global registry.
     """
     if registry is None:
         registry = MetricsRegistry()

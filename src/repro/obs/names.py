@@ -1,10 +1,10 @@
 """Canonical metric names (and help strings) for the shared registry.
 
 Every instrumented subsystem — the CRL fetcher, the batch pipeline, the
-shard workers, and the stream engine — registers its metrics under these
-names so that batch, parallel, and watch runs share one namespace: a
-findings counter incremented by a shard worker and one incremented by the
-stream engine land in the *same* time series. Keeping the names here (and
+parallel detector tasks, and the stream engine — registers its metrics
+under these names so that batch, parallel, and watch runs share one
+namespace: a findings counter incremented by a parallel task and one
+incremented by the stream engine land in the *same* time series. Keeping the names here (and
 only here) prevents the drift that silently splits a series in two.
 """
 

@@ -18,7 +18,7 @@ clock go?*
 * :func:`critical_path` tiles the trace extent ``[start, end]`` with
   segments, each attributed to the *latest-started* span active at that
   moment (ties broken by depth). Walking backward from the trace end,
-  this crosses process lanes — through the slowest shard worker during
+  this crosses process lanes — through the slowest worker task during
   the parallel window, back to the coordinator around it — and the
   segment durations sum exactly to the trace's wall time (idle gaps
   appear as explicit ``(idle)`` segments).

@@ -41,7 +41,7 @@ def peak_rss_children_bytes() -> Optional[int]:
     """Largest peak RSS among waited-for child processes, or ``None``.
 
     This is what bounds a *shard worker* of the streaming generator or
-    the parallel detector: RUSAGE_SELF only sees the parent, so an
+    a parallel detector task: RUSAGE_SELF only sees the parent, so an
     O(shard) memory claim is checked against this field instead.
     """
     try:

@@ -8,12 +8,12 @@ as Chrome trace-event JSON (``{"traceEvents": [...]}``; loadable in
 Perfetto or ``chrome://tracing``) or as JSONL, via ``--trace-out FILE``
 on the pipeline-running CLI subcommands.
 
-Cross-process runs merge into one timeline: each shard worker in
+Cross-process runs merge into one timeline: each detector task in
 :mod:`repro.parallel` snapshots its local collector into its
-:class:`~repro.parallel.executor.ShardOutcome` (exactly as PR 3 did for
-metrics), and the parent :meth:`~TraceCollector.extend`\\ s those events
-with a deterministic ``pid`` lane per shard — lane 0 is the coordinating
-process, lane ``i + 1`` is shard ``i`` — so the exported trace shows all
+:class:`~repro.parallel.executor.ShardOutcome` (as it does its metrics),
+and the parent :meth:`~TraceCollector.extend`\\ s those events with a
+deterministic ``pid`` lane per task — lane 0 is the coordinating
+process, lane ``i + 1`` is task ``i`` — so the exported trace shows all
 workers regardless of real (nondeterministic) OS pids. Thread ids are
 likewise normalized to small integers in order of first appearance.
 
@@ -42,7 +42,7 @@ PHASE_BEGIN = "B"
 PHASE_END = "E"
 PHASE_METADATA = "M"
 
-#: Schema version carried in snapshots (shard -> parent payloads).
+#: Schema version carried in snapshots (task -> parent payloads).
 SNAPSHOT_VERSION = 1
 
 #: Default buffer bound — ~2 events per span, so ~100k spans per run.
@@ -120,7 +120,7 @@ class TraceCollector:
     def extend(self, snapshot: Mapping[str, Any], lane: int) -> None:
         """Fold another process's snapshot in, assigning it pid *lane*.
 
-        The lane is deterministic (the parent passes ``shard_index + 1``),
+        The lane is deterministic (the parent passes ``task_index + 1``),
         so merged traces are stable run-over-run even though OS pids are
         not. Honors the buffer bound; overflow adds to :attr:`dropped`.
         """

@@ -1,16 +1,11 @@
-"""Per-shard size and timing accounting for the parallel engine.
+"""Per-task timing accounting for the parallel engine.
 
 :class:`ShardStats` is attached to the :class:`~repro.core.pipeline.PipelineResult`
 a :class:`~repro.parallel.ParallelMeasurementPipeline` run produces, and is
-surfaced by ``repro detect --format json`` under ``"shard_stats"``. It
-answers the operational questions sharding raises: how even was the
-partition, where did the wall-clock go, and which detector dominated each
-shard.
-
-Note that the domain axis is partitioned by *join-connected components*,
-not individual domains — one component can dwarf the rest (the Cloudflare
-marker SAN links every managed certificate together), so skew here is
-expected, not a bug.
+surfaced by ``repro detect --format json`` under ``"shard_stats"``. Each
+:class:`ShardRecord` is one detector task over the whole bundle: its
+findings, its wall time and its detector's share of it, so the record
+shows which join bounds the run.
 """
 
 from __future__ import annotations
@@ -21,27 +16,19 @@ from typing import Dict, List, Tuple
 
 @dataclass
 class ShardRecord:
-    """Sizes, timings, and output of one shard."""
+    """Timing and output of one detector task."""
 
     index: int
-    revocation_certificates: int = 0
-    domain_certificates: int = 0
-    crls: int = 0
-    whois_pairs: int = 0
     findings: int = 0
     seconds: float = 0.0
     #: Detector key (as in ``DETECTOR_REGISTRY``) -> seconds spent.
     detector_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Trace events this shard recorded (0 when tracing was off).
+    #: Trace events this task recorded (0 when tracing was off).
     trace_events: int = 0
 
     def to_record(self) -> Dict[str, object]:
         return {
             "index": self.index,
-            "revocation_certificates": self.revocation_certificates,
-            "domain_certificates": self.domain_certificates,
-            "crls": self.crls,
-            "whois_pairs": self.whois_pairs,
             "findings": self.findings,
             "seconds": self.seconds,
             "detector_seconds": dict(self.detector_seconds),
@@ -52,10 +39,6 @@ class ShardRecord:
     def from_record(cls, record: Dict[str, object]) -> "ShardRecord":
         return cls(
             index=int(record["index"]),
-            revocation_certificates=int(record["revocation_certificates"]),
-            domain_certificates=int(record["domain_certificates"]),
-            crls=int(record["crls"]),
-            whois_pairs=int(record["whois_pairs"]),
             findings=int(record["findings"]),
             seconds=float(record["seconds"]),
             detector_seconds={
@@ -68,19 +51,19 @@ class ShardRecord:
 
 @dataclass
 class ShardStats:
-    """One parallel run's partition/execution/merge accounting."""
+    """One parallel run's execution/merge accounting."""
 
+    #: Detector tasks run (one per applicable registry entry).
     num_shards: int
     workers: int
-    executor: str  # "serial" or "process"
-    partition_seconds: float = 0.0
+    executor: str  # "process"
     execute_seconds: float = 0.0
     merge_seconds: float = 0.0
     shards: List[ShardRecord] = field(default_factory=list)
     #: Merged obs-registry snapshot
-    #: (:meth:`~repro.obs.MetricsRegistry.to_record`) across all shards,
-    #: folded in shard-index order. Empty when the run predates the obs
-    #: layer or was deserialized from an older record.
+    #: (:meth:`~repro.obs.MetricsRegistry.to_record`) across all tasks,
+    #: folded in task order. Empty when the run predates the obs layer or
+    #: was deserialized from an older record.
     metrics: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -92,7 +75,6 @@ class ShardStats:
             "num_shards": self.num_shards,
             "workers": self.workers,
             "executor": self.executor,
-            "partition_seconds": self.partition_seconds,
             "execute_seconds": self.execute_seconds,
             "merge_seconds": self.merge_seconds,
             "shards": [shard.to_record() for shard in self.shards],
@@ -105,7 +87,6 @@ class ShardStats:
             num_shards=int(record["num_shards"]),
             workers=int(record["workers"]),
             executor=str(record["executor"]),
-            partition_seconds=float(record["partition_seconds"]),
             execute_seconds=float(record["execute_seconds"]),
             merge_seconds=float(record["merge_seconds"]),
             shards=[ShardRecord.from_record(r) for r in record.get("shards", [])],
@@ -115,10 +96,8 @@ class ShardStats:
     def summary_rows(self) -> List[Tuple[str, object]]:
         """(label, value) rows for the CLI text renderer."""
         rows: List[Tuple[str, object]] = [
-            ("shards", self.num_shards),
+            ("tasks", self.num_shards),
             ("workers", self.workers),
-            ("executor", self.executor),
-            ("partition seconds", round(self.partition_seconds, 4)),
             ("execute seconds", round(self.execute_seconds, 4)),
             ("merge seconds", round(self.merge_seconds, 4)),
         ]
@@ -126,8 +105,7 @@ class ShardStats:
             rows.append(
                 (
                     f"shard {shard.index}",
-                    f"{shard.revocation_certificates} rev-certs, "
-                    f"{shard.domain_certificates} dom-certs, "
+                    f"{', '.join(shard.detector_seconds)}, "
                     f"{shard.findings} findings, "
                     f"{shard.seconds:.4f}s",
                 )

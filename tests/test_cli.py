@@ -194,14 +194,18 @@ class TestCommands:
         stats = sharded.pop("shard_stats")
         single.pop("shard_stats")
         assert sharded == single
-        assert stats["num_shards"] == 2
+        # One task per applicable detector, whatever the worker count.
+        assert stats["num_shards"] == 3
         assert stats["workers"] == 2
 
     def test_detect_workers_text_prints_shard_table(self, capsys):
         assert main(ARGS + ["detect", "--workers", "2"]) == 0
         out = capsys.readouterr().out
-        assert "Parallel shard stats" in out
-        assert "shard 0" in out and "shard 1" in out
+        assert "Parallel detector tasks" in out
+        for index, key in enumerate(
+            ("key_compromise", "registrant_change", "managed_tls")
+        ):
+            assert f"shard {index}" in out and key in out
 
     def test_detect_bundle_saves_then_loads(self, tmp_path, capsys):
         bundle_dir = str(tmp_path / "bundle")
@@ -308,6 +312,17 @@ class TestSaveRejectsNonPositiveCounts:
         assert main(ARGS + ["save", "--dir", str(bundle_dir)] + flags) == 2
         err = capsys.readouterr().err
         assert f"error: {flag} must be >= 1" in err
+        assert "Traceback" not in err
+        assert not bundle_dir.exists()
+
+    def test_dns_rows_without_gen_shards_exits_2(self, tmp_path, capsys):
+        """The DNS budget only steers streamgen; on the in-memory save it
+        used to be dropped without a word."""
+        bundle_dir = tmp_path / "bundle"
+        flags = ["save", "--dir", str(bundle_dir), "--gen-dns-rows", "5"]
+        assert main(ARGS + flags) == 2
+        err = capsys.readouterr().err
+        assert "error: --gen-dns-rows needs --gen-shards" in err
         assert "Traceback" not in err
         assert not bundle_dir.exists()
 
@@ -457,9 +472,10 @@ class TestRunArtifacts:
         from repro.obs import load_trace
 
         events = [e for e in load_trace(trace_path) if e["ph"] in ("B", "E")]
-        assert {e["pid"] for e in events} == {0, 1, 2}
+        # Two workers run three detector tasks: one lane per task.
+        assert {e["pid"] for e in events} == {0, 1, 2, 3}
         detector_lanes = {e["pid"] for e in events if e["name"] == "detector"}
-        assert detector_lanes == {1, 2}
+        assert detector_lanes == {1, 2, 3}
 
     def test_crashed_run_still_writes_metrics(self, tmp_path, capsys, monkeypatch):
         # Satellite regression test: artifacts are written from a finally,

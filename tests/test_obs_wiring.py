@@ -1,7 +1,7 @@
 """Integration tests: the obs registry wired through every engine layer.
 
 The acceptance bar from the issue: one registry namespace fed by the CRL
-fetcher, the batch pipeline, the parallel shard workers, and the stream
+fetcher, the batch pipeline, the parallel detector tasks, and the stream
 engine — with parallel totals equal to serial totals, and the CLI able to
 write it all as a Prometheus textfile.
 """
@@ -22,9 +22,8 @@ from repro.obs import (
     use_registry,
 )
 from repro.parallel import ParallelMeasurementPipeline
-from repro.parallel.executor import SerialExecutor, WorkerConfig
+from repro.parallel.executor import WorkerConfig, run_shard
 from repro.parallel.pipeline import merge_shard_metrics, merge_shard_traces
-from repro.parallel.sharding import partition_bundle
 from repro.stream import CheckpointStore, StreamEngine
 
 CLI_ARGS = ["--scale", "0.02", "--seed", "7"]
@@ -38,6 +37,17 @@ def small_bundle(small_world):
 @pytest.fixture(scope="module")
 def cutoff(small_world):
     return small_world.config.timeline.revocation_cutoff
+
+
+def _task_outcomes(bundle, config):
+    """Every applicable detector's task, run in this process."""
+    outcomes = []
+    for spec in DETECTOR_REGISTRY:
+        if spec.applies(bundle):
+            outcome = run_shard(spec.key, bundle, config)
+            outcome.index = len(outcomes)
+            outcomes.append(outcome)
+    return outcomes
 
 
 class TestPipelineWiring:
@@ -73,7 +83,7 @@ class TestParallelWiring:
             MeasurementPipeline(small_bundle, revocation_cutoff_day=cutoff).run()
         with use_registry() as sharded_registry:
             ParallelMeasurementPipeline(
-                small_bundle, workers=1, num_shards=4, revocation_cutoff_day=cutoff
+                small_bundle, workers=2, revocation_cutoff_day=cutoff
             ).run()
         for registry in (serial_registry, sharded_registry):
             assert registry.counter_total(names.FINDINGS_TOTAL) > 0
@@ -87,17 +97,19 @@ class TestParallelWiring:
             assert counter_sharded.value(
                 staleness_class=cls.value
             ) == counter_serial.value(staleness_class=cls.value)
-        # Each of the 4 shards ran each applicable detector once.
-        histogram = sharded_registry.histogram(
-            names.DETECTOR_SECONDS, labels=("detector",)
-        )
+        # One task per applicable detector: each ran once, as in serial.
+        histograms = [
+            registry.histogram(names.DETECTOR_SECONDS, labels=("detector",))
+            for registry in (serial_registry, sharded_registry)
+        ]
         for spec in DETECTOR_REGISTRY:
             if spec.applies(small_bundle):
-                assert histogram.data(detector=spec.key).count == 4
+                counts = [h.data(detector=spec.key).count for h in histograms]
+                assert counts == [1, 1]
 
     def test_shard_stats_carry_merged_metrics_record(self, small_bundle, cutoff):
         result = ParallelMeasurementPipeline(
-            small_bundle, workers=1, num_shards=3, revocation_cutoff_day=cutoff
+            small_bundle, workers=2, revocation_cutoff_day=cutoff
         ).run()
         record = result.shard_stats.metrics
         rebuilt = MetricsRegistry.from_record(record)
@@ -110,14 +122,9 @@ class TestParallelWiring:
     def test_shard_snapshot_merge_is_permutation_invariant(
         self, small_bundle, cutoff
     ):
-        plan = partition_bundle(small_bundle, 3)
-        config = WorkerConfig(
-            revocation_cutoff_day=cutoff,
-            enabled=tuple(
-                spec.key for spec in DETECTOR_REGISTRY if spec.applies(small_bundle)
-            ),
+        outcomes = _task_outcomes(
+            small_bundle, WorkerConfig(revocation_cutoff_day=cutoff)
         )
-        outcomes = SerialExecutor().run(plan, config)
         reference = None
         for order in itertools.permutations(outcomes):
             merged = merge_shard_metrics(list(order))
@@ -143,21 +150,19 @@ class TestParallelWiring:
 
 class TestParallelTraceWiring:
     def test_parallel_run_merges_shard_trace_lanes(self, small_bundle, cutoff):
-        num_shards = 3
         with use_collector() as collector:
             result = ParallelMeasurementPipeline(
-                small_bundle,
-                workers=1,
-                num_shards=num_shards,
-                revocation_cutoff_day=cutoff,
+                small_bundle, workers=2, revocation_cutoff_day=cutoff
             ).run()
         events = collector.events()
         lanes = {event["pid"] for event in events}
-        assert lanes == set(range(num_shards + 1))
-        # Parent lane carries the coordination spans, worker lanes the work.
+        # Three detector tasks on two workers: one lane per task.
+        assert lanes == {0, 1, 2, 3}
+        # Parent lane carries the coordination spans, task lanes the work.
         parent_names = {e["name"] for e in events if e["pid"] == 0}
-        assert {"shard_partition", "shard_execute", "shard_merge"} <= parent_names
-        for lane in range(1, num_shards + 1):
+        assert {"shard_execute", "shard_merge"} <= parent_names
+        assert "shard_partition" not in {e["name"] for e in events}
+        for lane in (1, 2, 3):
             lane_names = {e["name"] for e in events if e["pid"] == lane}
             assert "shard_run" in lane_names
             assert "detector" in lane_names
@@ -167,22 +172,16 @@ class TestParallelTraceWiring:
 
     def test_no_collector_leaves_run_traceless(self, small_bundle, cutoff):
         result = ParallelMeasurementPipeline(
-            small_bundle, workers=1, num_shards=2, revocation_cutoff_day=cutoff
+            small_bundle, workers=2, revocation_cutoff_day=cutoff
         ).run()
         assert all(s.trace_events == 0 for s in result.shard_stats.shards)
 
     def test_merge_shard_traces_assigns_deterministic_lanes(
         self, small_bundle, cutoff
     ):
-        plan = partition_bundle(small_bundle, 2)
-        config = WorkerConfig(
-            revocation_cutoff_day=cutoff,
-            enabled=tuple(
-                spec.key for spec in DETECTOR_REGISTRY if spec.applies(small_bundle)
-            ),
-            collect_trace=True,
+        outcomes = _task_outcomes(
+            small_bundle, WorkerConfig(revocation_cutoff_day=cutoff, collect_trace=True)
         )
-        outcomes = SerialExecutor().run(plan, config)
         assert all(outcome.trace.get("events") for outcome in outcomes)
         collector = TraceCollector()
         merge_shard_traces(outcomes, collector)
@@ -258,12 +257,13 @@ class TestCliMetricsOut:
         assert f"wrote metrics to {parallel_path}" in capsys.readouterr().err
         with open(parallel_path, encoding="utf-8") as handle:
             parallel = parse_text(handle.read())
-        # Per-detector duration histograms (one sample per shard).
+        # Per-detector duration histograms: one task per detector, so
+        # one sample each, as in a serial run.
         assert (
             parallel[
                 'repro_detector_seconds_count{detector="key_compromise"}'
             ]
-            == 2
+            == 1
         )
         # Per-operator fetch outcome counters (from the world simulation).
         assert any(

@@ -1,26 +1,27 @@
-"""Sharded parallel engine: partition invariants and batch equivalence."""
+"""Parallel engine: one task per detector, equal to the batch pipeline."""
 
 from __future__ import annotations
 
+import io
+import json
 import multiprocessing
+import os
 import pickle
+from unittest import mock
 
 import pytest
 
 from repro import MeasurementPipeline, ParallelMeasurementPipeline
-from repro.core.pipeline import DatasetBundle
+from repro.cli import main
+from repro.core.pipeline import DETECTOR_REGISTRY, DatasetBundle
 from repro.data import Dataset, write_dataset
+from repro.data.dataset import CertsTable
 from repro.dns.snapshots import SnapshotStore
-from repro.obs import MetricsRegistry, names, use_registry
-from repro.parallel import (
-    ProcessPoolShardExecutor,
-    SerialExecutor,
-    WorkerConfig,
-    domain_key,
-    partition_bundle,
-    run_shard,
-)
+from repro.parallel import WorkerConfig, run_shard
 from repro.stream.engine import canonical_findings
+from tests.conftest import recording_builds
+
+ALL_DETECTORS = ("key_compromise", "registrant_change", "managed_tls")
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +30,18 @@ def bundle(small_world):
 
 
 @pytest.fixture(scope="module")
-def columnar_bundle(small_world, tmp_path_factory):
-    """The same world saved with ``write_dataset`` and reopened: the
-    bundle every ``--bundle`` run partitions."""
+def columnar_dir(small_world, tmp_path_factory):
     directory = str(tmp_path_factory.mktemp("columnar"))
     write_dataset(small_world.to_bundle(), directory)
-    with Dataset.open(directory) as dataset:
+    return directory
+
+
+@pytest.fixture(scope="module")
+def columnar_bundle(columnar_dir):
+    """The same world saved with ``write_dataset`` and reopened: the
+    bundle every ``--bundle`` run reads."""
+    with Dataset.open(columnar_dir) as dataset:
         yield dataset.to_bundle()
-
-
-def _fingerprints(corpus):
-    return [certificate.dedup_fingerprint() for certificate in corpus.certificates()]
 
 
 @pytest.fixture(scope="module")
@@ -53,157 +55,51 @@ def batch_result(bundle, cutoff):
 
 
 @pytest.fixture(scope="module")
-def plan(bundle):
-    return partition_bundle(bundle, 4)
+def cli_bundle(tmp_path_factory):
+    """``detect --format json`` arguments over a saved bundle, and the
+    single-worker document without ``shard_stats``, as printed."""
+    bundle_dir = str(tmp_path_factory.mktemp("cli") / "bundle")
+    args = ["--scale", "0.02", "--seed", "7", "detect", "--bundle", bundle_dir,
+            "--format", "json"]
+    with mock.patch("sys.stdout", new_callable=io.StringIO) as out:
+        assert main(args) == 0
+    single = json.loads(out.getvalue())
+    assert single.pop("shard_stats") is None
+    return args, json.dumps(single, indent=2, sort_keys=True)
 
 
-class TestPartitionInvariants:
-    def test_rejects_zero_shards(self, bundle):
-        with pytest.raises(ValueError):
-            partition_bundle(bundle, 0)
-
-    def test_every_certificate_in_exactly_one_shard_per_axis(self, bundle, plan):
-        all_fingerprints = {
-            certificate.dedup_fingerprint()
-            for certificate in bundle.corpus.certificates()
-        }
-        for axis in ("revocation_corpus", "domain_corpus"):
-            per_shard = [
-                {c.dedup_fingerprint() for c in getattr(shard, axis).certificates()}
-                for shard in plan.shards
-            ]
-            assert sum(len(s) for s in per_shard) == len(all_fingerprints), axis
-            union = set()
-            for shard_set in per_shard:
-                assert not (union & shard_set), f"{axis}: fingerprint in two shards"
-                union |= shard_set
-            assert union == all_fingerprints, axis
-
-    def test_revocation_keys_never_straddle_shards(self, plan):
-        for shard in plan.shards:
-            for certificate in shard.revocation_corpus.certificates():
-                assert (
-                    plan.revocation_assignment[certificate.authority_key_id]
-                    == shard.index
-                )
-            for crl in shard.crls:
-                assert plan.revocation_assignment[crl.authority_key_id] == shard.index
-
-    def test_domain_keys_never_straddle_shards(self, plan):
-        for shard in plan.shards:
-            for certificate in shard.domain_corpus.certificates():
-                for registrable in certificate.e2lds():
-                    # Every join key of a certificate lives where the
-                    # certificate lives: the RC/MT lookups cannot miss.
-                    assert plan.domain_assignment[registrable] == shard.index
-            for domain, _creation_day in shard.whois_creation_pairs:
-                assert plan.domain_assignment[domain_key(domain)] == shard.index
-            for scan_day in shard.dns_snapshots.days():
-                for apex in shard.dns_snapshots.cloudflare(scan_day):
-                    assert plan.shard_of(domain_key(apex)) == shard.index
-
-    def test_inputs_are_fully_covered(self, bundle, plan):
-        assert sum(len(s.crls) for s in plan.shards) == len(bundle.crls)
-        assert sum(len(s.whois_creation_pairs) for s in plan.shards) == len(
-            bundle.whois_creation_pairs
-        )
-        # Each (day, apex) row lands in exactly one shard's view.
-        for scan_day in bundle.dns_snapshots.days():
-            rows = {}
-            for shard in plan.shards:
-                view = shard.dns_snapshots.cloudflare(scan_day)
-                assert not (rows.keys() & view.keys())
-                rows.update(view)
-            assert rows == bundle.dns_snapshots.cloudflare(scan_day)
-
-    def test_every_shard_sees_every_scan_day(self, bundle, plan):
-        # The managed-TLS lookahead needs the full day grid even on shards
-        # that own no apexes on a given day.
-        expected_days = bundle.dns_snapshots.days()
-        for shard in plan.shards:
-            assert shard.dns_snapshots.days() == expected_days
-
-    def test_single_shard_partition_is_the_whole_bundle(self, bundle):
-        plan = partition_bundle(bundle, 1)
-        shard = plan.shards[0]
-        assert len(shard.revocation_corpus) == len(bundle.corpus)
-        assert len(shard.domain_corpus) == len(bundle.corpus)
-        assert len(shard.crls) == len(bundle.crls)
-        assert len(shard.whois_creation_pairs) == len(bundle.whois_creation_pairs)
-
-    def test_partition_is_deterministic(self, bundle, plan):
-        again = partition_bundle(bundle, 4)
-        assert again.domain_assignment == plan.domain_assignment
-        assert again.revocation_assignment == plan.revocation_assignment
-        for shard, shard_again in zip(plan.shards, again.shards):
-            assert _fingerprints(shard.domain_corpus) == _fingerprints(
-                shard_again.domain_corpus
-            )
+def _records(result):
+    return [f.to_record() for f in result.findings.all_findings()]
 
 
-class TestColumnarPartitionInvariants(TestPartitionInvariants):
-    """Every invariant above, on the reopened columnar bundle."""
-
-    @pytest.fixture(scope="class")
-    def bundle(self, columnar_bundle):
-        return columnar_bundle
-
-    @pytest.fixture(scope="class")
-    def plan(self, columnar_bundle):
-        return partition_bundle(columnar_bundle, 4)
-
-    def test_columnar_plan_equals_in_memory_plan(self, plan, small_world):
-        in_memory = partition_bundle(small_world.to_bundle(), 4)
-        assert plan.revocation_assignment == in_memory.revocation_assignment
-        assert plan.domain_assignment == in_memory.domain_assignment
-        for shard, expected in zip(plan.shards, in_memory.shards):
-            for axis in ("revocation_corpus", "domain_corpus"):
-                assert _fingerprints(getattr(shard, axis)) == _fingerprints(
-                    getattr(expected, axis)
-                ), axis
-
-
-class TestPartitionReadsNoDns:
-    def test_partition_opens_no_dns_segment(self, small_world, tmp_path, cutoff):
-        """The parent routes DNS apexes by rule, not by reading them: with
-        the dns segments unmapped, partitioning maps none of them again,
-        and the shards read their own DNS to the batch findings."""
-        directory = str(tmp_path / "bundle")
-        write_dataset(small_world.to_bundle(), directory)
-        with Dataset.open(directory) as dataset:
-            bundle = dataset.to_bundle()
-            dataset.dns.close()
-            with use_registry(MetricsRegistry()) as registry:
-                partition_bundle(bundle, 2)
-            assert registry.counter_total(names.DATA_SEGMENTS_OPENED) == 0
-            with use_registry(MetricsRegistry()) as registry:
-                sharded = ParallelMeasurementPipeline(
-                    bundle, workers=1, num_shards=2, revocation_cutoff_day=cutoff
-                ).run()
-            opened = registry.counter(names.DATA_SEGMENTS_OPENED, labels=("table",))
-            assert opened.value(table="dns") > 0
-            batch = MeasurementPipeline(bundle, revocation_cutoff_day=cutoff).run()
-        assert canonical_findings(sharded.findings) == canonical_findings(batch.findings)
+def _task_detectors(result):
+    """The detector each recorded task ran, in task order."""
+    return [
+        key for shard in result.shard_stats.shards for key in shard.detector_seconds
+    ]
 
 
 class TestShardPayloads:
-    """The spawn executor path: shards travel by pickle."""
+    """The spawn path: a task pickles ``(key, bundle, config)``."""
 
     def test_pickled_columnar_shards_run_like_the_originals(
         self, columnar_bundle, cutoff
     ):
-        plan = partition_bundle(columnar_bundle, 3)
-        config = WorkerConfig(
-            revocation_cutoff_day=cutoff,
-            enabled=("key_compromise", "registrant_change", "managed_tls"),
-        )
-        for shard in plan.shards:
-            copy = pickle.loads(pickle.dumps(shard))
-            original, travelled = run_shard(shard, config), run_shard(copy, config)
+        config = WorkerConfig(revocation_cutoff_day=cutoff)
+        copy = pickle.loads(pickle.dumps(columnar_bundle))
+        for key in ALL_DETECTORS:
+            original = run_shard(key, columnar_bundle, config)
+            travelled = run_shard(key, copy, config)
             assert [f.to_record() for f in travelled.findings] == [
                 f.to_record() for f in original.findings
             ]
             assert travelled.revocation_stats == original.revocation_stats
+
+    def test_pickled_columnar_bundle_carries_no_rows(self, columnar_bundle):
+        """The store and the scans pickle as segment files, never as rows
+        or certificates; only the decoded CRL and WHOIS lists travel."""
+        assert len(pickle.dumps(columnar_bundle.corpus)) < 4096
+        assert len(pickle.dumps(columnar_bundle.dns_snapshots)) < 4096
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_default_non_fork_context_runs_workers(
@@ -225,26 +121,63 @@ class TestShardPayloads:
         single = MeasurementPipeline.run_bundle(
             columnar_bundle, revocation_cutoff_day=cutoff, workers=1
         )
-        sharded = MeasurementPipeline.run_bundle(
+        parallel = MeasurementPipeline.run_bundle(
             columnar_bundle, revocation_cutoff_day=cutoff, workers=2
         )
-        assert sharded.shard_stats.executor == "process"
-        assert [f.to_record() for f in sharded.findings.all_findings()] == [
-            f.to_record() for f in single.findings.all_findings()
-        ]
-        assert sharded.revocation_stats == single.revocation_stats
+        assert parallel.shard_stats.executor == "process"
+        assert _records(parallel) == _records(single)
+        assert parallel.revocation_stats == single.revocation_stats
+
+
+class TestParentDoesNoRowWork:
+    def test_parent_reads_no_key_rows_and_builds_no_certificate(
+        self, columnar_dir, cutoff
+    ):
+        """The parent only starts the pool and merges: a parent-side
+        partition (``key_rows()``) or certificate build fails this. The
+        patches reach forked workers too, but what a worker records stays
+        in its own copy of these collections."""
+        key_rows = CertsTable.key_rows
+        callers = []
+
+        def recording_key_rows(self):
+            callers.append(os.getpid())
+            return key_rows(self)
+
+        with Dataset.open(columnar_dir) as dataset:
+            bundle = dataset.to_bundle()
+            with mock.patch.object(CertsTable, "key_rows", recording_key_rows), \
+                    recording_builds() as built:
+                result = MeasurementPipeline.run_bundle(
+                    bundle, revocation_cutoff_day=cutoff, workers=2
+                )
+        assert callers == []
+        assert built == set()
+        assert len(result.findings) > 0
 
 
 class TestEquivalence:
-    def test_serial_four_shards_match_batch(self, bundle, cutoff, batch_result):
-        result = ParallelMeasurementPipeline(
-            bundle, workers=1, num_shards=4, revocation_cutoff_day=cutoff
-        ).run()
-        assert canonical_findings(result.findings) == canonical_findings(
-            batch_result.findings
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_worker_counts_match_batch(self, bundle, cutoff, batch_result, workers):
+        """Five workers is more than there are detectors: the pool never
+        starts more processes than tasks."""
+        result = MeasurementPipeline.run_bundle(
+            bundle, revocation_cutoff_day=cutoff, workers=workers
         )
+        assert _records(result) == _records(batch_result)
         assert result.revocation_stats == batch_result.revocation_stats
         assert result.windows == batch_result.windows
+        assert _task_detectors(result) == list(ALL_DETECTORS)
+        assert result.shard_stats.workers == workers
+
+    @pytest.mark.parametrize("workers", ["2", "3", "5"])
+    def test_detect_json_is_byte_identical(self, cli_bundle, capsys, workers):
+        args, single = cli_bundle
+        assert main(args + ["--workers", workers]) == 0
+        parallel = json.loads(capsys.readouterr().out)
+        stats = parallel.pop("shard_stats")
+        assert stats["num_shards"] == len(ALL_DETECTORS)
+        assert json.dumps(parallel, indent=2, sort_keys=True) == single
 
     def test_process_pool_four_workers_match_batch(self, bundle, cutoff, batch_result):
         result = ParallelMeasurementPipeline(
@@ -256,29 +189,14 @@ class TestEquivalence:
         assert result.revocation_stats == batch_result.revocation_stats
         assert result.shard_stats.executor == "process"
 
-    def test_many_small_shards_match_batch(self, bundle, cutoff, batch_result):
-        result = ParallelMeasurementPipeline(
-            bundle,
-            workers=1,
-            num_shards=13,
-            revocation_cutoff_day=cutoff,
-            executor=SerialExecutor(),
-        ).run()
-        assert canonical_findings(result.findings) == canonical_findings(
-            batch_result.findings
-        )
-        assert result.revocation_stats == batch_result.revocation_stats
-
     def test_merged_findings_order_is_deterministic(self, bundle, cutoff):
         first = ParallelMeasurementPipeline(
-            bundle, workers=1, num_shards=4, revocation_cutoff_day=cutoff
+            bundle, workers=2, revocation_cutoff_day=cutoff
         ).run()
         second = ParallelMeasurementPipeline(
-            bundle, workers=1, num_shards=4, revocation_cutoff_day=cutoff
+            bundle, workers=3, revocation_cutoff_day=cutoff
         ).run()
-        assert [f.to_record() for f in first.findings.all_findings()] == [
-            f.to_record() for f in second.findings.all_findings()
-        ]
+        assert _records(first) == _records(second)
 
     def test_no_crls_means_no_revocation_stats(self, bundle, cutoff):
         reduced = DatasetBundle(
@@ -290,13 +208,12 @@ class TestEquivalence:
         )
         batch = MeasurementPipeline(reduced, revocation_cutoff_day=cutoff).run()
         parallel = ParallelMeasurementPipeline(
-            reduced, workers=1, num_shards=4, revocation_cutoff_day=cutoff
+            reduced, workers=2, revocation_cutoff_day=cutoff
         ).run()
         assert parallel.revocation_stats is None
         assert batch.revocation_stats is None
-        assert canonical_findings(parallel.findings) == canonical_findings(
-            batch.findings
-        )
+        assert _task_detectors(parallel) == ["registrant_change", "managed_tls"]
+        assert _records(parallel) == _records(batch)
 
     def test_single_snapshot_disables_managed_tls(self, bundle, cutoff):
         store = SnapshotStore()
@@ -311,33 +228,36 @@ class TestEquivalence:
         )
         batch = MeasurementPipeline(reduced, revocation_cutoff_day=cutoff).run()
         parallel = ParallelMeasurementPipeline(
-            reduced, workers=1, num_shards=3, revocation_cutoff_day=cutoff
+            reduced, workers=2, revocation_cutoff_day=cutoff
         ).run()
-        assert canonical_findings(parallel.findings) == canonical_findings(
-            batch.findings
-        )
+        assert _task_detectors(parallel) == ["key_compromise"]
+        assert _records(parallel) == _records(batch)
         assert parallel.revocation_stats == batch.revocation_stats
+
+    def test_no_applicable_detector_starts_no_pool(self, bundle, cutoff):
+        empty = DatasetBundle(corpus=bundle.corpus)
+        result = ParallelMeasurementPipeline(
+            empty, workers=2, revocation_cutoff_day=cutoff
+        ).run()
+        assert len(result.findings) == 0
+        assert result.revocation_stats is None
+        assert result.shard_stats.num_shards == 0
+        assert result.shard_stats.shards == []
 
     def test_shard_stats_account_for_the_run(self, bundle, cutoff):
         result = ParallelMeasurementPipeline(
-            bundle, workers=1, num_shards=4, revocation_cutoff_day=cutoff
+            bundle, workers=2, revocation_cutoff_day=cutoff
         ).run()
         stats = result.shard_stats
         assert stats is not None
-        assert stats.num_shards == 4
-        assert stats.executor == "serial"
-        assert len(stats.shards) == 4
+        assert stats.num_shards == len(ALL_DETECTORS)
+        assert stats.workers == 2
+        assert [shard.index for shard in stats.shards] == [0, 1, 2]
         assert stats.total_findings == len(result.findings)
-        assert sum(s.revocation_certificates for s in stats.shards) == len(
-            bundle.corpus
-        )
-        for shard in stats.shards:
-            assert set(shard.detector_seconds) == {
-                "key_compromise", "registrant_change", "managed_tls",
-            }
+        for shard, spec in zip(stats.shards, DETECTOR_REGISTRY):
+            assert list(shard.detector_seconds) == [spec.key]
+            assert shard.seconds >= shard.detector_seconds[spec.key]
 
     def test_invalid_worker_counts_rejected(self, bundle):
         with pytest.raises(ValueError):
             ParallelMeasurementPipeline(bundle, workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolShardExecutor(0)

@@ -80,6 +80,32 @@ class TestResultPersistence:
             s.to_record() for s in result.shard_stats.shards
         ]
 
+    def test_loads_a_record_with_partition_sizes(self, tmp_path, bundle, cutoff):
+        """A result written while the engine still partitioned the bundle
+        (per-shard sizes, ``partition_seconds``) still loads."""
+        import json
+
+        from repro.parallel import ShardStats
+
+        result = MeasurementPipeline.run_bundle(
+            bundle, revocation_cutoff_day=cutoff, workers=2
+        )
+        path = str(tmp_path / "older.json")
+        result.to_json(path)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["shard_stats"]["partition_seconds"] = 0.5
+        for shard in payload["shard_stats"]["shards"]:
+            shard.update(revocation_certificates=7, domain_certificates=5,
+                         crls=2, whois_pairs=3)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        restored = PipelineResult.from_json(path).shard_stats
+        assert isinstance(restored, ShardStats)
+        assert [s.to_record() for s in restored.shards] == [
+            s.to_record() for s in result.shard_stats.shards
+        ]
+
     def test_aggregates_survive_round_trip(self, tmp_path, pipeline_result):
         path = str(tmp_path / "result.json")
         pipeline_result.to_json(path)
