@@ -18,7 +18,6 @@ from repro import (
     simulate_world,
 )
 from repro.analysis.report import render_table
-from repro.core.lifetime import survival_elimination_estimates
 
 CLASSES = (
     StalenessClass.KEY_COMPROMISE,
@@ -38,12 +37,12 @@ def main(scale: float = 0.15) -> None:
     print("Survival analysis (Figure 8): share of stale certificates whose")
     print("invalidation event occurs more than N days after issuance -- the")
     print("optimistic upper bound on elimination under an N-day lifetime:\n")
-    estimates = survival_elimination_estimates(findings, caps=(45, 90, 215))
     rows = []
     for cls in CLASSES:
         row = [cls.value]
+        curve = findings.survival_curve(cls) if findings.of_class(cls) else None
         for cap in (45, 90, 215):
-            value = estimates.get((cls, cap))
+            value = curve.reduction_if_capped(cap) if curve else None
             row.append(f"{100 * value:.1f}%" if value is not None else "-")
         rows.append(row)
     print(render_table(["Class", "45d cap", "90d cap", "215d cap"], rows))

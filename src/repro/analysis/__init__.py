@@ -23,7 +23,6 @@ from repro.analysis.report import render_table
 from repro.analysis.summary import evaluate_claims, render_summary
 from repro.analysis.corpus_stats import (
     automation_share_by_year,
-    issuer_share_by_year,
     lifetime_by_policy_era,
     yearly_issuance,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "evaluate_claims",
     "render_summary",
     "automation_share_by_year",
-    "issuer_share_by_year",
     "lifetime_by_policy_era",
     "yearly_issuance",
 ]

@@ -27,29 +27,6 @@ def yearly_issuance(corpus: CertificateCorpus) -> List[Tuple[int, int]]:
     return sorted(counts.items())
 
 
-def issuer_share_by_year(
-    corpus: CertificateCorpus, top: int = 6
-) -> Dict[int, Dict[str, int]]:
-    """year -> issuer -> count, keeping the overall top issuers
-    (everything else folds into 'Other')."""
-    totals: Dict[str, int] = defaultdict(int)
-    raw: Dict[int, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    for certificate in corpus.certificates():
-        year = year_of(certificate.not_before)
-        raw[year][certificate.issuer_name] += 1
-        totals[certificate.issuer_name] += 1
-    keep = {
-        issuer for issuer, _ in sorted(totals.items(), key=lambda kv: -kv[1])[:top]
-    }
-    folded: Dict[int, Dict[str, int]] = {}
-    for year, by_issuer in raw.items():
-        row: Dict[str, int] = defaultdict(int)
-        for issuer, count in by_issuer.items():
-            row[issuer if issuer in keep else "Other"] += count
-        folded[year] = dict(row)
-    return folded
-
-
 @dataclass(frozen=True)
 class LifetimeEraStats:
     """Lifetime distribution within one policy era."""

@@ -33,7 +33,7 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(
+def render_series(  # repro-lint: disable=RL703  # no engine reader; kept with its unit tests until a later change deletes it (ROADMAP item 6)
     points: Sequence[Tuple[object, float]],
     label: str = "",
     width: int = 40,

@@ -20,7 +20,6 @@ from repro.core.taxonomy import (
     ControlledBy,
     InvalidationEvent,
     SecurityImplication,
-    classify_invalidation,
 )
 from repro.core.detectors import (
     KeyCompromiseDetector,
@@ -46,7 +45,6 @@ __all__ = [
     "ControlledBy",
     "InvalidationEvent",
     "SecurityImplication",
-    "classify_invalidation",
     "KeyCompromiseDetector",
     "KeyRotationDetector",
     "AdvisoryReport",

@@ -172,16 +172,3 @@ class KeyCompromiseDetector:
             self.add_crl(crl.authority_key_id, crl.entries)
         out.extend(self.findings())
         return out
-
-
-def monthly_key_compromise_by_issuer(
-    findings: StaleFindings,
-) -> Dict[Tuple[str, str], int]:
-    """(month, issuer) -> count of key-compromise revocations (Figure 4)."""
-    from repro.util.dates import month_key
-
-    series: Dict[Tuple[str, str], int] = {}
-    for finding in findings.of_class(StalenessClass.KEY_COMPROMISE):
-        key = (month_key(finding.invalidation_day), finding.certificate.issuer_name)
-        series[key] = series.get(key, 0) + 1
-    return series

@@ -155,29 +155,3 @@ class LifetimePolicySimulator:
 def survival_curve_for(findings: StaleFindings, cls: StalenessClass) -> SurvivalCurve:  # repro-lint: disable=RL703  # paper API: Figure 8 entry point
     """Days-to-invalidation survival curve (Figure 8) for one class."""
     return findings.survival_curve(cls)
-
-
-def survival_elimination_estimates(
-    findings: StaleFindings,
-    caps: Sequence[int] = STUDIED_CAPS,
-    classes: Optional[Sequence[StalenessClass]] = None,
-) -> Dict[Tuple[StalenessClass, int], float]:
-    """Upper-bound share of stale certs eliminated per (class, cap).
-
-    Reads S(cap) off each class's survival curve, as the paper does when it
-    reports 56% / 49.5% at the 90-day cap.
-    """
-    if classes is None:
-        classes = (
-            StalenessClass.KEY_COMPROMISE,
-            StalenessClass.REGISTRANT_CHANGE,
-            StalenessClass.MANAGED_TLS_DEPARTURE,
-        )
-    estimates: Dict[Tuple[StalenessClass, int], float] = {}
-    for cls in classes:
-        if not findings.of_class(cls):
-            continue
-        curve = findings.survival_curve(cls)
-        for cap in caps:
-            estimates[(cls, cap)] = curve.reduction_if_capped(cap)
-    return estimates

@@ -166,16 +166,7 @@ def spec_for(event: InvalidationEvent) -> InvalidationEventSpec:
     return _SPEC_BY_EVENT[event]
 
 
-def third_party_events() -> List[InvalidationEvent]:
-    """The three scenarios enabling impersonation by an outside party."""
-    return [
-        spec.event
-        for spec in INVALIDATION_EVENTS
-        if spec.controlled_by is ControlledBy.THIRD_PARTY
-    ]
-
-
-def classify_invalidation(
+def classify_invalidation(  # repro-lint: disable=RL703  # no engine reader; kept with its unit tests until a later change deletes it (ROADMAP item 6)
     domain_owner_changed: bool = False,
     domain_in_use_change: bool = False,
     key_unauthorized_access: bool = False,

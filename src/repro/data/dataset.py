@@ -601,7 +601,7 @@ def open_bundle(directory: str) -> DatasetBundle:
     return Dataset.open(directory).to_bundle()
 
 
-def check_equivalent(left_dir: str, right_dir: str) -> List[str]:
+def check_equivalent(left_dir: str, right_dir: str) -> List[str]:  # repro-lint: disable=RL703  # reference comparison the streamgen equivalence suite checks bundles with
     """Compare two bundle directories object-for-object.
 
     Returns a list of human-readable mismatch descriptions — empty means

@@ -1,16 +1,14 @@
 """DNS resource-record model.
 
-Covers the record types the paper's pipelines touch: A/AAAA (hosting
-location), NS and CNAME (CDN delegation, Section 4.3), TXT and CAA
-(DV issuance checks, Section 2.2), and SOA (zone metadata / WHOIS-adjacent
-contacts).
+Covers the record types the daily scan captures (paper Table 3): A/AAAA
+(hosting location) and NS and CNAME (CDN delegation, Section 4.3).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.psl.registered import DomainName
 
@@ -22,9 +20,6 @@ class RecordType(enum.Enum):
     AAAA = "AAAA"
     NS = "NS"
     CNAME = "CNAME"
-    TXT = "TXT"
-    CAA = "CAA"
-    SOA = "SOA"
 
     def __str__(self) -> str:  # keeps report rendering terse
         return self.value
@@ -35,7 +30,7 @@ class ResourceRecord:
     """One DNS resource record.
 
     ``rdata`` is the presentation-format payload: an IP for A/AAAA, a target
-    name for NS/CNAME, free text for TXT, ``flags tag value`` for CAA.
+    name for NS/CNAME.
     """
 
     name: str
@@ -81,29 +76,6 @@ class RRSet:
 
     def __iter__(self):
         return iter(self.records)
-
-
-def caa_allows_issuer(caa_records: Iterable[ResourceRecord], ca_domain: str) -> bool:
-    """Evaluate CAA ``issue`` tags for a CA identity (RFC 8659 subset).
-
-    No CAA records means any CA may issue. Any ``issue`` record present
-    restricts issuance to the named CA domains; ``issue \";\"`` forbids all.
-    """
-    issue_values: List[str] = []
-    for record in caa_records:
-        if record.rtype is not RecordType.CAA:
-            continue
-        parts = record.rdata.split(None, 2)
-        if len(parts) == 3 and parts[1].lower() == "issue":
-            issue_values.append(parts[2].strip().strip('"'))
-    if not issue_values:
-        return True
-    for value in issue_values:
-        if value == ";":
-            continue
-        if value.split(";")[0].strip().lower() == ca_domain.lower():
-            return True
-    return False
 
 
 def _validate_ipv4(text: str) -> None:

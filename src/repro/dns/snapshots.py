@@ -20,9 +20,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Protocol,
 from repro.dns.records import RecordType
 from repro.util.dates import Day, day_to_iso
 
-#: The record types captured by the daily scan, per Table 3 of the paper.
-SCANNED_TYPES = (RecordType.A, RecordType.AAAA, RecordType.NS, RecordType.CNAME)
-
 _NS, _CNAME, _NONE = RecordType.NS.value, RecordType.CNAME.value, frozenset()
 
 #: Delegation names that indicate Cloudflare is serving the domain.

@@ -1,9 +1,9 @@
-"""Zone model and the zone store behind the active scanner.
+"""Zone model and the zone store behind the daily DNS scan.
 
 A :class:`Zone` owns the records at and beneath an apex name. The
 :class:`ZoneStore` plays the role of the registries' zone files published
-through CZDS in the paper: it enumerates all existing e2LDs so the scanner
-knows what to resolve each day.
+through CZDS in the paper: it enumerates all existing e2LDs so the
+simulator's daily scan knows what to resolve each day.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class ZoneStore:
     """All zones known to the simulated DNS, indexed by apex.
 
     ``enumerate_apexes`` stands in for the paper's CZDS zone-file extraction:
-    it lists every registered e2LD that the daily scanner will resolve.
+    it lists every registered e2LD that the daily scan will resolve.
     """
 
     def __init__(self) -> None:

@@ -191,7 +191,6 @@ class CaRegistry:
         policy = IssuancePolicy(
             max_lifetime_days=profile.max_lifetime_days,
             default_lifetime_days=profile.default_lifetime_days,
-            require_validation=False,  # the simulator validates implicitly
         )
         ca = CertificateAuthority(
             name=profile.name,

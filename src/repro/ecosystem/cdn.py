@@ -188,7 +188,6 @@ class CloudflareService:
             subject_key=batch.key,
             issuance_day=issue_day,
             lifetime_days=lifetime,
-            skip_validation=True,
         )
         batch.current_certificate = certificate
         self.issued.append(certificate)
@@ -204,7 +203,6 @@ class CloudflareService:
             subject_key=key,
             issuance_day=issue_day,
             lifetime_days=lifetime,
-            skip_validation=True,
         )
         self._per_domain_certs[domain] = certificate
         self.issued.append(certificate)

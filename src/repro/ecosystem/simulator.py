@@ -484,7 +484,6 @@ class WorldSimulator:
             subject_key=key,
             issuance_day=current,
             lifetime_days=lifetime,
-            skip_validation=True,
         )
         self._record_issuance(certificate, current)
         return certificate

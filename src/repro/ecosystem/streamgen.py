@@ -900,7 +900,7 @@ def save_streamed(
     return counts
 
 
-def save_materialized(
+def save_materialized(  # repro-lint: disable=RL703  # reference implementation the streamgen equivalence suite compares save_streamed against
     config: WorldConfig,
     directory: str,
     dns_row_budget: Optional[int] = None,

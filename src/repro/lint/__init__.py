@@ -18,7 +18,7 @@ turns those invariants into CI-gated rules:
 ``RL502``  broad handler that swallows without re-raise or log
 ``RL503``  serve-path handler that swallows errors outside the error model
 ``RL702``  RNG fork label collision / undeclared / stale declaration
-``RL703``  public symbol reachable from no engine, CLI, test, or benchmark
+``RL703``  public symbol reachable from no engine, CLI, or benchmark
 
 RL7xx read per-file facts linked across the scanned set
 (:mod:`repro.lint.flow`). Whether a nondeterministic value actually

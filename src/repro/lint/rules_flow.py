@@ -19,8 +19,9 @@ from repro.lint.findings import Finding
 _CLI_ANCHOR_SUFFIXES = ("repro/cli.py",)
 _ROOT_MODULES = ("repro.cli", "repro.__main__")
 #: Directories scanned from disk for extra references (entry points that
-#: live outside the default ``src tests`` lint set).
-_EXTRA_REF_DIRS = ("bench", "benchmarks", "examples")
+#: live outside the default ``src tests`` lint set). Tests and examples
+#: are not readers: a name only they touch feeds no pipeline stage.
+_EXTRA_REF_DIRS = ("bench", "benchmarks")
 
 
 @register
@@ -118,18 +119,19 @@ class RngLabelRegistryRule(ProjectRule):
 
 @register
 class DeadExportRule(ProjectRule):
-    """RL703: public symbols reachable from no engine, CLI, or test."""
+    """RL703: public symbols reachable from no engine, CLI, or benchmark."""
 
     code = "RL703"
     name = "dead-export"
     rationale = (
-        "A public symbol no engine, CLI entry point, test, or benchmark "
-        "references is untested surface area that will silently rot — "
-        "the SoK survey's auditable-namespace argument applied to our own "
-        "API. Reachability is computed over the alias-resolved reference "
-        "graph (package re-exports chased, star imports conservative); "
-        "delete the symbol, mark it private, or suppress with a "
-        "justification."
+        "A public symbol no engine, CLI entry point, or benchmark "
+        "references feeds no pipeline stage; a test or example that "
+        "exercises it only keeps dead surface area alive — the SoK "
+        "survey's auditable-namespace argument applied to our own API. "
+        "Reachability is computed over the alias-resolved reference "
+        "graph of src/, bench/ and benchmarks/ (package re-exports "
+        "chased, star imports conservative); delete the symbol with its "
+        "tests, mark it private, or suppress with a justification."
     )
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
@@ -159,7 +161,7 @@ class DeadExportRule(ProjectRule):
                     rule=self.name,
                     message=(
                         f"public {definfo.kind} '{definfo.name}' is "
-                        "referenced by no engine, CLI entry point, test, or "
+                        "referenced by no engine, CLI entry point, or "
                         "benchmark; delete it, mark it private, or suppress "
                         "with a justification"
                     ),
@@ -168,13 +170,14 @@ class DeadExportRule(ProjectRule):
 
 
 def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
-    """Dotted names (and their prefixes) reachable from anything scanned.
+    """Dotted names (and their prefixes) reachable from the program.
 
-    Seeds with every attributed reference in the program plus references
-    found in ``bench/``/``benchmarks/``/``examples/`` on disk, then propagates
-    through import aliases to a fixpoint so package re-exports keep their
-    targets alive, and marks star-import targets wholesale (conservative:
-    a ``*`` import may use anything).
+    Seeds with every attributed reference in the scanned ``repro``
+    modules plus references found in ``bench/``/``benchmarks/`` on disk,
+    then propagates through import aliases to a fixpoint so package
+    re-exports keep their targets alive, and marks star-import targets
+    wholesale (conservative: a ``*`` import may use anything). Scanned
+    test and example files are linted but seed nothing.
     """
     closure: Set[str] = set()
 
@@ -183,7 +186,10 @@ def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
         for cut in range(1, len(parts) + 1):
             closure.add(".".join(parts[:cut]))
 
-    all_facts = list(facts_map.values())
+    all_facts = [
+        facts for facts in facts_map.values()
+        if facts.module == "repro" or facts.module.startswith("repro.")
+    ]
     all_facts.extend(_extra_reference_facts())
     modules = {facts.module: facts for facts in all_facts}
 
@@ -213,7 +219,7 @@ def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
 
 
 def _extra_reference_facts() -> List:
-    """Facts for ``bench/``/``benchmarks/``/``examples/`` files on disk.
+    """Facts for ``bench/``/``benchmarks/`` files on disk.
 
     These directories hold entry points that reference public API but are
     outside the default lint set; missing them would flag live symbols as

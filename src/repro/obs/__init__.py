@@ -75,8 +75,6 @@ from repro.obs.timeline import (
 )
 from repro.obs.trace import (
     Span,
-    current_span,
-    get_slow_span_ms,
     open_spans,
     set_slow_span_ms,
     span,
@@ -85,7 +83,6 @@ from repro.obs.traceout import (
     TraceCollector,
     get_collector,
     load_trace,
-    set_default_collector,
     use_collector,
 )
 
@@ -104,12 +101,10 @@ __all__ = [
     "TimelineWriter",
     "TraceCollector",
     "configure_json_logging",
-    "current_span",
     "get_collector",
     "get_heartbeat",
     "get_logger",
     "get_registry",
-    "get_slow_span_ms",
     "load_trace",
     "log",
     "names",
@@ -119,7 +114,6 @@ __all__ = [
     "read_rss_bytes",
     "read_timeline",
     "remove_json_logging",
-    "set_default_collector",
     "set_default_registry",
     "set_heartbeat",
     "set_slow_span_ms",

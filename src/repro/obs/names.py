@@ -141,7 +141,7 @@ PROGRESS_PHASES = (
 #: a declared tuple with no surviving fork site is flagged as stale.
 #: Child ``.split(...)`` calls are exempt — they are rooted in a declared
 #: parent namespace, so their labels cannot collide across subsystems.
-RNG_LABELS = (
+RNG_LABELS = (  # repro-lint: disable=RL703  # RL702 reads it from source, never by import
     ("cdn",),
     ("crl-fetch",),
     ("ct",),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 #: Bump when the snapshot layout changes incompatibly.
 TIMELINE_SCHEMA = 1
@@ -111,62 +111,6 @@ def timeline_meta(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         if record.get("kind") == "meta":
             return record
     return {}
-
-
-def quantile_from_buckets(
-    bucket_counts: List[Tuple[float, float]], q: float
-) -> Optional[float]:
-    """Estimate a quantile from cumulative ``(upper_bound, count)`` pairs.
-
-    The pairs are Prometheus-style cumulative bucket counts (``+Inf`` as
-    ``float('inf')``). Returns the upper bound of the bucket holding the
-    q-th sample — the standard monitoring approximation — or ``None``
-    with no samples.
-    """
-    if not bucket_counts:
-        return None
-    ordered = sorted(bucket_counts)
-    total = ordered[-1][1]
-    if total <= 0:
-        return None
-    rank = q * total
-    for bound, cumulative in ordered:
-        if cumulative >= rank:
-            return bound
-    return ordered[-1][0]
-
-
-def histogram_quantiles(
-    samples: Mapping[str, float], family: str, quantiles: Tuple[float, ...] = (0.5, 0.99)
-) -> Dict[str, Dict[float, Optional[float]]]:
-    """Per-labelset quantiles for one histogram family in a flat sample map.
-
-    Groups ``family_bucket{...,le="x"}`` series by their non-``le`` labels
-    and estimates each requested quantile. Returns
-    ``{labelset_text: {q: value}}``.
-    """
-    prefix = family + "_bucket{"
-    grouped: Dict[str, List[Tuple[float, float]]] = {}
-    for series, value in samples.items():
-        if not series.startswith(prefix):
-            continue
-        labels_text = series[len(prefix) : -1]
-        parts = [part for part in labels_text.split(",") if part]
-        bound: Optional[float] = None
-        rest: List[str] = []
-        for part in parts:
-            if part.startswith('le="'):
-                text = part[4:-1]
-                bound = float("inf") if text == "+Inf" else float(text)
-            else:
-                rest.append(part)
-        if bound is None:
-            continue
-        grouped.setdefault(",".join(rest), []).append((bound, value))
-    return {
-        key: {q: quantile_from_buckets(buckets, q) for q in quantiles}
-        for key, buckets in sorted(grouped.items())
-    }
 
 
 def summarize_timeline(records: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -17,9 +17,7 @@ When a :class:`~repro.obs.traceout.TraceCollector` is active (see
 records a begin and an end trace event, exportable as a Chrome trace.
 With no collector active, the trace path costs a single ``None`` check.
 
-Spans nest per thread; :func:`current_span` exposes the innermost open
-span so deeply nested code can attach context without threading a handle
-through every call. :func:`open_spans` snapshots every *currently open*
+Spans nest per thread. :func:`open_spans` snapshots every *currently open*
 span across all threads — the heartbeat samples it so a live timeline
 shows what a wedged run is stuck inside.
 
@@ -83,11 +81,6 @@ def set_slow_span_ms(value: Optional[float]) -> Optional[float]:
     return previous
 
 
-def get_slow_span_ms() -> Optional[float]:
-    """The active slow-span threshold in milliseconds, or ``None`` (off)."""
-    return _SLOW_SPAN_MS
-
-
 @dataclass
 class Span:
     """One traced block; ``seconds`` and ``status`` are filled on exit."""
@@ -111,12 +104,6 @@ def _spans() -> List[Span]:
         with _OPEN_LOCK:
             _OPEN_STACKS[threading.get_ident()] = stack
     return stack
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open span on this thread, or ``None``."""
-    stack = _spans()
-    return stack[-1] if stack else None
 
 
 def open_spans() -> List[Dict[str, Any]]:

@@ -22,8 +22,7 @@ clock comparable across processes, so worker lanes line up with the
 parent's on a shared axis.
 
 Collection is opt-in: :func:`get_collector` returns ``None`` unless a
-collector is scoped via :func:`use_collector` (or installed process-wide
-with :func:`set_default_collector`), and :func:`~repro.obs.trace.span`
+collector is scoped via :func:`use_collector`, and :func:`~repro.obs.trace.span`
 skips all trace work on the ``None`` fast path — tracing off costs one
 attribute read per span.
 """
@@ -203,26 +202,13 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
 
 # -- active-collector scoping (mirrors repro.obs.metrics registries) ----------
 
-_DEFAULT_COLLECTOR: Optional[TraceCollector] = None
 _ACTIVE = threading.local()
 
 
 def get_collector() -> Optional[TraceCollector]:
     """The collector :func:`~repro.obs.trace.span` records into, or ``None``
     (the fast path: tracing disabled)."""
-    active = getattr(_ACTIVE, "collector", None)
-    return active if active is not None else _DEFAULT_COLLECTOR
-
-
-def set_default_collector(
-    collector: Optional[TraceCollector],
-) -> Optional[TraceCollector]:
-    """Install (or, with ``None``, remove) the process-wide collector;
-    returns the previous one."""
-    global _DEFAULT_COLLECTOR
-    previous = _DEFAULT_COLLECTOR
-    _DEFAULT_COLLECTOR = collector
-    return previous
+    return getattr(_ACTIVE, "collector", None)
 
 
 @contextmanager

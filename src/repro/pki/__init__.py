@@ -1,4 +1,4 @@
-"""Web PKI substrate: keys, certificates, CAs, DV validation, ACME, chains.
+"""Web PKI substrate: keys, certificates, and issuing CAs.
 
 Certificates here carry exactly the fields the paper's taxonomy (Table 1)
 groups into subscriber authentication, key authorization, issuer
@@ -6,63 +6,6 @@ information, and certificate metadata. Cryptographic operations are
 simulated — keys are opaque identities with deterministic fingerprints —
 because nothing in the paper's pipelines depends on real cryptography, only
 on the *bookkeeping* of which party holds which key for which name.
+Modules: :mod:`repro.pki.keys`, :mod:`repro.pki.certificate` and
+:mod:`repro.pki.ca`.
 """
-
-from repro.pki.keys import KeyPair, KeyStore, KeyAlgorithm
-from repro.pki.certificate import (
-    Certificate,
-    ExtendedKeyUsage,
-    KeyUsage,
-    MAX_LIFETIME_398,
-    MAX_LIFETIME_825,
-    lifetime_limit_on,
-)
-from repro.pki.ca import CertificateAuthority, IssuancePolicy, IssuanceError
-from repro.pki.validation import (
-    ChallengeType,
-    DvChallenge,
-    DvValidator,
-    ValidationError,
-    ValidationResult,
-)
-from repro.pki.acme import AcmeAccount, AcmeOrder, AcmeServer, OrderStatus
-from repro.pki.chain import ChainError, build_chain, verify_chain
-from repro.pki.tls import (
-    HandshakeResult,
-    HandshakeStatus,
-    Network,
-    TlsClient,
-    TlsServer,
-)
-
-__all__ = [
-    "KeyPair",
-    "KeyStore",
-    "KeyAlgorithm",
-    "Certificate",
-    "ExtendedKeyUsage",
-    "KeyUsage",
-    "MAX_LIFETIME_398",
-    "MAX_LIFETIME_825",
-    "lifetime_limit_on",
-    "CertificateAuthority",
-    "IssuancePolicy",
-    "IssuanceError",
-    "ChallengeType",
-    "DvChallenge",
-    "DvValidator",
-    "ValidationError",
-    "ValidationResult",
-    "AcmeAccount",
-    "AcmeOrder",
-    "AcmeServer",
-    "OrderStatus",
-    "ChainError",
-    "build_chain",
-    "verify_chain",
-    "HandshakeResult",
-    "HandshakeStatus",
-    "Network",
-    "TlsClient",
-    "TlsServer",
-]

@@ -3,30 +3,25 @@
 A :class:`CertificateAuthority` owns a signing key, enforces an
 :class:`IssuancePolicy` (maximum lifetime, optionally stricter than the
 CA/Browser Forum limit in force, as Let's Encrypt / GTS / cPanel self-impose
-90 days — paper Section 6), performs DV validation when a validator is
-attached, and records every certificate it signs for later CRL publication.
+90 days — paper Section 6), and records every certificate it signs for later
+CRL publication. Domain validation is not modelled: every issuer in the
+simulated world has already validated control of the names it signs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.pki.certificate import (
-    Certificate,
-    ExtendedKeyUsage,
-    KeyUsage,
-    lifetime_limit_on,
-)
+from repro.pki.certificate import Certificate, lifetime_limit_on
 from repro.pki.keys import KeyAlgorithm, KeyPair, KeyStore
-from repro.pki.validation import ChallengeType, DvChallenge, DvValidator, ValidationError
 from repro.psl.registered import DomainName
 from repro.util.dates import Day
 
 
 class IssuanceError(Exception):
-    """Raised when a certificate request violates policy or validation."""
+    """Raised when a certificate request violates policy."""
 
 
 @dataclass(frozen=True)
@@ -35,19 +30,10 @@ class IssuancePolicy:
 
     max_lifetime_days: int = 398
     default_lifetime_days: int = 365
-    enforce_forum_limits: bool = True
-    require_validation: bool = True
-    allowed_challenge_types: Tuple[ChallengeType, ...] = (
-        ChallengeType.HTTP_01,
-        ChallengeType.DNS_01,
-        ChallengeType.TLS_ALPN_01,
-    )
 
     def effective_max(self, issuance_day: Day) -> int:
         """Lifetime ceiling on a given day: min(CA policy, forum policy)."""
-        if self.enforce_forum_limits:
-            return min(self.max_lifetime_days, lifetime_limit_on(issuance_day))
-        return self.max_lifetime_days
+        return min(self.max_lifetime_days, lifetime_limit_on(issuance_day))
 
 
 class CertificateAuthority:
@@ -73,14 +59,8 @@ class CertificateAuthority:
         self._serial = itertools.count(1000)
         self._issued: List[Certificate] = []
         self._issued_by_serial: Dict[int, Certificate] = {}
-        self._validator: Optional[DvValidator] = None
         self.crl_url = f"http://crl.{_slug(name)}.example/latest.crl"
         self.ocsp_url = f"http://ocsp.{_slug(name)}.example"
-
-    # -- configuration ---------------------------------------------------------
-
-    def attach_validator(self, validator: DvValidator) -> None:
-        self._validator = validator
 
     @property
     def authority_key_id(self) -> str:
@@ -95,16 +75,10 @@ class CertificateAuthority:
         subject_key: KeyPair,
         issuance_day: Day,
         lifetime_days: Optional[int] = None,
-        account_id: str = "default-account",
-        challenge_type: ChallengeType = ChallengeType.HTTP_01,
-        skip_validation: bool = False,
-        extended_key_usage: Tuple[ExtendedKeyUsage, ...] = (ExtendedKeyUsage.SERVER_AUTH,),
     ) -> Certificate:
-        """Issue a DV leaf certificate.
+        """Issue a DV leaf certificate for server authentication.
 
-        Raises :class:`IssuanceError` on policy violation or failed DV.
-        ``skip_validation`` models validation-reuse shortcuts and the
-        pre-validated managed-TLS path where the CDN already controls DNS.
+        Raises :class:`IssuanceError` on policy violation.
         """
         if not san_dns_names:
             raise IssuanceError("certificate request carries no names")
@@ -115,23 +89,6 @@ class CertificateAuthority:
             raise IssuanceError(
                 f"{self.name}: requested lifetime {lifetime}d exceeds maximum {ceiling}d"
             )
-        if challenge_type not in self.policy.allowed_challenge_types:
-            raise IssuanceError(f"{self.name}: challenge {challenge_type.value} not supported")
-        if self.policy.require_validation and not skip_validation:
-            if self._validator is None:
-                raise IssuanceError(f"{self.name}: no DV validator attached")
-            for name in names:
-                base = DomainName(name).without_wildcard().name
-                challenge = DvChallenge(
-                    domain=base,
-                    challenge_type=challenge_type,
-                    nonce=f"{self.name}:{next(self._serial)}",
-                    account_id=account_id,
-                )
-                try:
-                    self._validator.validate(challenge, issuance_day)
-                except ValidationError as exc:
-                    raise IssuanceError(f"{self.name}: DV failed for {name}: {exc}") from exc
         certificate = Certificate(
             subject_cn=names[0],
             san_dns_names=tuple(names),
@@ -143,7 +100,6 @@ class CertificateAuthority:
             serial=next(self._serial),
             not_before=issuance_day,
             not_after=issuance_day + lifetime,
-            extended_key_usage=extended_key_usage,
         )
         self._issued.append(certificate)
         self._issued_by_serial[certificate.serial] = certificate

@@ -226,7 +226,7 @@ class Certificate:
     # -- persistence --------------------------------------------------------------
 
     def to_record(self) -> dict:
-        """Plain-dict form for JSONL checkpointing (see ``JsonlStore``)."""
+        """Plain-dict form for JSONL checkpointing (see ``dump_jsonl``)."""
         return {
             "subject_cn": self.subject_cn,
             "san_dns_names": list(self.san_dns_names),

@@ -13,9 +13,7 @@ from repro.psl.data import DEFAULT_SUFFIXES, default_psl
 from repro.psl.registered import (
     DomainName,
     e2ld,
-    etld,
     is_subdomain_of,
-    registrable_parts,
 )
 
 __all__ = [
@@ -26,7 +24,5 @@ __all__ = [
     "default_psl",
     "DomainName",
     "e2ld",
-    "etld",
     "is_subdomain_of",
-    "registrable_parts",
 ]

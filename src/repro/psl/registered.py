@@ -70,26 +70,10 @@ class DomainName:
         """The effective second-level domain, or None for bare suffixes."""
         return (psl or default_psl()).registrable_domain(self.without_wildcard().name)
 
-    def etld(self, psl: Optional[PublicSuffixList] = None) -> str:
-        return (psl or default_psl()).public_suffix(self.without_wildcard().name)
-
 
 def e2ld(domain: str, psl: Optional[PublicSuffixList] = None) -> Optional[str]:
     """Effective 2LD of a raw domain string (``foo.bar.co.uk`` -> ``bar.co.uk``)."""
     return DomainName(domain).e2ld(psl)
-
-
-def etld(domain: str, psl: Optional[PublicSuffixList] = None) -> str:
-    """Effective TLD of a raw domain string (``foo.bar.co.uk`` -> ``co.uk``)."""
-    return DomainName(domain).etld(psl)
-
-
-def registrable_parts(
-    domain: str, psl: Optional[PublicSuffixList] = None
-) -> Tuple[Optional[str], str]:
-    """Return ``(e2ld, etld)`` in one normalization pass."""
-    dn = DomainName(domain)
-    return dn.e2ld(psl), dn.etld(psl)
 
 
 def is_subdomain_of(candidate: str, ancestor: str) -> bool:

@@ -1,51 +1,10 @@
 """Certificate revocation substrate.
 
-Covers the machinery from paper Sections 2.4 and 4.1: RFC 5280 CRLs with
-reason codes (and Mozilla's permitted subset), per-CA CRL publication with
-CCADB-style mandatory disclosure, a daily fetcher that experiences
-anti-scraping failures (Appendix B / Table 7), OCSP with Must-Staple, and
-client-side revocation checking policies — including the soft-fail bypass
-that makes revocation "ineffectual under this threat model".
+Covers the machinery from paper Section 4.1: RFC 5280 CRLs with reason codes
+and Mozilla's permitted subset (:mod:`repro.revocation.reasons`,
+:mod:`repro.revocation.crl`), per-CA CRL publication with CCADB-style
+mandatory disclosure (:mod:`repro.revocation.publisher`), a daily fetcher
+that experiences anti-scraping failures (Appendix B / Table 7,
+:mod:`repro.revocation.fetcher`), and the CRLite filter cascade the
+ablation study compares against (:mod:`repro.revocation.crlite`).
 """
-
-from repro.revocation.reasons import (
-    MOZILLA_PERMITTED_REASONS,
-    RevocationReason,
-)
-from repro.revocation.crl import CertificateRevocationList, CrlEntry
-from repro.revocation.publisher import CaCrlPublisher, DisclosureList
-from repro.revocation.fetcher import CrlFetcher, FetchOutcome, FetchStats
-from repro.revocation.ocsp import OcspResponder, OcspResponse, OcspStatus
-from repro.revocation.crlite import (
-    BloomFilter,
-    CascadeStats,
-    FilterCascade,
-    build_certificate_cascade,
-)
-from repro.revocation.checking import (
-    CheckDecision,
-    RevocationChecker,
-    RevocationPolicy,
-)
-
-__all__ = [
-    "MOZILLA_PERMITTED_REASONS",
-    "RevocationReason",
-    "CertificateRevocationList",
-    "CrlEntry",
-    "CaCrlPublisher",
-    "DisclosureList",
-    "CrlFetcher",
-    "FetchOutcome",
-    "FetchStats",
-    "OcspResponder",
-    "OcspResponse",
-    "OcspStatus",
-    "BloomFilter",
-    "CascadeStats",
-    "FilterCascade",
-    "build_certificate_cascade",
-    "CheckDecision",
-    "RevocationChecker",
-    "RevocationPolicy",
-]

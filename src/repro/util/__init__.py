@@ -11,24 +11,21 @@ from repro.util.dates import (
     day,
     day_to_date,
     day_to_iso,
-    first_of_month,
     iso,
     month_of,
     month_key,
-    months_between,
     parse_day,
     year_of,
 )
-from repro.util.intervals import Interval, intersect_intervals, interval_sweep_join
+from repro.util.intervals import Interval, interval_sweep_join
 from repro.util.rng import RngStream, split_seed
 from repro.util.stats import (
     Ecdf,
     SurvivalCurve,
     median,
     percentile,
-    quantiles,
 )
-from repro.util.storage import JsonlStore, dump_jsonl, load_jsonl
+from repro.util.storage import dump_jsonl
 
 __all__ = [
     "Day",
@@ -36,15 +33,12 @@ __all__ = [
     "day",
     "day_to_date",
     "day_to_iso",
-    "first_of_month",
     "iso",
     "month_of",
     "month_key",
-    "months_between",
     "parse_day",
     "year_of",
     "Interval",
-    "intersect_intervals",
     "interval_sweep_join",
     "RngStream",
     "split_seed",
@@ -52,8 +46,5 @@ __all__ = [
     "SurvivalCurve",
     "median",
     "percentile",
-    "quantiles",
-    "JsonlStore",
     "dump_jsonl",
-    "load_jsonl",
 ]

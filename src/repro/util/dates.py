@@ -87,7 +87,7 @@ def add_months(d: Day, months: int) -> Day:
     return _dt.date(year, month, dom).toordinal()
 
 
-def months_between(start: Day, end: Day) -> Iterator[Day]:
+def months_between(start: Day, end: Day) -> Iterator[Day]:  # repro-lint: disable=RL703  # no engine reader; kept with its unit tests until a later change deletes it (ROADMAP item 6)
     """Yield the first day of every month from *start*'s month through *end*'s.
 
     Useful for building monthly time series (Figures 4, 5a, 5b).

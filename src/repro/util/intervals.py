@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 E = TypeVar("E")
@@ -73,19 +73,6 @@ class Interval:
         longer than the hypothetical maximum get their expiration pulled in.
         """
         return Interval(self.start, min(self.end, new_end))
-
-
-def intersect_intervals(intervals: Iterable[Interval]) -> Optional[Interval]:
-    """Intersect many intervals; ``None`` if the running intersection empties."""
-    result: Optional[Interval] = None
-    for iv in intervals:
-        if result is None:
-            result = iv
-        else:
-            result = result.intersection(iv)
-            if result is None:
-                return None
-    return result
 
 
 def interval_sweep_join(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def median(values: Sequence[float]) -> float:
@@ -37,12 +37,6 @@ def percentile(values: Sequence[float], pct: float) -> float:
     # low + step, not a weighted sum: 5e-324 * 0.5 rounds to 0, so the sum
     # of two halved subnormals falls outside [low, high].
     return low + (high - low) * fraction
-
-
-def quantiles(values: Sequence[float], points: Iterable[float]) -> List[float]:
-    """Evaluate several percentiles over the same sorted copy."""
-    ordered = sorted(values)
-    return [percentile(ordered, p) for p in points]
 
 
 class Ecdf:
@@ -139,15 +133,3 @@ class SurvivalCurve:
             seen_upto = i + 1
         points.append(SurvivalPoint(last_time, 1.0 - seen_upto / n))
         return points
-
-
-def histogram_by(keys: Iterable, values: Iterable[float] = None) -> Dict:
-    """Count (or sum *values*) grouped by key; tiny helper for time series."""
-    counts: Dict = {}
-    if values is None:
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        for key, value in zip(keys, values):
-            counts[key] = counts.get(key, 0.0) + value
-    return counts

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable
 
 
 def dump_jsonl(path: str, records: Iterable[Dict[str, Any]]) -> int:
@@ -52,52 +52,3 @@ def load_json(path: str) -> Any:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON document") from exc
-
-
-def load_jsonl(path: str) -> Iterator[Dict[str, Any]]:
-    """Stream records back from a JSONL file written by :func:`dump_jsonl`."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_number}: malformed JSONL") from exc
-
-
-class JsonlStore:
-    """A small append-friendly store of homogeneous records on disk.
-
-    Parameters
-    ----------
-    path:
-        File path; a ``.gz`` suffix enables transparent compression.
-    encode / decode:
-        Optional converters between domain objects and plain dicts.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        encode: Optional[Callable[[Any], Dict[str, Any]]] = None,
-        decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
-    ) -> None:
-        self.path = path
-        self._encode = encode or (lambda obj: obj)
-        self._decode = decode or (lambda rec: rec)
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def write(self, objects: Iterable[Any]) -> int:
-        return dump_jsonl(self.path, (self._encode(obj) for obj in objects))
-
-    def read(self) -> Iterator[Any]:
-        for record in load_jsonl(self.path):
-            yield self._decode(record)
-
-    def read_all(self) -> List[Any]:
-        return list(self.read())

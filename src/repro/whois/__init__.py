@@ -3,38 +3,8 @@
 The registrant-change detector (paper Section 4.2) relies on one signal: the
 registry-controlled *Creation Date* in thin WHOIS records, which only changes
 when a domain is deleted and subsequently re-registered. This package models
-the registry database, the post-expiration lifecycle (auto-renew grace,
-redemption, pending delete, release, drop-catch), and WHOIS text rendering
-with the real-world inconsistencies (per-registrar formats, GDPR redaction)
-that motivated the paper's thin-record-only methodology.
+the thin record (:mod:`repro.whois.record`), the post-expiration lifecycle
+(auto-renew grace, redemption, pending delete, release, drop-catch;
+:mod:`repro.whois.lifecycle`), and the registry database that emits
+creation-date observations (:mod:`repro.whois.registry`).
 """
-
-from repro.whois.record import ThinWhoisRecord, WhoisSnapshot
-from repro.whois.lifecycle import (
-    AUTO_RENEW_GRACE_DAYS,
-    PENDING_DELETE_DAYS,
-    REDEMPTION_DAYS,
-    DomainState,
-    LifecycleEvent,
-    LifecycleEventType,
-)
-from repro.whois.registry import Registration, Registry
-from repro.whois.parser import parse_whois_text, render_whois_text
-from repro.whois.crawler import BulkWhoisCrawler, CrawlStats
-
-__all__ = [
-    "ThinWhoisRecord",
-    "WhoisSnapshot",
-    "AUTO_RENEW_GRACE_DAYS",
-    "PENDING_DELETE_DAYS",
-    "REDEMPTION_DAYS",
-    "DomainState",
-    "LifecycleEvent",
-    "LifecycleEventType",
-    "Registration",
-    "Registry",
-    "parse_whois_text",
-    "render_whois_text",
-    "BulkWhoisCrawler",
-    "CrawlStats",
-]

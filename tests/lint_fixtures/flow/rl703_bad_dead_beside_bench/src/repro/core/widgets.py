@@ -1,4 +1,5 @@
-"""One export the CLI reads, one only the bench harness reads, one dead."""
+"""One export the CLI reads, one only the bench harness reads, one only a
+test and an example read, one nothing reads."""
 
 
 def used_widget():
@@ -7,6 +8,10 @@ def used_widget():
 
 def bench_only_widget():
     return "bench"
+
+
+def test_only_widget():
+    return "test"
 
 
 def dead_fixture_widget():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.corpus_stats import (
     automation_share_by_year,
-    issuer_share_by_year,
     lifetime_by_policy_era,
     yearly_issuance,
 )
@@ -32,10 +31,6 @@ class TestOnSyntheticCorpus:
 
     def test_yearly_issuance(self):
         assert yearly_issuance(self._corpus()) == [(2015, 1), (2019, 1), (2021, 2)]
-
-    def test_issuer_share_folding(self):
-        shares = issuer_share_by_year(self._corpus(), top=1)
-        assert shares[2021].get("Other", 0) >= 1  # non-top issuers folded
 
     def test_lifetime_eras_split_on_policy_dates(self):
         stats = {s.era: s for s in lifetime_by_policy_era(self._corpus())}

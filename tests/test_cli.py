@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import read_jsonl
 
 ARGS = ["--scale", "0.02", "--seed", "7"]
 
@@ -146,9 +147,8 @@ class TestCommands:
         path = str(tmp_path / "findings.jsonl.gz")
         assert main(ARGS + ["detect", "--save-findings", path]) == 0
         from repro.core.stale import StaleCertificate
-        from repro.util.storage import load_jsonl
 
-        findings = [StaleCertificate.from_record(r) for r in load_jsonl(path)]
+        findings = [StaleCertificate.from_record(r) for r in read_jsonl(path)]
         assert findings
 
     def test_advise_clean_domain(self, capsys):

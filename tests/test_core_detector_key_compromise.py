@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core.detectors.key_compromise import (
-    KeyCompromiseDetector,
-    monthly_key_compromise_by_issuer,
-)
+from repro.core.detectors.key_compromise import KeyCompromiseDetector
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
 from repro.revocation.crl import CertificateRevocationList, CrlEntry
@@ -116,18 +113,3 @@ class TestFilters:
         crls = [crl_with([entry], update=T0 + 30 + i) for i in range(5)]
         findings = detector.detect(crls)
         assert len(findings.of_class(StalenessClass.KEY_COMPROMISE)) == 1
-
-
-class TestMonthlySeries:
-    def test_monthly_by_issuer(self, corpus):
-        detector = KeyCompromiseDetector(corpus)
-        crl = crl_with(
-            [
-                CrlEntry(1, T0 + 10, RevocationReason.KEY_COMPROMISE),
-                CrlEntry(2, T0 + 45, RevocationReason.KEY_COMPROMISE),
-            ]
-        )
-        findings = detector.detect([crl])
-        series = monthly_key_compromise_by_issuer(findings)
-        assert series[("2022-01", "KC CA")] == 1
-        assert series[("2022-02", "KC CA")] == 1

@@ -1,4 +1,4 @@
-"""Tests for the lifetime-capping simulation and survival estimates (§6)."""
+"""Tests for the lifetime-capping simulation (§6)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.core.lifetime import (
     LifetimePolicySimulator,
     capped_staleness_days,
-    survival_elimination_estimates,
 )
 from repro.core.stale import StaleCertificate, StaleFindings, StalenessClass
 from repro.util.dates import day
@@ -102,18 +101,3 @@ class TestSimulator:
         )
         assert result.staleness_days_reduction == 0.0
         assert result.certificate_reduction == 0.0
-
-
-class TestSurvivalEstimates:
-    def test_estimates_match_survival_curve(self):
-        findings = StaleFindings()
-        for offset, serial in ((10, 96_001), (100, 96_002), (300, 96_003)):
-            findings.add(finding(invalidation_offset=offset, serial=serial))
-        estimates = survival_elimination_estimates(findings, caps=(90, 215))
-        key = (StalenessClass.KEY_COMPROMISE, 90)
-        assert estimates[key] == pytest.approx(2 / 3)
-        assert estimates[(StalenessClass.KEY_COMPROMISE, 215)] == pytest.approx(1 / 3)
-
-    def test_empty_classes_absent(self):
-        estimates = survival_elimination_estimates(StaleFindings())
-        assert estimates == {}

@@ -9,8 +9,15 @@ from repro.core.taxonomy import (
     SecurityImplication,
     classify_invalidation,
     spec_for,
-    third_party_events,
 )
+
+
+def third_party_events():
+    return [
+        spec.event
+        for spec in INVALIDATION_EVENTS
+        if spec.controlled_by is ControlledBy.THIRD_PARTY
+    ]
 
 
 class TestTable1:

@@ -1,8 +1,8 @@
-"""Tests for DNS record types and CAA evaluation."""
+"""Tests for DNS record types and record sets."""
 
 import pytest
 
-from repro.dns.records import RecordType, ResourceRecord, RRSet, caa_allows_issuer
+from repro.dns.records import RecordType, ResourceRecord, RRSet
 
 
 class TestResourceRecord:
@@ -46,35 +46,3 @@ class TestRRSet:
         rrset.add("192.0.2.2")
         assert len(rrset) == 2
         assert rrset.rdatas() == {"192.0.2.1", "192.0.2.2"}
-
-
-class TestCaa:
-    def _caa(self, value):
-        return ResourceRecord("example.com", RecordType.CAA, value)
-
-    def test_no_records_allows_all(self):
-        assert caa_allows_issuer([], "letsencrypt.org")
-
-    def test_matching_issue_allows(self):
-        records = [self._caa('0 issue "letsencrypt.org"')]
-        assert caa_allows_issuer(records, "letsencrypt.org")
-
-    def test_non_matching_issue_denies(self):
-        records = [self._caa('0 issue "digicert.com"')]
-        assert not caa_allows_issuer(records, "letsencrypt.org")
-
-    def test_forbid_all(self):
-        records = [self._caa('0 issue ";"')]
-        assert not caa_allows_issuer(records, "anyca.example")
-
-    def test_multiple_issue_any_match(self):
-        records = [self._caa('0 issue "a.example"'), self._caa('0 issue "b.example"')]
-        assert caa_allows_issuer(records, "b.example")
-
-    def test_issue_with_parameters(self):
-        records = [self._caa('0 issue "letsencrypt.org; validationmethods=dns-01"')]
-        assert caa_allows_issuer(records, "letsencrypt.org")
-
-    def test_non_caa_records_ignored(self):
-        records = [ResourceRecord("example.com", RecordType.TXT, "hello")]
-        assert caa_allows_issuer(records, "anyca.example")

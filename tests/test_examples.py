@@ -16,10 +16,6 @@ _EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 _CASES = [
     ("quickstart.py", ["0.02"]),
     ("lifetime_policy_analysis.py", ["0.02"]),
-    ("cloudflare_departure_scan.py", []),
-    ("ct_monitor_audit.py", []),
-    ("breach_forensics.py", []),
-    ("dane_vs_pki.py", []),
     ("domain_acquisition_check.py", []),
 ]
 

@@ -133,8 +133,7 @@ class TestDeadExports:
 
     def test_a_name_only_bench_reads_is_live(self, monkeypatch):
         """``bench/`` files are read from disk as references, like
-        ``benchmarks/`` and ``examples/``; a name nothing reads is still
-        dead."""
+        ``benchmarks/``; a name nothing reads is still dead."""
         root = FLOW_DIR / "rl703_bad_dead_beside_bench"
         monkeypatch.chdir(root)
         contexts = {
@@ -144,9 +143,27 @@ class TestDeadExports:
         findings = [
             f for f in LintRunner().run_contexts(contexts) if f.code == "RL703"
         ]
-        assert [f.path for f in findings] == ["src/repro/core/widgets.py"]
-        assert "dead_fixture_widget" in findings[0].message
-        assert not any("bench_only_widget" in f.message for f in findings)
+        flagged = sorted(f.message.split("'")[1] for f in findings)
+        assert flagged == ["dead_fixture_widget", "test_only_widget"]
+        assert {f.path for f in findings} == {"src/repro/core/widgets.py"}
+
+    def test_a_name_only_tests_and_examples_read_is_dead(self, monkeypatch):
+        """A linted ``tests/`` file and an ``examples/`` file both read
+        ``test_only_widget``; neither is a reader, so it is flagged, while
+        the bench-only name stays live."""
+        root = FLOW_DIR / "rl703_bad_dead_beside_bench"
+        monkeypatch.chdir(root)
+        contexts = {
+            path: context for path, context in tree_contexts(root).items()
+            if not path.startswith("bench/")
+        }
+        assert any(path.startswith("tests/") for path in contexts)
+        findings = [
+            f for f in LintRunner().run_contexts(contexts) if f.code == "RL703"
+        ]
+        flagged = sorted(f.message.split("'")[1] for f in findings)
+        assert flagged == ["dead_fixture_widget", "test_only_widget"]
+        assert {f.path for f in findings} == {"src/repro/core/widgets.py"}
 
     def test_whitelisting_suppresses_it(self):
         findings = [

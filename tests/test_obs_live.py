@@ -23,7 +23,6 @@ from repro.cli import main
 from repro.obs import (
     Heartbeat,
     get_heartbeat,
-    get_slow_span_ms,
     names,
     parse_text,
     phase_progress,
@@ -149,7 +148,7 @@ class TestSlowSpanLog:
         set_slow_span_ms(None)
 
     def test_off_by_default_and_no_record(self, caplog):
-        assert get_slow_span_ms() is None
+        assert set_slow_span_ms(None) is None
         with caplog.at_level(logging.WARNING, logger="repro"):
             with span("fast_thing"):
                 pass
@@ -178,7 +177,7 @@ class TestSlowSpanLog:
     def test_set_returns_previous_for_restore(self):
         assert set_slow_span_ms(5.0) is None
         assert set_slow_span_ms(None) == 5.0
-        assert get_slow_span_ms() is None
+        assert set_slow_span_ms(None) is None
 
 
 class TestCliLifecycle:

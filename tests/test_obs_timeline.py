@@ -16,8 +16,6 @@ from repro.obs.timeline import (
     TIMELINE_NAME,
     TimelineWriter,
     diff_summaries,
-    histogram_quantiles,
-    quantile_from_buckets,
     read_timeline,
     snapshots,
     summarize_timeline,
@@ -165,26 +163,3 @@ class TestSummaries:
         other["phases"] = {}
         diff = diff_summaries(base, other)
         assert diff["ok"]  # absent phases are reported, never gated
-
-
-class TestQuantiles:
-    def test_quantile_from_buckets(self):
-        buckets = [(0.1, 50.0), (1.0, 90.0), (float("inf"), 100.0)]
-        assert quantile_from_buckets(buckets, 0.5) == 0.1
-        assert quantile_from_buckets(buckets, 0.9) == 1.0
-        assert quantile_from_buckets(buckets, 0.99) == float("inf")
-        assert quantile_from_buckets([], 0.5) is None
-        assert quantile_from_buckets([(1.0, 0.0)], 0.5) is None
-
-    def test_histogram_quantiles_groups_by_labels(self):
-        samples = {
-            'repro_serve_request_seconds_bucket{le="0.1",route="/health"}': 9.0,
-            'repro_serve_request_seconds_bucket{le="+Inf",route="/health"}': 10.0,
-            'repro_serve_request_seconds_bucket{le="0.1",route="/v1"}': 1.0,
-            'repro_serve_request_seconds_bucket{le="+Inf",route="/v1"}': 1.0,
-            "unrelated_total": 5.0,
-        }
-        result = histogram_quantiles(samples, "repro_serve_request_seconds")
-        assert result['route="/health"'][0.5] == 0.1
-        assert result['route="/health"'][0.99] == float("inf")
-        assert result['route="/v1"'][0.99] == 0.1

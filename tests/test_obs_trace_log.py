@@ -3,20 +3,28 @@
 import io
 import json
 import logging
+import threading
 
 import pytest
 
 from repro.obs import (
     configure_json_logging,
-    current_span,
     log,
     names,
+    open_spans,
     remove_json_logging,
     span,
     use_collector,
     use_registry,
 )
 from repro.obs.metrics import MetricsRegistry
+
+
+def open_span_names():
+    """Names of the spans open on this thread, outermost first."""
+    me = threading.get_ident()
+    mine = [record for record in open_spans() if record["thread"] == me]
+    return [record["name"] for record in sorted(mine, key=lambda r: r["depth"])]
 
 
 class TestSpan:
@@ -41,16 +49,16 @@ class TestSpan:
         assert data is not None and data.count == 1
 
     def test_nesting_depth_and_parent(self):
-        assert current_span() is None
+        assert open_span_names() == []
         with span("outer") as outer:
             assert outer.depth == 0 and outer.parent is None
-            assert current_span() is outer
+            assert open_span_names() == ["outer"]
             with span("inner") as inner:
                 assert inner.depth == 1
                 assert inner.parent == "outer"
-                assert current_span() is inner
-            assert current_span() is outer
-        assert current_span() is None
+                assert open_span_names() == ["outer", "inner"]
+            assert open_span_names() == ["outer"]
+        assert open_span_names() == []
 
     def test_seconds_filled_on_exit_even_on_error(self):
         registry = MetricsRegistry()

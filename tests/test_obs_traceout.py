@@ -14,7 +14,6 @@ from repro.obs.traceout import (
     TraceCollector,
     get_collector,
     load_trace,
-    set_default_collector,
 )
 
 
@@ -102,16 +101,6 @@ class TestScoping:
             with use_collector() as inner:
                 assert get_collector() is inner
             assert get_collector() is outer
-        assert get_collector() is None
-
-    def test_default_collector_installed_and_removed(self):
-        collector = TraceCollector()
-        previous = set_default_collector(collector)
-        try:
-            assert previous is None
-            assert get_collector() is collector
-        finally:
-            set_default_collector(previous)
         assert get_collector() is None
 
     def test_span_captures_collector_at_entry(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pki.ca import CertificateAuthority, IssuanceError, IssuancePolicy
+from repro.pki.certificate import ExtendedKeyUsage
 from repro.pki.keys import KeyStore
 from repro.util.dates import day
 
@@ -13,11 +14,7 @@ T_398 = day(2021, 6, 1)
 
 @pytest.fixture()
 def ca(key_store):
-    return CertificateAuthority(
-        "Test CA",
-        key_store,
-        policy=IssuancePolicy(require_validation=False),
-    )
+    return CertificateAuthority("Test CA", key_store)
 
 
 class TestIssue:
@@ -28,6 +25,7 @@ class TestIssue:
         assert cert.authority_key_id == ca.authority_key_id
         assert cert.not_after - cert.not_before == ca.policy.default_lifetime_days
         assert cert.crl_url == ca.crl_url
+        assert cert.extended_key_usage == (ExtendedKeyUsage.SERVER_AUTH,)
         assert ca.find_by_serial(cert.serial) is cert
 
     def test_serials_unique_and_increasing(self, ca, key_store):
@@ -49,7 +47,7 @@ class TestIssue:
         lenient = CertificateAuthority(
             "Legacy CA",
             key_store,
-            policy=IssuancePolicy(max_lifetime_days=1200, require_validation=False),
+            policy=IssuancePolicy(max_lifetime_days=1200),
         )
         key = key_store.generate("sub", T_LEGACY)
         legacy = lenient.issue(["a.com"], key, T_LEGACY, lifetime_days=1100)
@@ -58,18 +56,6 @@ class TestIssue:
             lenient.issue(["a.com"], key, T_825, lifetime_days=900)
         with pytest.raises(IssuanceError):
             lenient.issue(["a.com"], key, T_398, lifetime_days=500)
-
-    def test_validation_required_without_validator(self, key_store):
-        strict = CertificateAuthority("Strict CA", key_store)
-        key = key_store.generate("sub", T_398)
-        with pytest.raises(IssuanceError, match="no DV validator"):
-            strict.issue(["example.com"], key, T_398)
-
-    def test_skip_validation_flag(self, key_store):
-        strict = CertificateAuthority("Strict CA", key_store)
-        key = key_store.generate("sub", T_398)
-        cert = strict.issue(["example.com"], key, T_398, skip_validation=True)
-        assert cert.serial > 0
 
     def test_issued_count(self, ca, key_store):
         key = key_store.generate("sub", T_398)
@@ -83,7 +69,3 @@ class TestPolicy:
         policy = IssuancePolicy(max_lifetime_days=90)
         assert policy.effective_max(T_LEGACY) == 90
         assert policy.effective_max(T_398) == 90
-
-    def test_effective_max_without_forum_limits(self):
-        policy = IssuancePolicy(max_lifetime_days=5000, enforce_forum_limits=False)
-        assert policy.effective_max(T_398) == 5000

@@ -5,10 +5,8 @@ import pytest
 from repro.psl.registered import (
     DomainName,
     e2ld,
-    etld,
     is_subdomain_of,
     matches_wildcard,
-    registrable_parts,
 )
 
 
@@ -62,17 +60,10 @@ class TestEffectiveDomains:
     def test_e2ld_wildcard_uses_base(self):
         assert e2ld("*.foo.com") == "foo.com"
 
-    def test_etld(self):
-        assert etld("www.example.org") == "org"
-        assert etld("x.y.co.jp") == "co.jp"
-
-    def test_registrable_parts(self):
-        assert registrable_parts("a.b.example.net") == ("example.net", "net")
-
     def test_cloudflaressl_private_suffix(self):
         # The PSL's private-section analogue: each sniNNN label is its own
         # registrable name under cloudflaressl.com.
-        assert etld("sni12345.cloudflaressl.com") == "cloudflaressl.com"
+        assert e2ld("sni12345.cloudflaressl.com") == "sni12345.cloudflaressl.com"
 
 
 class TestSubdomainAndWildcards:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pki.ca import CertificateAuthority, IssuancePolicy
+from repro.pki.ca import CertificateAuthority
 from repro.revocation.crl import merge_crl_series
 from repro.revocation.fetcher import CrlFetcher, FailureProfile, FetchOutcome
 from repro.revocation.publisher import CaCrlPublisher, DisclosureList
@@ -16,10 +16,7 @@ T0 = day(2022, 11, 1)
 def disclosure(key_store):
     disclosure = DisclosureList()
     for name, operator in (("Good CA", "GoodOp"), ("Blocked CA", "BlockedOp")):
-        ca = CertificateAuthority(
-            name, key_store, policy=IssuancePolicy(require_validation=False),
-            operator=operator,
-        )
+        ca = CertificateAuthority(name, key_store, operator=operator)
         disclosure.disclose(CaCrlPublisher(ca))
     return disclosure
 
@@ -163,10 +160,7 @@ class TestRetryRngIsolation:
         # FlakyOp is disclosed FIRST so its (pre-fix) retry draws would
         # shift the stream before ObservedOp's daily draw.
         for name, operator in (("Flaky CA", "FlakyOp"), ("Observed CA", "ObservedOp")):
-            ca = CertificateAuthority(
-                name, key_store, policy=IssuancePolicy(require_validation=False),
-                operator=operator,
-            )
+            ca = CertificateAuthority(name, key_store, operator=operator)
             disclosure.disclose(CaCrlPublisher(ca))
         return disclosure
 
@@ -257,17 +251,13 @@ class TestPartialSeries:
 
     @pytest.fixture()
     def flaky_world(self, key_store):
-        ca = CertificateAuthority(
-            "Flaky CA", key_store,
-            policy=IssuancePolicy(require_validation=False),
-            operator="FlakyOp",
-        )
+        ca = CertificateAuthority("Flaky CA", key_store, operator="FlakyOp")
         publisher = CaCrlPublisher(ca)
         disclosure = DisclosureList()
         disclosure.disclose(publisher)
         cert = ca.issue(
             ["flaky.example"], key_store.generate("flaky", T0 - 30),
-            issuance_day=T0 - 30, skip_validation=True,
+            issuance_day=T0 - 30,
         )
         return disclosure, publisher, cert
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pki.ca import CertificateAuthority, IssuancePolicy
+from repro.pki.ca import CertificateAuthority
 from repro.revocation.publisher import CaCrlPublisher, DisclosureList
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import day
@@ -12,9 +12,7 @@ T0 = day(2021, 6, 1)
 
 @pytest.fixture()
 def ca(key_store):
-    return CertificateAuthority(
-        "Pub CA", key_store, policy=IssuancePolicy(require_validation=False)
-    )
+    return CertificateAuthority("Pub CA", key_store)
 
 
 @pytest.fixture()
@@ -41,9 +39,7 @@ class TestRevoke:
         assert publisher.is_revoked(issued[0].serial).reason is RevocationReason.SUPERSEDED
 
     def test_foreign_certificate_rejected(self, ca, key_store):
-        other = CertificateAuthority(
-            "Other CA", key_store, policy=IssuancePolicy(require_validation=False)
-        )
+        other = CertificateAuthority("Other CA", key_store)
         key = key_store.generate("sub", T0)
         foreign = other.issue(["x.com"], key, T0)
         publisher = CaCrlPublisher(ca)
@@ -115,7 +111,6 @@ class TestDisclosure:
         other = CertificateAuthority(
             "Other CA",
             key_store,
-            policy=IssuancePolicy(require_validation=False),
             operator="OtherOp",
         )
         disclosure = DisclosureList()

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from repro.core.stale import StaleCertificate, StalenessClass
 from repro.pki.certificate import Certificate, ExtendedKeyUsage
 from repro.util.dates import day
-from repro.util.storage import JsonlStore
-from tests.conftest import make_cert
+from repro.util.storage import dump_jsonl
+from tests.conftest import make_cert, read_jsonl
 
 T0 = day(2021, 5, 1)
 
@@ -79,23 +79,15 @@ class TestJsonlCheckpointing:
             )
             for i in range(5)
         ]
-        store = JsonlStore(
-            str(tmp_path / "findings.jsonl.gz"),
-            encode=lambda f: f.to_record(),
-            decode=StaleCertificate.from_record,
-        )
-        store.write(findings)
-        assert store.read_all() == findings
+        path = str(tmp_path / "findings.jsonl.gz")
+        dump_jsonl(path, (finding.to_record() for finding in findings))
+        assert [StaleCertificate.from_record(r) for r in read_jsonl(path)] == findings
 
     def test_corpus_checkpoint(self, tmp_path, small_world):
         from repro.pki.certificate import Certificate
 
         sample = list(small_world.corpus.certificates())[:50]
-        store = JsonlStore(
-            str(tmp_path / "corpus.jsonl"),
-            encode=lambda c: c.to_record(),
-            decode=Certificate.from_record,
-        )
-        store.write(sample)
-        restored = store.read_all()
+        path = str(tmp_path / "corpus.jsonl")
+        dump_jsonl(path, (certificate.to_record() for certificate in sample))
+        restored = [Certificate.from_record(r) for r in read_jsonl(path)]
         assert restored == sample

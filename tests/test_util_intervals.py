@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import names, use_registry
 from repro.util.intervals import (
     Interval,
-    intersect_intervals,
     interval_sweep_join,
     naive_join,
 )
@@ -46,11 +45,6 @@ class TestInterval:
     def test_clamp_end(self):
         assert Interval(0, 100).clamp_end(50) == Interval(0, 50)
         assert Interval(0, 30).clamp_end(50) == Interval(0, 30)
-
-    def test_intersect_many(self):
-        assert intersect_intervals([Interval(0, 10), Interval(5, 20), Interval(7, 9)]) == Interval(7, 9)
-        assert intersect_intervals([Interval(0, 3), Interval(5, 9)]) is None
-        assert intersect_intervals([]) is None
 
 
 def _run_join(join, intervals, points, strict):

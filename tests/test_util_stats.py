@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import Ecdf, SurvivalCurve, histogram_by, median, percentile, quantiles
+from repro.util.stats import Ecdf, SurvivalCurve, median, percentile
 
 
 class TestPercentiles:
@@ -28,9 +28,6 @@ class TestPercentiles:
     def test_percentile_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             percentile([1], 101)
-
-    def test_quantiles_batch(self):
-        assert quantiles([1, 2, 3, 4, 5], [0, 50, 100]) == [1, 3, 5]
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
@@ -132,11 +129,3 @@ class TestSurvivalCurve:
         curve = SurvivalCurve(samples)
         expected = sum(1 for s in samples if s > t) / len(samples)
         assert curve.survival_at(t) == pytest.approx(expected)
-
-
-class TestHistogramBy:
-    def test_counts(self):
-        assert histogram_by(["a", "b", "a"]) == {"a": 2, "b": 1}
-
-    def test_sums_values(self):
-        assert histogram_by(["a", "a", "b"], [1.0, 2.0, 4.0]) == {"a": 3.0, "b": 4.0}

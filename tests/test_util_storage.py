@@ -1,10 +1,11 @@
-"""Tests for the JSONL store and single-document JSON helpers."""
+"""Tests for the JSONL writer and single-document JSON helpers."""
 
 import os
 
 import pytest
 
-from repro.util.storage import JsonlStore, dump_json, dump_jsonl, load_json, load_jsonl
+from repro.util.storage import dump_json, dump_jsonl, load_json
+from tests.conftest import read_jsonl
 
 
 class TestDumpLoad:
@@ -12,55 +13,24 @@ class TestDumpLoad:
         path = str(tmp_path / "data.jsonl")
         records = [{"a": 1}, {"b": [1, 2]}, {"c": {"d": "x"}}]
         assert dump_jsonl(path, records) == 3
-        assert list(load_jsonl(path)) == records
+        assert read_jsonl(path) == records
 
     def test_gzip_roundtrip(self, tmp_path):
         path = str(tmp_path / "data.jsonl.gz")
         records = [{"i": i} for i in range(100)]
         dump_jsonl(path, records)
-        assert list(load_jsonl(path)) == records
+        assert read_jsonl(path) == records
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "data.jsonl")
         dump_jsonl(path, [{"a": 1}])
         assert not os.path.exists(path + ".tmp")
 
-    def test_malformed_line_raises_with_location(self, tmp_path):
-        path = str(tmp_path / "bad.jsonl")
-        with open(path, "w") as handle:
-            handle.write('{"ok": 1}\nnot json\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            list(load_jsonl(path))
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = str(tmp_path / "blank.jsonl")
-        with open(path, "w") as handle:
-            handle.write('{"a": 1}\n\n{"b": 2}\n')
-        assert list(load_jsonl(path)) == [{"a": 1}, {"b": 2}]
-
     def test_keys_sorted_for_stable_diffs(self, tmp_path):
         path = str(tmp_path / "sorted.jsonl")
         dump_jsonl(path, [{"z": 1, "a": 2}])
         with open(path) as handle:
             assert handle.read() == '{"a":2,"z":1}\n'
-
-
-class TestJsonlStore:
-    def test_encode_decode_hooks(self, tmp_path):
-        path = str(tmp_path / "objs.jsonl")
-        store = JsonlStore(
-            path,
-            encode=lambda pair: {"x": pair[0], "y": pair[1]},
-            decode=lambda rec: (rec["x"], rec["y"]),
-        )
-        store.write([(1, 2), (3, 4)])
-        assert store.read_all() == [(1, 2), (3, 4)]
-
-    def test_exists(self, tmp_path):
-        store = JsonlStore(str(tmp_path / "missing.jsonl"))
-        assert not store.exists()
-        store.write([])
-        assert store.exists()
 
 
 class TestJsonDocument:
