@@ -13,8 +13,7 @@ Drives the full reproduction from a shell::
     python -m repro detect    --scale 0.1 --metrics-out metrics.prom --log-json
     python -m repro detect    --scale 0.1 --workers 4 --trace-out trace.json
     python -m repro detect    --scale 0.1 --heartbeat 1 --metrics-out run/m.prom
-    python -m repro top       run/ [--once]
-    python -m repro obs-timeline run/ [--diff other-run/]
+    python -m repro obs-timeline run/
     python -m repro profile   trace.json --top 10
     python -m repro obs-diff  benchmarks/baselines/detect-scale002 run/
     python -m repro lint      src tests --format json
@@ -36,14 +35,12 @@ invocation records into a fresh registry/collector, so the artifacts
 describe exactly one run — and they are written from a ``finally``, so a
 crashed or interrupted run still emits its partial telemetry.
 
-Two more shared flags drive *live* telemetry: ``--heartbeat SECS``
+One more shared flag drives *live* telemetry: ``--heartbeat SECS``
 starts a background sampler (see :mod:`repro.obs.live`) appending
 progress/RSS/open-span snapshots to ``timeline.jsonl`` next to
-``--metrics-out`` (or the working directory) — watch it live or post
-hoc with ``python -m repro top RUN_DIR`` and summarize or compare runs
-with ``obs-timeline``; ``--slow-span-ms MS`` logs a structured
-``slow_span`` record whenever a span outlives the threshold. Both
-default to off and cost nothing when off.
+``--metrics-out`` (or the working directory); ``obs-timeline RUN_DIR``
+summarizes it, live or finished. It defaults to off and costs nothing
+when off.
 
 ``profile`` aggregates an exported trace (per-span self/cumulative time
 and the cross-worker critical path); ``obs-diff`` compares two runs'
@@ -57,8 +54,8 @@ in-process — no socket — and exits, which is how CI smokes the service.
 
 ``lint`` runs the project's own AST static analysis (:mod:`repro.lint`)
 over the given paths (default ``src tests``) in one serial pass and
-exits non-zero on new findings — see ``docs/LINTS.md`` for the rule
-catalogue, inline suppressions, the baseline, and ``--fix``. Whether the
+exits non-zero on findings — see ``docs/LINTS.md`` for the rule
+catalogue and inline suppressions. Whether the
 pipeline's artifacts are byte-stable is not a lint question: it is
 checked by running the pipeline twice (``tests/test_determinism.py``).
 """
@@ -140,13 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat", type=float, default=0.0, metavar="SECS",
         help="sample live telemetry every SECS seconds into "
         "timeline.jsonl next to --metrics-out (or the working "
-        "directory); watch with 'repro top' (default 0 = off)",
-    )
-    obsopts.add_argument(
-        "--slow-span-ms", type=float, default=None, metavar="MS",
-        help="log a structured slow_span record for any span lasting "
-        "at least MS milliseconds (default off; env "
-        "REPRO_SLOW_SPAN_MS)",
+        "directory); summarize with 'repro obs-timeline' (default 0 = off)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -225,16 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="persist periodic checkpoints to DIR (enables --resume)",
+        help="persist a checkpoint to DIR every 30 event-days, i.e. days "
+        "with a CRL, WHOIS or DNS event (enables --resume)",
     )
     watch.add_argument(
         "--resume", action="store_true",
         help="resume from the checkpoint in --checkpoint-dir, if one exists",
-    )
-    watch.add_argument(
-        "--checkpoint-every", type=int, default=30, metavar="DAYS",
-        help="checkpoint cadence in processed event-days, i.e. days with a "
-        "CRL, WHOIS or DNS event (default 30)",
     )
     watch.add_argument(
         "--days", type=int, default=None, metavar="N",
@@ -309,48 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
         "failed probe",
     )
     serve.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
-        help="stop after answering N requests (smoke tests; default: "
-        "serve until interrupted)",
-    )
-    serve.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="--warm-check report format (default text)",
     )
 
-    top = sub.add_parser(
-        "top",
-        help="live console view over a run's timeline.jsonl "
-        "(running or finished; requires the run used --heartbeat)",
-    )
-    top.add_argument(
-        "run", help="run directory containing timeline.jsonl, or the file itself"
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="print one plain frame and exit (no ANSI repaint)",
-    )
-    top.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECS",
-        help="live-mode refresh cadence (default 1.0)",
-    )
-
     obs_timeline = sub.add_parser(
         "obs-timeline",
-        help="summarize a run's timeline.jsonl (phases, rates, RSS); "
-        "--diff compares two timelines and exits non-zero on regressions",
+        help="summarize a run's timeline.jsonl (phases, rates, RSS), "
+        "running or finished; requires the run used --heartbeat",
     )
     obs_timeline.add_argument(
         "run", help="run directory containing timeline.jsonl, or the file itself"
-    )
-    obs_timeline.add_argument(
-        "--diff", default=None, metavar="OTHER",
-        help="also summarize OTHER and report rate/RSS regressions of "
-        "this run against it",
-    )
-    obs_timeline.add_argument(
-        "--threshold", type=float, default=25.0, metavar="PCT",
-        help="--diff regression threshold in percent (default 25)",
     )
     obs_timeline.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -360,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="statically check determinism / fork-safety / obs / protocol "
-        "invariants (AST-based, dependency-free); exit 1 on new findings",
+        "invariants (AST-based, dependency-free); exit 1 on findings",
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -369,20 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default text)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of grandfathered findings "
-        "(default: lint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical fixes (sorted() wraps, bare-except rewrites) "
-        "before reporting",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -762,7 +704,6 @@ def cmd_watch(args) -> int:
         bundle,
         revocation_cutoff_day=cutoff,
         checkpoint_store=store,
-        checkpoint_every_days=args.checkpoint_every,
         on_finding=on_finding,
     )
     try:
@@ -869,7 +810,7 @@ def cmd_serve(args) -> int:
                 f"{report['failures']} failure(s)",
             ))
         return 0 if report["ok"] else 1
-    run_server(app, host=args.host, port=args.port, max_requests=args.max_requests)
+    run_server(app, host=args.host, port=args.port)
     return 0
 
 
@@ -1019,40 +960,18 @@ def cmd_obs_diff(args) -> int:
     return 1 if regressions else 0
 
 
-def cmd_top(args) -> int:
-    """Console view over a run's live (or finished) timeline."""
-    from repro.obs.topview import run_top
-
-    try:
-        return run_top(args.run, once=args.once, interval=args.interval)
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read timeline: {error}", file=sys.stderr)
-        return 2
-
-
 def cmd_obs_timeline(args) -> int:
-    """Summarize (and optionally diff) run timelines."""
-    from repro.obs.timeline import diff_summaries, read_timeline, summarize_timeline
+    """Summarize a run's timeline, live or finished."""
+    from repro.obs.timeline import read_timeline, summarize_timeline
 
     try:
         summary = summarize_timeline(read_timeline(args.run))
-        other = (
-            summarize_timeline(read_timeline(args.diff)) if args.diff else None
-        )
     except (OSError, ValueError) as error:
         print(f"error: cannot read timeline: {error}", file=sys.stderr)
         return 2
-    diff = (
-        diff_summaries(other, summary, threshold_pct=args.threshold)
-        if other is not None
-        else None
-    )
     if _wants_json(args):
-        payload = {"run": args.run, "summary": summary}
-        if diff is not None:
-            payload.update({"baseline": args.diff, "diff": diff})
-        _print_json(payload)
-        return 0 if diff is None or diff["ok"] else 1
+        _print_json({"run": args.run, "summary": summary})
+        return 0
 
     rss = summary.get("rss") or {}
     overview = [
@@ -1081,23 +1000,6 @@ def cmd_obs_timeline(args) -> int:
             ["Phase", "Done", "Total", "Mean rate/s", "Last rate/s"],
             phase_rows, title="Progress phases",
         ))
-    if diff is None:
-        return 0
-    print(render_table(
-        ["Series", "Baseline", "Candidate", "Delta"],
-        [
-            (d["series"], d["a"] if d["a"] is not None else "-",
-             d["b"] if d["b"] is not None else "-",
-             f"{d['delta_pct']:+.1f}%" if d["delta_pct"] is not None else "-")
-            for d in diff["deltas"]
-        ],
-        title=f"Diff vs {args.diff} (threshold {args.threshold:g}%)",
-    ))
-    if diff["regressions"]:
-        for series in diff["regressions"]:
-            print(f"REGRESSION: {series}", file=sys.stderr)
-        return 1
-    print(f"no regressions beyond {args.threshold:g}%")
     return 0
 
 
@@ -1189,7 +1091,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "watch": cmd_watch,
         "profile": cmd_profile,
         "obs-diff": cmd_obs_diff,
-        "top": cmd_top,
         "obs-timeline": cmd_obs_timeline,
         "serve": cmd_serve,
         "lint": cmd_lint,
@@ -1202,7 +1103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         TraceCollector,
         configure_json_logging,
         remove_json_logging,
-        set_slow_span_ms,
         span,
         use_collector,
         use_registry,
@@ -1214,10 +1114,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "log_json", False):
         log_handler = configure_json_logging(stream=sys.stderr, level=logging.DEBUG)
     collector = TraceCollector() if getattr(args, "trace_out", None) else None
-    slow_span_ms = getattr(args, "slow_span_ms", None)
-    previous_slow_span = (
-        set_slow_span_ms(slow_span_ms) if slow_span_ms is not None else None
-    )
     started = perf_counter()
     code: Optional[int] = None
     failed = False
@@ -1282,8 +1178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         raise
         return code
     finally:
-        if slow_span_ms is not None:
-            set_slow_span_ms(previous_slow_span)
         if log_handler is not None:
             remove_json_logging(log_handler)
 

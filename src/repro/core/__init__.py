@@ -31,7 +31,6 @@ from repro.core.advisory import AdvisoryReport, StaleCertificateAdvisor
 from repro.core.lifetime import (
     CapResult,
     LifetimePolicySimulator,
-    survival_curve_for,
 )
 from repro.core.pipeline import MeasurementPipeline, PipelineResult
 
@@ -53,7 +52,6 @@ __all__ = [
     "RegistrantChangeDetector",
     "CapResult",
     "LifetimePolicySimulator",
-    "survival_curve_for",
     "MeasurementPipeline",
     "PipelineResult",
 ]

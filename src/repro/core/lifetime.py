@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.stale import StaleCertificate, StalenessClass, StaleFindings
-from repro.util.stats import SurvivalCurve
 
 #: Candidate maximum lifetimes studied in Section 6 (days).
 STUDIED_CAPS = (45, 90, 215)
@@ -150,8 +149,3 @@ class LifetimePolicySimulator:
         if baseline == 0:
             return 0.0
         return 1.0 - capped / baseline
-
-
-def survival_curve_for(findings: StaleFindings, cls: StalenessClass) -> SurvivalCurve:  # repro-lint: disable=RL703  # paper API: Figure 8 entry point
-    """Days-to-invalidation survival curve (Figure 8) for one class."""
-    return findings.survival_curve(cls)

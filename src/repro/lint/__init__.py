@@ -10,11 +10,11 @@ turns those invariants into CI-gated rules:
 ``RL000``  parse/IO error (the linter never crashes on bad input)
 ``RL101``  wall-clock read in a simulation/detection path
 ``RL102``  process-global ``random`` use
-``RL103``  unsorted iteration over a bare set  *(fixable)*
+``RL103``  unsorted iteration over a bare set
 ``RL201``  mutable module-level state in worker-reachable code
 ``RL301``  metric name not declared in ``repro.obs.names``
 ``RL302``  live-telemetry hygiene (declared phases, daemon threads)
-``RL501``  bare ``except:``  *(fixable)*
+``RL501``  bare ``except:``
 ``RL502``  broad handler that swallows without re-raise or log
 ``RL503``  serve-path handler that swallows errors outside the error model
 ``RL702``  RNG fork label collision / undeclared / stale declaration
@@ -26,8 +26,8 @@ reaches a run artifact is not decided statically: ``tests/test_determinism.py``
 runs the pipeline twice under different hash seeds, shard counts and
 directory orders and compares every artifact byte for byte. Run
 ``python -m repro lint [PATHS...]`` (one serial pass); see
-``docs/LINTS.md`` for the full catalogue, suppression syntax
-(``# repro-lint: disable=RLxxx``), and baseline semantics.
+``docs/LINTS.md`` for the full catalogue and the suppression syntax
+(``# repro-lint: disable=RLxxx``).
 """
 
 from repro.lint.base import (
@@ -40,20 +40,15 @@ from repro.lint.base import (
     all_rules,
     register,
 )
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import LintReport, LintRunner, collect_files
-from repro.lint.findings import Finding, Fix
-from repro.lint.fixes import apply_fixes, fix_files
+from repro.lint.findings import Finding
 from repro.lint.reporters import render_json, render_text
 from repro.lint.runner import run_cli
 from repro.lint.suppress import parse_suppressions
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
     "FileContext",
     "Finding",
-    "Fix",
     "ImportMap",
     "LintReport",
     "LintRunner",
@@ -62,9 +57,7 @@ __all__ = [
     "RULE_CLASSES",
     "Rule",
     "all_rules",
-    "apply_fixes",
     "collect_files",
-    "fix_files",
     "parse_suppressions",
     "register",
     "render_json",

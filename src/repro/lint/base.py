@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
-from repro.lint.findings import Finding, Fix
+from repro.lint.findings import Finding
 
 
 @dataclass
@@ -52,29 +52,14 @@ class FileContext:
     def imports(self) -> "ImportMap":
         return ImportMap(self.tree)
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def finding(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-        fix: Optional[Fix] = None,
-    ) -> Finding:
-        lineno = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
+    def finding(self, rule: "Rule", node: ast.AST, message: str) -> Finding:
         return Finding(
             path=self.path,
-            line=lineno,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
             code=rule.code,
             rule=rule.name,
             message=message,
-            line_text=self.line_text(lineno),
-            fix=fix,
         )
 
 
@@ -128,11 +113,6 @@ class ProjectIndex:
             if facts is not None:
                 out[path] = facts
         return out
-
-    def line_text(self, path: str, lineno: int) -> str:
-        """Stripped source line for baseline keys on cross-file findings."""
-        ctx = self.files.get(path)
-        return ctx.line_text(lineno) if ctx is not None else ""
 
     def suppressions_for(self, path: str) -> Dict[int, frozenset]:
         """Inline suppression map for *path* (empty when it did not parse)."""
@@ -298,7 +278,6 @@ class Rule:
     code: str = "RL000"
     name: str = "unnamed"
     rationale: str = ""
-    fixable: bool = False
     #: Path prefixes (repo-relative, POSIX) the rule binds; empty = all.
     scope: Tuple[str, ...] = ()
     #: Path prefixes excluded even when inside ``scope``.
@@ -320,7 +299,6 @@ class Rule:
             "code": cls.code,
             "name": cls.name,
             "rationale": cls.rationale,
-            "fixable": "yes" if cls.fixable else "no",
         }
 
 

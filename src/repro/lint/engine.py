@@ -1,4 +1,4 @@
-"""The lint engine: file collection, rule dispatch, suppression, baseline.
+"""The lint engine: file collection, rule dispatch, suppression.
 
 Dependency-free by design — ``ast`` + the standard library only — so the
 linter runs in CI before anything is installed and can never be broken
@@ -22,7 +22,6 @@ from repro.lint.base import (
     Rule,
     all_rules,
 )
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding
 from repro.lint.suppress import is_suppressed
 
@@ -73,16 +72,11 @@ class LintReport:
     """Everything one lint run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    #: Baseline entries no finding matched — removable.
-    unused_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
-    #: Baseline entries naming files that no longer exist — an error.
-    stale_baseline: List[str] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
     def counts_by_code(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -92,27 +86,18 @@ class LintReport:
 
 
 class LintRunner:
-    """Runs a rule set over a file set, applying suppressions + baseline."""
+    """Runs a rule set over a file set, applying inline suppressions."""
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
-    ) -> None:
+    def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
-        self.baseline = baseline
-        #: Set by :meth:`run`: the sources it read, so ``--fix`` does not
-        #: read them again.
-        self.last_sources: Dict[str, str] = {}
 
     # -- entry points --------------------------------------------------------
 
     def run(self, paths: Sequence[str]) -> LintReport:
         files = collect_files(paths)
         findings = self._run_files(files)
-        report = LintReport(files_scanned=len(files))
-        self._finish(report, findings)
-        return report
+        findings.sort(key=Finding.sort_key)
+        return LintReport(findings=findings, files_scanned=len(files))
 
     def run_source(self, source: str, path: str) -> List[Finding]:
         """Lint one in-memory source under a synthetic *path* (tests)."""
@@ -140,7 +125,6 @@ class LintRunner:
     def _run_files(self, files: List[str]) -> List[Finding]:
         contexts: Dict[str, FileContext] = {}
         findings: List[Finding] = []
-        self.last_sources = {}
         for path in files:
             try:
                 with open(path, "r", encoding="utf-8") as handle:
@@ -153,7 +137,6 @@ class LintRunner:
                 findings.append(parse_finding)
                 continue
             contexts[path] = context
-            self.last_sources[path] = source
         findings.extend(self.run_contexts(contexts))
         return findings
 
@@ -175,17 +158,6 @@ class LintRunner:
         ]
         kept.sort(key=Finding.sort_key)
         return kept
-
-    def _finish(self, report: LintReport, findings: List[Finding]) -> None:
-        findings.sort(key=Finding.sort_key)
-        if self.baseline is not None:
-            new, baselined, unused = self.baseline.partition(findings)
-            report.findings = new
-            report.baselined = baselined
-            report.unused_baseline = unused
-            report.stale_baseline = self.baseline.stale_paths()
-        else:
-            report.findings = findings
 
 
 def _parse(

@@ -57,7 +57,6 @@ class ForkSite:
     kind: str                 # "root" (RngStream/split_seed/ForkPrefix) | "split"
     labels: Tuple[str, ...]   # literal components; "*" for runtime-varying
     variadic: bool            # *labels relay — nothing to register here
-    line_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class ObsUse:
     line: int
     col: int
     value: str = ""       # literal / constant / module, per kind
-    line_text: str = ""
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,6 @@ class _Extractor:
         self.path = context.path
         self.tree = context.tree
         self.nodes = context.nodes
-        self.lines = context.lines
         self.module = module_name_for_path(self.path)
         self.is_package = (self.path.endswith("/__init__.py")
                            or self.path == "__init__.py")
@@ -350,7 +347,6 @@ class _Extractor:
             kind=kind,
             labels=labels,
             variadic=variadic,
-            line_text=self._line_text(node.lineno),
         ))
 
     # -- observability facts -------------------------------------------------
@@ -387,10 +383,9 @@ class _Extractor:
             return
         name_arg = node.args[0]
         line, col = name_arg.lineno, name_arg.col_offset + 1
-        text = self._line_text(line)
         if isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str):
             self.obs_uses.append(ObsUse("metric_literal", line, col,
-                                        name_arg.value, text))
+                                        name_arg.value))
             return
         if isinstance(name_arg, ast.Attribute) and isinstance(
             name_arg.value, ast.Name
@@ -398,35 +393,33 @@ class _Extractor:
             module = self.imports.get(name_arg.value.id, name_arg.value.id)
             if module != "repro.obs.names":
                 self.obs_uses.append(ObsUse("metric_foreign", line, col,
-                                            module, text))
+                                            module))
             else:
                 self.obs_uses.append(ObsUse("metric_attr", line, col,
-                                            name_arg.attr, text))
+                                            name_arg.attr))
             return
         if isinstance(name_arg, ast.Name):
             origin = self.imports.get(name_arg.id, name_arg.id)
             if origin.startswith("repro.obs.names."):
                 self.obs_uses.append(ObsUse("metric_name", line, col,
-                                            origin.rsplit(".", 1)[1], text))
+                                            origin.rsplit(".", 1)[1]))
                 return
-        self.obs_uses.append(ObsUse("metric_other", line, col, "", text))
+        self.obs_uses.append(ObsUse("metric_other", line, col))
 
     def _phase_use(self, node: ast.Call) -> None:
         if not node.args:
             self.obs_uses.append(ObsUse(
-                "phase_missing", node.lineno, node.col_offset + 1, "",
-                self._line_text(node.lineno),
+                "phase_missing", node.lineno, node.col_offset + 1,
             ))
             return
         phase_arg = node.args[0]
         line, col = phase_arg.lineno, phase_arg.col_offset + 1
         if not (isinstance(phase_arg, ast.Constant)
                 and isinstance(phase_arg.value, str)):
-            self.obs_uses.append(ObsUse("phase_dynamic", line, col, "",
-                                        self._line_text(line)))
+            self.obs_uses.append(ObsUse("phase_dynamic", line, col))
             return
         self.obs_uses.append(ObsUse("phase_literal", line, col,
-                                    phase_arg.value, self._line_text(line)))
+                                    phase_arg.value))
 
     def _thread_use(self, node: ast.Call) -> None:
         for keyword in node.keywords:
@@ -435,16 +428,8 @@ class _Extractor:
                     and keyword.value.value is True):
                 return
         self.obs_uses.append(ObsUse(
-            "thread_nondaemon", node.lineno, node.col_offset + 1, "",
-            self._line_text(node.lineno),
+            "thread_nondaemon", node.lineno, node.col_offset + 1,
         ))
-
-    # -- misc ----------------------------------------------------------------
-
-    def _line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
 
 def extract_module_facts(

@@ -12,15 +12,6 @@ JSON_SCHEMA_VERSION = 1
 
 def render_text(report: LintReport) -> str:
     lines: List[str] = [finding.render() for finding in report.findings]
-    for path, code, text in report.unused_baseline:
-        lines.append(
-            f"note: baseline entry no longer matches anything and can be "
-            f"removed: {path} {code} ({text!r})"
-        )
-    for path in report.stale_baseline:
-        lines.append(
-            f"error: baseline names a file that no longer exists: {path}"
-        )
     counts = report.counts_by_code()
     if counts:
         summary = ", ".join(f"{code}×{count}" for code, count in sorted(counts.items()))
@@ -29,12 +20,7 @@ def render_text(report: LintReport) -> str:
             f"file(s): {summary}"
         )
     else:
-        suffix = (
-            f" ({len(report.baselined)} baselined)" if report.baselined else ""
-        )
-        lines.append(
-            f"clean: {report.files_scanned} file(s), 0 findings{suffix}"
-        )
+        lines.append(f"clean: {report.files_scanned} file(s), 0 findings")
     return "\n".join(lines)
 
 
@@ -44,12 +30,6 @@ def render_json(report: LintReport) -> str:
         "files_scanned": report.files_scanned,
         "clean": report.clean,
         "findings": [finding.to_record() for finding in report.findings],
-        "baselined": len(report.baselined),
-        "unused_baseline": [
-            {"path": path, "code": code, "text": text}
-            for path, code, text in report.unused_baseline
-        ],
-        "stale_baseline": list(report.stale_baseline),
         "counts": report.counts_by_code(),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

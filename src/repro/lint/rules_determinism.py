@@ -18,7 +18,7 @@ import ast
 from typing import Iterator, Set
 
 from repro.lint.base import FileContext, Rule, register
-from repro.lint.findings import Finding, Fix
+from repro.lint.findings import Finding
 
 SIMULATION_SCOPE = ("src/repro/",)
 #: The observability layer's whole job is reading wall clocks and process
@@ -176,7 +176,6 @@ class UnsortedSetIterationRule(Rule):
         "in sorted(...)."
     )
     scope = SIMULATION_SCOPE
-    fixable = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.nodes:
@@ -189,20 +188,9 @@ class UnsortedSetIterationRule(Rule):
                 iters = [converted] if converted is not None else []
             for iter_expr in iters:
                 if _is_set_producing(iter_expr):
-                    fix = None
-                    if (
-                        getattr(iter_expr, "end_lineno", None) is not None
-                        and getattr(iter_expr, "end_col_offset", None) is not None
-                    ):
-                        fix = Fix(
-                            kind="wrap_sorted",
-                            start=(iter_expr.lineno, iter_expr.col_offset + 1),
-                            end=(iter_expr.end_lineno, iter_expr.end_col_offset + 1),
-                        )
                     yield ctx.finding(
                         self,
                         iter_expr,
                         "iterating a bare set follows its hash-salted, "
                         "per-process order; wrap the set in sorted(...)",
-                        fix=fix,
                     )

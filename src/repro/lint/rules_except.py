@@ -14,7 +14,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.base import FileContext, Rule, dotted_name, register
-from repro.lint.findings import Finding, Fix
+from repro.lint.findings import Finding
 
 BROAD_NAMES = ("Exception", "BaseException")
 
@@ -58,7 +58,6 @@ class BareExceptRule(Rule):
         "stuck collection run cannot even be Ctrl-C'd cleanly; every "
         "handler must name what it expects (at minimum Exception)."
     )
-    fixable = True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.nodes:
@@ -68,11 +67,6 @@ class BareExceptRule(Rule):
                     node,
                     "bare 'except:' also catches KeyboardInterrupt/"
                     "SystemExit; name the exception (at minimum Exception)",
-                    fix=Fix(
-                        kind="bare_except",
-                        start=(node.lineno, node.col_offset + 1),
-                        end=(node.lineno, node.col_offset + 1),
-                    ),
                 )
 
 

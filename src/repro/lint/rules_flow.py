@@ -12,6 +12,7 @@ from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.lint.base import ProjectIndex, ProjectRule, register
 from repro.lint.findings import Finding
+from repro.lint.suppress import is_suppressed
 
 #: RL703 only runs when the scanned set contains the real CLI entry
 #: point; on the tiny synthetic trees the test suite lints, *everything*
@@ -102,7 +103,6 @@ class RngLabelRegistryRule(ProjectRule):
                             f"RNG_LABELS declares {labels!r} but no fork "
                             "site uses it; remove the stale entry"
                         ),
-                        line_text=index.line_text(path, line),
                     )
 
     def _finding(self, site, message: str) -> Finding:
@@ -113,7 +113,6 @@ class RngLabelRegistryRule(ProjectRule):
             code=self.code,
             rule=self.name,
             message=message,
-            line_text=site.site.line_text,
         )
 
 
@@ -140,7 +139,14 @@ class DeadExportRule(ProjectRule):
             path.endswith(_CLI_ANCHOR_SUFFIXES) for path in facts_map
         ):
             return
-        live = _live_prefixes(facts_map)
+        kept = set()
+        for path, facts in facts_map.items():
+            suppressions = index.suppressions_for(path)
+            kept.update(
+                f"{facts.module}.{definfo.name}" for definfo in facts.defs
+                if is_suppressed(suppressions, definfo.line, self.code)
+            )
+        live = _live_prefixes(facts_map, kept)
         for path in sorted(facts_map):
             facts = facts_map[path]
             if not facts.module.startswith("repro."):
@@ -165,19 +171,23 @@ class DeadExportRule(ProjectRule):
                         "benchmark; delete it, mark it private, or suppress "
                         "with a justification"
                     ),
-                    line_text=index.line_text(path, definfo.line),
                 )
 
 
-def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
+def _live_prefixes(facts_map: Dict[str, object], kept: Set[str]) -> Set[str]:
     """Dotted names (and their prefixes) reachable from the program.
 
-    Seeds with every attributed reference in the scanned ``repro``
-    modules plus references found in ``bench/``/``benchmarks/`` on disk,
-    then propagates through import aliases to a fixpoint so package
-    re-exports keep their targets alive, and marks star-import targets
-    wholesale (conservative: a ``*`` import may use anything). Scanned
-    test and example files are linted but seed nothing.
+    Seeds with the module-level references of the scanned ``repro``
+    modules, every reference found in ``bench/``/``benchmarks/`` on disk,
+    and the references of the defs that are live whatever reads them:
+    the entry-point modules' defs, decorated defs, and the *kept* symbols
+    (an inline RL703 suppression: a kept name keeps what it calls). A
+    def's own references count only once the def is live, so a dead
+    function keeps nothing alive. Live names propagate through import
+    aliases (package re-exports keep their targets alive) to a fixpoint;
+    star-import targets are marked wholesale (conservative: a ``*``
+    import may use anything). Scanned test and example files are linted
+    but seed nothing.
     """
     closure: Set[str] = set()
 
@@ -186,19 +196,32 @@ def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
         for cut in range(1, len(parts) + 1):
             closure.add(".".join(parts[:cut]))
 
-    all_facts = [
+    repro_facts = [
         facts for facts in facts_map.values()
         if facts.module == "repro" or facts.module.startswith("repro.")
     ]
-    all_facts.extend(_extra_reference_facts())
+    extra_facts = _extra_reference_facts()
+    all_facts = repro_facts + extra_facts
     modules = {facts.module: facts for facts in all_facts}
 
-    for facts in all_facts:
+    #: symbol → references, for repro defs not yet known to be live.
+    pending: Dict[str, Tuple[str, ...]] = {}
+    for facts in repro_facts:
+        for ref in facts.module_refs:
+            add_with_prefixes(ref)
+        for definfo in facts.defs:
+            symbol = f"{facts.module}.{definfo.name}"
+            if (facts.module in _ROOT_MODULES or definfo.decorated
+                    or symbol in kept):
+                add_with_prefixes(symbol)
+            pending[symbol] = definfo.refs
+    for facts in extra_facts:
         for ref in facts.module_refs:
             add_with_prefixes(ref)
         for definfo in facts.defs:
             for ref in definfo.refs:
                 add_with_prefixes(ref)
+    for facts in all_facts:
         for star in facts.star_imports:
             target = modules.get(star)
             if target is not None:
@@ -206,10 +229,12 @@ def _live_prefixes(facts_map: Dict[str, object]) -> Set[str]:
                     add_with_prefixes(f"{target.module}.{definfo.name}")
 
     changed = True
-    rounds = 0
-    while changed and rounds < 16:
+    while changed:
         changed = False
-        rounds += 1
+        for symbol in [symbol for symbol in pending if symbol in closure]:
+            for ref in pending.pop(symbol):
+                add_with_prefixes(ref)
+            changed = True
         for facts in all_facts:
             for local, target in facts.imports:
                 if f"{facts.module}.{local}" in closure and target not in closure:

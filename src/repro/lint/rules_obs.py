@@ -62,7 +62,6 @@ class MetricNameRule(ProjectRule):
                         code=self.code,
                         rule=self.name,
                         message=message,
-                        line_text=use.line_text,
                     )
 
     def _message(self, use, declared: Optional[Set[str]]) -> Optional[str]:
@@ -125,7 +124,6 @@ class LiveTelemetryRule(ProjectRule):
                         code=self.code,
                         rule=self.name,
                         message=message,
-                        line_text=use.line_text,
                     )
 
     def _message(self, use, declared: Optional[Set[str]]) -> Optional[str]:

@@ -34,8 +34,8 @@ Live telemetry (PR 9) adds the in-flight view: :mod:`repro.obs.live`
 runs a heartbeat thread (``--heartbeat SECS``) that appends versioned
 JSON snapshots — progress gauges with rate/ETA, registry samples,
 process RSS, open spans — to a crash-durable ``timeline.jsonl``
-(:mod:`repro.obs.timeline`), rendered live or post-hoc by
-``repro top`` (:mod:`repro.obs.topview`) and ``repro obs-timeline``.
+(:mod:`repro.obs.timeline`), summarized live or post-hoc by
+``repro obs-timeline``.
 """
 
 from repro.obs import names
@@ -55,7 +55,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     parse_text,
-    set_default_registry,
     use_registry,
 )
 from repro.obs.live import (
@@ -76,7 +75,6 @@ from repro.obs.timeline import (
 from repro.obs.trace import (
     Span,
     open_spans,
-    set_slow_span_ms,
     span,
 )
 from repro.obs.traceout import (
@@ -114,9 +112,7 @@ __all__ = [
     "read_rss_bytes",
     "read_timeline",
     "remove_json_logging",
-    "set_default_registry",
     "set_heartbeat",
-    "set_slow_span_ms",
     "span",
     "summarize_timeline",
     "use_collector",

@@ -408,14 +408,6 @@ def get_registry() -> MetricsRegistry:
     return getattr(_ACTIVE, "registry", None) or _DEFAULT_REGISTRY
 
 
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:  # repro-lint: disable=RL703  # embedding API: hosts swap the process registry
-    """Replace the process-wide default registry; returns the previous one."""
-    global _DEFAULT_REGISTRY
-    previous = _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = registry
-    return previous
-
-
 @contextmanager
 def use_registry(registry: Optional[MetricsRegistry] = None) -> Iterator[MetricsRegistry]:
     """Scope :func:`get_registry` to *registry* for the current thread.

@@ -16,7 +16,7 @@ everything up to its last heartbeat. Three record kinds share the file:
 :func:`read_timeline` tolerates a truncated last line — the expected
 shape of a SIGKILL mid-append — and :func:`summarize_timeline` reduces a
 timeline to the per-phase rates and RSS curve that ``repro obs-timeline``
-prints (and can diff across runs).
+prints.
 """
 
 from __future__ import annotations
@@ -176,49 +176,3 @@ def summarize_timeline(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     if duration > 0 and len(snaps) > 1:
         summary["mean_interval_seconds"] = round(duration / (len(snaps) - 1), 3)
     return summary
-
-
-def diff_summaries(
-    a: Mapping[str, Any], b: Mapping[str, Any], threshold_pct: float = 25.0
-) -> Dict[str, Any]:
-    """Compare two timeline summaries; flag RSS and rate regressions.
-
-    One-sided gates, mirroring ``repro obs-diff``: candidate ``b``
-    regresses when its peak RSS grows, or a shared phase's mean rate
-    drops, by more than ``threshold_pct`` percent. Phases present in only
-    one run are reported but never fail the gate.
-    """
-    deltas: List[Dict[str, Any]] = []
-    regressions: List[str] = []
-
-    rss_a = (a.get("rss") or {}).get("max_bytes")
-    rss_b = (b.get("rss") or {}).get("max_bytes")
-    if rss_a and rss_b:
-        pct = 100.0 * (rss_b - rss_a) / rss_a
-        row = {"series": "rss_max_bytes", "a": rss_a, "b": rss_b,
-               "delta_pct": round(pct, 2)}
-        deltas.append(row)
-        if pct > threshold_pct:
-            regressions.append("rss_max_bytes")
-
-    phases_a = a.get("phases") or {}
-    phases_b = b.get("phases") or {}
-    for phase in sorted(set(phases_a) | set(phases_b)):
-        rate_a = (phases_a.get(phase) or {}).get("mean_rate")
-        rate_b = (phases_b.get(phase) or {}).get("mean_rate")
-        if rate_a is None or rate_b is None:
-            deltas.append({"series": f"phase:{phase}", "a": rate_a, "b": rate_b,
-                           "delta_pct": None})
-            continue
-        pct = 100.0 * (rate_b - rate_a) / rate_a if rate_a else 0.0
-        deltas.append({"series": f"phase:{phase}", "a": rate_a, "b": rate_b,
-                       "delta_pct": round(pct, 2)})
-        if rate_a and pct < -threshold_pct:
-            regressions.append(f"phase:{phase}")
-
-    return {
-        "threshold_pct": threshold_pct,
-        "deltas": deltas,
-        "regressions": regressions,
-        "ok": not regressions,
-    }

@@ -20,24 +20,16 @@ With no collector active, the trace path costs a single ``None`` check.
 Spans nest per thread. :func:`open_spans` snapshots every *currently open*
 span across all threads — the heartbeat samples it so a live timeline
 shows what a wedged run is stuck inside.
-
-Slow-span logging: :func:`set_slow_span_ms` (or the ``REPRO_SLOW_SPAN_MS``
-environment variable, surfaced as ``--slow-span-ms`` on the CLI) arms a
-threshold; any span at or over it emits a WARNING-level ``slow_span``
-record carrying the span name, duration, and full parent chain. The
-default is off, and the off path is a single ``None`` check with no
-extra allocation.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.obs import names
 from repro.obs.log import log
@@ -53,32 +45,6 @@ _STACK = threading.local()
 # the executor fork channel): written per-thread, read-only elsewhere.
 _OPEN_STACKS: Dict[int, List["Span"]] = {}  # repro-lint: disable=RL201
 _OPEN_LOCK = threading.Lock()
-
-#: Environment variable arming the slow-span log outside the CLI.
-SLOW_SPAN_ENV = "REPRO_SLOW_SPAN_MS"
-
-
-def _env_slow_span_ms() -> Optional[float]:
-    raw = os.environ.get(SLOW_SPAN_ENV)
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value >= 0 else None
-
-
-_SLOW_SPAN_MS: Optional[float] = _env_slow_span_ms()
-
-
-def set_slow_span_ms(value: Optional[float]) -> Optional[float]:
-    """Arm (or, with ``None``, disarm) the slow-span log; returns the
-    previous threshold so callers can restore it."""
-    global _SLOW_SPAN_MS
-    previous = _SLOW_SPAN_MS
-    _SLOW_SPAN_MS = value if value is not None and value >= 0 else None
-    return previous
 
 
 @dataclass
@@ -138,20 +104,6 @@ def open_spans() -> List[Dict[str, Any]]:
     return snapshot
 
 
-def _emit_slow_span(current: Span, ancestors: Sequence[Span]) -> None:
-    """WARNING-level record for one span at/over the armed threshold."""
-    log(
-        "slow_span",
-        level=logging.WARNING,
-        name=current.name,
-        duration_ms=round((current.seconds or 0.0) * 1000.0, 3),
-        threshold_ms=_SLOW_SPAN_MS,
-        status=current.status,
-        parent_chain=[span_obj.name for span_obj in ancestors],
-        **current.attrs,
-    )
-
-
 @contextmanager
 def span(
     name: str,
@@ -192,10 +144,6 @@ def span(
             active_registry.counter(
                 names.SPAN_EXCEPTIONS, names.SPAN_EXCEPTIONS_HELP, labels=("name",)
             ).inc(name=name)
-        # Off path is one None check: the parent chain is only built for
-        # spans that actually cross the armed threshold.
-        if _SLOW_SPAN_MS is not None and current.seconds * 1000.0 >= _SLOW_SPAN_MS:
-            _emit_slow_span(current, stack)
         log(
             "span",
             level=logging.DEBUG,

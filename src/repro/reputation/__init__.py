@@ -16,7 +16,7 @@ from repro.reputation.virustotal import (
     VirusTotalStore,
     build_store_from_ownership,
 )
-from repro.reputation.avclass import extract_family, tally_categories
+from repro.reputation.avclass import extract_family
 from repro.reputation.malpedia import resolve_alias
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "VirusTotalStore",
     "build_store_from_ownership",
     "extract_family",
-    "tally_categories",
     "resolve_alias",
 ]

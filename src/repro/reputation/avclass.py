@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.reputation.malpedia import resolve_alias
 
@@ -49,14 +49,3 @@ def extract_family(vendor_labels: Iterable[str]) -> Optional[str]:
         return None
     family, _count = votes.most_common(1)[0]
     return family
-
-
-def tally_categories(  # repro-lint: disable=RL703  # paper API: Table 5 aggregation entry point
-    file_categories: Iterable[str], url_categories: Iterable[str]
-) -> Dict[str, Counter]:
-    """Aggregate Table 5's two columns: malware categories (from files) and
-    URL verdict categories."""
-    return {
-        "malware": Counter(file_categories),
-        "url": Counter(url_categories),
-    }

@@ -54,8 +54,3 @@ _ALIASES: Dict[str, str] = {
 def resolve_alias(token: str) -> str:
     """Canonical family for a label token (identity for unknown tokens)."""
     return _ALIASES.get(token.lower(), token.lower())
-
-
-def known_families() -> Dict[str, str]:  # repro-lint: disable=RL703  # inspection API over the private alias table
-    """A copy of the alias table (for inspection/tests)."""
-    return dict(_ALIASES)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from io import BytesIO
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 from urllib.parse import quote
 from wsgiref.simple_server import WSGIRequestHandler, make_server
 
@@ -148,13 +148,9 @@ def run_server(
     app: StalenessApp,
     host: str = "127.0.0.1",
     port: int = 8323,
-    max_requests: Optional[int] = None,
 ) -> None:
-    """Serve *app* on the stdlib reference server until interrupted.
-
-    ``max_requests`` bounds the loop for tests/smoke runs; ``None`` means
-    serve forever (Ctrl-C returns cleanly).
-    """
+    """Serve *app* on the stdlib reference server until interrupted
+    (Ctrl-C returns cleanly)."""
     with make_server(host, port, app, handler_class=_QuietHandler) as httpd:
         log(
             "serve_listening",
@@ -164,10 +160,6 @@ def run_server(
             findings=len(app.index),
         )
         try:
-            if max_requests is None:
-                httpd.serve_forever()
-            else:
-                for _ in range(max_requests):
-                    httpd.handle_request()
+            httpd.serve_forever()
         except KeyboardInterrupt:
             log("serve_stopped", subsystem="serve", reason="interrupt")

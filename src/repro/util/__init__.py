@@ -7,11 +7,9 @@ certificate notBefore/notAfter compared at day precision).
 
 from repro.util.dates import (
     Day,
-    DAYS_PER_YEAR,
     day,
     day_to_date,
     day_to_iso,
-    iso,
     month_of,
     month_key,
     parse_day,
@@ -29,11 +27,9 @@ from repro.util.storage import dump_jsonl
 
 __all__ = [
     "Day",
-    "DAYS_PER_YEAR",
     "day",
     "day_to_date",
     "day_to_iso",
-    "iso",
     "month_of",
     "month_key",
     "parse_day",

@@ -14,10 +14,6 @@ from typing import Iterator, Tuple
 #: A day expressed as a proleptic-Gregorian ordinal (``date.toordinal()``).
 Day = int
 
-#: Mean Gregorian year length; used only for approximate reporting.
-DAYS_PER_YEAR = 365.2425  # repro-lint: disable=RL703  # unit constant kept for ad-hoc notebook arithmetic
-
-
 def day(year: int, month: int, dom: int) -> Day:
     """Return the :data:`Day` ordinal for a calendar date."""
     return _dt.date(year, month, dom).toordinal()
@@ -31,10 +27,6 @@ def day_to_date(d: Day) -> _dt.date:
 def day_to_iso(d: Day) -> str:
     """Render a :data:`Day` as ``YYYY-MM-DD``."""
     return day_to_date(d).isoformat()
-
-
-# Short alias kept for interactive use.
-iso = day_to_iso  # repro-lint: disable=RL703  # convenience alias of day_to_iso
 
 
 def parse_day(text: str) -> Day:

@@ -35,11 +35,30 @@ class TestParser:
         assert args.scale == 0.1
         assert args.seed == 20231024
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["top", "run"], id="top"),
+        pytest.param(["lint", "--baseline", "b.json"], id="lint-baseline"),
+        pytest.param(["lint", "--update-baseline"], id="lint-update-baseline"),
+        pytest.param(["lint", "--fix"], id="lint-fix"),
+        pytest.param(["obs-timeline", "run", "--diff", "other"],
+                     id="obs-timeline-diff"),
+        pytest.param(["obs-timeline", "run", "--threshold", "10"],
+                     id="obs-timeline-threshold"),
+        pytest.param(["detect", "--slow-span-ms", "5"], id="slow-span-ms"),
+        pytest.param(["serve", "--max-requests", "1"], id="serve-max-requests"),
+        pytest.param(["watch", "--checkpoint-every", "20"],
+                     id="watch-checkpoint-every"),
+    ])
+    def test_removed_commands_and_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
     def test_watch_defaults(self):
         args = build_parser().parse_args(["watch"])
         assert args.checkpoint_dir is None
         assert args.resume is False
-        assert args.checkpoint_every == 30
         assert args.days is None
         assert args.format == "text"
 
@@ -77,7 +96,6 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8323
         assert args.warm_check is False
-        assert args.max_requests is None
         assert args.workers == 1
         assert args.bundle is None
         assert args.metrics_out is None
@@ -341,8 +359,7 @@ class TestWatch:
 
     def test_watch_checkpoint_then_resume(self, tmp_path, capsys):
         ckpt = str(tmp_path / "ckpt")
-        assert main(ARGS + ["watch", "--days", "120", "--checkpoint-dir", ckpt,
-                            "--checkpoint-every", "30"]) == 0
+        assert main(ARGS + ["watch", "--days", "120", "--checkpoint-dir", ckpt]) == 0
         capsys.readouterr()
         assert main(ARGS + ["watch", "--checkpoint-dir", ckpt, "--resume",
                             "--verify", "--format", "json"]) == 0
@@ -629,8 +646,7 @@ class TestWatchCorruptCheckpoint:
         # Regression: a truncated checkpoint used to surface as a raw
         # EOFError/BadGzipFile traceback instead of a usage error.
         ckpt = str(tmp_path / "ckpt")
-        assert main(ARGS + ["watch", "--days", "60", "--checkpoint-dir", ckpt,
-                            "--checkpoint-every", "20"]) == 0
+        assert main(ARGS + ["watch", "--days", "60", "--checkpoint-dir", ckpt]) == 0
         capsys.readouterr()
         from repro.stream import CheckpointStore
 

@@ -1,9 +1,8 @@
-"""CLI-level lint tests: exit codes, baseline flags, --fix, acceptance gates."""
+"""CLI-level lint tests: exit codes, output formats, acceptance gates."""
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -28,15 +27,14 @@ class TestParser:
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
         assert args.format == "text"
-        assert args.baseline is None
-        assert not args.fix and not args.update_baseline and not args.list_rules
+        assert not args.list_rules
 
     def test_lint_accepts_paths_and_flags(self):
         args = build_parser().parse_args(
-            ["lint", "src", "tests", "--format", "json", "--fix"]
+            ["lint", "src", "tests", "--format", "json"]
         )
         assert args.paths == ["src", "tests"]
-        assert args.format == "json" and args.fix
+        assert args.format == "json"
 
     @pytest.mark.parametrize("flag", [
         ["--jobs", "2"], ["--explain", "src/x.py:1"], ["--dump-graph", "g.json"],
@@ -89,7 +87,6 @@ class TestCliFlows:
         target.write_text(
             "def f():\n    try:\n        return 1\n    except:\n        raise ValueError\n"
         )
-        return target
 
     def test_findings_exit_1_with_text_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -105,36 +102,9 @@ class TestCliFlows:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"RL501": 1}
 
-    def test_update_baseline_then_clean(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        self._violating_tree(tmp_path)
-        assert main(["lint", "src", "--update-baseline"]) == 0
-        assert os.path.exists("lint-baseline.json")
-        # Default baseline is picked up implicitly on the next run.
-        assert main(["lint", "src"]) == 0
-
-    def test_stale_baseline_entry_fails(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        target = self._violating_tree(tmp_path)
-        assert main(["lint", "src", "--update-baseline"]) == 0
-        target.unlink()
-        assert main(["lint", "src"]) == 1
-        assert "no longer exists" in capsys.readouterr().out
-
-    def test_fix_flag_repairs_tree_then_exits_0(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = self._violating_tree(tmp_path)
-        assert main(["lint", "src", "--fix"]) == 0
-        assert "except Exception:" in target.read_text()
-
     def test_missing_path_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["lint", "does-not-exist"]) == 2
-
-    def test_explicit_missing_baseline_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        self._violating_tree(tmp_path)
-        assert main(["lint", "src", "--baseline", "nope.json"]) == 2
 
     def test_list_rules_covers_every_code(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

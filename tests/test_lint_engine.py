@@ -1,5 +1,5 @@
-"""Engine semantics: suppressions, baseline add/remove, JSON schema,
-file collection, parse errors, deterministic ordering."""
+"""Engine semantics: suppressions, JSON schema, file collection, parse
+errors, deterministic ordering."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.lint import (
-    Baseline,
     LintRunner,
     collect_files,
     parse_suppressions,
@@ -64,76 +63,6 @@ class TestSuppressions:
         assert not is_suppressed(suppressions, 2, "RL101")
 
 
-class TestBaseline:
-    def _write(self, tmp_path, name, source):
-        target = tmp_path / "src" / "repro" / "core" / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(source)
-        return target
-
-    def test_baselined_findings_do_not_fail(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path, "a.py", BAD_EXCEPT)
-        first = LintRunner().run(["src"])
-        assert [f.code for f in first.findings] == ["RL501"]
-
-        baseline = Baseline.from_findings(first.findings)
-        report = LintRunner(baseline=baseline).run(["src"])
-        assert report.findings == []
-        assert [f.code for f in report.baselined] == ["RL501"]
-        assert report.clean
-
-    def test_new_finding_still_fails_with_baseline(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path, "a.py", BAD_EXCEPT)
-        baseline = Baseline.from_findings(LintRunner().run(["src"]).findings)
-
-        self._write(tmp_path, "b.py", BAD_EXCEPT)
-        report = LintRunner(baseline=baseline).run(["src"])
-        assert [f.path for f in report.findings] == ["src/repro/core/b.py"]
-        assert not report.clean
-
-    def test_fixed_finding_reports_unused_entry(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = self._write(tmp_path, "a.py", BAD_EXCEPT)
-        baseline = Baseline.from_findings(LintRunner().run(["src"]).findings)
-
-        target.write_text(BAD_EXCEPT.replace("except:", "except Exception:\n        raise"))
-        report = LintRunner(baseline=baseline).run(["src"])
-        assert report.findings == []
-        assert len(report.unused_baseline) == 1
-        assert report.clean  # unused entries warn, they do not fail
-
-    def test_deleted_file_makes_baseline_stale(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = self._write(tmp_path, "a.py", BAD_EXCEPT)
-        baseline = Baseline.from_findings(LintRunner().run(["src"]).findings)
-
-        target.unlink()
-        report = LintRunner(baseline=baseline).run(["src"])
-        assert report.stale_baseline == ["src/repro/core/a.py"]
-        assert not report.clean
-        assert "no longer exists" in render_text(report)
-
-    def test_baseline_round_trips_through_disk(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        self._write(tmp_path, "a.py", BAD_EXCEPT)
-        findings = LintRunner().run(["src"]).findings
-        Baseline.from_findings(findings).save("lint-baseline.json")
-        loaded = Baseline.load("lint-baseline.json")
-        new, baselined, unused = loaded.partition(findings)
-        assert (new, len(baselined), unused) == ([], 1, [])
-
-    def test_baseline_matching_survives_line_drift(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        target = self._write(tmp_path, "a.py", BAD_EXCEPT)
-        baseline = Baseline.from_findings(LintRunner().run(["src"]).findings)
-
-        target.write_text("# a new leading comment\n" + BAD_EXCEPT)
-        report = LintRunner(baseline=baseline).run(["src"])
-        assert report.findings == []  # same text, shifted line: still matched
-
-
 class TestEngine:
     def test_collect_skips_fixture_corpus_and_caches(self, tmp_path):
         (tmp_path / "pkg").mkdir()
@@ -187,16 +116,15 @@ class TestJsonOutput:
         assert payload["clean"] is False
         assert payload["files_scanned"] == 1
         assert payload["counts"] == {"RL501": 1}
-        assert payload["baselined"] == 0
-        assert payload["stale_baseline"] == []
-        assert payload["unused_baseline"] == []
+        assert set(payload) == {
+            "version", "files_scanned", "clean", "findings", "counts",
+        }
         (finding,) = payload["findings"]
         assert set(finding) == {
-            "path", "line", "col", "code", "rule", "message", "fixable",
+            "path", "line", "col", "code", "rule", "message",
         }
         assert finding["path"] == "src/repro/core/a.py"
         assert finding["code"] == "RL501"
-        assert finding["fixable"] is True
 
     def test_clean_tree_renders_clean(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

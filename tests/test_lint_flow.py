@@ -1,16 +1,14 @@
 """Cross-file lint tier: RNG labels and dead exports.
 
 The fixture trees under ``tests/lint_fixtures/flow/`` are a label
-collision split across two files and dead-export whitelisting.
-CLI-level ``--fix`` idempotence runs against generated trees in
-``tmp_path``.
+collision split across two files, dead exports (one beside a bench
+harness, one dead call chain) and dead-export whitelisting.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.cli import main
 from repro.lint import FileContext, LintRunner
 from repro.lint.flow import (
     collect_rng_labels,
@@ -165,62 +163,20 @@ class TestDeadExports:
         assert flagged == ["dead_fixture_widget", "test_only_widget"]
         assert {f.path for f in findings} == {"src/repro/core/widgets.py"}
 
+    def test_a_dead_chain_is_flagged_in_one_pass(self):
+        """A dead def's references keep nothing alive: its helper is
+        flagged in the same run. A suppressed def is kept, and so is
+        what it calls."""
+        findings = [
+            f for f in lint_tree(FLOW_DIR / "rl703_bad_dead_chain")
+            if f.code == "RL703"
+        ]
+        flagged = sorted(f.message.split("'")[1] for f in findings)
+        assert flagged == ["planted_dead", "planted_helper"]
+
     def test_whitelisting_suppresses_it(self):
         findings = [
             f for f in lint_tree(FLOW_DIR / "rl703_good_whitelisted")
             if f.code == "RL703"
         ]
         assert findings == []
-
-
-FIX_TREE_FILES = 10
-
-BAD_MODULE = (
-    "def f():\n"
-    "    try:\n"
-    "        return 1\n"
-    "    except:\n"
-    "        raise ValueError\n"
-)
-
-#: RL502 has no mechanical fix, so a tree holding it stays dirty.
-SWALLOW_MODULE = (
-    "def g():\n"
-    "    try:\n"
-    "        return 1\n"
-    "    except Exception:\n"
-    "        pass\n"
-)
-
-
-def build_fix_tree(tmp_path: Path) -> None:
-    base = tmp_path / "src" / "repro" / "core"
-    base.mkdir(parents=True)
-    for index in range(FIX_TREE_FILES):
-        (base / f"mod_{index:02d}.py").write_text(BAD_MODULE)
-    (base / "swallow.py").write_text(SWALLOW_MODULE)
-
-
-class TestFixBatching:
-    def test_cli_fix_is_idempotent(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        build_fix_tree(tmp_path)
-        target = tmp_path / "src" / "repro" / "core" / "mod_00.py"
-        assert main(["lint", "src", "--fix"]) == 1  # RL502 is not fixable
-        first_pass = target.read_text()
-        assert "except Exception:" in first_pass
-        assert main(["lint", "src", "--fix"]) == 1
-        assert target.read_text() == first_pass
-
-    def test_serial_fix_reuses_lint_sources(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        base = tmp_path / "src" / "repro" / "core"
-        base.mkdir(parents=True)
-        (base / "a.py").write_text(BAD_MODULE)
-        runner = LintRunner()
-        report = runner.run(["src"])
-        assert "src/repro/core/a.py" in runner.last_sources
-        from repro.lint import fix_files
-
-        fixed = fix_files(report.findings, sources=runner.last_sources)
-        assert fixed == {"src/repro/core/a.py": 1}

@@ -10,7 +10,6 @@ marker.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import signal
 import subprocess
@@ -28,7 +27,6 @@ from repro.obs import (
     phase_progress,
     read_rss_bytes,
     set_heartbeat,
-    set_slow_span_ms,
     span,
     use_heartbeat,
     use_registry,
@@ -141,43 +139,6 @@ class TestHeartbeat:
         heartbeat.stop()
         heartbeat.stop()  # no-op, no error
         assert len(snapshots(read_timeline(str(tmp_path / "t.jsonl")))) == 1
-
-
-class TestSlowSpanLog:
-    def teardown_method(self):
-        set_slow_span_ms(None)
-
-    def test_off_by_default_and_no_record(self, caplog):
-        assert set_slow_span_ms(None) is None
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            with span("fast_thing"):
-                pass
-        assert not [r for r in caplog.records if "slow_span" in r.getMessage()]
-
-    def test_armed_threshold_emits_structured_record(self, caplog):
-        set_slow_span_ms(1.0)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            with span("outer_phase"):
-                with span("slow_thing"):
-                    time.sleep(0.01)
-        slow = [r for r in caplog.records if r.getMessage() == "slow_span"]
-        assert slow
-        payload = slow[0].obs_fields
-        assert payload["name"] == "slow_thing"
-        assert payload["duration_ms"] >= 1.0
-        assert payload["parent_chain"] == ["outer_phase"]
-
-    def test_fast_spans_quiet_even_when_armed(self, caplog):
-        set_slow_span_ms(60_000.0)
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            with span("quick"):
-                pass
-        assert not [r for r in caplog.records if "slow_span" in r.getMessage()]
-
-    def test_set_returns_previous_for_restore(self):
-        assert set_slow_span_ms(5.0) is None
-        assert set_slow_span_ms(None) == 5.0
-        assert set_slow_span_ms(None) is None
 
 
 class TestCliLifecycle:

@@ -1,4 +1,5 @@
-"""Timeline data plane: writer durability, reader tolerance, summaries.
+"""Timeline data plane: writer durability, reader tolerance, summaries,
+and the ``repro obs-timeline`` command over a committed fixture timeline.
 
 The crash-durability contract under test: a run killed mid-append leaves
 a timeline whose last line may be truncated — the reader drops exactly
@@ -9,18 +10,21 @@ anywhere *else* is corruption and raises.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.obs.timeline import (
     TIMELINE_NAME,
     TimelineWriter,
-    diff_summaries,
     read_timeline,
     snapshots,
     summarize_timeline,
     timeline_meta,
 )
+
+FIXTURE_TIMELINE = Path(__file__).parent / "obs_fixtures" / "timeline_fixture.jsonl"
 
 
 def _snapshot(seq, elapsed, phases=None, rss=None, final=False):
@@ -142,24 +146,22 @@ class TestSummaries:
         assert summary["snapshots"] == 0
         assert summary["duration_seconds"] is None
 
-    def test_diff_flags_rss_and_rate_regressions(self):
-        base = summarize_timeline(self.fixture_records())
-        slower = self.fixture_records()
-        slower[3]["phases"]["detect_shards"]["done"] = 1.5
-        for record in snapshots(slower):
-            record["rss_bytes"] = record["rss_bytes"] * 2
-        diff = diff_summaries(base, summarize_timeline(slower), threshold_pct=25.0)
-        assert not diff["ok"]
-        assert set(diff["regressions"]) == {"rss_max_bytes", "phase:detect_shards"}
 
-    def test_diff_passes_within_threshold(self):
-        base = summarize_timeline(self.fixture_records())
-        diff = diff_summaries(base, base, threshold_pct=25.0)
-        assert diff["ok"] and diff["regressions"] == []
+class TestCliObsTimeline:
+    def test_summary_text(self, capsys):
+        assert main(["obs-timeline", str(FIXTURE_TIMELINE)]) == 0
+        out = capsys.readouterr().out
+        assert "detect_shards" in out
+        assert "monotonic" in out
 
-    def test_diff_ignores_phases_missing_on_one_side(self):
-        base = summarize_timeline(self.fixture_records())
-        other = dict(base)
-        other["phases"] = {}
-        diff = diff_summaries(base, other)
-        assert diff["ok"]  # absent phases are reported, never gated
+    def test_summary_json(self, capsys):
+        assert main([
+            "obs-timeline", str(FIXTURE_TIMELINE), "--format", "json"
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["snapshots"] == 3
+        assert payload["summary"]["monotonic"] is True
+
+    def test_missing_timeline_exits_2(self, tmp_path, capsys):
+        assert main(["obs-timeline", str(tmp_path)]) == 2
+        assert "cannot read timeline" in capsys.readouterr().err
