@@ -8,7 +8,7 @@ reports convey shape, not just numbers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 
 def log_bar_chart(

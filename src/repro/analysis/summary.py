@@ -8,7 +8,7 @@ a pass/fail scorecard. This is the one-page artifact a reviewer reads first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.analysis.report import render_table
 from repro.core.lifetime import LifetimePolicySimulator

@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="statically check determinism / fork-safety / obs / protocol "
-        "invariants (AST-based, dependency-free); exit 1 on findings",
+        help="statically check determinism / error-handling / RNG-label / "
+        "dead-export invariants (AST-based, dependency-free); exit 1 on findings",
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",

@@ -10,7 +10,7 @@ class and computes the aggregates every table and figure is built from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.pki.certificate import Certificate

@@ -77,6 +77,14 @@ def _manifest_error(directory: str, problem: str) -> SegmentFormatError:
     return SegmentFormatError(f"{directory}: corrupt dataset manifest: {problem}")
 
 
+def _window(spec: Any) -> Tuple[Day, Day]:
+    """One staleness class's observation window: two integer days, lo <= hi."""
+    if not (isinstance(spec, list) and len(spec) == 2
+            and all(type(day) is int for day in spec) and spec[0] <= spec[1]):
+        raise ValueError(f"window {spec!r} is not two ascending days")
+    return spec[0], spec[1]
+
+
 def _calendar(spec: Any) -> List[Day]:
     """The dns table's scan calendar: strictly ascending integer days."""
     ascending = isinstance(spec, list) and all(type(day) is int for day in spec)
@@ -215,7 +223,20 @@ class Table:
         (key_column, _), = schema.INDEX_KEY_COLUMNS[self.name][index_name]
         keys = segment.column(key_column)
         lo = bisect_left(keys, key)
-        return segment.column("row").read(lo, bisect_right(keys, key, lo))
+        return self._index_rows(
+            index_name, segment.column("row").read(lo, bisect_right(keys, key, lo))
+        )
+
+    def _index_rows(self, index_name: str, rows: List[int]) -> List[int]:
+        """*rows*, as read from an index, once each is known to be a row of
+        this table: a corrupt index is bad input, not an ``IndexError``.
+        Checked per read, so opening a bundle scans no index."""
+        if rows and (min(rows) < 0 or max(rows) >= self.rows):
+            raise SegmentFormatError(
+                f"{self._indexes[index_name]}: {index_name!r} index holds a row "
+                f"id outside table {self.name!r}'s {self.rows} rows"
+            )
+        return rows
 
 
 class ChainedColumn(Sequence):
@@ -313,7 +334,8 @@ class CertsTable(Table):
         hi = bisect_right(serials, serial, lo, span[1])
         if lo == hi:
             return None
-        row = index.column("row")[hi - 1]  # entries sort by row last
+        # Entries sort by row last.
+        row, = self._index_rows("revkey", [index.column("row")[hi - 1]])
         return ValidityRow(
             row, self.column("not_before")[row], self.column("not_after")[row]
         )
@@ -337,8 +359,9 @@ class CertsTable(Table):
         columns = [
             self.column(name) for name in ("not_before", "not_after", "san_dns_names")
         ]
+        rows = self._index_rows("managed", segment.column("row").read(0, segment.rows))
         managed = []
-        for row in segment.column("row").read(0, segment.rows):
+        for row in rows:
             not_before, not_after, sans = (column[row] for column in columns)
             managed.append(ManagedRow(row, not_before, not_after, san_fqdns(sans)))
         return managed
@@ -436,9 +459,12 @@ class Dataset:
                     loader,
                     indexes=spec.get("indexes", {}),
                 )
+            windows_spec = manifest.get("windows", {})
+            if not isinstance(windows_spec, dict):
+                raise ValueError("windows is not an object")
             windows = {
-                StalenessClass(value): (window[0], window[1])
-                for value, window in manifest.get("windows", {}).items()
+                StalenessClass(value): _window(window)
+                for value, window in windows_spec.items()
             }
             dns_calendar = _calendar(manifest["tables"][schema.DNS_TABLE]["calendar"])
         except (KeyError, TypeError, ValueError) as error:

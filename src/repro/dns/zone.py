@@ -8,7 +8,7 @@ simulator's daily scan knows what to resolve each day.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dns.records import RecordType, ResourceRecord, RRSet

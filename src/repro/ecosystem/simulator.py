@@ -19,8 +19,8 @@ identical datasets.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.pipeline import DatasetBundle
 from repro.core.stale import StalenessClass
@@ -31,12 +31,7 @@ from repro.ct.loglist import LogList, TrustOperator
 from repro.dns.records import RecordType
 from repro.dns.snapshots import DailySnapshot, DomainObservation, SnapshotStore
 from repro.dns.zone import ZoneStore
-from repro.ecosystem.cas import (
-    CLOUDFLARE_CA_ISSUER,
-    COMODO_CRUISELINER_ISSUER,
-    CaRegistry,
-    build_standard_cas,
-)
+from repro.ecosystem.cas import CaRegistry, build_standard_cas
 from repro.ecosystem.cdn import CloudflareService
 from repro.ecosystem.entities import REGISTRARS, HostingMode, Registrant
 from repro.ecosystem.events import GroundTruthEvent, GroundTruthEventType

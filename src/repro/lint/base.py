@@ -3,7 +3,7 @@
 Rules come in two shapes. A :class:`Rule` inspects one parsed file at a
 time via ``check(ctx)``. A :class:`ProjectRule` runs once per lint
 invocation via ``check_project(index)`` and may correlate facts across
-files (the metric rules read the names declared in ``repro/obs/names.py``;
+files (RL702 reads the RNG labels declared in ``repro/obs/names.py``;
 the flow rules read module facts extracted from every file).
 
 Every rule declares a stable ``code`` (``RL...``), a human ``name``, a
@@ -19,7 +19,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.lint.findings import Finding
 
@@ -66,20 +66,18 @@ class FileContext:
 class ProjectIndex:
     """Cross-file facts shared by project rules.
 
-    Built lazily from the parsed file set: the metric-name constants
-    declared in ``repro/obs/names.py`` and — for the flow rules —
+    Built lazily from the parsed file set: the RNG labels declared in
+    ``repro/obs/names.py`` and — for the flow rules —
     per-file :class:`repro.lint.flow.facts.ModuleFacts`. The index is
     pure AST — nothing is imported or executed.
     """
 
-    METRIC_NAMES_SUFFIX = "repro/obs/names.py"
+    NAMES_SUFFIX = "repro/obs/names.py"
 
     def __init__(self, files: Dict[str, FileContext]) -> None:
         self.files = files
         self._facts: Dict[str, object] = {}
         self._facts_failed: Set[str] = set()
-        self._metric_constants: Optional[Set[str]] = None
-        self._progress_phases: Optional[Set[str]] = None
         self._rng_labels: Optional[Tuple] = None
         self._rng_labels_loaded = False
 
@@ -129,78 +127,17 @@ class ProjectIndex:
                 return self.files[path]
         return None
 
-    def metric_constants(self) -> Optional[Set[str]]:
-        """Constant names declared in ``repro.obs.names`` (AST-parsed).
-
-        Returns ``None`` when the module is not in the scanned set and
-        cannot be read from the conventional location — rules then skip
-        the declared-ness check rather than guessing.
-        """
-        if self._metric_constants is None:
-            ctx = self.find_file(self.METRIC_NAMES_SUFFIX)
-            if ctx is None:
-                ctx = self._read_names_module()
-            if ctx is None:
-                return None
-            constants: Set[str] = set()
-            for stmt in ctx.tree.body:
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            constants.add(target.id)
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    constants.add(stmt.target.id)
-            self._metric_constants = constants
-        return self._metric_constants
-
-    def progress_phases(self) -> Optional[Set[str]]:
-        """Phase names in ``repro.obs.names.PROGRESS_PHASES`` (AST-parsed).
-
-        Same contract as :meth:`metric_constants`: ``None`` when the
-        declaration cannot be found, so rules skip rather than guess.
-        """
-        if self._progress_phases is None:
-            ctx = self.find_file(self.METRIC_NAMES_SUFFIX)
-            if ctx is None:
-                ctx = self._read_names_module()
-            if ctx is None:
-                return None
-            phases: Set[str] = set()
-            for stmt in ctx.tree.body:
-                if isinstance(stmt, ast.Assign):
-                    targets = [t for t in stmt.targets if isinstance(t, ast.Name)]
-                    value = stmt.value
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    targets = [stmt.target]
-                    value = stmt.value
-                else:
-                    continue
-                if not any(target.id == "PROGRESS_PHASES" for target in targets):
-                    continue
-                if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) and isinstance(
-                            element.value, str
-                        ):
-                            phases.add(element.value)
-            self._progress_phases = phases
-        return self._progress_phases
-
     def rng_labels(self) -> Optional[Tuple[Tuple[str, ...], ...]]:
         """Label tuples in ``repro.obs.names.RNG_LABELS`` (AST-parsed).
 
         Each entry is a tuple of literal label components (``"*"`` marks a
-        declared runtime-varying component). Same contract as
-        :meth:`metric_constants`: ``None`` when the declaration cannot be
-        found, so RL702's declared-ness checks skip rather than guess.
+        declared runtime-varying component). ``None`` when the declaration
+        cannot be found, so RL702's declared-ness checks skip rather than
+        guess.
         """
         if not self._rng_labels_loaded:
             self._rng_labels_loaded = True
-            ctx = self.find_file(self.METRIC_NAMES_SUFFIX)
+            ctx = self.find_file(self.NAMES_SUFFIX)
             if ctx is None:
                 ctx = self._read_names_module()
             if ctx is None:
@@ -237,7 +174,7 @@ class ProjectIndex:
 
     def rng_labels_site(self) -> Optional[Tuple[str, int]]:
         """(path, line) of the ``RNG_LABELS`` declaration, for findings."""
-        ctx = self.find_file(self.METRIC_NAMES_SUFFIX)
+        ctx = self.find_file(self.NAMES_SUFFIX)
         if ctx is None:
             ctx = self._read_names_module()
         if ctx is None:
@@ -258,8 +195,8 @@ class ProjectIndex:
         import os
 
         for candidate in (
-            os.path.join("src", *self.METRIC_NAMES_SUFFIX.split("/")),
-            os.path.join(*self.METRIC_NAMES_SUFFIX.split("/")),
+            os.path.join("src", *self.NAMES_SUFFIX.split("/")),
+            os.path.join(*self.NAMES_SUFFIX.split("/")),
         ):
             if os.path.exists(candidate):
                 try:
@@ -314,7 +251,7 @@ class ProjectRule(Rule):
 
 #: Every registered rule class, in code order. Populated by ``register``
 #: at import time only — read-only afterwards, so fork-safe by freeze.
-RULE_CLASSES: List[Type[Rule]] = []  # repro-lint: disable=RL201
+RULE_CLASSES: List[Type[Rule]] = []
 
 
 def register(rule_class: Type[Rule]) -> Type[Rule]:
@@ -330,8 +267,6 @@ def all_rules() -> List[Rule]:
     import repro.lint.rules_determinism  # noqa: F401  (registration side effect)
     import repro.lint.rules_except  # noqa: F401
     import repro.lint.rules_flow  # noqa: F401
-    import repro.lint.rules_forksafety  # noqa: F401
-    import repro.lint.rules_obs  # noqa: F401
     import repro.lint.rules_serve  # noqa: F401
 
     return [rule_class() for rule_class in RULE_CLASSES]

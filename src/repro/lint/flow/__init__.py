@@ -1,4 +1,4 @@
-"""``repro.lint.flow`` — the cross-file facts behind RL301/RL302/RL702/RL703.
+"""``repro.lint.flow`` — the cross-file facts behind RL702/RL703.
 
 The per-file rules check one statement at a time; the cross-file rules
 need a view of the whole scanned set. This package extracts a compact

@@ -3,9 +3,8 @@
 One call to :func:`extract_module_facts` turns one source file into a
 :class:`ModuleFacts` — a compact, frozen value object with everything
 the cross-file rules need: the alias-resolved import table, top-level
-definitions with the references each makes (RL703), labelled RNG fork
-sites (RL702) and observability call-site facts (RL301/RL302). No
-``ast`` node survives into the output.
+definitions with the references each makes (RL703) and labelled RNG
+fork sites (RL702). No ``ast`` node survives into the output.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.base import FileContext
-
-METRIC_FACTORIES = {"counter", "gauge", "histogram"}
 
 #: A fork root holding its labels as a prefix: every ``draw`` appends one
 #: more runtime label, so its sites register their labels plus ``"*"``.
@@ -28,11 +25,6 @@ FORK_ROOTS = {
     FORK_PREFIX_CLASS,
 }
 RNG_STREAM_CLASS = "repro.util.rng.RngStream"
-
-PHASE_PROGRESS_CALLS = (
-    "repro.obs.phase_progress",
-    "repro.obs.live.phase_progress",
-)
 
 
 @dataclass(frozen=True)
@@ -60,17 +52,6 @@ class ForkSite:
 
 
 @dataclass(frozen=True)
-class ObsUse:
-    """One observability call-site fact (RL301/RL302 input)."""
-
-    kind: str   # metric_literal|metric_foreign|metric_attr|metric_name|metric_other
-    #         | phase_missing|phase_dynamic|phase_literal|thread_nondaemon
-    line: int
-    col: int
-    value: str = ""       # literal / constant / module, per kind
-
-
-@dataclass(frozen=True)
 class ModuleFacts:
     """Everything the cross-file passes need to know about one file."""
 
@@ -81,7 +62,6 @@ class ModuleFacts:
     defs: Tuple[DefInfo, ...] = ()
     module_refs: Tuple[str, ...] = ()
     fork_sites: Tuple[ForkSite, ...] = ()
-    obs_uses: Tuple[ObsUse, ...] = ()
 
     def import_map(self) -> Dict[str, str]:
         return dict(self.imports)
@@ -134,7 +114,6 @@ class _Extractor:
         self.star_imports: List[str] = []
         self.top_defs: Set[str] = set()
         self.fork_sites: List[ForkSite] = []
-        self.obs_uses: List[ObsUse] = []
 
     # -- driving ------------------------------------------------------------
 
@@ -143,7 +122,6 @@ class _Extractor:
         self._collect_top_defs()
         defs, module_refs = self._collect_defs()
         self._collect_fork_sites()
-        self._collect_obs_uses()
         return ModuleFacts(
             path=self.path,
             module=self.module,
@@ -153,7 +131,6 @@ class _Extractor:
             module_refs=module_refs,
             fork_sites=tuple(sorted(self.fork_sites,
                                     key=lambda s: (s.line, s.col))),
-            obs_uses=tuple(self.obs_uses),
         )
 
     # -- imports ------------------------------------------------------------
@@ -347,88 +324,6 @@ class _Extractor:
             kind=kind,
             labels=labels,
             variadic=variadic,
-        ))
-
-    # -- observability facts -------------------------------------------------
-
-    def _collect_obs_uses(self) -> None:
-        for node in self.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            self._metric_use(node)
-            resolved = self._resolve_dotted_loose(node.func)
-            if resolved in PHASE_PROGRESS_CALLS:
-                self._phase_use(node)
-            elif resolved == "threading.Thread":
-                self._thread_use(node)
-
-    def _resolve_dotted_loose(self, func: ast.AST) -> Optional[str]:
-        """Import-alias resolution without local-type smarts (rule parity
-        with :class:`repro.lint.base.ImportMap`)."""
-        parts = self._dotted_parts(func)
-        if parts is None:
-            return None
-        head, rest = parts[0], parts[1:]
-        base = self.imports.get(head, head)
-        return ".".join([base] + rest)
-
-    def _metric_use(self, node: ast.Call) -> None:
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr in METRIC_FACTORIES
-                and node.args):
-            return
-        if isinstance(node.func.value, ast.Name) and node.func.value.id in (
-            "self", "cls",
-        ):
-            return
-        name_arg = node.args[0]
-        line, col = name_arg.lineno, name_arg.col_offset + 1
-        if isinstance(name_arg, ast.Constant) and isinstance(name_arg.value, str):
-            self.obs_uses.append(ObsUse("metric_literal", line, col,
-                                        name_arg.value))
-            return
-        if isinstance(name_arg, ast.Attribute) and isinstance(
-            name_arg.value, ast.Name
-        ):
-            module = self.imports.get(name_arg.value.id, name_arg.value.id)
-            if module != "repro.obs.names":
-                self.obs_uses.append(ObsUse("metric_foreign", line, col,
-                                            module))
-            else:
-                self.obs_uses.append(ObsUse("metric_attr", line, col,
-                                            name_arg.attr))
-            return
-        if isinstance(name_arg, ast.Name):
-            origin = self.imports.get(name_arg.id, name_arg.id)
-            if origin.startswith("repro.obs.names."):
-                self.obs_uses.append(ObsUse("metric_name", line, col,
-                                            origin.rsplit(".", 1)[1]))
-                return
-        self.obs_uses.append(ObsUse("metric_other", line, col))
-
-    def _phase_use(self, node: ast.Call) -> None:
-        if not node.args:
-            self.obs_uses.append(ObsUse(
-                "phase_missing", node.lineno, node.col_offset + 1,
-            ))
-            return
-        phase_arg = node.args[0]
-        line, col = phase_arg.lineno, phase_arg.col_offset + 1
-        if not (isinstance(phase_arg, ast.Constant)
-                and isinstance(phase_arg.value, str)):
-            self.obs_uses.append(ObsUse("phase_dynamic", line, col))
-            return
-        self.obs_uses.append(ObsUse("phase_literal", line, col,
-                                    phase_arg.value))
-
-    def _thread_use(self, node: ast.Call) -> None:
-        for keyword in node.keywords:
-            if (keyword.arg == "daemon"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True):
-                return
-        self.obs_uses.append(ObsUse(
-            "thread_nondaemon", node.lineno, node.col_offset + 1,
         ))
 
 

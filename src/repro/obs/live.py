@@ -95,10 +95,9 @@ def phase_progress(
 ) -> PhaseProgress:
     """A :class:`PhaseProgress` for *phase* on the active registry.
 
-    *phase* must be declared in :data:`repro.obs.names.PROGRESS_PHASES` —
-    the runtime complement of lint rule RL302, so an undeclared phase
-    fails loudly at the call site instead of silently forking the
-    timeline.
+    *phase* must be declared in :data:`repro.obs.names.PROGRESS_PHASES`,
+    so an undeclared phase fails loudly at the call site instead of
+    silently forking the timeline.
     """
     if phase not in names.PROGRESS_PHASES:
         raise ValueError(
@@ -322,7 +321,7 @@ class Heartbeat:
 # One heartbeat per process at a time (one CLI invocation = one run).
 # Process-global on purpose: the stream engine's resume path reaches it
 # through get_heartbeat() without a handle threaded through every layer.
-_ACTIVE_HEARTBEAT: List[Optional[Heartbeat]] = [None]  # repro-lint: disable=RL201
+_ACTIVE_HEARTBEAT: List[Optional[Heartbeat]] = [None]
 _ACTIVE_LOCK = threading.Lock()
 
 

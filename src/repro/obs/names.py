@@ -110,10 +110,9 @@ PROCESS_RSS_BYTES = "repro_process_rss_bytes"
 PROCESS_RSS_BYTES_HELP = "Resident set size sampled by the heartbeat."
 
 #: Declared progress phases — the ``phase`` label values the engines may
-#: report through :func:`repro.obs.live.phase_progress`. RL302 enforces
-#: that every call site uses a phase declared here, for the same reason
-#: RL301 pins metric names: an undeclared phase silently splits the
-#: progress timeline the moment a second call site drifts.
+#: report through :func:`repro.obs.live.phase_progress`, which raises on
+#: any other name: an undeclared phase would silently split the progress
+#: timeline the moment a second call site drifts.
 PROGRESS_PHASES = (
     "load_bundle",
     "detect_detectors",

@@ -43,7 +43,7 @@ _STACK = threading.local()
 # stacks themselves are only mutated by their owning thread; the dict is
 # guarded for registration/iteration. Deliberately process-global (like
 # the executor fork channel): written per-thread, read-only elsewhere.
-_OPEN_STACKS: Dict[int, List["Span"]] = {}  # repro-lint: disable=RL201
+_OPEN_STACKS: Dict[int, List["Span"]] = {}
 _OPEN_LOCK = threading.Lock()
 
 

@@ -139,7 +139,7 @@ def _maybe_collect(collector: Optional[TraceCollector]):
 # Module global inherited by forked pool workers (zero input pickling).
 # Deliberate fork-channel: written once in the parent before the pool
 # starts, read-only in workers, cleared in the parent's finally.
-_FORK_INPUT: Optional[Tuple[DatasetBundle, WorkerConfig]] = None  # repro-lint: disable=RL201
+_FORK_INPUT: Optional[Tuple[DatasetBundle, WorkerConfig]] = None
 
 
 def _run_forked(key: str) -> ShardOutcome:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.pki.keys import KeyPair

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.util.dates import Day

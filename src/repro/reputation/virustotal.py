@@ -10,7 +10,7 @@ simulator's ground-truth malicious-ownership spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.util.dates import Day

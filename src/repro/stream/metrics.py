@@ -158,10 +158,11 @@ class StreamStats:
     # -- export (``watch --format json``) ------------------------------------
 
     def to_record(self) -> dict:
+        """The counts, without handler wall time, so the record is
+        byte-stable across runs (``--metrics-out`` keeps the timings)."""
         return {
             "events_by_type": dict(self.events_by_type),
             "findings_by_class": dict(self.findings_by_class),
-            "handler_seconds_by_type": dict(self.handler_seconds_by_type),
             "days_processed": self.days_processed,
             "first_event_day": self.first_event_day,
             "last_event_day": self.last_event_day,

@@ -171,7 +171,7 @@ class RngStream:
 
 # Deterministic memo (same key -> identical recomputed value), so
 # per-process divergence after fork is harmless.
-_ZIPF_CACHE: dict = {}  # repro-lint: disable=RL201
+_ZIPF_CACHE: dict = {}
 
 
 def _zipf_cdf(n: int, exponent: float) -> List[float]:

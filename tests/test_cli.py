@@ -825,3 +825,70 @@ class TestMalformedIndex:
         err = capsys.readouterr().err
         assert "error:" in err and message in err
         assert "Traceback" not in err
+
+
+def _window_spec(spec):
+    def breakage(directory):
+        def edit(manifest):
+            first = sorted(manifest["windows"])[0]
+            manifest["windows"][first] = spec
+
+        _edit_manifest(directory, edit)
+
+    return breakage
+
+
+def _windows_list(directory):
+    _edit_manifest(directory, lambda manifest: manifest.update(windows=[]))
+
+
+def _rows_past_end(index_name):
+    """Rewrite the certs *index_name* index with every row id set to the
+    table's row count, one past its last row."""
+
+    def breakage(directory):
+        from repro.data import schema
+        from repro.data.segment import Segment, SegmentWriter
+
+        path = f"{directory}/idx-certs-{index_name}.seg"
+        with open(path, "rb") as handle:
+            segment = Segment.from_bytes(handle.read())
+        with open(f"{directory}/dataset.json") as handle:
+            rows = json.load(handle)["tables"]["certs"]["rows"]
+        writer = SegmentWriter(segment.table)
+        for name, kind in schema.INDEX_KEY_COLUMNS["certs"][index_name]:
+            getattr(writer, f"add_{kind}")(name, list(segment.column(name)))
+        writer.add_i64("row", [rows] * segment.rows)
+        segment.close()
+        writer.write(path)
+
+    return breakage
+
+
+class TestCorruptBundleExits2:
+    """Windows that are not an object of two ascending days each, or an
+    index row id outside its table, are bad input: exit 2 at any worker
+    count, never a traceback."""
+
+    @_COMMANDS
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (_window_spec("x"), "corrupt dataset manifest"),
+            (_window_spec([1]), "corrupt dataset manifest"),
+            (_windows_list, "corrupt dataset manifest"),
+            (_rows_past_end("e2ld"), "'e2ld' index holds a row id outside"),
+            (_rows_past_end("managed"), "'managed' index holds a row id outside"),
+        ],
+        ids=["window-str", "window-short", "windows-list", "e2ld-rows", "managed-rows"],
+    )
+    def test_exits_2_without_traceback(
+        self, streamgen_dir, command, breakage, message, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "broken")
+        shutil.copytree(streamgen_dir, directory)
+        breakage(directory)
+        assert main(command + ["--bundle", directory]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err

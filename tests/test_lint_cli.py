@@ -61,23 +61,24 @@ class TestAcceptance:
         assert main(["lint", "src"]) == 1
         assert "RL101" in capsys.readouterr().out
 
-    def test_undeclared_metric_name_fails_the_lint(self, monkeypatch, tmp_path, capsys):
-        # Copy the real tree's names module so the declared-constant set is
-        # authentic, then add one call site using a name that is not in it.
+    def test_undeclared_rng_label_fails_the_lint(self, monkeypatch, tmp_path, capsys):
+        # Copy the real tree's names module so the declared label set is
+        # authentic, then add one fork site whose label is not in it.
         monkeypatch.chdir(tmp_path)
         names_src = REPO_ROOT / "src" / "repro" / "obs" / "names.py"
         names_dst = tmp_path / "src" / "repro" / "obs" / "names.py"
         names_dst.parent.mkdir(parents=True)
         names_dst.write_text(names_src.read_text())
-        call_site = tmp_path / "src" / "repro" / "core" / "counting.py"
-        call_site.parent.mkdir(parents=True)
-        call_site.write_text(
-            "from repro.obs import get_registry, names\n"
-            "def record():\n"
-            "    get_registry().counter(names.MISSPELLED_TOTAL, 'h').inc()\n"
+        fork_site = tmp_path / "src" / "repro" / "core" / "drawing.py"
+        fork_site.parent.mkdir(parents=True)
+        fork_site.write_text(
+            "from repro.util.rng import RngStream\n"
+            "def draw(seed):\n"
+            "    return RngStream(seed, 'misspelled-label').random()\n"
         )
         assert main(["lint", "src"]) == 1
-        assert "RL301" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "RL702 RNG label tuple ('misspelled-label',) is not declared" in out
 
 
 class TestCliFlows:

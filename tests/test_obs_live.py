@@ -136,6 +136,8 @@ class TestHeartbeat:
             MetricsRegistry(), str(tmp_path / "t.jsonl"), interval=5.0
         )
         heartbeat.start()
+        # A non-daemon sampler would keep a crashed run alive.
+        assert heartbeat._thread.daemon
         heartbeat.stop()
         heartbeat.stop()  # no-op, no error
         assert len(snapshots(read_timeline(str(tmp_path / "t.jsonl")))) == 1

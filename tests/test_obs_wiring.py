@@ -246,6 +246,28 @@ class TestStreamWiring:
         )
 
 
+#: The metric family names a run may write: the ``str`` constants of
+#: ``repro.obs.names``, minus the help texts.
+DECLARED_FAMILIES = {
+    value for key, value in vars(names).items()
+    if isinstance(value, str)
+    and not key.startswith("_") and not key.endswith("_HELP")
+}
+
+
+def _read_declared_metrics(path):
+    """Samples of a ``--metrics-out`` textfile whose every family is a
+    declared name, so a literal name at any call site the run reaches
+    fails here."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    families = {
+        line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")
+    }
+    assert families and families <= DECLARED_FAMILIES, families - DECLARED_FAMILIES
+    return parse_text(text)
+
+
 class TestCliMetricsOut:
     def test_detect_parallel_writes_parseable_textfile(self, tmp_path, capsys):
         parallel_path = str(tmp_path / "parallel.prom")
@@ -255,8 +277,7 @@ class TestCliMetricsOut:
         )
         assert code == 0
         assert f"wrote metrics to {parallel_path}" in capsys.readouterr().err
-        with open(parallel_path, encoding="utf-8") as handle:
-            parallel = parse_text(handle.read())
+        parallel = _read_declared_metrics(parallel_path)
         # Per-detector duration histograms: one task per detector, so
         # one sample each, as in a serial run.
         assert (
@@ -280,8 +301,7 @@ class TestCliMetricsOut:
 
         serial_path = str(tmp_path / "serial.prom")
         assert main(CLI_ARGS + ["detect", "--metrics-out", serial_path]) == 0
-        with open(serial_path, encoding="utf-8") as handle:
-            serial = parse_text(handle.read())
+        serial = _read_declared_metrics(serial_path)
         for series, value in finding_series.items():
             assert serial[series] == value  # parallel totals == serial totals
 
@@ -292,8 +312,7 @@ class TestCliMetricsOut:
             + ["watch", "--days", "40", "--format", "json", "--metrics-out", path]
         )
         assert code == 0
-        with open(path, encoding="utf-8") as handle:
-            samples = parse_text(handle.read())
+        samples = _read_declared_metrics(path)
         assert samples["repro_stream_days_processed_total"] == 40
         assert any(
             series.startswith("repro_stream_events_total{") for series in samples
@@ -304,10 +323,8 @@ class TestCliMetricsOut:
         second = str(tmp_path / "second.prom")
         assert main(CLI_ARGS + ["detect", "--metrics-out", first]) == 0
         assert main(CLI_ARGS + ["detect", "--metrics-out", second]) == 0
-        with open(first, encoding="utf-8") as handle:
-            a = parse_text(handle.read())
-        with open(second, encoding="utf-8") as handle:
-            b = parse_text(handle.read())
+        a = _read_declared_metrics(first)
+        b = _read_declared_metrics(second)
         # Counters identical, not doubled: each run got a fresh registry.
         for series in a:
             if "_total" in series:
