@@ -16,7 +16,7 @@ Drives the full reproduction from a shell::
     python -m repro obs-timeline run/
     python -m repro profile   trace.json --top 10
     python -m repro obs-diff  benchmarks/baselines/detect-scale002 run/
-    python -m repro lint      src tests --format json
+    python -m repro lint      src tests
     python -m repro serve     --bundle /tmp/bundle --port 8323
     python -m repro serve     --scale 0.05 --warm-check --metrics-out m.prom
 
@@ -87,6 +87,9 @@ _EXPERIMENTS = (
     "fig4", "fig6", "fig8",
 )
 
+#: Delta rows ``obs-diff`` prints, largest change first.
+_OBS_DIFF_ROWS = 20
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -150,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the three detectors; print Table 4",
     )
     detect.add_argument(
-        "--save-findings", default=None, metavar="PATH",
-        help="also write findings as JSONL (.gz supported)",
-    )
-    detect.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default text)",
     )
@@ -190,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one reproduced table/figure",
     )
     report.add_argument("--experiment", choices=_EXPERIMENTS, default="table4")
-    report.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
-    )
 
     advise = sub.add_parser(
         "advise", parents=[common], help="BygoneSSL-style pre-acquisition check against simulated CT"
@@ -248,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=15, metavar="N",
         help="rows per table (default 15)",
     )
-    profile.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
-    )
 
     obs_diff = sub.add_parser(
         "obs-diff",
@@ -267,14 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=25.0, metavar="PCT",
         help="regression threshold for timing series in percent (default "
         "25); count series must match exactly",
-    )
-    obs_diff.add_argument(
-        "--top", type=int, default=20, metavar="N",
-        help="delta rows to print (default 20)",
-    )
-    obs_diff.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
     )
 
     serve = sub.add_parser(
@@ -308,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_timeline.add_argument(
         "run", help="run directory containing timeline.jsonl, or the file itself"
     )
-    obs_timeline.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
-    )
 
     lint = sub.add_parser(
         "lint",
@@ -321,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="files or directories to lint (default: src tests)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -394,22 +369,8 @@ def _pipeline_result(args):
     )
 
 
-def _wants_json(args) -> bool:
-    return getattr(args, "format", "text") == "json"
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-
-
-def _print_rows(args, columns, rows, title) -> None:
-    """Render a tabular result as text or as a JSON document."""
-    if _wants_json(args):
-        _print_json(
-            {"title": title, "columns": list(columns), "rows": [list(r) for r in rows]}
-        )
-    else:
-        print(render_table(columns, rows, title=title))
 
 
 def cmd_simulate(args) -> int:
@@ -421,14 +382,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_detect(args) -> int:
     result = _pipeline_result(args)
-    if getattr(args, "save_findings", None):
-        from repro.util.storage import dump_jsonl
-
-        written = dump_jsonl(
-            args.save_findings,
-            (finding.to_record() for finding in result.findings.all_findings()),
-        )
-        print(f"wrote {written} findings to {args.save_findings}", file=sys.stderr)
     rows = build_table4(result)
     columns = ["Method", "Date range", "Daily certs", "Total certs",
                "Daily e2LDs", "Total e2LDs"]
@@ -438,7 +391,7 @@ def cmd_detect(args) -> int:
         for r in rows
     ]
     title = "Stale certificate detection (Table 4)"
-    if _wants_json(args):
+    if args.format == "json":
         _print_json(
             {
                 "title": title,
@@ -548,73 +501,74 @@ def cmd_lifetime(args) -> int:
 
 def cmd_report(args) -> int:
     if args.experiment in ("table1", "table2"):
-        return _print_taxonomy(args, args.experiment)
+        return _print_taxonomy(args.experiment)
     # Tables 3 and 7 describe the collection itself, not the findings, so
     # they always need a simulated world (a bare bundle is not enough).
     if args.experiment == "table3":
         rows = build_table3(_world(args))
-        _print_rows(args, ["Dataset", "Used for", "Date range", "Size"],
-                    [(r.dataset, r.used_for, r.date_range, r.size) for r in rows],
-                    "Table 3")
+        print(render_table(["Dataset", "Used for", "Date range", "Size"],
+                           [(r.dataset, r.used_for, r.date_range, r.size) for r in rows],
+                           title="Table 3"))
         return 0
     if args.experiment == "table7":
         rows = build_table7(_world(args).crl_fetcher)
-        _print_rows(args, ["CA operator", "Coverage"],
-                    [(r.ca_operator, r.coverage_text) for r in rows],
-                    "Table 7")
+        print(render_table(["CA operator", "Coverage"],
+                           [(r.ca_operator, r.coverage_text) for r in rows],
+                           title="Table 7"))
         return 0
     result = _pipeline_result(args)
     if args.experiment == "summary":
         from repro.analysis.summary import render_summary
 
-        if _wants_json(args):
-            _print_json({"title": "summary", "text": render_summary(result)})
-        else:
-            print(render_summary(result))
+        print(render_summary(result))
         return 0
     if args.experiment == "table4":
-        return cmd_detect_from(args, result)
+        print(render_table(
+            ["Method", "Daily e2LDs", "Total e2LDs"],
+            [(r.method, round(r.daily_e2lds, 2), r.total_e2lds)
+             for r in build_table4(result)],
+            title="Table 4",
+        ))
+        return 0
     if args.experiment == "fig4":
         series = build_fig4(result.findings)
         issuers = sorted({i for counts in series.values() for i in counts})
         rows = [[m] + [series[m].get(i, 0) for i in issuers] for m in sorted(series)]
-        _print_rows(args, ["Month"] + issuers, rows, "Figure 4")
+        print(render_table(["Month"] + issuers, rows, title="Figure 4"))
         return 0
     if args.experiment == "fig6":
         rows = [
             (s.staleness_class.value, f"{s.median_days:.0f}", f"{s.proportion_over_90:.2f}")
             for s in build_fig6(result.findings)
         ]
-        _print_rows(args, ["Class", "Median staleness (d)", "P(>90d)"], rows,
-                    "Figure 6")
+        print(render_table(["Class", "Median staleness (d)", "P(>90d)"], rows,
+                           title="Figure 6"))
         return 0
     if args.experiment == "fig8":
         rows = [
             (s.staleness_class.value, f"{s.survival_at_90:.3f}", f"{s.survival_at_215:.3f}")
             for s in build_fig8(result.findings)
         ]
-        _print_rows(args, ["Class", "S(90)", "S(215)"], rows, "Figure 8")
+        print(render_table(["Class", "S(90)", "S(215)"], rows, title="Figure 8"))
         return 0
     return 2
 
 
-def _print_taxonomy(args, which: str) -> int:
+def _print_taxonomy(which: str) -> int:
     """Tables 1 and 2 are pure taxonomy — no simulation needed."""
     from repro.core.taxonomy import CERTIFICATE_INFORMATION_TAXONOMY, INVALIDATION_EVENTS
 
     if which == "table1":
-        _print_rows(
-            args,
+        print(render_table(
             ["Category", "Description", "Related fields"],
             [
                 (row.category.value, row.description, ", ".join(row.related_fields))
                 for row in CERTIFICATE_INFORMATION_TAXONOMY
             ],
-            "Table 1: Certificate Information Taxonomy",
-        )
+            title="Table 1: Certificate Information Taxonomy",
+        ))
     else:
-        _print_rows(
-            args,
+        print(render_table(
             ["Invalidation event", "Category", "Example", "Controlled by", "Implication"],
             [
                 (
@@ -626,19 +580,8 @@ def _print_taxonomy(args, which: str) -> int:
                 )
                 for spec in INVALIDATION_EVENTS
             ],
-            "Table 2: Certificate Invalidation Events",
-        )
-    return 0
-
-
-def cmd_detect_from(args, result) -> int:
-    rows = build_table4(result)
-    _print_rows(
-        args,
-        ["Method", "Daily e2LDs", "Total e2LDs"],
-        [(r.method, round(r.daily_e2lds, 2), r.total_e2lds) for r in rows],
-        "Table 4",
-    )
+            title="Table 2: Certificate Invalidation Events",
+        ))
     return 0
 
 
@@ -679,7 +622,7 @@ def cmd_watch(args) -> int:
             "running from the start",
             file=sys.stderr,
         )
-    live = not _wants_json(args)
+    live = args.format != "json"
     advisor = StaleCertificateAdvisor(bundle.corpus) if live else None
 
     def on_finding(event):
@@ -728,7 +671,7 @@ def cmd_watch(args) -> int:
             )
 
     table4 = build_table4(result.to_pipeline_result())
-    if _wants_json(args):
+    if args.format == "json":
         _print_json(
             {
                 "complete": result.complete,
@@ -776,12 +719,7 @@ def cmd_serve(args) -> int:
     from repro.serve import FindingsIndex, create_app, run_server, warm_check
 
     try:
-        bundle, cutoff = _bundle_and_cutoff(args)
-        result = MeasurementPipeline.run_bundle(
-            bundle,
-            revocation_cutoff_day=cutoff,
-            workers=getattr(args, "workers", 1),
-        )
+        result = _pipeline_result(args)
     except (OSError, ValueError) as error:
         print(f"error: cannot build serving index: {error}", file=sys.stderr)
         return 2
@@ -795,7 +733,7 @@ def cmd_serve(args) -> int:
     )
     if args.warm_check:
         report = warm_check(app)
-        if _wants_json(args):
+        if args.format == "json":
             _print_json(report)
         else:
             print(render_table(
@@ -859,38 +797,6 @@ def cmd_profile(args) -> int:
             report.path, key=lambda s: -s.duration_us
         )[: args.top]
     ]
-    if _wants_json(args):
-        _print_json(
-            {
-                "trace": args.trace,
-                "spans": len(report.spans),
-                "wall_seconds": round(report.wall_seconds, 6),
-                "critical_path_seconds": round(report.path_seconds, 6),
-                "names": [
-                    {
-                        "name": p.name,
-                        "count": p.count,
-                        "self_seconds": round(p.self_us / 1e6, 6),
-                        "cumulative_seconds": round(p.total_us / 1e6, 6),
-                        "max_seconds": round(p.max_us / 1e6, 6),
-                        "errors": p.errors,
-                    }
-                    for p in by_self
-                ],
-                "critical_path": [
-                    {
-                        "name": segment.name,
-                        "lane": segment.span.pid if segment.span is not None else None,
-                        "start_seconds": round(
-                            (segment.start_us - report.start_us) / 1e6, 6
-                        ),
-                        "seconds": round(segment.duration_us / 1e6, 6),
-                    }
-                    for segment in report.path
-                ],
-            }
-        )
-        return 0
     print(render_table(
         ["Span", "Count", "Self (s)", "Cumulative (s)", "Max (s)", "Errors"],
         name_rows,
@@ -918,45 +824,23 @@ def cmd_obs_diff(args) -> int:
         return 2
     diff = diff_runs(run_a, run_b, threshold_pct=args.threshold)
     regressions = diff.regressions
-    if _wants_json(args):
-        _print_json(
-            {
-                "run_a": args.run_a,
-                "run_b": args.run_b,
-                "threshold_pct": args.threshold,
-                "compared": len(diff.deltas),
-                "added": diff.added,
-                "removed": diff.removed,
-                "regressions": [
-                    {
-                        "series": d.series,
-                        "kind": d.kind,
-                        "a": d.a,
-                        "b": d.b,
-                        "delta_pct": round(d.delta_pct, 2),
-                    }
-                    for d in regressions
-                ],
-            }
-        )
-    else:
-        print(render_table(
-            ["Series", "Kind", "A", "B", "Delta", "Verdict"],
-            diff.delta_rows(top=args.top),
-            title=f"Run diff — {args.run_a} vs {args.run_b} "
-            f"(threshold {args.threshold:g}%)",
-        ))
-        for series in diff.added:
-            print(f"  added in B:   {series}")
-        for series in diff.removed:
-            print(f"  removed in B: {series}")
-        verdict = (
-            f"{len(regressions)} regression(s) beyond {args.threshold:g}%"
-            if regressions
-            else f"no regressions beyond {args.threshold:g}% "
-            f"({len(diff.deltas)} series compared)"
-        )
-        print(verdict)
+    print(render_table(
+        ["Series", "Kind", "A", "B", "Delta", "Verdict"],
+        diff.delta_rows()[:_OBS_DIFF_ROWS],
+        title=f"Run diff — {args.run_a} vs {args.run_b} "
+        f"(threshold {args.threshold:g}%)",
+    ))
+    for series in diff.added:
+        print(f"  added in B:   {series}")
+    for series in diff.removed:
+        print(f"  removed in B: {series}")
+    verdict = (
+        f"{len(regressions)} regression(s) beyond {args.threshold:g}%"
+        if regressions
+        else f"no regressions beyond {args.threshold:g}% "
+        f"({len(diff.deltas)} series compared)"
+    )
+    print(verdict)
     return 1 if regressions else 0
 
 
@@ -969,10 +853,6 @@ def cmd_obs_timeline(args) -> int:
     except (OSError, ValueError) as error:
         print(f"error: cannot read timeline: {error}", file=sys.stderr)
         return 2
-    if _wants_json(args):
-        _print_json({"run": args.run, "summary": summary})
-        return 0
-
     rss = summary.get("rss") or {}
     overview = [
         ("command", summary.get("command") or "-"),

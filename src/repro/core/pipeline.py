@@ -17,7 +17,7 @@ registry entry, not editing ``run()``. The parallel engine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.detectors.base import Detector
 from repro.core.detectors.key_compromise import KeyCompromiseDetector, RevocationJoinStats
@@ -152,7 +152,6 @@ class PipelineConfig:
     """The non-dataset knobs shared by every pipeline front-end."""
 
     revocation_cutoff_day: Optional[Day] = None
-    whois_tlds: Optional[Tuple[str, ...]] = ("com", "net")
 
 
 #: The Section 4 methodology as data: one entry per staleness pipeline,
@@ -169,9 +168,7 @@ DETECTOR_REGISTRY: Tuple[DetectorSpec, ...] = (
     ),
     DetectorSpec(
         key="registrant_change",
-        build=lambda bundle, config: RegistrantChangeDetector(
-            bundle.corpus, tlds=config.whois_tlds
-        ),
+        build=lambda bundle, config: RegistrantChangeDetector(bundle.corpus),
         inputs=lambda bundle: bundle.whois_creation_pairs,
         applies=lambda bundle: bool(bundle.whois_creation_pairs),
     ),
@@ -193,25 +190,19 @@ class MeasurementPipeline:
         self,
         bundle: DatasetBundle,
         revocation_cutoff_day: Optional[Day] = None,
-        whois_tlds: Optional[Sequence[str]] = ("com", "net"),
     ) -> None:
-        """Direct construction still works but :meth:`run_bundle` is the
-        preferred entry point (it also routes to the parallel engine via
-        ``workers``); this constructor is kept for backwards
-        compatibility and may gain a deprecation warning in a future
-        release."""
+        """The single-process engine; :meth:`run` runs it. :meth:`run_bundle`
+        builds one for ``workers == 1`` and routes ``workers > 1`` to the
+        parallel engine; :func:`~repro.stream.engine.verify_equivalence`
+        builds one as the batch reference."""
         self._bundle = bundle
-        self._config = PipelineConfig(
-            revocation_cutoff_day=revocation_cutoff_day,
-            whois_tlds=tuple(whois_tlds) if whois_tlds is not None else None,
-        )
+        self._config = PipelineConfig(revocation_cutoff_day=revocation_cutoff_day)
 
     @classmethod
     def run_bundle(
         cls,
         bundle: DatasetBundle,
         revocation_cutoff_day: Optional[Day] = None,
-        whois_tlds: Optional[Sequence[str]] = ("com", "net"),
         workers: int = 1,
     ) -> PipelineResult:
         """One-call entry point: run the methodology over *bundle*.
@@ -226,16 +217,9 @@ class MeasurementPipeline:
             from repro.parallel import ParallelMeasurementPipeline
 
             return ParallelMeasurementPipeline(
-                bundle,
-                workers=workers,
-                revocation_cutoff_day=revocation_cutoff_day,
-                whois_tlds=whois_tlds,
+                bundle, workers=workers, revocation_cutoff_day=revocation_cutoff_day
             ).run()
-        return cls(
-            bundle,
-            revocation_cutoff_day=revocation_cutoff_day,
-            whois_tlds=whois_tlds,
-        ).run()
+        return cls(bundle, revocation_cutoff_day=revocation_cutoff_day).run()
 
     def run(self) -> PipelineResult:
         findings = StaleFindings()

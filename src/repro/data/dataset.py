@@ -50,6 +50,7 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left, bisect_right
+from datetime import date
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -71,6 +72,9 @@ FORMAT_VERSION = 2
 #: Default horizontal chunking of table segments: large enough that
 #: per-segment overhead stays negligible at simulator scales.
 DEFAULT_ROWS_PER_SEGMENT = 65536
+
+#: The last day ordinal ``date.fromordinal`` accepts (the first is 1).
+_LAST_DAY = date.max.toordinal()
 
 
 def _manifest_error(directory: str, problem: str) -> SegmentFormatError:
@@ -238,6 +242,18 @@ class Table:
             )
         return rows
 
+    def _checked_days(self, name: str, days: List[Day]) -> List[Day]:
+        """*days*, as read whole from day column *name*, once each is a
+        day ``date.fromordinal`` accepts: a corrupt day is bad input, not
+        an ``OverflowError`` wherever it is first rendered. One min/max
+        per column, for the tables decoded whole when a bundle opens."""
+        if days and (min(days) < 1 or max(days) > _LAST_DAY):
+            raise SegmentFormatError(
+                f"{self.name} table: {name!r} holds a day outside "
+                f"[1, {_LAST_DAY}]"
+            )
+        return days
+
 
 class ChainedColumn(Sequence):
     """One column addressed by global row id across a table's segments."""
@@ -387,6 +403,7 @@ class RevocationsTable(Table):
             name: self.column(name).read(0, self.rows)
             for name, _ in schema.COLUMNS[schema.REVOCATIONS_TABLE]
         }
+        self._checked_days("revocation_day", columns["revocation_day"])
         issuers, akids = columns["issuer_name"], columns["authority_key_id"]
         for row, issuer_name, akid in zip(range(self.rows), issuers, akids):
             yield issuer_name, akid, schema.revocation_entry_at(columns, row)
@@ -394,7 +411,8 @@ class RevocationsTable(Table):
 
 class WhoisTable(Table):
     def pairs(self) -> List[Tuple[str, Day]]:
-        return list(zip(self.column("domain"), self.column("creation_day")))
+        days = self.column("creation_day").read(0, self.rows)
+        return list(zip(self.column("domain"), self._checked_days("creation_day", days)))
 
 
 _TABLE_CLASSES: Dict[str, type] = {

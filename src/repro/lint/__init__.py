@@ -42,7 +42,7 @@ from repro.lint.base import (
 )
 from repro.lint.engine import LintReport, LintRunner, collect_files
 from repro.lint.findings import Finding
-from repro.lint.reporters import render_json, render_text
+from repro.lint.reporters import render_text
 from repro.lint.runner import run_cli
 from repro.lint.suppress import parse_suppressions
 
@@ -60,7 +60,6 @@ __all__ = [
     "collect_files",
     "parse_suppressions",
     "register",
-    "render_json",
     "render_text",
     "run_cli",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one rule violation at one source location. Findings
 are value objects: the engine sorts them into a deterministic order
-(path, line, column, code) so that text and JSON output are stable across
+(path, line, column, code) so that the report is stable across
 runs and platforms — the same property the detection engines guarantee
 for staleness findings.
 """
@@ -10,7 +10,7 @@ for staleness findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -26,16 +26,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"

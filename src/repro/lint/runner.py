@@ -12,7 +12,7 @@ from typing import List
 
 from repro.lint.base import all_rules
 from repro.lint.engine import LintRunner
-from repro.lint.reporters import render_json, render_text
+from repro.lint.reporters import render_text
 
 DEFAULT_PATHS = ("src", "tests")
 
@@ -31,8 +31,5 @@ def run_cli(args) -> int:
         return 2
 
     report = LintRunner().run(paths)
-    if getattr(args, "format", "text") == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
+    print(render_text(report))
     return 0 if report.clean else 1

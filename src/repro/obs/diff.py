@@ -90,14 +90,12 @@ class RunDiff:
     def regressions(self) -> List[SeriesDelta]:
         return [delta for delta in self.deltas if delta.regression]
 
-    def delta_rows(self, top: Optional[int] = None) -> List[Tuple[object, ...]]:
+    def delta_rows(self) -> List[Tuple[object, ...]]:
         """(series, kind, A, B, delta%, verdict) rows, largest drift first."""
         ordered = sorted(
             self.deltas,
             key=lambda d: (not d.regression, -abs(d.delta_pct), d.series),
         )
-        if top is not None:
-            ordered = ordered[:top]
         return [
             (
                 delta.series,

@@ -116,7 +116,6 @@ PROCESS_RSS_BYTES_HELP = "Resident set size sampled by the heartbeat."
 PROGRESS_PHASES = (
     "load_bundle",
     "detect_detectors",
-    "detect_shards",
     "stream_days",
     "stream_events",
     "gen_shards",

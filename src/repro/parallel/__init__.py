@@ -17,7 +17,7 @@ also snapshots its span trace, merged onto deterministic pid lanes by
 :func:`merge_shard_traces` so one exported timeline shows every worker.
 """
 
-from repro.parallel.executor import ShardOutcome, WorkerConfig, run_shard, run_tasks
+from repro.parallel.executor import ShardOutcome, run_shard, run_tasks
 from repro.parallel.pipeline import (
     ParallelMeasurementPipeline,
     merge_shard_metrics,
@@ -30,7 +30,6 @@ __all__ = [
     "merge_shard_metrics",
     "merge_shard_traces",
     "ShardOutcome",
-    "WorkerConfig",
     "run_shard",
     "run_tasks",
     "ShardRecord",

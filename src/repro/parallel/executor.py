@@ -11,16 +11,17 @@ the batch path's own.
 ``concurrent.futures.ProcessPoolExecutor`` built on the default
 multiprocessing context, with ``min(workers, len(keys))`` processes.
 Tasks are submitted in registry order and run on whichever worker is
-free. When that context forks, the bundle and the :class:`WorkerConfig`
-are published in a module global *before* the pool is created, so
+free. When that context forks, the bundle, the
+:class:`~repro.core.pipeline.PipelineConfig` and the ``collect_trace``
+flag are published in a module global *before* the pool is created, so
 children inherit them through copy-on-write memory and a task is a bare
 detector key (no input pickling). Under ``spawn`` or ``forkserver`` (the
 macOS default, and Linux's from Python 3.14) a task pickles
-``(key, bundle, config)`` instead; a columnar bundle pickles as its
-segment files plus its decoded CRL and WHOIS lists, and the worker maps
-the files itself.
+``(key, bundle, config, collect_trace)`` instead; a columnar bundle
+pickles as its segment files plus its decoded CRL and WHOIS lists, and
+the worker maps the files itself.
 
-Futures are collected ``as_completed`` — the ``detect_shards`` progress
+Futures are collected ``as_completed`` — the ``detect_detectors`` progress
 gauge advances the moment each task lands — but outcomes are slotted
 back into a task-indexed list, so the merge in
 :class:`~repro.parallel.pipeline.ParallelMeasurementPipeline` stays
@@ -53,22 +54,8 @@ from repro.obs import (
     use_collector,
     use_registry,
 )
-from repro.util.dates import Day
 
 _SPECS = {spec.key: spec for spec in DETECTOR_REGISTRY}
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Everything a detector task needs besides the bundle and its key."""
-
-    revocation_cutoff_day: Optional[Day] = None
-    whois_tlds: Optional[Tuple[str, ...]] = ("com", "net")
-    #: Whether tasks record their spans into a local
-    #: :class:`~repro.obs.TraceCollector`, snapshotted into
-    #: ``ShardOutcome.trace`` — set when the parent has an active
-    #: collector (``--trace-out``), so one timeline shows every worker.
-    collect_trace: bool = False
 
 
 @dataclass
@@ -92,28 +79,30 @@ class ShardOutcome:
     trace: Dict[str, object] = field(default_factory=dict)
 
 
-def run_shard(key: str, bundle: DatasetBundle, config: WorkerConfig) -> ShardOutcome:
+def run_shard(
+    key: str,
+    bundle: DatasetBundle,
+    config: PipelineConfig,
+    collect_trace: bool = False,
+) -> ShardOutcome:
     """Run the registry detector *key* over the whole *bundle* (any process).
 
     The task records into its own :class:`~repro.obs.MetricsRegistry`
     (scoped via :func:`~repro.obs.use_registry`), snapshotted into
-    ``outcome.metrics``.
+    ``outcome.metrics``. With ``collect_trace`` — set when the parent has
+    an active collector (``--trace-out``), so one timeline shows every
+    worker — it also records its spans into a local
+    :class:`~repro.obs.TraceCollector`, snapshotted into ``outcome.trace``.
     """
     started = perf_counter()
     findings = StaleFindings()
     outcome = ShardOutcome(index=0)
-    pipeline_config = PipelineConfig(
-        revocation_cutoff_day=config.revocation_cutoff_day,
-        whois_tlds=config.whois_tlds,
-    )
     registry = MetricsRegistry()
-    collector = TraceCollector() if config.collect_trace else None
+    collector = TraceCollector() if collect_trace else None
     with use_registry(registry):
         with _maybe_collect(collector):
             with span("shard_run", detector=key):
-                detector, elapsed = run_detector(
-                    _SPECS[key], bundle, pipeline_config, findings
-                )
+                detector, elapsed = run_detector(_SPECS[key], bundle, config, findings)
     outcome.detector_seconds[key] = elapsed
     if key == "key_compromise":
         outcome.revocation_stats = detector.stats
@@ -139,7 +128,7 @@ def _maybe_collect(collector: Optional[TraceCollector]):
 # Module global inherited by forked pool workers (zero input pickling).
 # Deliberate fork-channel: written once in the parent before the pool
 # starts, read-only in workers, cleared in the parent's finally.
-_FORK_INPUT: Optional[Tuple[DatasetBundle, WorkerConfig]] = None
+_FORK_INPUT: Optional[Tuple[DatasetBundle, PipelineConfig, bool]] = None
 
 
 def _run_forked(key: str) -> ShardOutcome:
@@ -148,18 +137,24 @@ def _run_forked(key: str) -> ShardOutcome:
     return run_shard(key, *_FORK_INPUT)
 
 
-def _run_payload(payload: Tuple[str, DatasetBundle, WorkerConfig]) -> ShardOutcome:
+def _run_payload(
+    payload: Tuple[str, DatasetBundle, PipelineConfig, bool]
+) -> ShardOutcome:
     """Spawn-path task: the bundle travelled by pickle."""
     return run_shard(*payload)
 
 
 def run_tasks(
-    keys: Sequence[str], bundle: DatasetBundle, config: WorkerConfig, workers: int
+    keys: Sequence[str],
+    bundle: DatasetBundle,
+    config: PipelineConfig,
+    workers: int,
+    collect_trace: bool,
 ) -> List[ShardOutcome]:
     """Run each detector in *keys* as one task on up to *workers*
     processes; outcomes come back in *keys* order."""
     global _FORK_INPUT
-    progress = phase_progress("detect_shards")
+    progress = phase_progress("detect_detectors")
     progress.set_total(len(keys))
     if not keys:
         return []
@@ -168,7 +163,7 @@ def run_tasks(
     context = multiprocessing.get_context()
     use_fork = context.get_start_method() == "fork"
     if use_fork:
-        _FORK_INPUT = (bundle, config)
+        _FORK_INPUT = (bundle, config, collect_trace)
     # Park the parent's heap (the opened bundle above all) outside the
     # collector while the pool runs: forked workers' collections then
     # neither walk nor dirty the inherited pages, and the parent's
@@ -185,7 +180,9 @@ def run_tasks(
                 (
                     pool.submit(_run_forked, key)
                     if use_fork
-                    else pool.submit(_run_payload, (key, bundle, config))
+                    else pool.submit(
+                        _run_payload, (key, bundle, config, collect_trace)
+                    )
                 ): index
                 for index, key in enumerate(keys)
             }

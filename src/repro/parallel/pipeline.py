@@ -30,10 +30,15 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional, Sequence
 
-from repro.core.pipeline import DETECTOR_REGISTRY, DatasetBundle, PipelineResult
+from repro.core.pipeline import (
+    DETECTOR_REGISTRY,
+    DatasetBundle,
+    PipelineConfig,
+    PipelineResult,
+)
 from repro.core.stale import StaleFindings
 from repro.obs import MetricsRegistry, TraceCollector, get_collector, get_registry, span
-from repro.parallel.executor import ShardOutcome, WorkerConfig, run_tasks
+from repro.parallel.executor import ShardOutcome, run_tasks
 from repro.parallel.stats import ShardRecord, ShardStats
 from repro.util.dates import Day
 
@@ -82,29 +87,28 @@ class ParallelMeasurementPipeline:
         bundle: DatasetBundle,
         workers: int = 1,
         revocation_cutoff_day: Optional[Day] = None,
-        whois_tlds: Optional[Sequence[str]] = ("com", "net"),
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self._bundle = bundle
         self._workers = workers
-        self._revocation_cutoff_day = revocation_cutoff_day
-        self._whois_tlds = tuple(whois_tlds) if whois_tlds is not None else None
+        self._config = PipelineConfig(revocation_cutoff_day=revocation_cutoff_day)
 
     def run(self) -> PipelineResult:
         # Bind trace collection at run time: tasks record local trace
         # buffers exactly when the parent has an active collector.
         parent_collector = get_collector()
-        config = WorkerConfig(
-            revocation_cutoff_day=self._revocation_cutoff_day,
-            whois_tlds=self._whois_tlds,
-            collect_trace=parent_collector is not None,
-        )
         keys = [spec.key for spec in DETECTOR_REGISTRY if spec.applies(self._bundle)]
 
         execute_started = perf_counter()
         with span("shard_execute", workers=self._workers, shards=len(keys)):
-            outcomes = run_tasks(keys, self._bundle, config, self._workers)
+            outcomes = run_tasks(
+                keys,
+                self._bundle,
+                self._config,
+                self._workers,
+                collect_trace=parent_collector is not None,
+            )
         execute_seconds = perf_counter() - execute_started
 
         merge_started = perf_counter()

@@ -2,11 +2,11 @@
 
 The operational question the paper poses — "is this domain exposed
 through a stale certificate, and for how long?" — should not require
-re-running a detection pipeline or scanning a findings JSONL. A
-:class:`FindingsIndex` is built **once** from a :class:`~repro.core.pipeline.PipelineResult`
-(or a saved dataset bundle, via :meth:`FindingsIndex.from_bundle`) and
-answers every query shape the API serves with plain dict lookups and
-``bisect`` slices:
+re-running a detection pipeline or scanning a findings file. A
+:class:`FindingsIndex` is built **once** from a
+:class:`~repro.core.pipeline.PipelineResult` (``repro serve`` runs the
+pipeline over its bundle first) and answers every query shape the API
+serves with plain dict lookups and ``bisect`` slices:
 
 * hash maps keyed by **registered domain** (e2LD) and by **issuer**,
   holding indices into one canonically-ordered record list;
@@ -103,31 +103,6 @@ class FindingsIndex:
         registry.gauge(
             names.SERVE_INDEX_BUILD_SECONDS, names.SERVE_INDEX_BUILD_SECONDS_HELP
         ).set(self.build_seconds)
-
-    @classmethod
-    def from_bundle(
-        cls,
-        directory: str,
-        workers: int = 1,
-        revocation_cutoff_day: Optional[Day] = None,
-    ) -> "FindingsIndex":
-        """Build an index from a bundle saved by ``repro save``/``--bundle``.
-
-        Reuses :func:`repro.data.open_bundle` — there is deliberately no
-        second deserializer — so a missing or corrupt bundle raises the
-        same ``OSError``/``ValueError`` the CLI already maps to exit code 2.
-        """
-        from repro.core.pipeline import MeasurementPipeline
-        from repro.data import open_bundle
-        from repro.ecosystem.timeline import DEFAULT_TIMELINE
-
-        bundle = open_bundle(directory)
-        if revocation_cutoff_day is None:
-            revocation_cutoff_day = DEFAULT_TIMELINE.revocation_cutoff
-        result = MeasurementPipeline.run_bundle(
-            bundle, revocation_cutoff_day=revocation_cutoff_day, workers=workers
-        )
-        return cls(result)
 
     # -- build ---------------------------------------------------------------
 

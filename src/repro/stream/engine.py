@@ -24,7 +24,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.detectors.key_compromise import RevocationJoinStats
 from repro.core.pipeline import (
@@ -51,7 +51,7 @@ from repro.stream.events import (
     StaleFindingEmitted,
     WhoisCreationObserved,
 )
-from repro.obs import get_heartbeat, phase_progress, span
+from repro.obs import get_heartbeat, get_registry, phase_progress, span
 from repro.stream.metrics import StreamStats
 from repro.util.dates import Day
 
@@ -80,9 +80,7 @@ _CALLS = {
 
 
 def checkpoint_identity(
-    bundle: DatasetBundle,
-    revocation_cutoff_day: Optional[Day],
-    whois_tlds: Optional[Sequence[str]],
+    bundle: DatasetBundle, revocation_cutoff_day: Optional[Day]
 ) -> str:
     """Cheap identity of a replay for checkpoint matching (not
     cryptographic): the bundle's sizes and windows plus the detector
@@ -96,7 +94,6 @@ def checkpoint_identity(
         str(len(bundle.dns_snapshots.days()) if bundle.dns_snapshots is not None else 0),
         repr(sorted((cls.value, window) for cls, window in bundle.windows.items())),
         repr(revocation_cutoff_day),
-        repr(tuple(whois_tlds) if whois_tlds is not None else None),
     )
     for part in parts:
         digest.update(part.encode("utf-8"))
@@ -205,33 +202,23 @@ class StreamEngine:
         self,
         bundle: DatasetBundle,
         revocation_cutoff_day: Optional[Day] = None,
-        whois_tlds: Optional[Sequence[str]] = ("com", "net"),
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every_days: int = DEFAULT_CHECKPOINT_EVERY_DAYS,
         on_finding: Optional[FindingCallback] = None,
-        registry: Optional["MetricsRegistry"] = None,
     ) -> None:
-        """``registry`` overrides the shared obs registry the engine's
-        :class:`StreamStats` are bridged onto (default: the process-wide
-        registry from :func:`repro.obs.get_registry`)."""
-        from repro.obs import get_registry
-
+        """The engine's :class:`StreamStats` are bridged onto the obs
+        registry current at construction (:func:`repro.obs.get_registry`)."""
         self._bundle = bundle
-        self._identity = checkpoint_identity(
-            bundle, revocation_cutoff_day, whois_tlds
-        )
+        self._identity = checkpoint_identity(bundle, revocation_cutoff_day)
         self._store = checkpoint_store
         self._checkpoint_every = max(1, checkpoint_every_days)
         self._on_finding = on_finding
-        self._registry = registry if registry is not None else get_registry()
+        self._registry = get_registry()
 
         self.stats = StreamStats()
         self.stats.bind_registry(self._registry)
         self.bus = EventBus(self.stats)
-        config = PipelineConfig(
-            revocation_cutoff_day=revocation_cutoff_day,
-            whois_tlds=tuple(whois_tlds) if whois_tlds is not None else None,
-        )
+        config = PipelineConfig(revocation_cutoff_day=revocation_cutoff_day)
         #: The batch registry's detectors that apply to the bundle, by key,
         #: in registry order (which fixes the finalize emission order);
         #: materialized findings are in canonical order.
@@ -421,11 +408,8 @@ def verify_equivalence(
     bundle: DatasetBundle,
     stream_findings: StaleFindings,
     revocation_cutoff_day: Optional[Day] = None,
-    whois_tlds: Optional[Sequence[str]] = ("com", "net"),
 ) -> Tuple[bool, PipelineResult]:
     """Compare streaming findings against a fresh batch pipeline run."""
-    batch = MeasurementPipeline(
-        bundle, revocation_cutoff_day=revocation_cutoff_day, whois_tlds=whois_tlds
-    ).run()
+    batch = MeasurementPipeline(bundle, revocation_cutoff_day=revocation_cutoff_day).run()
     matches = canonical_findings(batch.findings) == canonical_findings(stream_findings)
     return matches, batch

@@ -23,7 +23,6 @@ from repro.util.stats import (
     median,
     percentile,
 )
-from repro.util.storage import dump_jsonl
 
 __all__ = [
     "Day",
@@ -42,5 +41,4 @@ __all__ = [
     "SurvivalCurve",
     "median",
     "percentile",
-    "dump_jsonl",
 ]

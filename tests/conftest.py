@@ -7,8 +7,6 @@ their own tiny objects via the helpers below.
 
 from __future__ import annotations
 
-import gzip
-import json
 from contextlib import contextmanager
 from unittest import mock
 
@@ -103,13 +101,6 @@ def scan_managed_join(corpus, departures):
                 if certificate.is_valid_on(departure.departure_day) and key not in emitted:
                     emitted.append(key)
     return emitted
-
-
-def read_jsonl(path: str):
-    """The records of a (``.gz``-aware) JSONL file, in file order."""
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle]
 
 
 def make_key(owner: str = "tester", on_day: int = day(2020, 1, 1)) -> KeyPair:

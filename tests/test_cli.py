@@ -6,7 +6,6 @@ import shutil
 import pytest
 
 from repro.cli import build_parser, main
-from tests.conftest import read_jsonl
 
 ARGS = ["--scale", "0.02", "--seed", "7"]
 
@@ -48,6 +47,17 @@ class TestParser:
         pytest.param(["serve", "--max-requests", "1"], id="serve-max-requests"),
         pytest.param(["watch", "--checkpoint-every", "20"],
                      id="watch-checkpoint-every"),
+        pytest.param(["report", "--format", "json"], id="report-format"),
+        pytest.param(["profile", "t.json", "--format", "json"],
+                     id="profile-format"),
+        pytest.param(["obs-diff", "a", "b", "--format", "json"],
+                     id="obs-diff-format"),
+        pytest.param(["obs-diff", "a", "b", "--top", "5"], id="obs-diff-top"),
+        pytest.param(["obs-timeline", "run", "--format", "json"],
+                     id="obs-timeline-format"),
+        pytest.param(["lint", "--format", "json"], id="lint-format"),
+        pytest.param(["detect", "--save-findings", "f.jsonl"],
+                     id="detect-save-findings"),
     ])
     def test_removed_commands_and_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -83,7 +93,6 @@ class TestParser:
         args = build_parser().parse_args(["profile", "trace.json"])
         assert args.trace == "trace.json"
         assert args.top == 15
-        assert args.format == "text"
 
     def test_obs_diff_defaults(self):
         args = build_parser().parse_args(["obs-diff", "a", "b"])
@@ -160,14 +169,6 @@ class TestCommands:
         assert main(ARGS + ["detect", "--bundle", bundle_dir]) == 0
         out = capsys.readouterr().out
         assert "Revoked: all" in out
-
-    def test_detect_save_findings(self, tmp_path, capsys):
-        path = str(tmp_path / "findings.jsonl.gz")
-        assert main(ARGS + ["detect", "--save-findings", path]) == 0
-        from repro.core.stale import StaleCertificate
-
-        findings = [StaleCertificate.from_record(r) for r in read_jsonl(path)]
-        assert findings
 
     def test_advise_clean_domain(self, capsys):
         code = main(ARGS + ["advise", "never-registered.com", "--acquired", "2022-01-01"])
@@ -288,11 +289,6 @@ class TestCommands:
     def test_report_accepts_workers(self, capsys):
         assert main(ARGS + ["report", "--experiment", "fig6", "--workers", "2"]) == 0
         assert capsys.readouterr().out.strip()
-
-    def test_report_format_json(self, capsys):
-        assert main(ARGS + ["report", "--experiment", "fig6", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rows"]
 
     def test_advise_exposed_domain_exit_code(self, small_world, capsys):
         # Find a domain with a genuine pre-acquisition exposure, then drive
@@ -548,19 +544,16 @@ class TestProfileCommand:
         assert "cli_command" in out
 
     def test_profile_critical_path_sums_to_wall_time(self, tmp_path, capsys):
-        trace_path = self._traced_run(tmp_path, capsys)
-        assert main(["profile", trace_path, "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["spans"] > 0
-        assert payload["wall_seconds"] > 0
-        assert payload["critical_path_seconds"] == pytest.approx(
-            payload["wall_seconds"], rel=1e-3
-        )
-        by_name = {entry["name"]: entry for entry in payload["names"]}
-        assert by_name["cli_command"]["count"] == 1
+        from repro.obs.profile import profile_trace
+
+        report = profile_trace(self._traced_run(tmp_path, capsys))
+        assert report.spans
+        assert report.wall_seconds > 0
+        assert report.path_seconds == pytest.approx(report.wall_seconds, rel=1e-3)
+        assert report.names["cli_command"].count == 1
         # Self time never exceeds cumulative time.
-        for entry in payload["names"]:
-            assert entry["self_seconds"] <= entry["cumulative_seconds"] + 1e-9
+        for profile in report.names.values():
+            assert profile.self_us <= profile.total_us + 1e-3
 
     def test_profile_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["profile", str(tmp_path / "missing.json")]) == 2
@@ -616,15 +609,6 @@ class TestObsDiffCommand:
         a = self._metrics_file(tmp_path / "a.prom", {"x_total": 1})
         assert main(["obs-diff", a, str(tmp_path / "nope.prom")]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_json_output_lists_regressions(self, tmp_path, capsys):
-        a = self._metrics_file(tmp_path / "a.prom", {"c_total": 10})
-        b = self._metrics_file(tmp_path / "b.prom", {"c_total": 100})
-        assert main(["obs-diff", a, b, "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        (regression,) = payload["regressions"]
-        assert regression["series"] == "c_total"
-        assert regression["delta_pct"] == 900.0
 
     def test_cli_runs_diff_against_their_manifests(self, tmp_path, capsys):
         # Two real runs of the same workload: wall times differ slightly
@@ -865,12 +849,45 @@ def _rows_past_end(index_name):
     return breakage
 
 
-class TestCorruptBundleExits2:
-    """Windows that are not an object of two ascending days each, or an
-    index row id outside its table, are bad input: exit 2 at any worker
-    count, never a traceback."""
+def _first_day(table, column, value):
+    """Rewrite *table*'s first segment with the first *column* cell set
+    to *value*."""
 
-    @_COMMANDS
+    def breakage(directory):
+        from repro.data import schema
+        from repro.data.segment import Segment, SegmentWriter
+
+        path = f"{directory}/{table}-000.seg"
+        with open(path, "rb") as handle:
+            segment = Segment.from_bytes(handle.read())
+        writer = SegmentWriter(segment.table)
+        for name, kind in schema.COLUMNS[table]:
+            values = list(segment.column(name))
+            if name == column:
+                values[0] = value
+            getattr(writer, f"add_{kind}")(name, values)
+        segment.close()
+        writer.write(path)
+
+    return breakage
+
+
+class TestCorruptBundleExits2:
+    """Windows that are not an object of two ascending days each, an index
+    row id outside its table, or a WHOIS or CRL day that is no calendar
+    day, are bad input: exit 2 at any worker count and for ``serve``,
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["detect", "--workers", "1"],
+            ["detect", "--workers", "2"],
+            ["watch"],
+            ["serve", "--warm-check"],
+        ],
+        ids=["detect-workers-1", "detect-workers-2", "watch", "serve"],
+    )
     @pytest.mark.parametrize(
         "breakage, message",
         [
@@ -879,8 +896,14 @@ class TestCorruptBundleExits2:
             (_windows_list, "corrupt dataset manifest"),
             (_rows_past_end("e2ld"), "'e2ld' index holds a row id outside"),
             (_rows_past_end("managed"), "'managed' index holds a row id outside"),
+            # What one flipped high byte of a creation day gives.
+            (_first_day("whois", "creation_day", 1 << 40),
+             "'creation_day' holds a day outside"),
+            (_first_day("revocations", "revocation_day", 0),
+             "'revocation_day' holds a day outside"),
         ],
-        ids=["window-str", "window-short", "windows-list", "e2ld-rows", "managed-rows"],
+        ids=["window-str", "window-short", "windows-list", "e2ld-rows",
+             "managed-rows", "whois-day", "revocation-day"],
     )
     def test_exits_2_without_traceback(
         self, streamgen_dir, command, breakage, message, tmp_path, capsys

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.detectors.registrant_change import RegistrantChangeDetector
 from repro.core.pipeline import DatasetBundle, MeasurementPipeline
 from repro.core.stale import StalenessClass
 from repro.ct.dedup import CertificateCorpus
@@ -92,8 +93,15 @@ class TestPipeline:
         bundle.corpus.ingest(
             [make_cert(sans=("rereg.org",), serial=4, not_before=T0, lifetime=365)]
         )
-        permissive = MeasurementPipeline(bundle, whois_tlds=None).run()
-        assert permissive.findings.of_class(StalenessClass.REGISTRANT_CHANGE)
+        # The pipeline holds §4.2 to .com/.net; the detector's filter is
+        # still its own argument.
+        assert MeasurementPipeline(bundle).run().findings.of_class(
+            StalenessClass.REGISTRANT_CHANGE
+        ) == []
+        permissive = RegistrantChangeDetector(bundle.corpus, tlds=None)
+        assert permissive.detect(bundle.whois_creation_pairs).of_class(
+            StalenessClass.REGISTRANT_CHANGE
+        )
 
     def test_aggregate_table_order_and_windows(self):
         bundle = small_bundle()

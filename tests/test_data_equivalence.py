@@ -64,8 +64,10 @@ class TestConsumerEquivalence:
         assert canonical_findings(result.findings) == materialised_findings
 
     def test_serve_index_identical(self, columnar_dir, cutoff, pipeline_result):
-        columnar = FindingsIndex.from_bundle(
-            columnar_dir, revocation_cutoff_day=cutoff
+        columnar = FindingsIndex(
+            MeasurementPipeline.run_bundle(
+                open_bundle(columnar_dir), revocation_cutoff_day=cutoff
+            )
         )
         materialised = FindingsIndex(pipeline_result)
         assert len(columnar) == len(materialised)

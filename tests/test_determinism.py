@@ -11,9 +11,9 @@ script twice, concurrently, in two subprocesses:
   ``sitecustomize`` that reverses the order of ``os.listdir``,
   ``os.scandir`` (hence ``os.walk``) and ``glob.glob``.
 
-Each run saves a streamgen bundle, detects over it (findings JSONL, the
-JSON table and a metrics textfile), writes ``PipelineResult.to_json``,
-replays the bundle through the stream engine with ``--verify`` (and once
+Each run saves a streamgen bundle, detects over it (the JSON table and a
+metrics textfile), writes ``PipelineResult.to_json`` at one worker and at
+K workers, replays the bundle through the stream engine with ``--verify`` (and once
 more in text mode for the live finding feed), and sends a fixed request
 list through the serving app. It also writes
 ``to_json`` for a world from the day-loop simulator, the other
@@ -60,11 +60,9 @@ VOLATILE_METRICS = (
     "*_seconds*",
     # resident memory depends on the process layout, not on the data
     "*rss*",
-    # the phase label names the code path (detect_detectors for K=1,
-    # detect_shards for K>1) by design; the values are compared below
-    "repro_progress_*",
 )
-#: ``detect --format json`` keys that describe the shard layout (K).
+#: ``detect --format json`` and ``to_json`` keys that describe the task
+#: layout (K).
 VOLATILE_DETECT_KEYS = ("shard_stats",)
 #: ``/health`` index keys holding wall-clock durations.
 VOLATILE_HEALTH_INDEX = ("build_seconds",)
@@ -142,21 +140,21 @@ def run_pipeline(out: str, k: int) -> None:
     shards = str(k)
     _cli(["save", "--dir", "bundle", "--gen-shards", shards] + world_args)
     _cli(["detect", "--bundle", "bundle", "--workers", shards,
-          "--format", "json", "--metrics-out", "metrics.prom",
-          "--save-findings", "findings.jsonl"] + world_args,
+          "--format", "json", "--metrics-out", "metrics.prom"] + world_args,
          stdout_path="detect.json")
     _cli(["watch", "--bundle", "bundle", "--verify", "--format", "json"]
          + world_args, stdout_path="watch.json")
     _cli(["watch", "--bundle", "bundle"] + world_args, stdout_path="watch.txt")
 
-    # One worker: a sharded result also carries its shard layout and
-    # timings (``shard_stats``); the sharded findings are compared through
-    # ``detect --workers K`` above.
-    result = MeasurementPipeline.run_bundle(
-        open_bundle("bundle"),
-        revocation_cutoff_day=DEFAULT_TIMELINE.revocation_cutoff,
-    )
+    # One worker, then K: a sharded result also carries its task layout
+    # and timings (``shard_stats``), left out when the two are compared.
+    bundle = open_bundle("bundle")
+    cutoff = DEFAULT_TIMELINE.revocation_cutoff
+    result = MeasurementPipeline.run_bundle(bundle, revocation_cutoff_day=cutoff)
     result.to_json("result.json")
+    MeasurementPipeline.run_bundle(
+        bundle, revocation_cutoff_day=cutoff, workers=k
+    ).to_json("sharded.json")
 
     world = simulate_world(WorldConfig(seed=int(SEED)).scaled(SIMULATED_SCALE))
     MeasurementPipeline.run_bundle(
@@ -205,17 +203,6 @@ def _metric_samples(path: str):
                 continue
             samples[key] = value
     return samples
-
-
-def _progress_values(path: str):
-    """``repro_progress_*`` values with the K-dependent phase label dropped."""
-    values = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("repro_progress_"):
-                key, _, value = line.rstrip("\n").rpartition(" ")
-                values.append((key.split("{", 1)[0], value))
-    return sorted(values)
 
 
 def _load_without(path: str, keys):
@@ -282,18 +269,18 @@ def test_two_differently_perturbed_runs_write_identical_artifacts(tmp_path):
     )
     assert (mismatch, errors) == ([], []), "bundle files differ"
 
-    for name in ("findings.jsonl", "result.json", "simulated.json"):
+    for name in ("result.json", "simulated.json"):
         first, second = both(name)
         assert _read(first) == _read(second), f"{name} differs"
+    for name in ("sharded.json", "detect.json"):
+        first, second = both(name)
+        assert (_load_without(first, VOLATILE_DETECT_KEYS)
+                == _load_without(second, VOLATILE_DETECT_KEYS)), f"{name} differs"
 
     first, second = both("serve.jsonl")
     responses = _serve_responses(first)
     assert len(responses) == len(REQUESTS) + 5
     assert responses == _serve_responses(second)
-
-    first, second = both("detect.json")
-    assert (_load_without(first, VOLATILE_DETECT_KEYS)
-            == _load_without(second, VOLATILE_DETECT_KEYS))
 
     first, second = both("watch.json")
     assert json.loads(_read(first))["verified_equivalent"] is True
@@ -305,8 +292,8 @@ def test_two_differently_perturbed_runs_write_identical_artifacts(tmp_path):
     first, second = both("metrics.prom")
     samples = _metric_samples(first)
     assert any(key.startswith("repro_findings_total") for key in samples)
+    assert any(key.startswith("repro_progress_") for key in samples)
     assert samples == _metric_samples(second)
-    assert _progress_values(first) == _progress_values(second)
 
 
 if __name__ == "__main__":

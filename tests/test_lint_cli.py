@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -26,15 +25,12 @@ class TestParser:
     def test_lint_defaults(self):
         args = build_parser().parse_args(["lint"])
         assert args.paths == []
-        assert args.format == "text"
         assert not args.list_rules
 
     def test_lint_accepts_paths_and_flags(self):
-        args = build_parser().parse_args(
-            ["lint", "src", "tests", "--format", "json"]
-        )
+        args = build_parser().parse_args(["lint", "src", "tests", "--list-rules"])
         assert args.paths == ["src", "tests"]
-        assert args.format == "json"
+        assert args.list_rules
 
     @pytest.mark.parametrize("flag", [
         ["--jobs", "2"], ["--explain", "src/x.py:1"], ["--dump-graph", "g.json"],
@@ -96,12 +92,11 @@ class TestCliFlows:
         out = capsys.readouterr().out
         assert "RL501" in out and "src/repro/core/a.py:4" in out
 
-    def test_json_format(self, tmp_path, monkeypatch, capsys):
+    def test_summary_line_counts_findings(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         self._violating_tree(tmp_path)
-        assert main(["lint", "src", "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"] == {"RL501": 1}
+        assert main(["lint", "src"]) == 1
+        assert "1 finding(s) in 1 file(s): RL501×1" in capsys.readouterr().out
 
     def test_missing_path_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,7 @@
-"""Engine semantics: suppressions, JSON schema, file collection, parse
-errors, deterministic ordering."""
+"""Engine semantics: suppressions, the text report, file collection,
+parse errors, deterministic ordering."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.lint import (
     LintRunner,
     collect_files,
     parse_suppressions,
-    render_json,
     render_text,
 )
 from repro.lint.suppress import is_suppressed
@@ -103,28 +100,18 @@ class TestEngine:
         assert report.counts_by_code() == {"RL501": 2}
 
 
-class TestJsonOutput:
-    def test_schema(self, tmp_path, monkeypatch):
+class TestTextOutput:
+    def test_report_lines(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         target = tmp_path / "src" / "repro" / "core" / "a.py"
         target.parent.mkdir(parents=True)
         target.write_text(BAD_EXCEPT)
         report = LintRunner().run(["src"])
-        payload = json.loads(render_json(report))
-
-        assert payload["version"] == 1
-        assert payload["clean"] is False
-        assert payload["files_scanned"] == 1
-        assert payload["counts"] == {"RL501": 1}
-        assert set(payload) == {
-            "version", "files_scanned", "clean", "findings", "counts",
-        }
-        (finding,) = payload["findings"]
-        assert set(finding) == {
-            "path", "line", "col", "code", "rule", "message",
-        }
-        assert finding["path"] == "src/repro/core/a.py"
-        assert finding["code"] == "RL501"
+        assert not report.clean
+        finding_line, summary = render_text(report).splitlines()
+        assert finding_line.startswith("src/repro/core/a.py:4:")
+        assert " RL501 " in finding_line
+        assert summary == "1 finding(s) in 1 file(s): RL501×1"
 
     def test_clean_tree_renders_clean(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -132,5 +119,5 @@ class TestJsonOutput:
         target.parent.mkdir()
         target.write_text("x = 1\n")
         report = LintRunner().run(["src"])
-        assert json.loads(render_json(report))["clean"] is True
-        assert "clean" in render_text(report)
+        assert report.clean
+        assert render_text(report) == "clean: 1 file(s), 0 findings"

@@ -38,7 +38,7 @@ from repro.obs.timeline import read_timeline, snapshots, timeline_meta
 class TestPhaseProgress:
     def test_add_accumulates_and_set_done_is_high_water(self):
         registry = MetricsRegistry()
-        progress = phase_progress("detect_shards", registry)
+        progress = phase_progress("detect_detectors", registry)
         progress.set_total(10)
         progress.add(3)
         progress.add(2)
@@ -68,7 +68,7 @@ class TestHeartbeat:
         registry = MetricsRegistry()
         path = tmp_path / "timeline.jsonl"
         heartbeat = Heartbeat(registry, str(path), interval=0.05, command="test")
-        progress = phase_progress("detect_shards", registry)
+        progress = phase_progress("detect_detectors", registry)
         progress.set_total(4)
         with heartbeat:
             for _ in range(4):
@@ -78,10 +78,10 @@ class TestHeartbeat:
         assert timeline_meta(records)["command"] == "test"
         snaps = snapshots(records)
         assert len(snaps) >= 3
-        done = [s["phases"]["detect_shards"]["done"] for s in snaps]
+        done = [s["phases"]["detect_detectors"]["done"] for s in snaps]
         assert done == sorted(done)
         assert snaps[-1]["final"] is True
-        assert snaps[-1]["phases"]["detect_shards"]["done"] == 4.0
+        assert snaps[-1]["phases"]["detect_detectors"]["done"] == 4.0
         # The acceptance bar: final snapshot == what the textfile will say.
         assert snaps[-1]["samples"] == parse_text(registry.render_text())
 

@@ -154,13 +154,12 @@ class TestCliObsTimeline:
         assert "detect_shards" in out
         assert "monotonic" in out
 
-    def test_summary_json(self, capsys):
-        assert main([
-            "obs-timeline", str(FIXTURE_TIMELINE), "--format", "json"
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["snapshots"] == 3
-        assert payload["summary"]["monotonic"] is True
+    def test_summary_counts(self, capsys):
+        assert main(["obs-timeline", str(FIXTURE_TIMELINE)]) == 0
+        out = capsys.readouterr().out
+        rows = {tuple(line.split()) for line in out.splitlines()}
+        assert ("snapshots", "3") in rows
+        assert ("monotonic", "True") in rows
 
     def test_missing_timeline_exits_2(self, tmp_path, capsys):
         assert main(["obs-timeline", str(tmp_path)]) == 2

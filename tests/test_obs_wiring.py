@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from repro.cli import main
-from repro.core.pipeline import MeasurementPipeline, DETECTOR_REGISTRY
+from repro.core.pipeline import DETECTOR_REGISTRY, MeasurementPipeline, PipelineConfig
 from repro.core.stale import StalenessClass
 from repro.obs import (
     MetricsRegistry,
@@ -22,7 +22,7 @@ from repro.obs import (
     use_registry,
 )
 from repro.parallel import ParallelMeasurementPipeline
-from repro.parallel.executor import WorkerConfig, run_shard
+from repro.parallel.executor import run_shard
 from repro.parallel.pipeline import merge_shard_metrics, merge_shard_traces
 from repro.stream import CheckpointStore, StreamEngine
 
@@ -39,12 +39,13 @@ def cutoff(small_world):
     return small_world.config.timeline.revocation_cutoff
 
 
-def _task_outcomes(bundle, config):
+def _task_outcomes(bundle, cutoff, collect_trace=False):
     """Every applicable detector's task, run in this process."""
+    config = PipelineConfig(revocation_cutoff_day=cutoff)
     outcomes = []
     for spec in DETECTOR_REGISTRY:
         if spec.applies(bundle):
-            outcome = run_shard(spec.key, bundle, config)
+            outcome = run_shard(spec.key, bundle, config, collect_trace)
             outcome.index = len(outcomes)
             outcomes.append(outcome)
     return outcomes
@@ -122,9 +123,7 @@ class TestParallelWiring:
     def test_shard_snapshot_merge_is_permutation_invariant(
         self, small_bundle, cutoff
     ):
-        outcomes = _task_outcomes(
-            small_bundle, WorkerConfig(revocation_cutoff_day=cutoff)
-        )
+        outcomes = _task_outcomes(small_bundle, cutoff)
         reference = None
         for order in itertools.permutations(outcomes):
             merged = merge_shard_metrics(list(order))
@@ -179,9 +178,7 @@ class TestParallelTraceWiring:
     def test_merge_shard_traces_assigns_deterministic_lanes(
         self, small_bundle, cutoff
     ):
-        outcomes = _task_outcomes(
-            small_bundle, WorkerConfig(revocation_cutoff_day=cutoff, collect_trace=True)
-        )
+        outcomes = _task_outcomes(small_bundle, cutoff, collect_trace=True)
         assert all(outcome.trace.get("events") for outcome in outcomes)
         collector = TraceCollector()
         merge_shard_traces(outcomes, collector)
@@ -195,10 +192,8 @@ class TestParallelTraceWiring:
 
 class TestStreamWiring:
     def test_stream_stats_mirror_onto_registry(self, small_bundle, cutoff):
-        registry = MetricsRegistry()
-        result = StreamEngine(
-            small_bundle, revocation_cutoff_day=cutoff, registry=registry
-        ).replay()
+        with use_registry() as registry:
+            result = StreamEngine(small_bundle, revocation_cutoff_day=cutoff).replay()
         stats = result.stats
         events = registry.counter(names.STREAM_EVENTS, labels=("type",))
         for type_value, count in stats.events_by_type.items():
@@ -217,20 +212,17 @@ class TestStreamWiring:
 
     def test_resume_seeds_checkpointed_totals(self, small_bundle, cutoff, tmp_path):
         store = CheckpointStore(str(tmp_path))
-        StreamEngine(
-            small_bundle,
-            revocation_cutoff_day=cutoff,
-            checkpoint_store=store,
-            checkpoint_every_days=25,
-            registry=MetricsRegistry(),
-        ).replay(max_days=120)
-        resumed_registry = MetricsRegistry()
-        result = StreamEngine(
-            small_bundle,
-            revocation_cutoff_day=cutoff,
-            checkpoint_store=store,
-            registry=resumed_registry,
-        ).replay(resume=True)
+        with use_registry():
+            StreamEngine(
+                small_bundle,
+                revocation_cutoff_day=cutoff,
+                checkpoint_store=store,
+                checkpoint_every_days=25,
+            ).replay(max_days=120)
+        with use_registry() as resumed_registry:
+            result = StreamEngine(
+                small_bundle, revocation_cutoff_day=cutoff, checkpoint_store=store
+            ).replay(resume=True)
         assert result.complete
         stats = result.stats  # cumulative across both runs
         events = resumed_registry.counter(names.STREAM_EVENTS, labels=("type",))

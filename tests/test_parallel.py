@@ -13,11 +13,11 @@ import pytest
 
 from repro import MeasurementPipeline, ParallelMeasurementPipeline
 from repro.cli import main
-from repro.core.pipeline import DETECTOR_REGISTRY, DatasetBundle
+from repro.core.pipeline import DETECTOR_REGISTRY, DatasetBundle, PipelineConfig
 from repro.data import Dataset, write_dataset
 from repro.data.dataset import CertsTable
 from repro.dns.snapshots import SnapshotStore
-from repro.parallel import WorkerConfig, run_shard
+from repro.parallel import run_shard
 from repro.stream.engine import canonical_findings
 from tests.conftest import recording_builds
 
@@ -80,12 +80,12 @@ def _task_detectors(result):
 
 
 class TestShardPayloads:
-    """The spawn path: a task pickles ``(key, bundle, config)``."""
+    """The spawn path: a task pickles ``(key, bundle, config, collect_trace)``."""
 
     def test_pickled_columnar_shards_run_like_the_originals(
         self, columnar_bundle, cutoff
     ):
-        config = WorkerConfig(revocation_cutoff_day=cutoff)
+        config = PipelineConfig(revocation_cutoff_day=cutoff)
         copy = pickle.loads(pickle.dumps(columnar_bundle))
         for key in ALL_DETECTORS:
             original = run_shard(key, columnar_bundle, config)

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from repro.core.stale import StaleCertificate, StalenessClass
 from repro.pki.certificate import Certificate, ExtendedKeyUsage
 from repro.util.dates import day
-from repro.util.storage import dump_jsonl
-from tests.conftest import make_cert, read_jsonl
+from repro.util.storage import dump_json, load_json
+from tests.conftest import make_cert
 
 T0 = day(2021, 5, 1)
 
@@ -79,15 +79,15 @@ class TestJsonlCheckpointing:
             )
             for i in range(5)
         ]
-        path = str(tmp_path / "findings.jsonl.gz")
-        dump_jsonl(path, (finding.to_record() for finding in findings))
-        assert [StaleCertificate.from_record(r) for r in read_jsonl(path)] == findings
+        path = str(tmp_path / "findings.json.gz")
+        dump_json(path, [finding.to_record() for finding in findings])
+        assert [StaleCertificate.from_record(r) for r in load_json(path)] == findings
 
     def test_corpus_checkpoint(self, tmp_path, small_world):
         from repro.pki.certificate import Certificate
 
         sample = list(small_world.corpus.certificates())[:50]
-        path = str(tmp_path / "corpus.jsonl")
-        dump_jsonl(path, (certificate.to_record() for certificate in sample))
-        restored = [Certificate.from_record(r) for r in read_jsonl(path)]
+        path = str(tmp_path / "corpus.json")
+        dump_json(path, [certificate.to_record() for certificate in sample])
+        restored = [Certificate.from_record(r) for r in load_json(path)]
         assert restored == sample

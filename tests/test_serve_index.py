@@ -9,15 +9,12 @@ batch pipeline's numbers on the seed world — aggregates vs
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.analysis.figures import build_fig8
 from repro.core.lifetime import LifetimePolicySimulator
 from repro.core.pipeline import PipelineResult
 from repro.core.stale import StaleCertificate, StaleFindings, StalenessClass
-from repro.data import write_dataset
 from repro.core.stale import canonical_order_key
 from repro.psl.registered import e2ld
 from repro.serve import FindingsIndex
@@ -29,13 +26,6 @@ from tests.conftest import make_cert
 @pytest.fixture(scope="module")
 def index(pipeline_result):
     return FindingsIndex(pipeline_result)
-
-
-@pytest.fixture(scope="module")
-def bundle_dir(small_world, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("serve-bundle")
-    write_dataset(small_world.to_bundle(), str(directory))
-    return str(directory)
 
 
 class TestGoldenEquivalence:
@@ -251,35 +241,3 @@ class TestEdgeCases:
         assert row["median_staleness_days"] == pytest.approx(
             day(2020, 1, 1) + 365 - day(2020, 7, 1)
         )
-
-
-class TestFromBundle:
-    def test_from_bundle_equals_in_memory_index(
-        self, bundle_dir, small_world, index
-    ):
-        rebuilt = FindingsIndex.from_bundle(
-            bundle_dir,
-            revocation_cutoff_day=small_world.config.timeline.revocation_cutoff,
-        )
-        assert len(rebuilt) == len(index)
-        assert rebuilt.domains() == index.domains()
-        assert rebuilt.aggregates("class") == index.aggregates("class")
-        assert rebuilt.aggregates("issuer") == index.aggregates("issuer")
-
-    def test_missing_bundle_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
-            FindingsIndex.from_bundle(str(tmp_path / "nowhere"))
-
-    def test_corrupt_columnar_bundle_raises_valueerror(
-        self, bundle_dir, tmp_path
-    ):
-        import glob
-        import shutil
-
-        broken = tmp_path / "broken-columnar"
-        shutil.copytree(bundle_dir, broken)
-        segment = sorted(glob.glob(os.path.join(broken, "certs-*.seg")))[0]
-        with open(segment, "r+b") as handle:
-            handle.truncate(16)
-        with pytest.raises(ValueError):
-            FindingsIndex.from_bundle(str(broken))

@@ -147,8 +147,7 @@ class TestKillResume:
         with pytest.raises(CheckpointMismatchError, match="detector configuration"):
             StreamEngine(
                 small_bundle,
-                revocation_cutoff_day=cutoff,
-                whois_tlds=None,
+                revocation_cutoff_day=cutoff + 1,
                 checkpoint_store=store,
             ).replay(resume=True)
 

@@ -109,14 +109,13 @@ class TestReducedBundles:
         classes = {f.staleness_class for f in result.findings.all_findings()}
         assert StalenessClass.MANAGED_TLS_DEPARTURE not in classes
 
-    def test_no_whois_tlds(self, small_bundle, cutoff):
-        result = StreamEngine(
-            small_bundle, revocation_cutoff_day=cutoff, whois_tlds=()
-        ).replay()
-        ok, _ = verify_equivalence(
-            small_bundle, result.findings, revocation_cutoff_day=cutoff, whois_tlds=()
+    def test_no_whois(self, small_bundle, cutoff):
+        bundle = DatasetBundle(
+            corpus=small_bundle.corpus,
+            crls=small_bundle.crls,
+            dns_snapshots=small_bundle.dns_snapshots,
         )
-        assert ok
+        result, _ = self._equivalent(bundle, cutoff)
         classes = {f.staleness_class for f in result.findings.all_findings()}
         assert StalenessClass.REGISTRANT_CHANGE not in classes
 
