@@ -33,22 +33,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(  # repro-lint: disable=RL703  # no engine reader; kept with its unit tests until a later change deletes it (ROADMAP item 6)
-    points: Sequence[Tuple[object, float]],
-    label: str = "",
-    width: int = 40,
-) -> str:
-    """A labelled value series with proportional bars (log-free)."""
-    if not points:
-        return f"{label}: (empty)"
-    peak = max(value for _, value in points) or 1.0
-    lines = [label] if label else []
-    for key, value in points:
-        bar = "#" * max(0, int(width * value / peak))
-        lines.append(f"{str(key):>12}  {value:>12.2f}  {bar}")
-    return "\n".join(lines)
-
-
 def render_cdf(
     curve: Sequence[Tuple[float, float]],
     label: str = "",

@@ -1,17 +1,17 @@
 """Certificate-information and invalidation-event taxonomies.
 
-Encodes paper Tables 1 and 2 as queryable data structures, plus the
-classifier that maps an observed operational change onto an invalidation
-event with its security implications. The core design argument of Section 3
-is that RFC 5280 reason codes are a poor basis for a taxonomy; this module
-is the replacement the paper proposes.
+Encodes paper Tables 1 and 2 as queryable data structures: each
+invalidation event with who controls it and its security implications.
+The core design argument of Section 3 is that RFC 5280 reason codes are
+a poor basis for a taxonomy; this module is the replacement the paper
+proposes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 
 class CertificateInfoCategory(enum.Enum):
@@ -155,50 +155,3 @@ INVALIDATION_EVENTS: Tuple[InvalidationEventSpec, ...] = (
         SecurityImplication.MINIMAL,
     ),
 )
-
-_SPEC_BY_EVENT: Dict[InvalidationEvent, InvalidationEventSpec] = {
-    spec.event: spec for spec in INVALIDATION_EVENTS
-}
-
-
-def spec_for(event: InvalidationEvent) -> InvalidationEventSpec:
-    """The Table 2 row for an event."""
-    return _SPEC_BY_EVENT[event]
-
-
-def classify_invalidation(  # repro-lint: disable=RL703  # no engine reader; kept with its unit tests until a later change deletes it (ROADMAP item 6)
-    domain_owner_changed: bool = False,
-    domain_in_use_change: bool = False,
-    key_unauthorized_access: bool = False,
-    key_rotated: bool = False,
-    former_managed_tls_holds_key: bool = False,
-    key_authorization_changed: bool = False,
-    ca_infrastructure_changed: bool = False,
-) -> List[InvalidationEventSpec]:
-    """Map observed operational changes onto Table 2 rows.
-
-    Multiple events can coexist (the paper's critique of CRL's single-reason
-    restriction), so a list is returned, most severe first.
-    """
-    events: List[InvalidationEventSpec] = []
-    if key_unauthorized_access:
-        events.append(spec_for(InvalidationEvent.KEY_OWNERSHIP_CHANGE))
-    if domain_owner_changed:
-        events.append(spec_for(InvalidationEvent.DOMAIN_OWNERSHIP_CHANGE))
-    if former_managed_tls_holds_key:
-        events.append(spec_for(InvalidationEvent.MANAGED_TLS_DEPARTURE))
-    if key_rotated:
-        events.append(spec_for(InvalidationEvent.KEY_USE_CHANGE))
-    if domain_in_use_change:
-        events.append(spec_for(InvalidationEvent.DOMAIN_USE_CHANGE))
-    if key_authorization_changed:
-        events.append(spec_for(InvalidationEvent.KEY_AUTHORIZATION_CHANGE))
-    if ca_infrastructure_changed:
-        events.append(spec_for(InvalidationEvent.REVOCATION_INFO_CHANGE))
-    severity_rank = {
-        SecurityImplication.DOMAIN_IMPERSONATION: 0,
-        SecurityImplication.OVER_PERMISSIONED: 1,
-        SecurityImplication.MINIMAL: 2,
-    }
-    events.sort(key=lambda spec: severity_rank[spec.implication])
-    return events

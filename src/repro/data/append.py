@@ -33,6 +33,7 @@ import sys
 import tempfile
 from array import array
 from itertools import accumulate
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.data.segment import (
@@ -48,9 +49,27 @@ from repro.data.segment import (
 #: Per-blob bytes held in memory before spilling to a temporary file.
 DEFAULT_SPILL_BYTES = 8 * 1024 * 1024
 
-#: The one JSON cell encoder, byte-identical to ``SegmentWriter.add_json``.
-#: Its output is ASCII (``ensure_ascii``), so one char is one byte.
-_JSON_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The JSON cell settings, byte-identical to ``SegmentWriter.add_json``.
+#: The output is ASCII (``ensure_ascii``), so one char is one byte.
+_JSON_SETTINGS = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def json_cells(values: Sequence[Any]) -> List[str]:
+    """``_JSON_SETTINGS.encode(value)`` for each of *values*.
+
+    ``JSONEncoder.encode`` builds a C encoder for every call; this builds
+    the same one (``encode``'s arguments to ``c_make_encoder``) once per
+    batch. Once per batch, not per process: the encoder's
+    circular-reference markers keep the containers of a cell it rejects,
+    and would then reject a retried batch that holds them as circular.
+    """
+    settings = _JSON_SETTINGS
+    encode = c_make_encoder(
+        {}, settings.default, encode_basestring_ascii, settings.indent,
+        settings.key_separator, settings.item_separator, settings.sort_keys,
+        settings.skipkeys, settings.allow_nan,
+    )
+    return ["".join(encode(value, 0)) for value in values]
 
 
 class _SpillBuffer:
@@ -127,7 +146,7 @@ class _Column:
             cells = list(map(str.encode, values))
             data = b"".join(cells)
         else:
-            cells = list(map(_JSON_ENCODE, values))
+            cells = json_cells(values)
             data = "".join(cells).encode("ascii")
         offsets = array("q", accumulate(map(len, cells), initial=self._position))
         return [offsets[1:].tobytes(), data], offsets[-1]

@@ -248,11 +248,13 @@ class Table:
         an ``OverflowError`` wherever it is first rendered. One min/max
         per column, for the tables decoded whole when a bundle opens."""
         if days and (min(days) < 1 or max(days) > _LAST_DAY):
-            raise SegmentFormatError(
-                f"{self.name} table: {name!r} holds a day outside "
-                f"[1, {_LAST_DAY}]"
-            )
+            raise self._day_error(name)
         return days
+
+    def _day_error(self, name: str) -> SegmentFormatError:
+        return SegmentFormatError(
+            f"{self.name} table: {name!r} holds a day outside [1, {_LAST_DAY}]"
+        )
 
 
 class ChainedColumn(Sequence):
@@ -324,7 +326,7 @@ class CertsTable(Table):
     def certificate(self, row: int) -> Certificate:
         segment, local = self.locate(row)
         columns = {name: segment.column(name) for name in _CERT_COLUMNS}
-        return schema.certificate_at(columns, local)
+        return self._hydrate(columns, local)
 
     def certificates(self) -> Iterator[Certificate]:
         """Every certificate in row order, hydrated from range reads."""
@@ -332,7 +334,20 @@ class CertsTable(Table):
             hi = min(lo + _HYDRATE_CHUNK, self.rows)
             chunk = {name: self.column(name).read(lo, hi) for name in _CERT_COLUMNS}
             for local in range(hi - lo):
-                yield schema.certificate_at(chunk, local)
+                yield self._hydrate(chunk, local)
+
+    def _hydrate(self, columns, local: int) -> Certificate:
+        """The certificate at *local*, once its validity days are days
+        ``date.fromordinal`` accepts (the bound :meth:`_checked_days`
+        holds the other tables to): a corrupt day is bad input, not an
+        ``OverflowError`` wherever it is first rendered. A certificate
+        ends no earlier than it starts, so two comparisons cover both."""
+        certificate = schema.certificate_at(columns, local)
+        if certificate.not_before < 1:
+            raise self._day_error("not_before")
+        if certificate.not_after > _LAST_DAY:
+            raise self._day_error("not_after")
+        return certificate
 
     def revocation_match(self, key: Tuple[str, int]) -> Optional[ValidityRow]:
         """Bisects the ``revkey`` index's i64 ``serial`` column within the

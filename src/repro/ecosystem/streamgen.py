@@ -17,7 +17,8 @@ Determinism and population-invariance come from labelled RNG forks
 instead of one shared sequential stream:
 
 * the day-by-day registration plan draws from
-  ``split_seed(seed, "streamgen", "plan", day)``;
+  ``split_seed(seed, "streamgen", "plan", day)``, one reseed of a
+  single ``random.Random`` per day;
 * every domain's entire lifecycle draws from its own
   ``split_seed(seed, "streamgen", "domain", index)`` fork, so a
   domain's fate never depends on how many other domains exist;
@@ -26,7 +27,18 @@ instead of one shared sequential stream:
   breach from ``("streamgen", "breach", serial)``. An apex hashes its
   ``dns-loss`` prefix once (:class:`~repro.util.rng.ForkPrefix`), and
   each scan day's draw hashes only the day's label onto it, encoded
-  once per world in ``GenContext.dns_day_suffixes``.
+  once per world in ``GenContext.dns_day_suffixes``, and compares the
+  draw's bytes with the loss rate's exact byte bound
+  (:func:`~repro.util.rng.draw_bound`).
+
+Everything a draw reads that depends only on the config — the
+registration plan, the CA-pool and hosting-mix weights of each
+schedule era, the loss bound — is computed once per save in
+:class:`GenContext`, so a draw costs one ``bisect`` and one ``random``
+call. Each table holds exactly the ``accumulate``d weights
+``random.choices`` would build from the schedule on that day, so the
+draws, and the bundle bytes, are those of reading the schedules per
+draw.
 
 Because the row streams depend only on the config (never on shard
 count or process layout), sharded generation is reproducible: any K
@@ -43,9 +55,13 @@ sampling — is exactly what prevents O(shard) decomposition).
 from __future__ import annotations
 
 import heapq
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import (
+    Callable, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar,
+)
 
 from repro.core.stale import StalenessClass
 from repro.data import schema
@@ -64,7 +80,9 @@ from repro.pki.certificate import KeyUsage, lifetime_limit_on
 from repro.pki.keys import KeyAlgorithm
 from repro.revocation.reasons import RevocationReason
 from repro.util.dates import Day
-from repro.util.rng import ForkPrefix, RngStream, label_suffix, split_seed
+from repro.util.rng import (
+    ForkPrefix, RngStream, draw_bound, label_suffix, poisson, split_seed,
+)
 from repro.whois.lifecycle import release_day as lifecycle_release_day
 
 #: Default cap on DNS observations (apex-scan-day pairs, not the stored
@@ -98,7 +116,10 @@ _OTHER_REASONS = (
     RevocationReason.UNSPECIFIED,
     RevocationReason.AFFILIATION_CHANGED,
 )
-_OTHER_WEIGHTS = (0.45, 0.33, 0.17, 0.05)
+_OTHER_CUM_WEIGHTS = tuple(accumulate((0.45, 0.33, 0.17, 0.05)))
+
+_TLDS = tuple(tld for tld, _ in _TLD_WEIGHTS)
+_TLD_CUM_WEIGHTS = tuple(accumulate(weight for _, weight in _TLD_WEIGHTS))
 
 _TWO_POW_64 = float(1 << 64)
 
@@ -110,6 +131,32 @@ _AUTO_RENEW_MODES = (
 )
 
 _GODADDY_CA_NAME = "GoDaddy Secure CA - G2"
+
+
+V = TypeVar("V")
+
+
+class EraTable(Generic[V]):
+    """A value that changes only on schedule breakpoints, tabulated once.
+
+    ``at(day)`` equals ``value_on(day)`` for every day ordinal (>= 1)
+    when *value_on* is constant from each breakpoint up to the next and
+    before the first: it is ``value_on`` of the last breakpoint on or
+    before *day*, or of day 0 ahead of them all.
+    """
+
+    __slots__ = ("_starts", "_values")
+
+    def __init__(self, breakpoints: Iterable[Day], value_on: Callable[[Day], V]) -> None:
+        self._starts: Tuple[Day, ...] = tuple(sorted({0, *breakpoints}))
+        self._values: Tuple[V, ...] = tuple(value_on(start) for start in self._starts)
+
+    def at(self, query_day: Day) -> V:
+        return self._values[bisect_right(self._starts, query_day) - 1]
+
+
+#: A hosting mix as its modes and their cumulative weights.
+_HostingWeights = Tuple[Tuple[HostingMode, ...], Tuple[float, ...]]
 
 
 def _slug(name: str) -> str:
@@ -189,7 +236,10 @@ class GenPlan:
     A pure function of the config (one labelled Poisson fork per day),
     so every shard agrees on the global domain indexing. A save builds
     it once, inside its :class:`GenContext`; its size follows the
-    timeline, not the world scale.
+    timeline, not the world scale. Each day's count is the Poisson draw
+    of ``RngStream(seed, "streamgen", "plan", str(day))``, taken from one
+    ``random.Random`` reseeded per day with that stream's seed, hashed
+    from the ``("streamgen", "plan")`` prefix.
     """
 
     def __init__(self, config: WorldConfig, dns_row_budget: int) -> None:
@@ -202,14 +252,16 @@ class GenPlan:
         start = self.timeline.simulation_start
         end = self.timeline.simulation_end
         self.start_day = start
+        prefix = ForkPrefix(config.seed, "streamgen", "plan")
+        rng = random.Random()
         counts: List[int] = []
         for current in range(start, end + 1):
             rate = config.registration_rate(current)
             if rate <= 0:
                 counts.append(0)
                 continue
-            stream = RngStream(config.seed, "streamgen", "plan", str(current))
-            counts.append(stream.poisson(rate))
+            rng.seed(prefix.draw(label_suffix(str(current))))
+            counts.append(poisson(rng, rate))
         cumulative = [0]
         for count in counts:
             cumulative.append(cumulative[-1] + count)
@@ -259,7 +311,11 @@ class GenContext:
 
     A function of the config alone and small (no per-domain state), so
     a sharded save hands the same context to every worker: forked
-    workers inherit it, spawned ones unpickle it.
+    workers inherit it, spawned ones unpickle it. Besides the plan it
+    holds immutable :class:`EraTable` s of what the draws read from the
+    config's schedules (revocation probabilities, cumulative CA-pool and
+    hosting-mix weights), one entry per breakpoint, and the DNS loss
+    rate's byte bound; nothing in it changes after ``__init__``.
     """
 
     def __init__(self, config: WorldConfig, dns_row_budget: Optional[int] = None) -> None:
@@ -274,17 +330,50 @@ class GenContext:
         self.dns_day_suffixes: Tuple[bytes, ...] = tuple(
             label_suffix(str(day)) for day in self.plan.dns_days
         )
+        #: Scan draws below this bound are losses; None when the
+        #: config loses none, so no draw is hashed.
+        self.dns_loss_bound: Optional[bytes] = (
+            draw_bound(config.dns_scan_loss_rate)
+            if config.dns_scan_loss_rate > 0 else None
+        )
         specs = [_ca_spec(profile) for profile in build_standard_profiles()]
         self.pool_cas: Tuple[CaSpec, ...] = tuple(specs)
         self.acme_cas: Tuple[CaSpec, ...] = tuple(s for s in specs if s.acme)
         self.registrar_ca: CaSpec = next(s for s in specs if s.registrar)
+        self.cpanel_ca: CaSpec = next(
+            s for s in self.acme_cas if s.name.startswith("cPanel")
+        )
         self.cruiseliner_ca = _CF_MANAGED_SPECS["cruiseliner"]
         self.cloudflare_ca = _CF_MANAGED_SPECS["cloudflare"]
-        self._rate_eras = self._build_rate_eras()
-        self._era_starts = [start for start, _, _ in self._rate_eras]
+        self.pool_weights = _pool_weights(self.pool_cas)
+        self.acme_weights = _pool_weights(self.acme_cas)
+        self.cpanel_issues: EraTable[bool] = EraTable(
+            (start for start, _ in self.cpanel_ca.share_schedule),
+            lambda query_day: self.cpanel_ca.weight_on(query_day) > 0,
+        )
+        self.hosting_weights: EraTable[_HostingWeights] = EraTable(
+            (start for start, _ in config.hosting_mix_schedule),
+            self._hosting_weights_on,
+        )
+        self.revocation_probabilities: EraTable[Tuple[float, float]] = EraTable(
+            (
+                start
+                for schedule in (
+                    config.registration_rate_schedule,
+                    config.key_compromise_rate_schedule,
+                    config.other_revocation_rate_schedule,
+                )
+                for start, _ in schedule
+            ),
+            self._revocation_probabilities_on,
+        )
 
-    def _build_rate_eras(self) -> List[Tuple[Day, float, float]]:
-        """(era start, p_kc per cert, p_other per cert) breakpoints.
+    def _hosting_weights_on(self, query_day: Day) -> _HostingWeights:
+        mix = self.config.hosting_mix(query_day)
+        return tuple(mix), tuple(accumulate(mix.values()))
+
+    def _revocation_probabilities_on(self, query_day: Day) -> Tuple[float, float]:
+        """(p_kc, p_other) per certificate issued on *query_day*.
 
         Both probabilities are ratios of same-day *world* rates (key
         compromises or other revocations per day over registrations per
@@ -292,29 +381,28 @@ class GenContext:
         invariant under :meth:`WorldConfig.scaled` by construction.
         """
         config = self.config
-        boundaries = sorted(
-            {start for start, _ in config.registration_rate_schedule}
-            | {start for start, _ in config.key_compromise_rate_schedule}
-            | {start for start, _ in config.other_revocation_rate_schedule}
-        )
-        eras = []
-        for start in boundaries:
-            registrations = config.registration_rate(start)
-            if registrations <= 0:
-                eras.append((start, 0.0, 0.0))
-                continue
-            per_cert = registrations * _CERTS_PER_REGISTRATION
-            p_kc = min(0.5, config.key_compromise_rate(start) / per_cert)
-            p_other = min(0.5, config.other_revocation_rate(start) / per_cert)
-            eras.append((start, p_kc, p_other))
-        return eras
-
-    def revocation_probabilities(self, query_day: Day) -> Tuple[float, float]:
-        position = bisect_right(self._era_starts, query_day) - 1
-        if position < 0:
+        registrations = config.registration_rate(query_day)
+        if registrations <= 0:
             return 0.0, 0.0
-        _, p_kc, p_other = self._rate_eras[position]
+        per_cert = registrations * _CERTS_PER_REGISTRATION
+        p_kc = min(0.5, config.key_compromise_rate(query_day) / per_cert)
+        p_other = min(0.5, config.other_revocation_rate(query_day) / per_cert)
         return p_kc, p_other
+
+
+def _pool_weights(pool: Tuple[CaSpec, ...]) -> EraTable[Optional[Tuple[float, ...]]]:
+    """``accumulate`` of the pool's ``weight_on(day)``, or None on the
+    days no CA of *pool* issues."""
+
+    def cum_weights_on(query_day: Day) -> Optional[Tuple[float, ...]]:
+        weights = [spec.weight_on(query_day) for spec in pool]
+        if not any(weight > 0 for weight in weights):
+            return None
+        return tuple(accumulate(weights))
+
+    return EraTable(
+        (start for spec in pool for start, _ in spec.share_schedule), cum_weights_on
+    )
 
 
 def _stable_ip(name: str, generation: int) -> str:
@@ -330,9 +418,7 @@ def _stable_ip(name: str, generation: int) -> str:
 def _domain_name(rng: RngStream, index: int) -> str:
     adjective = rng.choice(_NAME_ADJECTIVES)
     noun = rng.choice(_NAME_NOUNS)
-    tld = rng.weighted_choice(
-        [t for t, _ in _TLD_WEIGHTS], [w for _, w in _TLD_WEIGHTS]
-    )
+    tld = rng.cumulative_choice(_TLDS, _TLD_CUM_WEIGHTS)
     return f"{adjective}{noun}{index + 1}.{tld}"
 
 
@@ -425,9 +511,8 @@ class _DomainEmitter:
         return next_start if next_start <= tl.simulation_end else None
 
     def _choose_hosting(self, current: Day) -> HostingMode:
-        mix = self.cfg.hosting_mix(current)
-        modes = list(mix)
-        return self.rng.weighted_choice(modes, [mix[m] for m in modes])
+        modes, cum_weights = self.ctx.hosting_weights.at(current)
+        return self.rng.cumulative_choice(modes, cum_weights)
 
     def _phases(
         self, start: Day, alive_end: Day, span_no: int, mode: HostingMode, tls: bool
@@ -490,22 +575,19 @@ class _DomainEmitter:
     # -- certificates -----------------------------------------------------
 
     def _pick_ca(self, mode: HostingMode, current: Day) -> Optional[CaSpec]:
-        rng = self.rng
+        ctx = self.ctx
         if mode is HostingMode.SELF_ACME:
-            pool: Sequence[CaSpec] = self.ctx.acme_cas
+            pool, table = ctx.acme_cas, ctx.acme_weights
         elif mode is HostingMode.REGISTRAR_MANAGED:
-            return self.ctx.registrar_ca
-        elif mode is HostingMode.HOSTING_PLATFORM:
-            cpanel = next(s for s in self.ctx.acme_cas if s.name.startswith("cPanel"))
-            if cpanel.weight_on(current) > 0:
-                return cpanel
-            pool = self.ctx.pool_cas
+            return ctx.registrar_ca
+        elif mode is HostingMode.HOSTING_PLATFORM and ctx.cpanel_issues.at(current):
+            return ctx.cpanel_ca
         else:
-            pool = self.ctx.pool_cas
-        weights = [spec.weight_on(current) for spec in pool]
-        if not any(weight > 0 for weight in weights):
+            pool, table = ctx.pool_cas, ctx.pool_weights
+        cum_weights = table.at(current)
+        if cum_weights is None:
             return None
-        return rng.weighted_choice(pool, weights)
+        return self.rng.cumulative_choice(pool, cum_weights)
 
     def _emit_self_chain(self, phase: _Phase) -> None:
         cfg, rng = self.cfg, self.rng
@@ -605,7 +687,7 @@ class _DomainEmitter:
         lifetime: int,
     ) -> None:
         cfg, tl, rng = self.cfg, self.tl, self.rng
-        p_kc, p_other = self.ctx.revocation_probabilities(issuance_day)
+        p_kc, p_other = self.ctx.revocation_probabilities.at(issuance_day)
         candidate: Optional[Tuple[Day, RevocationReason]] = None
         if not owner.startswith("cdn:") and rng.bernoulli(p_kc):
             delay = int(rng.expovariate(1.0 / cfg.compromise_delay_mean_days))
@@ -616,7 +698,7 @@ class _DomainEmitter:
         elif rng.bernoulli(p_other):
             when = issuance_day + rng.randint(1, max(1, lifetime - 1))
             if when <= tl.simulation_end:
-                reason = rng.weighted_choice(_OTHER_REASONS, _OTHER_WEIGHTS)
+                reason = rng.cumulative_choice(_OTHER_REASONS, _OTHER_CUM_WEIGHTS)
                 candidate = (when, reason)
 
         breach = self._breach_revocation(ca, serial, issuance_day, not_after)
@@ -672,7 +754,6 @@ class _DomainEmitter:
         tl = self.tl
         if phase.end < tl.dns_scan_start or phase.start > tl.dns_scan_end:
             return
-        loss_rate = self.cfg.dns_scan_loss_rate
         if phase.ns_base is None:
             records = {
                 "A": ["104.16.1.1"],
@@ -687,13 +768,15 @@ class _DomainEmitter:
             }
         ctx, dns = self.ctx, self.dns
         days, suffixes = ctx.plan.dns_days, ctx.dns_day_suffixes
+        loss_bound = ctx.dns_loss_bound
         lo, hi = bisect_left(days, phase.start), bisect_right(days, phase.end)
-        if loss_rate > 0 and lo < hi and self.dns_loss is None:
+        if loss_bound is not None and lo < hi and self.dns_loss is None:
             self.dns_loss = ForkPrefix(ctx.seed, "streamgen", "dns-loss", self.name)
         for position in range(lo, hi):
             scan_day = days[position]
-            if loss_rate > 0 and (
-                self.dns_loss.draw(suffixes[position]) / _TWO_POW_64 < loss_rate
+            # draw / 2**64 < dns_scan_loss_rate, compared as bytes.
+            if loss_bound is not None and (
+                self.dns_loss.draw_bytes(suffixes[position]) < loss_bound
             ):
                 continue  # transient lookup failure: absent from the day
             # The run goes on when the previous scan saw the same records

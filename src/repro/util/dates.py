@@ -9,7 +9,7 @@ convertible to calendar dates for reporting.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Iterator, Tuple
+from typing import Tuple
 
 #: A day expressed as a proleptic-Gregorian ordinal (``date.toordinal()``).
 Day = int
@@ -61,39 +61,3 @@ def month_key(d: Day) -> str:
     """Return a sortable ``YYYY-MM`` month label for *d*."""
     year, month = month_of(d)
     return f"{year:04d}-{month:02d}"
-
-
-def first_of_month(d: Day) -> Day:
-    """Return the first day of the month containing *d*."""
-    date = day_to_date(d)
-    return _dt.date(date.year, date.month, 1).toordinal()
-
-
-def add_months(d: Day, months: int) -> Day:
-    """Return *d* shifted by *months* calendar months (day-of-month clamped)."""
-    date = day_to_date(d)
-    total = date.year * 12 + (date.month - 1) + months
-    year, month = divmod(total, 12)
-    month += 1
-    dom = min(date.day, _days_in_month(year, month))
-    return _dt.date(year, month, dom).toordinal()
-
-
-def months_between(start: Day, end: Day) -> Iterator[Day]:  # repro-lint: disable=RL703  # no engine reader; kept with its unit tests until a later change deletes it (ROADMAP item 6)
-    """Yield the first day of every month from *start*'s month through *end*'s.
-
-    Useful for building monthly time series (Figures 4, 5a, 5b).
-    """
-    current = first_of_month(start)
-    last = first_of_month(end)
-    while current <= last:
-        yield current
-        current = add_months(current, 1)
-
-
-def _days_in_month(year: int, month: int) -> int:
-    if month == 12:
-        nxt = _dt.date(year + 1, 1, 1)
-    else:
-        nxt = _dt.date(year, month + 1, 1)
-    return (nxt - _dt.date(year, month, 1)).days

@@ -10,12 +10,17 @@ benchmark series stay stable across code changes.
 draws many seeds under one fixed label path (one per scan day, say) holds
 a :class:`ForkPrefix` instead: the hash state after the fixed labels,
 copied per draw, so each draw hashes only its final label and equals
-``split_seed`` on the full path by construction.
+``split_seed`` on the full path by construction. A loop that tests each
+draw against one probability compares :meth:`ForkPrefix.draw_bytes` with
+that probability's :func:`draw_bound`, computed once; one that needs a
+stream per label reseeds a single ``random.Random`` with each draw and
+samples it through module functions such as :func:`poisson`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from typing import List, Sequence, TypeVar
 
@@ -55,9 +60,41 @@ class ForkPrefix:
 
     def draw(self, suffix: bytes) -> int:
         """The child seed for the final label encoded as *suffix*."""
+        return int.from_bytes(self.draw_bytes(suffix), "big")
+
+    def draw_bytes(self, suffix: bytes) -> bytes:
+        """The 8 big-endian bytes :meth:`draw` reads as its integer."""
         state = self._state.copy()
         state.update(suffix)
-        return int.from_bytes(state.digest()[:8], "big")
+        return state.digest()[:8]
+
+
+_TWO_POW_64 = float(1 << 64)
+
+
+def draw_bound(probability: float) -> bytes:
+    """The bytes *B* with ``draw_bytes(s) < B`` exactly when
+    ``draw(s) / 2**64 < probability``.
+
+    For a probability in (0, 1], *B* is the smallest integer ``D`` with
+    ``float(D) >= probability * 2**64``, in 8 big-endian bytes. ``float``
+    is monotone on integers, so ``float(draw) < probability * 2**64``
+    holds exactly for the draws below ``D``, and 8-byte big-endian
+    strings compare as their integers do. The bound of a probability of
+    0 or less is 0, which no draw is below; every draw is below one above
+    1, and that bound, nine 0xff bytes, sorts above every 8-byte string.
+    """
+    if probability > 1:
+        return b"\xff" * 9
+    target = probability * _TWO_POW_64
+    lo, hi = 0, math.ceil(target)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo.to_bytes(8, "big")
 
 
 def label_suffix(label: str) -> bytes:
@@ -111,6 +148,14 @@ class RngStream:
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         return self._rng.choices(items, weights=weights, k=1)[0]
 
+    def cumulative_choice(
+        self, items: Sequence[T], cum_weights: Sequence[float]
+    ) -> T:
+        """:meth:`weighted_choice` on ``accumulate(weights)``, built once
+        by the caller: ``choices`` accumulates *weights* the same way, so
+        the pick is the same."""
+        return self._rng.choices(items, cum_weights=cum_weights, k=1)[0]
+
     # -- domain-specific draws ---------------------------------------------
 
     def bernoulli(self, p: float) -> bool:
@@ -118,21 +163,8 @@ class RngStream:
         return self._rng.random() < p
 
     def poisson(self, lam: float) -> int:
-        """Poisson draw via inversion (lam expected to be modest, < ~700)."""
-        if lam <= 0:
-            return 0
-        # Knuth's algorithm in log space to stay stable for larger lambda.
-        if lam < 30:
-            limit = 2.718281828459045 ** (-lam)
-            k = 0
-            product = self._rng.random()
-            while product > limit:
-                k += 1
-                product *= self._rng.random()
-            return k
-        # Normal approximation with continuity correction for large lambda.
-        draw = self._rng.gauss(lam, lam ** 0.5)
-        return max(0, int(round(draw)))
+        """Poisson draw via inversion (see :func:`poisson`)."""
+        return poisson(self._rng, lam)
 
     def zipf_rank(self, n: int, exponent: float = 1.0) -> int:
         """Draw a 1-based rank from a truncated Zipf distribution over ``1..n``.
@@ -167,6 +199,27 @@ class RngStream:
         hi = float(maximum)
         value = (lo ** -alpha - u * (lo ** -alpha - hi ** -alpha)) ** (-1.0 / alpha)
         return max(minimum, min(maximum, int(round(value))))
+
+
+def poisson(rng: random.Random, lam: float) -> int:
+    """Poisson draw from *rng* via inversion (lam expected to be modest,
+    < ~700). A loop that draws one count per label reseeds one
+    ``random.Random`` per label and calls this, where an
+    :class:`RngStream` per label would hash the whole label path anew."""
+    if lam <= 0:
+        return 0
+    # Knuth's algorithm in log space to stay stable for larger lambda.
+    if lam < 30:
+        limit = 2.718281828459045 ** (-lam)
+        k = 0
+        product = rng.random()
+        while product > limit:
+            k += 1
+            product *= rng.random()
+        return k
+    # Normal approximation with continuity correction for large lambda.
+    draw = rng.gauss(lam, lam ** 0.5)
+    return max(0, int(round(draw)))
 
 
 # Deterministic memo (same key -> identical recomputed value), so

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import render_cdf, render_series, render_table
+from repro.analysis.report import render_cdf, render_table
 
 
 class TestRenderTable:
@@ -29,24 +29,6 @@ class TestRenderTable:
     def test_column_width_grows_with_content(self):
         text = render_table(["A"], [("a-very-long-cell-value",)])
         assert "a-very-long-cell-value" in text
-
-
-class TestRenderSeries:
-    def test_bars_proportional(self):
-        text = render_series([("a", 10.0), ("b", 5.0)], width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_empty_series(self):
-        assert "(empty)" in render_series([], label="x")
-
-    def test_label_included(self):
-        assert render_series([("a", 1.0)], label="My Series").startswith("My Series")
-
-    def test_zero_peak_safe(self):
-        text = render_series([("a", 0.0)])
-        assert "#" not in text
 
 
 class TestRenderCdf:

@@ -852,6 +852,20 @@ def _rows_past_end(index_name):
 def _first_day(table, column, value):
     """Rewrite *table*'s first segment with the first *column* cell set
     to *value*."""
+    return _edit_column(table, column, lambda values: [value] + values[1:])
+
+
+def _shifted_days(table, column, delta):
+    """Rewrite *table*'s first segment with every *column* cell moved by
+    *delta*."""
+    return _edit_column(
+        table, column, lambda values: [value + delta for value in values]
+    )
+
+
+def _edit_column(table, column, edit):
+    """Rewrite *table*'s first segment with its *column* cells replaced
+    by ``edit(cells)``."""
 
     def breakage(directory):
         from repro.data import schema
@@ -864,7 +878,7 @@ def _first_day(table, column, value):
         for name, kind in schema.COLUMNS[table]:
             values = list(segment.column(name))
             if name == column:
-                values[0] = value
+                values = edit(values)
             getattr(writer, f"add_{kind}")(name, values)
         segment.close()
         writer.write(path)
@@ -874,8 +888,8 @@ def _first_day(table, column, value):
 
 class TestCorruptBundleExits2:
     """Windows that are not an object of two ascending days each, an index
-    row id outside its table, or a WHOIS or CRL day that is no calendar
-    day, are bad input: exit 2 at any worker count and for ``serve``,
+    row id outside its table, or a WHOIS, CRL or certificate validity day
+    that is no calendar day, are bad input: exit 2 at any worker count and for ``serve``,
     never a traceback."""
 
     @pytest.mark.parametrize(
@@ -901,9 +915,12 @@ class TestCorruptBundleExits2:
              "'creation_day' holds a day outside"),
             (_first_day("revocations", "revocation_day", 0),
              "'revocation_day' holds a day outside"),
+            # Read per hydrated certificate, not when the bundle opens.
+            (_shifted_days("certs", "not_after", 1 << 40),
+             "'not_after' holds a day outside"),
         ],
         ids=["window-str", "window-short", "windows-list", "e2ld-rows",
-             "managed-rows", "whois-day", "revocation-day"],
+             "managed-rows", "whois-day", "revocation-day", "cert-not-after"],
     )
     def test_exits_2_without_traceback(
         self, streamgen_dir, command, breakage, message, tmp_path, capsys

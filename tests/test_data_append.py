@@ -6,13 +6,14 @@ would, and ``ExternalSorter`` reproducing ``sorted()``. These tests
 compare raw file bytes, including the spill paths.
 """
 
+import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.data.append import AppendSegmentWriter, ExternalSorter
+from repro.data.append import AppendSegmentWriter, ExternalSorter, json_cells
 from repro.data.segment import I64_MAX, I64_MIN, Segment, SegmentWriter
 
 ROWS = [
@@ -137,6 +138,39 @@ def test_any_batch_split_gives_the_same_bytes(
         writer.append_rows(rows[start:end])
     actual = _written(tmp_path_factory.mktemp("split"), writer)
     assert actual == _batch_bytes(rows)
+
+
+_CELL = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_CELL, max_size=8))
+@example(values=[{"NS": ["ns1.bücher.de"], "A": ["日本"]}, "ü", None, True, -(2**70)])
+def test_json_cells_equal_the_encoder_they_replace(values):
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    assert json_cells(values) == [encode(value) for value in values]
+
+
+def test_a_batch_retried_after_a_rejected_cell_is_written(tmp_path):
+    """A rejected cell leaves its containers in the encoder's
+    circular-reference markers; the retried batch gets a fresh encoder."""
+    cell = {"records": ["a", object()]}
+    writer = AppendSegmentWriter("t", [("j", "json")])
+    with pytest.raises(TypeError):
+        writer.append_rows([(cell,)])
+    cell["records"].pop()
+    writer.append_rows([(cell,)])
+    batch = SegmentWriter("t")
+    batch.add_json("j", [cell])
+    path = str(tmp_path / "batch.seg")
+    batch.write(path)
+    with open(path, "rb") as handle:
+        assert _written(tmp_path, writer) == handle.read()
 
 
 def test_external_sorter_extend_spills_runs_of_run_size():

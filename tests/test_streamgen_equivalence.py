@@ -24,6 +24,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import accumulate
 
 import pytest
 
@@ -53,6 +54,7 @@ from repro.ecosystem.streamgen import (
 )
 from repro.ecosystem.timeline import DEFAULT_TIMELINE
 from repro.ecosystem.workload import WorldConfig
+from repro.util.rng import RngStream
 from tests.conftest import assert_maximal_runs
 
 SEED_CONFIG = WorldConfig(seed=20231024).scaled(0.02)
@@ -226,6 +228,43 @@ class TestGenContext:
     def test_non_positive_budget_is_rejected(self, budget):
         with pytest.raises(ValueError, match="dns_row_budget must be positive"):
             GenContext(SEED_CONFIG, budget)
+
+    def test_plan_counts_equal_one_stream_per_day(self):
+        """The plan's reseeded ``random.Random`` draws each day's count
+        that day's own ``RngStream`` would."""
+        timeline = SEED_CONFIG.timeline
+        expected = []
+        for current in range(timeline.simulation_start, timeline.simulation_end + 1):
+            rate = SEED_CONFIG.registration_rate(current)
+            stream = RngStream(SEED_CONFIG.seed, "streamgen", "plan", str(current))
+            expected.append(stream.poisson(rate) if rate > 0 else 0)
+        cumulative = GenPlan(SEED_CONFIG, DEFAULT_DNS_ROW_BUDGET)._cumulative
+        assert [b - a for a, b in zip(cumulative, cumulative[1:])] == expected
+        assert sum(expected) > 0
+
+    def test_era_tables_equal_the_schedules_on_every_day(self):
+        """Each table lookup is what the draw read from the schedules
+        before: on every timeline day, and on the day before it starts."""
+        ctx = GenContext(SEED_CONFIG)
+        timeline = SEED_CONFIG.timeline
+        for current in range(timeline.simulation_start - 1, timeline.simulation_end + 1):
+            for pool, table in (
+                (ctx.pool_cas, ctx.pool_weights),
+                (ctx.acme_cas, ctx.acme_weights),
+            ):
+                weights = [spec.weight_on(current) for spec in pool]
+                cum_weights = table.at(current)
+                if any(weight > 0 for weight in weights):
+                    assert list(cum_weights) == list(accumulate(weights))
+                else:
+                    assert cum_weights is None
+            assert ctx.cpanel_issues.at(current) == (
+                ctx.cpanel_ca.weight_on(current) > 0
+            )
+            mix = SEED_CONFIG.hosting_mix(current)
+            modes, cum_weights = ctx.hosting_weights.at(current)
+            assert modes == tuple(mix)
+            assert list(cum_weights) == list(accumulate(mix[mode] for mode in modes))
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_save_builds_one_plan(self, tmp_path, monkeypatch, shards):

@@ -6,14 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.util.dates import (
-    add_months,
     day,
     day_to_date,
     day_to_iso,
-    first_of_month,
     month_key,
     month_of,
-    months_between,
     parse_day,
     year_of,
 )
@@ -71,29 +68,3 @@ class TestCalendarHelpers:
     def test_month_key_sorts_lexicographically(self):
         keys = [month_key(day(2018, m, 1)) for m in range(1, 13)]
         assert keys == sorted(keys)
-
-    def test_first_of_month(self):
-        assert first_of_month(day(2020, 6, 17)) == day(2020, 6, 1)
-
-    def test_add_months_simple(self):
-        assert add_months(day(2020, 1, 15), 2) == day(2020, 3, 15)
-
-    def test_add_months_clamps_day_of_month(self):
-        assert add_months(day(2020, 1, 31), 1) == day(2020, 2, 29)
-        assert add_months(day(2021, 1, 31), 1) == day(2021, 2, 28)
-
-    def test_add_months_across_year_boundary(self):
-        assert add_months(day(2020, 11, 5), 3) == day(2021, 2, 5)
-
-    def test_months_between_inclusive(self):
-        months = list(months_between(day(2018, 10, 20), day(2019, 1, 3)))
-        assert months == [
-            day(2018, 10, 1),
-            day(2018, 11, 1),
-            day(2018, 12, 1),
-            day(2019, 1, 1),
-        ]
-
-    def test_months_between_single_month(self):
-        months = list(months_between(day(2020, 5, 2), day(2020, 5, 30)))
-        assert months == [day(2020, 5, 1)]

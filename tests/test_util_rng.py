@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.util.rng import ForkPrefix, RngStream, label_suffix, split_seed
+from repro.util.rng import (
+    ForkPrefix,
+    RngStream,
+    draw_bound,
+    label_suffix,
+    split_seed,
+)
+
+_TWO_POW_64 = float(1 << 64)
 
 
 class TestSplitSeed:
@@ -36,6 +44,43 @@ class TestForkPrefix:
             assert prefix.draw(label_suffix(final)) == split_seed(
                 seed, *labels, final
             )
+
+
+class TestDrawBound:
+    @given(
+        draw=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        probability=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @example(draw=0, probability=5e-324)
+    @example(draw=2 ** 64 - 1, probability=1.0)
+    @example(draw=2 ** 64 - 1024, probability=1.0)
+    @example(draw=36893488147419103, probability=0.002)
+    @example(draw=2 ** 63, probability=0.5)
+    @example(draw=2 ** 63, probability=0.5000000000000001)
+    def test_bytes_compare_as_the_float_ratio(self, draw, probability):
+        """``draw_bytes < bound`` is ``draw / 2**64 < probability`` for
+        the drawn value and on both sides of the bound itself."""
+        bound = draw_bound(probability)
+        assert len(bound) == 8
+        edge = int.from_bytes(bound, "big")
+        for value in (draw, edge - 1, edge, edge + 1):
+            if 0 <= value < 2 ** 64:
+                assert (value.to_bytes(8, "big") < bound) == (
+                    value / _TWO_POW_64 < probability
+                )
+
+    def test_bound_is_the_smallest_integer_whose_float_reaches_the_target(self):
+        for probability in (0.002, 0.5, 1.0, 1e-300):
+            edge = int.from_bytes(draw_bound(probability), "big")
+            assert float(edge) >= probability * _TWO_POW_64
+            assert float(edge - 1) < probability * _TWO_POW_64
+
+    @pytest.mark.parametrize("probability", [0.0, -0.5])
+    def test_no_draw_is_below_a_probability_that_is_not_positive(self, probability):
+        assert draw_bound(probability) == bytes(8)
+
+    def test_every_draw_is_below_a_probability_above_one(self):
+        assert b"\xff" * 8 < draw_bound(1.5)
 
 
 class TestRngStream:
